@@ -16,19 +16,10 @@ Layers, bottom up:
 
 from .catalogue import Catalogue, load_catalogue
 from .constants import NamedConstants, compute_constants, solve_a3
-from .polys import (
-    BiPoly,
-    Poly,
-    RationalFn,
-    bipoly_eval,
-    poly_derivative,
-    poly_eval,
-    rationalfn_equal,
-)
+from .polys import BiPoly, Poly, RationalFn
 from .proof import (
     ProofReport,
     ProofStep,
-    Trapezoid,
     big_F,
     big_G,
     remark_sandwich,
@@ -36,13 +27,7 @@ from .proof import (
     sweep_theorem,
     theorem_margin,
 )
-from .psibounds import (
-    alzer_psi_diff_lower,
-    lx,
-    lxx,
-    sandwich_check,
-    verify_closed_forms,
-)
+from .psibounds import alzer_psi_diff_lower, sandwich_check, verify_closed_forms
 from .signs import (
     Enclosure,
     PatternKind,
@@ -56,7 +41,7 @@ from .signs import (
     positive_below,
     verify_root_ordering,
 )
-from .specials import beta, delta, gamma, log_gamma, maximize_delta, psi, psi1, psi2
+from .specials import beta, delta, gamma, log_gamma, psi, psi1, psi2
 
 __version__ = "0.1.0"
 
@@ -72,12 +57,10 @@ __all__ = [
     "RationalFn",
     "SignPattern",
     "SignReport",
-    "Trapezoid",
     "alzer_psi_diff_lower",
     "beta",
     "big_F",
     "big_G",
-    "bipoly_eval",
     "classify",
     "compute_constants",
     "delta",
@@ -85,19 +68,13 @@ __all__ = [
     "isolate_crossing",
     "load_catalogue",
     "log_gamma",
-    "lx",
-    "lxx",
-    "maximize_delta",
     "negative_above",
     "negative_below",
-    "poly_derivative",
-    "poly_eval",
     "positive_above",
     "positive_below",
     "psi",
     "psi1",
     "psi2",
-    "rationalfn_equal",
     "remark_sandwich",
     "replay_all",
     "sandwich_check",

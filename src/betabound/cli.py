@@ -165,9 +165,7 @@ def cmd_roots(cfg: RunConfig, stdout) -> int:
             }
         )
     try:
-        ordering = signs.verify_root_ordering(
-            cat.q[1:], 0, Fraction(1, 2), cfg.enclosure_width
-        )
+        ordering = signs.verify_root_ordering(enclosures)
         ordering_note = "verified" if ordering else "out of order"
     except ValueError:
         ordering = None
@@ -240,8 +238,8 @@ def _parse_point(text: str):
 def cmd_bounds(cfg: RunConfig, x_text: str, stdout) -> int:
     try:
         point = _parse_point(x_text)
-        if not point > 0:
-            raise ConfigError("--x must be positive")
+        if not (point > 0 and context(60).isfinite(point)):
+            raise ConfigError("--x must be a positive finite number")
     except (ValueError, ZeroDivisionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

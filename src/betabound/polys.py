@@ -7,16 +7,14 @@ immutable univariate polynomials (``Poly``), sparse bivariate polynomials
 no floating point enters any operation here.
 
 Equality of rational functions is decided by cross-multiplication and
-expansion, never by sampling, so a ``True`` from ``rationalfn_equal`` is a
-certificate.  Polynomial division/GCD is deliberately not implemented.
+expansion, never by sampling, so a ``True`` from ``RationalFn.equivalent`` is
+a certificate.  Polynomial division/GCD is deliberately not implemented.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable, Mapping
 
 
 def as_fraction(value) -> Fraction:
@@ -26,11 +24,6 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
-
-
-def fraction_str(value: Fraction) -> str:
-    """Render a Fraction as 'num' or 'num/den' (canonical form)."""
-    return str(value)
 
 
 class Poly:
@@ -203,7 +196,7 @@ class Poly:
     # -- serialization --------------------------------------------------
 
     def to_json(self, var: str = "x") -> dict:
-        return {"var": var, "coeffs": [fraction_str(c) for c in self.coeffs]}
+        return {"var": var, "coeffs": [str(c) for c in self.coeffs]}
 
     @staticmethod
     def from_json(obj: Mapping) -> "Poly":
@@ -412,7 +405,7 @@ class BiPoly:
 
     def to_json(self) -> dict:
         terms = [
-            [i, j, fraction_str(c)] for (i, j), c in sorted(self.terms.items())
+            [i, j, str(c)] for (i, j), c in sorted(self.terms.items())
         ]
         return {"terms": terms}
 
@@ -587,22 +580,3 @@ def _promote_pair(num, den):
         den = _promote_scalar(den, like=Poly())
     return num, den
 
-
-# Operation aliases matching the library's public vocabulary.
-
-def poly_eval(p: Poly, x) -> Fraction:
-    """Exact Horner evaluation of p at a rational point."""
-    return p(as_fraction(x))
-
-
-def poly_derivative(p: Poly) -> Poly:
-    return p.derivative()
-
-
-def bipoly_eval(q: BiPoly, x, y) -> Fraction:
-    return q(as_fraction(x), as_fraction(y))
-
-
-def rationalfn_equal(f: RationalFn, g: RationalFn) -> bool:
-    """Certified equality of rational functions by cross-multiplication."""
-    return f.equivalent(g)

@@ -23,14 +23,16 @@ finitely many transcendental values by high-precision evaluation with a
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
 from .catalogue import load_catalogue
-from .constants import agrees_with_printed, alpha
+from .constants import agrees_with_printed
 from .polys import BiPoly, Poly, RationalFn
 from .psibounds import (
     A_LARGE,
@@ -39,25 +41,74 @@ from .psibounds import (
     PRINTED_LXX,
     alzer_bracket_rf,
     error_budget,
-    to_mpf,
 )
 from .specials import (
     DEFAULT_DPS,
     GUARD_DIGITS,
+    beta,
     context,
     log_gamma,
     psi,
     psi1,
+    to_mpf,
 )
 from . import signs
 
 # ---------------------------------------------------------------------------
-# numeric core: F, its partials, G, the diagonal and edge functions
+# formulas, written once as plain arithmetic: floats, mpfs and Fractions give
+# numbers, Poly/BiPoly symbols give the RationalFn that the replay certifies.
+# The sweep's CSV is bit-for-bit reproducible only while their operation
+# order stays fixed.
 # ---------------------------------------------------------------------------
 
 
-def _work(dps: int):
-    return context(dps + GUARD_DIGITS)
+def new_bound(x, y):
+    """((x+y)/(xy)) (1 - 2xy/(x+y+1)), the certified lower bound for B(x, y)."""
+    s, p = x + y, x * y
+    return (s / p) * (1 - 2 * p / (s + 1))
+
+
+def ivady_lower_bound(x, y):
+    """(x + y - xy)/(xy), the classical polynomial lower bound."""
+    s, p = x + y, x * y
+    return (s - p) / p
+
+
+def ivady_upper_bound(x, y):
+    """(x + y)/(xy (1 + xy)), the matching upper bound."""
+    return (x + y) / (x * y * (1 + x * y))
+
+
+def alzer_lower_bound(x, y, alpha):
+    """(1/(xy)) [1 - alpha (1-x)(1-y)/((1+x)(1+y))]; sharp for alpha = 2 pi^2/3 - 4."""
+    return (1 - alpha * (1 - x) * (1 - y) / ((1 + x) * (1 + y))) / (x * y)
+
+
+def log_correction(x, y, ln):
+    """log(1 - 2xy/(x+y+1)), the logarithmic term of F; `ln` is the log of x's type."""
+    return ln(1 - 2 * x * y / (x + y + 1))
+
+
+def dFdx_rational(x, y):
+    """2y(1+y)/((1+x+y)(1+x+y-2xy)): dF/dx minus psi(x+1) - psi(x+y+1)."""
+    return 2 * y * (1 + y) / ((1 + x + y) * (1 + x + y - 2 * x * y))
+
+
+def G_rational(x, y):
+    """-2(x-y)/(1+x+y-2xy): G minus psi(x+1) - psi(y+1)."""
+    return -2 * (x - y) / (1 + x + y - 2 * x * y)
+
+
+def dGdx_rational(x, y):
+    """-2(1+2y-2y^2)/(1+x+y-2xy)^2: dG/dx minus psi'(x+1)."""
+    return -2 * (1 + 2 * y - 2 * y * y) / (1 + x + y - 2 * x * y) ** 2
+
+
+# ---------------------------------------------------------------------------
+# high-precision wrappers: F, its partials, G, the diagonal and edge functions
+# ---------------------------------------------------------------------------
+
+EDGE_OFFSET = Fraction(9, 25)   # the upper trapezoid subregion is y >= x + 9/25
 
 
 def _unit_args(ctx, x, y, allow_zero: bool = False):
@@ -68,100 +119,56 @@ def _unit_args(ctx, x, y, allow_zero: bool = False):
     return xm, ym
 
 
+def _evaluate(compute, x, y, dps: int, allow_zero: bool = False):
+    """compute(work, x, y) on the unit square, rounded to `dps` digits.
+
+    `work` is the context with GUARD_DIGITS extra digits; x and y arrive as
+    its mpfs, and special functions inside are evaluated at ``work.dps``.
+    """
+    work = context(dps + GUARD_DIGITS)
+    xm, ym = _unit_args(work, x, y, allow_zero)
+    return context(dps).mpf(compute(work, xm, ym))
+
+
 def new_lower_bound(x, y, dps: int = DEFAULT_DPS):
     """The certified bound ((x+y)/(xy)) (1 - 2xy/(x+y+1))."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y)
-    value = (xm + ym) / (xm * ym) * (1 - 2 * xm * ym / (xm + ym + 1))
-    return context(dps).mpf(value)
+    return _evaluate(lambda work, x, y: new_bound(x, y), x, y, dps)
 
 
 def ivady_lower(x, y, dps: int = DEFAULT_DPS):
     """(x + y - xy) / (xy), the classical polynomial lower bound."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y)
-    return context(dps).mpf((xm + ym - xm * ym) / (xm * ym))
+    return _evaluate(lambda work, x, y: ivady_lower_bound(x, y), x, y, dps)
 
 
 def ivady_upper(x, y, dps: int = DEFAULT_DPS):
     """(x + y) / (xy (1 + xy)), the matching upper bound."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y)
-    return context(dps).mpf((xm + ym) / (xm * ym * (1 + xm * ym)))
-
-
-def alzer_lower(x, y, dps: int = DEFAULT_DPS):
-    """(1/(xy)) [1 - alpha (1-x)(1-y) / ((1+x)(1+y))], alpha = 2 pi^2/3 - 4."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y)
-    al = to_mpf(work, alpha(dps + GUARD_DIGITS))
-    value = (1 - al * (1 - xm) * (1 - ym) / ((1 + xm) * (1 + ym))) / (xm * ym)
-    return context(dps).mpf(value)
-
-
-def alzer_upper(x, y, dps: int = DEFAULT_DPS):
-    """Same shape with the sharp constant 1 on the subtracted term."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y)
-    value = (1 - (1 - xm) * (1 - ym) / ((1 + xm) * (1 + ym))) / (xm * ym)
-    return context(dps).mpf(value)
-
-
-def beta_value(x, y, dps: int = DEFAULT_DPS):
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y)
-    value = work.exp(
-        to_mpf(work, log_gamma(xm, dps + GUARD_DIGITS))
-        + to_mpf(work, log_gamma(ym, dps + GUARD_DIGITS))
-        - to_mpf(work, log_gamma(xm + ym, dps + GUARD_DIGITS))
-    )
-    return context(dps).mpf(value)
+    return _evaluate(lambda work, x, y: ivady_upper_bound(x, y), x, y, dps)
 
 
 def theorem_margin(x, y, dps: int = DEFAULT_DPS):
     """B(x, y) minus the certified lower bound; positive on (0,1]^2."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y)
-    value = to_mpf(work, beta_value(xm, ym, dps + GUARD_DIGITS)) - to_mpf(
-        work, new_lower_bound(xm, ym, dps + GUARD_DIGITS)
+    return _evaluate(
+        lambda work, x, y: beta(x, y, work.dps) - new_bound(x, y), x, y, dps
     )
-    return context(dps).mpf(value)
+
+
+def _log_margin(work, x, y):
+    lg = lambda t: log_gamma(t, work.dps)
+    return lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, work.ln)
 
 
 def big_F(x, y, dps: int = DEFAULT_DPS):
     """The log-scale margin; zero exactly on the x = 0 and y = 0 edges."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y, allow_zero=True)
-    lg = lambda t: _lgamma_work(work, t, dps)
-    value = (
-        lg(xm + 1) + lg(ym + 1) - lg(xm + ym + 1)
-        - work.ln(1 - 2 * xm * ym / (xm + ym + 1))
-    )
-    return context(dps).mpf(value)
+    return _evaluate(_log_margin, x, y, dps, allow_zero=True)
 
 
-def _lgamma_work(work, t, dps):
-    return to_mpf(work, log_gamma(t, dps + GUARD_DIGITS))
-
-
-def _psi_work(work, t, dps):
-    return to_mpf(work, psi(t, dps + GUARD_DIGITS))
-
-
-def _psi1_work(work, t, dps):
-    return to_mpf(work, psi1(t, dps + GUARD_DIGITS))
+def _dF_dx(work, x, y):
+    return psi(x + 1, work.dps) - psi(x + y + 1, work.dps) + dFdx_rational(x, y)
 
 
 def dF_dx(x, y, dps: int = DEFAULT_DPS):
     """psi(x+1) - psi(x+y+1) + 2y(1+y)/((1+x+y)(1+x+y-2xy))."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y, allow_zero=True)
-    value = (
-        _psi_work(work, xm + 1, dps)
-        - _psi_work(work, xm + ym + 1, dps)
-        + 2 * ym * (1 + ym) / ((1 + xm + ym) * (1 + xm + ym - 2 * xm * ym))
-    )
-    return context(dps).mpf(value)
+    return _evaluate(_dF_dx, x, y, dps, allow_zero=True)
 
 
 def dF_dy(x, y, dps: int = DEFAULT_DPS):
@@ -169,36 +176,22 @@ def dF_dy(x, y, dps: int = DEFAULT_DPS):
     return dF_dx(y, x, dps)
 
 
+def _G(work, x, y):
+    return psi(x + 1, work.dps) - psi(y + 1, work.dps) + G_rational(x, y)
+
+
 def big_G(x, y, dps: int = DEFAULT_DPS):
     """dF/dx - dF/dy = psi(x+1) - psi(y+1) - 2(x-y)/(1+x+y-2xy)."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y, allow_zero=True)
-    value = (
-        _psi_work(work, xm + 1, dps)
-        - _psi_work(work, ym + 1, dps)
-        - 2 * (xm - ym) / (1 + xm + ym - 2 * xm * ym)
-    )
-    return context(dps).mpf(value)
+    return _evaluate(_G, x, y, dps, allow_zero=True)
+
+
+def _dG_dx(work, x, y):
+    return psi1(x + 1, work.dps) + dGdx_rational(x, y)
 
 
 def dG_dx(x, y, dps: int = DEFAULT_DPS):
     """psi'(x+1) - 2(1+2y-2y^2)/(1+x+y-2xy)^2."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y, allow_zero=True)
-    value = _psi1_work(work, xm + 1, dps) - 2 * (1 + 2 * ym - 2 * ym * ym) / (
-        (1 + xm + ym - 2 * xm * ym) ** 2
-    )
-    return context(dps).mpf(value)
-
-
-def dG_dy(x, y, dps: int = DEFAULT_DPS):
-    """-psi'(y+1) + 2(1+2x-2x^2)/(1+x+y-2xy)^2."""
-    work = _work(dps)
-    xm, ym = _unit_args(work, x, y, allow_zero=True)
-    value = -_psi1_work(work, ym + 1, dps) + 2 * (1 + 2 * xm - 2 * xm * xm) / (
-        (1 + xm + ym - 2 * xm * ym) ** 2
-    )
-    return context(dps).mpf(value)
+    return _evaluate(_dG_dx, x, y, dps, allow_zero=True)
 
 
 def diag_gap(x, dps: int = DEFAULT_DPS):
@@ -207,66 +200,24 @@ def diag_gap(x, dps: int = DEFAULT_DPS):
     Defined while 1 + 2x - 2x^2 > 0, i.e. up to x = (sqrt(3)+1)/2; the
     denominator positivity is checked explicitly before evaluating.
     """
-    work = _work(dps)
+    work = context(dps + GUARD_DIGITS)
     xm = to_mpf(work, x)
     if not xm > 0:
         raise ValueError("domain error: diag_gap requires x > 0")
     if not 1 + 2 * xm - 2 * xm * xm > 0:
         raise ValueError("domain error: diag_gap requires 1 + 2x - 2x^2 > 0")
-    value = (
-        2 * _lgamma_work(work, xm + 1, dps)
-        - _lgamma_work(work, 2 * xm + 1, dps)
-        - work.ln(1 - 2 * xm * xm / (1 + 2 * xm))
-    )
-    return context(dps).mpf(value)
-
-
-def diag_slope_half(x, dps: int = DEFAULT_DPS):
-    """f'(x)/2 = psi(x+1) - psi(2x+1) + 2x(1+x)/((1+2x)(1+2x-2x^2))."""
-    work = _work(dps)
-    xm = to_mpf(work, x)
-    if not xm > 0:
-        raise ValueError("domain error: diag_slope_half requires x > 0")
-    value = (
-        _psi_work(work, xm + 1, dps)
-        - _psi_work(work, 2 * xm + 1, dps)
-        + 2 * xm * (1 + xm) / ((1 + 2 * xm) * (1 + 2 * xm - 2 * xm * xm))
-    )
-    return context(dps).mpf(value)
+    return context(dps).mpf(_log_margin(work, xm, xm))
 
 
 def edge_slope(x, dps: int = DEFAULT_DPS):
-    """g(x) = psi'(x+1) - (913+350x-1250x^2)/(2(17+16x-25x^2)^2).
+    """g(x) = dG/dx(x, x + 9/25), the slope along the binding edge y = x + 9/25.
 
-    This is dG/dx evaluated on the line y = x + 9/25, the binding edge of
-    the upper trapezoid subregion.
+    Equals psi'(x+1) - (913+350x-1250x^2)/(2(17+16x-25x^2)^2); the replay
+    step ``trapezoid.A.edge-slope-identity`` certifies that rational part.
     """
-    work = _work(dps)
+    work = context(dps + GUARD_DIGITS)
     xm = to_mpf(work, x)
-    value = _psi1_work(work, xm + 1, dps) - (
-        913 + 350 * xm - 1250 * xm * xm
-    ) / (2 * (17 + 16 * xm - 25 * xm * xm) ** 2)
-    return context(dps).mpf(value)
-
-
-@dataclass(frozen=True)
-class Trapezoid:
-    """The region {(x, y) : x < y < 1 - x, 0 < x < x_max}, x_max = 1/5.
-
-    Boundary segments: the fold diagonal y = x, the left edge x = 0, the
-    antidiagonal x + y = 1 and the right edge x = x_max.
-    """
-
-    x_max: Fraction = Fraction(1, 5)
-
-    def contains(self, x, y) -> bool:
-        return 0 < x < self.x_max and x < y < 1 - x
-
-    def on_boundary(self, x, y) -> bool:
-        inside_closure = 0 <= x <= self.x_max and x <= y <= 1 - x
-        return inside_closure and (
-            x == 0 or x == self.x_max or y == x or x + y == 1
-        )
+    return dG_dx(xm, xm + to_mpf(work, EDGE_OFFSET), dps)
 
 
 @dataclass(frozen=True)
@@ -290,11 +241,11 @@ def remark_sandwich(x, y, dps: int = DEFAULT_DPS) -> RemarkOrdering:
     is at least as strong); for x + y <= 1 the second comparison reverses
     and the new bound is the stronger one.
     """
-    work = _work(dps)
+    work = context(dps + GUARD_DIGITS)
     xm, ym = _unit_args(work, x, y)
-    b = to_mpf(work, beta_value(xm, ym, dps))
-    new = to_mpf(work, new_lower_bound(xm, ym, dps))
-    iv = to_mpf(work, ivady_lower(xm, ym, dps))
+    b = beta(xm, ym, work.dps)
+    new = new_bound(xm, ym)
+    iv = ivady_lower_bound(xm, ym)
     tol = 10 * to_mpf(work, error_budget(dps))
     equalities = []
     if xm + ym >= 1:
@@ -466,7 +417,7 @@ def replay_diagonal(dps: int = DEFAULT_DPS) -> list[ProofStep]:
 
     # (a) rational part of the derivative
     lhs = RationalFn(Poly((2,)), 1 + 2 * t) - (2 - 4 * t) / (1 + 2 * t - 2 * t**2)
-    rhs = (4 * t * (1 + t)) / ((1 + 2 * t) * (1 + 2 * t - 2 * t**2))
+    rhs = 2 * dFdx_rational(t, t)
     steps.append(
         _identity_step(
             "diagonal.slope-rational-identity",
@@ -519,11 +470,9 @@ def replay_diagonal(dps: int = DEFAULT_DPS) -> list[ProofStep]:
     spots = [Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(13, 10)]
     values = {str(s): diag_gap(s, dps) for s in spots}
     statuses = [_hp_status(v, dps) for v in values.values()]
-    work = _work(dps)
+    work = context(dps + GUARD_DIGITS)
     log_pi_third = work.ln(work.pi / 3)
-    half_matches = abs(to_mpf(work, values["1/2"]) - log_pi_third) < work.mpf(10) ** (
-        -(min(dps, 50) - 25)
-    )
+    half_matches = abs(values["1/2"] - log_pi_third) < 10 * error_budget(dps)
     steps.append(
         ProofStep(
             "diagonal.gap-positive-spots",
@@ -542,10 +491,32 @@ def replay_diagonal(dps: int = DEFAULT_DPS) -> list[ProofStep]:
 # ---------------------------------------------------------------------------
 
 
+def _q_sign_vectors(enclosures, right: Fraction) -> tuple[list[str], dict]:
+    """Sign vectors of Q's y-coefficients (-q0, q1..q5, 2x-1) on (0, right].
+
+    Takes q0 < 0 and 2x - 1 <= 0, and each q_k NP with its crossing root in
+    ``enclosures[k-1]``: negative left of the enclosure, positive right of
+    it.  The enclosure endpoints cut (0, right] into pieces.  On a piece
+    that meets an enclosure that q_k is undetermined ('?'), and both of its
+    signs are classified.  Returns one vector per piece and the count of
+    each sign pattern over all classified vectors.
+    """
+    ends = {e for enc in enclosures for e in (enc.lo, enc.hi)}
+    cuts = sorted(ends | {Fraction(0), right})
+    vectors, patterns = [], Counter()
+    for a, b in zip(cuts, cuts[1:]):
+        middle = ("+" if a >= e.hi else "-" if b <= e.lo else "?" for e in enclosures)
+        vector = "+" + "".join(middle) + "-"
+        vectors.append(vector)
+        for choice in itertools.product("+-", repeat=vector.count("?")):
+            filled = vector.replace("?", "{}").format(*choice)
+            coeffs = [1 if c == "+" else -1 for c in filled]
+            patterns[signs.classify(Poly(coeffs)).kind.value] += 1
+    return vectors, dict(patterns)
+
+
 def replay_strip(
-    dps: int = DEFAULT_DPS,
-    grid_step: Fraction = Fraction(1, 1000),
-    width: Fraction = Fraction(1, 10**6),
+    dps: int = DEFAULT_DPS, width: Fraction = Fraction(1, 10**6)
 ) -> list[ProofStep]:
     """Certify F(x, y) >= f(x) > 0 on the strip via dF/dy > 0.
 
@@ -558,11 +529,9 @@ def replay_strip(
     x, y, u, v = _bivariate_pieces()
 
     # gradient identities behind the reduction
-    id_dx = (1 / u - (1 - 2 * y) / v).equivalent((2 * y * (1 + y)) / (u * v))
-    id_dy = (1 / u - (1 - 2 * x) / v).equivalent((2 * x * (1 + x)) / (u * v))
-    id_g = ((2 * y * (1 + y) - 2 * x * (1 + x)) / (u * v)).equivalent(
-        (-2) * (x - y) / v
-    )
+    id_dx = (1 / u - (1 - 2 * y) / v).equivalent(dFdx_rational(x, y))
+    id_dy = (1 / u - (1 - 2 * x) / v).equivalent(dFdx_rational(y, x))
+    id_g = (dFdx_rational(x, y) - dFdx_rational(y, x)).equivalent(G_rational(x, y))
     steps.append(
         _identity_step(
             "strip.gradient-identities",
@@ -576,7 +545,7 @@ def replay_strip(
     lhs = (
         alzer_bracket_rf(3)
         - RationalFn(BiPoly.const(1), x + y)
-        + (2 * x * (1 + x)) / (u * v)
+        + dFdx_rational(y, x)
     )
     den = v * (y + 1) * (x + y + 1) * (y + 2) * (x + y + 2) * (y + 3) * (x + y + 3)
     rhs = RationalFn(x * cat.Q, den)
@@ -591,14 +560,12 @@ def replay_strip(
     )
 
     # root enclosures and ordering for the q family
-    q0_neg = signs.negative_below(cat.q[0], Fraction(1, 2))
+    half = Fraction(1, 2)
+    q0_neg = signs.negative_below(cat.q[0], half)
     enclosures = [
-        signs.isolate_crossing(cat.q[k], 0, Fraction(1, 2), width)
-        for k in range(1, 6)
+        signs.isolate_crossing(cat.q[k], 0, half, width) for k in range(1, 6)
     ]
-    ordering = signs.verify_root_ordering(
-        cat.q[1:], 0, Fraction(1, 2), width
-    )
+    ordering = signs.verify_root_ordering(enclosures)
     steps.append(
         ProofStep(
             "strip.q-root-ordering",
@@ -616,38 +583,29 @@ def replay_strip(
         )
     )
 
-    # (b) dense-grid audit: Q(x, .) is one-sign-change in y on the strip
-    audit_ok = True
-    consistent = True
-    patterns = {}
-    xg = Fraction(1, 5) + grid_step
-    while xg <= Fraction(1, 2):
-        coeffs = [-cat.q[0](xg)]
-        coeffs += [cat.q[k](xg) for k in range(1, 6)]
-        coeffs.append(2 * xg - 1)
-        pattern = signs.classify(Poly(coeffs))
-        patterns[pattern.kind.value] = patterns.get(pattern.kind.value, 0) + 1
-        if pattern.kind not in (signs.PatternKind.PN, signs.PatternKind.ALL_NONNEG):
-            audit_ok = False
-        for k, enc in enumerate(enclosures, start=1):
-            value = cat.q[k](xg)
-            if xg > enc.hi and not value > 0:
-                consistent = False
-            if xg < enc.lo and not value < 0:
-                consistent = False
-        xg += grid_step
+    # (b) the y-coefficients -q0, q1..q5, 2x-1 of Q form a PN sequence
+    q_kinds = [signs.classify(cat.q[k]).kind for k in range(1, 6)]
+    np_ok = all(kind is signs.PatternKind.NP for kind in q_kinds)
+    top = Poly((-1, 2))  # 2x - 1: NP with top(1/2) = 0, so <= 0 on (0, 1/2]
+    top_ok = signs.classify(top).kind is signs.PatternKind.NP and top(half) <= 0
+    vectors, patterns = _q_sign_vectors(enclosures, half)
+    pn_ok = set(patterns) == {signs.PatternKind.PN.value}
+    pn_ok = pn_ok and np_ok and q0_neg and ordering and top_ok
     steps.append(
         ProofStep(
-            "strip.pn-grid-audit",
-            "At every grid abscissa in (1/5, 1/2] the y-coefficient sequence "
-            "of Q has at most one sign change (positive block first), and "
-            "each q_k sign agrees with its root enclosure.",
+            "strip.pn-sign-vectors",
+            "For every x in (0, 1/2] the y-coefficient sequence -q0, q1..q5, "
+            "2x-1 of Q has at most one sign change, positive block first: "
+            "q1..q5 are NP, so each changes sign only inside its root "
+            "enclosure; the sign vector is fixed and PN on each of the six "
+            "intervals between enclosures, and PN inside each enclosure for "
+            "either sign of the one undetermined q_k.",
             METHOD_SIGN_ENGINE,
-            VERIFIED if (audit_ok and consistent) else FAILED,
+            VERIFIED if pn_ok else FAILED,
             {
-                "grid_step": str(grid_step),
+                "q1..q5_patterns": " ".join(kind.value for kind in q_kinds),
+                "sign_vectors": " ".join(vectors),
                 "patterns": str(patterns),
-                "enclosure_consistency": str(consistent),
             },
         )
     )
@@ -740,11 +698,11 @@ def replay_trapezoid(dps: int = DEFAULT_DPS) -> list[ProofStep]:
     p0, p1, p2, p3, p4 = cat.p
     x, y, u, v = _bivariate_pieces()
     t = _T
-    work = _work(dps)
+    work = context(dps + GUARD_DIGITS)
 
     # --- subregion A: y >= x + 9/25 ------------------------------------
 
-    mixed = RationalFn((-2) * (1 + 2 * y - 2 * y**2), v * v).partial_y()
+    mixed = dGdx_rational(x, y).partial_y()
     mixed_ok = mixed.equivalent((12 * (y - x)) / (v * v * v))
     corner_min = bilinear_corner_min(
         v, Fraction(0), Fraction(1), Fraction(0), Fraction(1)
@@ -761,11 +719,8 @@ def replay_trapezoid(dps: int = DEFAULT_DPS) -> list[ProofStep]:
         )
     )
 
-    # pr-6: dG/dx on the edge y = x + 9/25
-    edge_sub = RationalFn(
-        2 * (1 + 2 * y - 2 * y**2), v * v
-    ).substitute_y(Poly((Fraction(9, 25), 1)))
-    edge_sub_ok = edge_sub.equivalent(EDGE_SLOPE_QUOTIENT)
+    # dG/dx on the edge y = x + 9/25: the formula edge_slope evaluates
+    edge_sub_ok = dGdx_rational(t, t + EDGE_OFFSET).equivalent(-EDGE_SLOPE_QUOTIENT)
     steps.append(
         _identity_step(
             "trapezoid.A.edge-slope-identity",
@@ -930,10 +885,8 @@ def replay_trapezoid(dps: int = DEFAULT_DPS) -> list[ProofStep]:
 
     # --- subregion B: 9/25 < y < x + 9/25 --------------------------------
 
-    b_edge_sub = RationalFn(
-        2 * (1 + 2 * x - 2 * x**2), v * v
-    ).substitute_x(Poly((Fraction(-9, 25), 1)))
-    b_edge_sub_ok = b_edge_sub.equivalent(B_EDGE_QUOTIENT)
+    # dG/dy(x, y) = -dG/dx(y, x) by antisymmetry; on the edge x = y - 9/25
+    b_edge_sub_ok = dGdx_rational(t, t - EDGE_OFFSET).equivalent(-B_EDGE_QUOTIENT)
     bracket = B_EDGE_BRACKET
     b_slope_rhs = RationalFn(
         5275352 + (25 * t - 9) * bracket,
@@ -1042,8 +995,7 @@ def replay_trapezoid(dps: int = DEFAULT_DPS) -> list[ProofStep]:
 
     # --- subregion C: x < y <= 9/25 --------------------------------------
 
-    c_sub = RationalFn(2 * (1 + 2 * x - 2 * x**2), v * v).substitute_x(Poly(()))
-    c_sub_ok = c_sub.equivalent(RationalFn(Poly((2,)), (1 + t) ** 2))
+    c_sub_ok = dGdx_rational(t, 0).equivalent(RationalFn(Poly((-2,)), (1 + t) ** 2))
     c_rhs = RationalFn(
         p4,
         2 * (1 + t) ** 2 * (11 + 15 * t + 15 * t**2) * (5 + 18 * t + 18 * t**2),
@@ -1095,11 +1047,7 @@ def replay_trapezoid(dps: int = DEFAULT_DPS) -> list[ProofStep]:
 
     # (i) antidiagonal x + y = 1: our bound coincides with the classical
     # polynomial bound there, and B exceeds that bound strictly.
-    new_rf = RationalFn((x + y) * v, x * y * u)
-    ivady_rf = RationalFn(x + y - x * y, x * y)
-    top_identity = new_rf.substitute_y(Poly((1, -1))).equivalent(
-        ivady_rf.substitute_y(Poly((1, -1)))
-    )
+    top_identity = new_bound(t, 1 - t).equivalent(ivady_lower_bound(t, 1 - t))
     top_samples = []
     top_statuses = []
     for xs in (Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(19, 100)):
@@ -1227,16 +1175,10 @@ class ProofReport:
 
 
 def replay_all(
-    dps: int = DEFAULT_DPS,
-    grid_step: Fraction = Fraction(1, 1000),
-    width: Fraction = Fraction(1, 10**6),
+    dps: int = DEFAULT_DPS, width: Fraction = Fraction(1, 10**6)
 ) -> ProofReport:
     """Run every step of the proof replay and collect the report."""
-    steps = (
-        replay_diagonal(dps)
-        + replay_strip(dps, grid_step, width)
-        + replay_trapezoid(dps)
-    )
+    steps = replay_diagonal(dps) + replay_strip(dps, width) + replay_trapezoid(dps)
     return ProofReport(dps=dps, steps=steps)
 
 
@@ -1266,11 +1208,12 @@ def sweep_theorem(
 ) -> SweepResult:
     """Audit the bound on the grid {(i/n, j/n)}, i, j = 1..n.
 
-    Grid cells are evaluated in double precision (the margins at desk
-    scale are at least ~5e-4, nine orders above double rounding); the
-    worst cell is then re-evaluated at full working precision and the two
-    values are required to agree.  `row_sink`, when given, receives one
-    tuple per cell in row-major order.
+    Grid cells are evaluated in double precision through the shared
+    formulas.  The margin on the edge y = 1 is x/(x+2), so the grid minimum
+    is 1/(2n+1) at (1/n, 1), far above double rounding at desk grid sizes;
+    the worst cell is then re-evaluated at full working precision and the
+    two values are required to agree.  `row_sink`, when given, receives
+    one tuple per cell in row-major order.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -1287,10 +1230,9 @@ def sweep_theorem(
         for j in range(1, n + 1):
             yv = j / n
             b = math.exp(lg_x + lgamma(yv) - lgamma(xv + yv))
-            s, p = xv + yv, xv * yv
-            new = (s / p) * (1 - 2 * p / (s + 1))
-            iv = (s - p) / p
-            az = (1 - al * (1 - xv) * (1 - yv) / ((1 + xv) * (1 + yv))) / p
+            new = new_bound(xv, yv)
+            iv = ivady_lower_bound(xv, yv)
+            az = alzer_lower_bound(xv, yv, al)
             m_new = b - new
             m_iv = b - iv
             m_az = b - az
@@ -1304,13 +1246,9 @@ def sweep_theorem(
                 row_sink((xv, yv, b, new, iv, az, m_new, m_iv))
             rows += 1
 
-    # corner (1, 1): B and both classical bounds all equal 1
-    b11 = math.exp(-lgamma(2.0))
-    corner = (
-        abs(b11 - 1.0) < 1e-12
-        and abs(ivady_upper_float(1.0, 1.0) - 1.0) < 1e-12
-        and abs((2.0 - 1.0) / 1.0 - 1.0) < 1e-12
-    )
+    # corner (1, 1): both classical bounds equal B(1, 1) = 1 exactly
+    one = Fraction(1)
+    corner = ivady_lower_bound(one, one) == 1 == ivady_upper_bound(one, one)
 
     xa, ya = best[1]
     hp = theorem_margin(
@@ -1332,6 +1270,3 @@ def sweep_theorem(
         hp_agrees=hp_agrees,
     )
 
-
-def ivady_upper_float(xv: float, yv: float) -> float:
-    return (xv + yv) / (xv * yv * (1 + xv * yv))

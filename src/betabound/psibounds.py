@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
 
 from .polys import BiPoly, Poly, RationalFn, as_fraction
 from .specials import DEFAULT_DPS, GUARD_DIGITS, context, psi1, psi2, to_mpf
@@ -31,78 +30,69 @@ A_LARGE = Fraction(4, 5)
 _X = Poly.x()
 
 
-def _printed_lx(a: Fraction) -> RationalFn:
-    x = _X
-    if a == A_SMALL:
-        return (3 * (1 + 2 * x) * (61 + 90 * x + 90 * x**2)) / (
-            2 * (11 + 15 * x + 15 * x**2) * (5 + 18 * x + 18 * x**2)
+# the closed forms exactly as displayed in the source material
+PRINTED_LX = {
+    A_SMALL: (3 * (1 + 2 * _X) * (61 + 90 * _X + 90 * _X**2))
+    / (2 * (11 + 15 * _X + 15 * _X**2) * (5 + 18 * _X + 18 * _X**2)),
+    A_LARGE: (3 * (1 + 2 * _X) * (199 + 180 * _X + 180 * _X**2))
+    / (2 * (17 + 15 * _X + 15 * _X**2) * (11 + 36 * _X + 36 * _X**2)),
+}
+PRINTED_LXX = {
+    A_SMALL: (
+        -3 * (
+            4993 + 36546 * _X + 110526 * _X**2 + 196560 * _X**3
+            + 219780 * _X**4 + 145800 * _X**5 + 48600 * _X**6
         )
-    if a == A_LARGE:
-        return (3 * (1 + 2 * x) * (199 + 180 * x + 180 * x**2)) / (
-            2 * (17 + 15 * x + 15 * x**2) * (11 + 36 * x + 36 * x**2)
+    ) / (2 * (11 + 15 * _X + 15 * _X**2) ** 2 * (5 + 18 * _X + 18 * _X**2) ** 2),
+    A_LARGE: (
+        -3 * (
+            46537 + 322206 * _X + 784446 * _X**2 + 1118880 * _X**3
+            + 1045440 * _X**4 + 583200 * _X**5 + 194400 * _X**6
         )
-    raise KeyError(a)
+    ) / (2 * (17 + 15 * _X + 15 * _X**2) ** 2 * (11 + 36 * _X + 36 * _X**2) ** 2),
+}
 
 
-def _printed_lxx(a: Fraction) -> RationalFn:
-    x = _X
-    if a == A_SMALL:
-        num = (
-            4993 + 36546 * x + 110526 * x**2 + 196560 * x**3
-            + 219780 * x**4 + 145800 * x**5 + 48600 * x**6
-        )
-        return (-3 * num) / (
-            2 * (11 + 15 * x + 15 * x**2) ** 2 * (5 + 18 * x + 18 * x**2) ** 2
-        )
-    if a == A_LARGE:
-        num = (
-            46537 + 322206 * x + 784446 * x**2 + 1118880 * x**3
-            + 1045440 * x**4 + 583200 * x**5 + 194400 * x**6
-        )
-        return (-3 * num) / (
-            2 * (17 + 15 * x + 15 * x**2) ** 2 * (11 + 36 * x + 36 * x**2) ** 2
-        )
-    raise KeyError(a)
-
-
-PRINTED_LX = {A_SMALL: _printed_lx(A_SMALL), A_LARGE: _printed_lx(A_LARGE)}
-PRINTED_LXX = {A_SMALL: _printed_lxx(A_SMALL), A_LARGE: _printed_lxx(A_LARGE)}
-
-
-def log_arguments(a) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def log_arguments(a):
     """Weights and quadratic constants (w1, w2, c1, c2) of the two log terms.
 
-    Requires a > 1/15 so that both log arguments stay positive for x >= 0.
+    Plain arithmetic: exact for a ``Fraction``, mpf for an mpf.  Requires
+    a > 1/15 so that both log arguments stay positive for x >= 0.
     """
-    a = as_fraction(a)
-    if a <= Fraction(1, 15):
+    if not a * 15 > 1:
         raise ValueError("domain error: parameter a must exceed 1/15")
     denom = 90 * a * a + 2
-    w1 = Fraction(1) / denom
+    w1 = 1 / denom
     w2 = 45 * a * a / denom
     c1 = (3 * a + 1) / 3
     c2 = (15 * a - 1) / (45 * a)
     return w1, w2, c1, c2
 
 
+def yang_lx(x, a):
+    """L_x(x, a) as plain arithmetic: a ``RationalFn`` for ``Poly`` x, else a number."""
+    w1, w2, c1, c2 = log_arguments(a)
+    two_x1 = 2 * x + 1
+    return w1 * two_x1 / (x * x + x + c1) + w2 * two_x1 / (x * x + x + c2)
+
+
+def yang_lxx(x, a):
+    """L_xx(x, a) as plain arithmetic, like ``yang_lx``."""
+    w1, w2, c1, c2 = log_arguments(a)
+    u1 = x * x + x + c1
+    u2 = x * x + x + c2
+    sq = (2 * x + 1) ** 2
+    return w1 * (2 * u1 - sq) / (u1 * u1) + w2 * (2 * u2 - sq) / (u2 * u2)
+
+
 def derive_lx(a) -> RationalFn:
     """First x-derivative of L(., a) as an exact rational function."""
-    w1, w2, c1, c2 = log_arguments(a)
-    x = _X
-    u1 = x**2 + x + c1
-    u2 = x**2 + x + c2
-    return (w1 * (2 * x + 1)) / u1 + (w2 * (2 * x + 1)) / u2
+    return yang_lx(_X, as_fraction(a))
 
 
 def derive_lxx(a) -> RationalFn:
     """Second x-derivative of L(., a) as an exact rational function."""
-    w1, w2, c1, c2 = log_arguments(a)
-    x = _X
-    u1 = x**2 + x + c1
-    u2 = x**2 + x + c2
-    n1 = 2 * u1 - (2 * x + 1) ** 2
-    n2 = 2 * u2 - (2 * x + 1) ** 2
-    return (w1 * n1) / (u1 * u1) + (w2 * n2) / (u2 * u2)
+    return yang_lxx(_X, as_fraction(a))
 
 
 def closed_form_mismatches() -> list[str]:
@@ -121,57 +111,15 @@ def verify_closed_forms() -> bool:
     return not closed_form_mismatches()
 
 
-def eval_poly_mp(p: Poly, xm, ctx):
-    """Horner evaluation of an exact polynomial at an mpf point."""
-    acc = ctx.mpf(0)
-    for c in reversed(p.coeffs):
-        acc = acc * xm + to_mpf(ctx, c)
-    return acc
-
-
-def eval_ratfn_mp(rf: RationalFn, xm, ctx):
-    return eval_poly_mp(rf.num, xm, ctx) / eval_poly_mp(rf.den, xm, ctx)
-
-
-def _eval_form(form: RationalFn, x, dps: int):
-    if isinstance(x, (int, Fraction)):
-        return form(as_fraction(x))
+def _at_work(formula, x, a, dps: int):
     work = context(dps + GUARD_DIGITS)
-    return context(dps).mpf(eval_ratfn_mp(form, to_mpf(work, x), work))
-
-
-def lx(x, a, dps: int = DEFAULT_DPS) -> Union[Fraction, object]:
-    """L_x(x, a) for a in {2/5, 4/5}: exact on rationals, mpf otherwise."""
-    a = as_fraction(a)
-    if a not in PRINTED_LX:
-        raise KeyError("closed forms are available only for a = 2/5 and 4/5")
-    return _eval_form(PRINTED_LX[a], x, dps)
-
-
-def lxx(x, a, dps: int = DEFAULT_DPS) -> Union[Fraction, object]:
-    """L_xx(x, a) for a in {2/5, 4/5}: exact on rationals, mpf otherwise."""
-    a = as_fraction(a)
-    if a not in PRINTED_LXX:
-        raise KeyError("closed forms are available only for a = 2/5 and 4/5")
-    return _eval_form(PRINTED_LXX[a], x, dps)
-
-
-def _general_terms(ctx, a):
-    am = to_mpf(ctx, a)
-    if not am * 15 > 1:
-        raise ValueError("domain error: parameter a must exceed 1/15")
-    denom = 90 * am * am + 2
-    w1 = 1 / denom
-    w2 = 45 * am * am / denom
-    c1 = (3 * am + 1) / 3
-    c2 = (15 * am - 1) / (45 * am)
-    return w1, w2, c1, c2
+    return context(dps).mpf(formula(to_mpf(work, x), to_mpf(work, a)))
 
 
 def l_value(x, a, dps: int = DEFAULT_DPS):
     """Yang's L(x, a) itself (high precision), for x >= 0 and a > 1/15."""
     work = context(dps + GUARD_DIGITS)
-    w1, w2, c1, c2 = _general_terms(work, a)
+    w1, w2, c1, c2 = log_arguments(to_mpf(work, a))
     xm = to_mpf(work, x)
     return context(dps).mpf(
         w1 * work.ln(xm * xm + xm + c1) + w2 * work.ln(xm * xm + xm + c2)
@@ -180,24 +128,12 @@ def l_value(x, a, dps: int = DEFAULT_DPS):
 
 def lx_general(x, a, dps: int = DEFAULT_DPS):
     """L_x(x, a) for any a > 1/15 (high precision)."""
-    work = context(dps + GUARD_DIGITS)
-    w1, w2, c1, c2 = _general_terms(work, a)
-    xm = to_mpf(work, x)
-    two_x1 = 2 * xm + 1
-    value = w1 * two_x1 / (xm * xm + xm + c1) + w2 * two_x1 / (xm * xm + xm + c2)
-    return context(dps).mpf(value)
+    return _at_work(yang_lx, x, a, dps)
 
 
 def lxx_general(x, a, dps: int = DEFAULT_DPS):
     """L_xx(x, a) for any a > 1/15 (high precision)."""
-    work = context(dps + GUARD_DIGITS)
-    w1, w2, c1, c2 = _general_terms(work, a)
-    xm = to_mpf(work, x)
-    u1 = xm * xm + xm + c1
-    u2 = xm * xm + xm + c2
-    sq = (2 * xm + 1) ** 2
-    value = w1 * (2 * u1 - sq) / (u1 * u1) + w2 * (2 * u2 - sq) / (u2 * u2)
-    return context(dps).mpf(value)
+    return _at_work(yang_lxx, x, a, dps)
 
 
 def error_budget(dps: int):
@@ -220,14 +156,15 @@ def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
     xm = to_mpf(work, x)
     if not xm > 0:
         raise ValueError("domain error: sandwich bounds require x > 0")
-    p1 = to_mpf(work, psi1(xm + 1, dps + GUARD_DIGITS))
-    p2 = to_mpf(work, psi2(xm + 1, dps + GUARD_DIGITS))
+    p1 = psi1(xm + 1, work.dps)
+    p2 = psi2(xm + 1, work.dps)
+    small, large = to_mpf(work, A_SMALL), to_mpf(work, A_LARGE)
     out = context(dps)
     return {
-        "psi1_above_lx45": out.mpf(p1 - eval_ratfn_mp(PRINTED_LX[A_LARGE], xm, work)),
-        "psi1_below_lx25": out.mpf(eval_ratfn_mp(PRINTED_LX[A_SMALL], xm, work) - p1),
-        "psi2_above_lxx25": out.mpf(p2 - eval_ratfn_mp(PRINTED_LXX[A_SMALL], xm, work)),
-        "psi2_below_lxx45": out.mpf(eval_ratfn_mp(PRINTED_LXX[A_LARGE], xm, work) - p2),
+        "psi1_above_lx45": out.mpf(p1 - yang_lx(xm, large)),
+        "psi1_below_lx25": out.mpf(yang_lx(xm, small) - p1),
+        "psi2_above_lxx25": out.mpf(p2 - yang_lxx(xm, small)),
+        "psi2_below_lxx45": out.mpf(yang_lxx(xm, large) - p2),
     }
 
 
@@ -246,6 +183,14 @@ def sandwich_check(x, dps: int = DEFAULT_DPS) -> bool:
     raise ValueError("inconclusive: sandwich margin within the error budget")
 
 
+def _alzer_sum(x, s, n: int):
+    """(1-s) [1/(x+s+n) + sum_{i<n} 1/((x+i+1)(x+i+s))] as plain arithmetic."""
+    acc = 1 / (x + s + n)
+    for i in range(n):
+        acc += 1 / ((x + i + 1) * (x + i + s))
+    return (1 - s) * acc
+
+
 def alzer_psi_diff_lower(x, s, n: int, dps: int = DEFAULT_DPS):
     """Alzer's lower bound for psi(x+1) - psi(x+s).
 
@@ -257,25 +202,16 @@ def alzer_psi_diff_lower(x, s, n: int, dps: int = DEFAULT_DPS):
         raise ValueError("domain error: n must be a nonnegative integer")
     exact = isinstance(x, (int, Fraction)) and isinstance(s, (int, Fraction))
     if exact:
-        xq, sq = as_fraction(x), as_fraction(s)
-        if not 0 < sq < 1:
-            raise ValueError("domain error: s must lie in (0, 1)")
-        if xq <= 0:
-            raise ValueError("domain error: x must be positive")
-        acc = Fraction(1) / (xq + sq + n)
-        for i in range(n):
-            acc += Fraction(1) / ((xq + i + 1) * (xq + i + sq))
-        return (1 - sq) * acc
-    work = context(dps + GUARD_DIGITS)
-    xm, sm = to_mpf(work, x), to_mpf(work, s)
-    if not (0 < sm < 1):
+        xv, sv = as_fraction(x), as_fraction(s)
+    else:
+        work = context(dps + GUARD_DIGITS)
+        xv, sv = to_mpf(work, x), to_mpf(work, s)
+    if not 0 < sv < 1:
         raise ValueError("domain error: s must lie in (0, 1)")
-    if not xm > 0:
+    if not xv > 0:
         raise ValueError("domain error: x must be positive")
-    acc = 1 / (xm + sm + n)
-    for i in range(n):
-        acc += 1 / ((xm + i + 1) * (xm + i + sm))
-    return context(dps).mpf((1 - sm) * acc)
+    value = _alzer_sum(xv, sv, n)
+    return value if exact else context(dps).mpf(value)
 
 
 @lru_cache(maxsize=None)
@@ -286,8 +222,4 @@ def alzer_bracket_rf(n: int) -> RationalFn:
     psi(y+1) - psi(y+x), i.e. the offset s is the variable x and the
     argument is the variable y (the orientation used in the main proof).
     """
-    x, y = BiPoly.x(), BiPoly.y()
-    acc = RationalFn(BiPoly.const(1), x + y + n)
-    for i in range(n):
-        acc = acc + 1 / ((y + i + 1) * (y + i + x))
-    return (1 - x) * acc
+    return _alzer_sum(BiPoly.y(), BiPoly.x(), n)

@@ -17,28 +17,17 @@ from typing import Callable
 from .specials import DEFAULT_DPS, GUARD_DIGITS, context, to_mpf
 
 
-def tanh_sinh_unit(
-    f: Callable,
-    dps: int = DEFAULT_DPS,
-    max_level: int = 12,
-) -> object:
-    """Integrate f(t, 1-t) over (0, 1) with tanh-sinh node placement.
+def _de_sum(node: Callable, dps: int, u_max: float, max_level: int) -> object:
+    """Halving trapezoid sums of node(u) + node(-u) over the real line.
 
-    `f` must accept the node and its complement: near t = 1 the complement
-    carries the precision that 1 - t would destroy.
+    Each row adds the odd multiples of the new step; a row stops once its
+    terms fall below 10^-(dps+5) relative to its running total, or once u
+    passes `u_max`, beyond which the transformed integrand is negligible.
+    Levels stop when two successive estimates agree to the same target.
+    `node` computes in ``context(dps + GUARD_DIGITS)``.
     """
     work = context(dps + GUARD_DIGITS)
-    pi_half = work.pi / 2
     target = work.mpf(10) ** (-(dps + 5))
-
-    def node_terms(u):
-        s = pi_half * work.sinh(u)
-        e2s = work.exp(-2 * abs(s))
-        t_small = e2s / (1 + e2s)          # min(t, 1-t), stable for large |s|
-        t_big = 1 / (1 + e2s)
-        t, tc = (t_small, t_big) if s < 0 else (t_big, t_small)
-        weight = work.pi * work.cosh(u) * t * tc
-        return weight * f(t, tc)
 
     def row(h, only_odd: bool) -> object:
         total = work.mpf(0)
@@ -46,11 +35,11 @@ def tanh_sinh_unit(
         step = 2 if only_odd else 1
         while True:
             u = k * h
-            term = node_terms(u) + (node_terms(-u) if k else 0)
+            term = node(u) + (node(-u) if k else 0)
             total += term
             if k > 0 and abs(term) < target * max(1, abs(total)):
                 break
-            if u > 10:  # tanh is saturated far beyond working precision
+            if u > u_max:
                 break
             k += step
         return total
@@ -67,6 +56,32 @@ def tanh_sinh_unit(
             break
         estimate = new
     return context(dps).mpf(estimate)
+
+
+def tanh_sinh_unit(
+    f: Callable,
+    dps: int = DEFAULT_DPS,
+    max_level: int = 12,
+) -> object:
+    """Integrate f(t, 1-t) over (0, 1) with tanh-sinh node placement.
+
+    `f` must accept the node and its complement: near t = 1 the complement
+    carries the precision that 1 - t would destroy.
+    """
+    work = context(dps + GUARD_DIGITS)
+    pi_half = work.pi / 2
+
+    def node(u):
+        s = pi_half * work.sinh(u)
+        e2s = work.exp(-2 * abs(s))
+        t_small = e2s / (1 + e2s)          # min(t, 1-t), stable for large |s|
+        t_big = 1 / (1 + e2s)
+        t, tc = (t_small, t_big) if s < 0 else (t_big, t_small)
+        weight = work.pi * work.cosh(u) * t * tc
+        return weight * f(t, tc)
+
+    # beyond u = 10 tanh is saturated far beyond working precision
+    return _de_sum(node, dps, 10, max_level)
 
 
 def beta_integral(x, y, dps: int = DEFAULT_DPS) -> object:
@@ -98,7 +113,6 @@ def gamma_integral(x, dps: int = DEFAULT_DPS, max_level: int = 12) -> object:
     xm = to_mpf(work, x)
     if not xm > 0:
         raise ValueError("domain error: gamma_integral requires a positive argument")
-    target = work.mpf(10) ** (-(dps + 5))
 
     def node(u):
         log_t = u - work.exp(-u)            # log of the substituted variable
@@ -106,30 +120,4 @@ def gamma_integral(x, dps: int = DEFAULT_DPS, max_level: int = 12) -> object:
         jac = t * (1 + work.exp(-u))
         return work.exp(-t + (xm - 1) * log_t) * jac
 
-    def row(h, only_odd: bool) -> object:
-        total = work.mpf(0)
-        k = 1 if only_odd else 0
-        step = 2 if only_odd else 1
-        while True:
-            u = k * h
-            term = node(u) + (node(-u) if k else 0)
-            total += term
-            if k > 0 and abs(term) < target * max(1, abs(total)):
-                break
-            if u > 12:
-                break
-            k += step
-        return total
-
-    h = work.mpf(1)
-    total = row(h, only_odd=False)
-    estimate = h * total
-    for _ in range(max_level):
-        h /= 2
-        total += row(h, only_odd=True)
-        new = h * total
-        if abs(new - estimate) < target * max(1, abs(new)):
-            estimate = new
-            break
-        estimate = new
-    return context(dps).mpf(estimate)
+    return _de_sum(node, dps, 12, max_level)

@@ -170,16 +170,13 @@ def _require_crossing_kind(p: Poly) -> None:
         )
 
 
-def verify_root_ordering(
-    polys: Sequence[Poly], lo, hi, width=DEFAULT_WIDTH
-) -> bool:
+def verify_root_ordering(enclosures: Sequence[Enclosure]) -> bool:
     """True iff the crossing-root enclosures are pairwise disjoint, increasing.
 
     Certifies the chain "p_j negative implies p_{j+1} negative" (NP case) on
-    the bracket.  Enclosures that overlap at the requested width cannot be
-    ordered and raise instead of guessing.
+    the bracket the enclosures were isolated in.  Enclosures that overlap
+    cannot be ordered and raise instead of guessing.
     """
-    enclosures = [isolate_crossing(p, lo, hi, width) for p in polys]
     ordered = True
     for a, b in zip(enclosures, enclosures[1:]):
         if a.hi < b.lo:

@@ -89,7 +89,6 @@ def _positive_arg(ctx: MPContext, x, name: str):
 
 def _log_gamma_raw(ctx: MPContext, x):
     """log Gamma via argument shifting plus the Stirling series (ctx mpf in/out)."""
-    shift_log = None
     prod = None
     while x < STIRLING_SHIFT:
         prod = x if prod is None else prod * x
@@ -105,8 +104,7 @@ def _log_gamma_raw(ctx: MPContext, x):
         result += c * power
         power *= inv2
     if prod is not None:
-        shift_log = ctx.ln(prod)
-        result -= shift_log
+        result -= ctx.ln(prod)
     return result
 
 
@@ -145,60 +143,60 @@ def _psi_raw(ctx: MPContext, x, order: int):
     return result + correction
 
 
+def _evaluate(name: str, raw, dps: int, *args):
+    """raw(work, *args) on positive arguments, rounded to `dps` digits.
+
+    `work` is the context with GUARD_DIGITS extra digits; the arguments
+    arrive as its mpfs.
+    """
+    work = context(dps + GUARD_DIGITS)
+    return context(dps).mpf(raw(work, *(_positive_arg(work, a, name) for a in args)))
+
+
+def _beta_raw(ctx: MPContext, x, y):
+    return ctx.exp(
+        _log_gamma_raw(ctx, x) + _log_gamma_raw(ctx, y) - _log_gamma_raw(ctx, x + y)
+    )
+
+
+def _delta_raw(ctx: MPContext, x):
+    ratio = ctx.exp(2 * _log_gamma_raw(ctx, x) - _log_gamma_raw(ctx, 2 * x))
+    return 1 / (x * x) - ratio
+
+
 def log_gamma(x, dps: int = DEFAULT_DPS):
     """log Gamma(x) for x > 0, accurate to the documented budget."""
-    work = context(dps + GUARD_DIGITS)
-    xm = _positive_arg(work, x, "log_gamma")
-    return context(dps).mpf(_log_gamma_raw(work, xm))
+    return _evaluate("log_gamma", _log_gamma_raw, dps, x)
 
 
 def gamma(x, dps: int = DEFAULT_DPS):
     """Gamma(x) = exp(log_gamma(x)) for x > 0."""
-    work = context(dps + GUARD_DIGITS)
-    xm = _positive_arg(work, x, "gamma")
-    return context(dps).mpf(work.exp(_log_gamma_raw(work, xm)))
+    return _evaluate("gamma", lambda ctx, t: ctx.exp(_log_gamma_raw(ctx, t)), dps, x)
 
 
 def beta(x, y, dps: int = DEFAULT_DPS):
     """Euler beta B(x, y) = exp(lgamma(x) + lgamma(y) - lgamma(x+y))."""
-    work = context(dps + GUARD_DIGITS)
-    xm = _positive_arg(work, x, "beta")
-    ym = _positive_arg(work, y, "beta")
-    value = work.exp(
-        _log_gamma_raw(work, xm)
-        + _log_gamma_raw(work, ym)
-        - _log_gamma_raw(work, xm + ym)
-    )
-    return context(dps).mpf(value)
+    return _evaluate("beta", _beta_raw, dps, x, y)
 
 
 def psi(x, dps: int = DEFAULT_DPS):
     """Digamma psi(x) for x > 0."""
-    work = context(dps + GUARD_DIGITS)
-    xm = _positive_arg(work, x, "psi")
-    return context(dps).mpf(_psi_raw(work, xm, 0))
+    return _evaluate("psi", lambda ctx, t: _psi_raw(ctx, t, 0), dps, x)
 
 
 def psi1(x, dps: int = DEFAULT_DPS):
     """Trigamma psi'(x) for x > 0."""
-    work = context(dps + GUARD_DIGITS)
-    xm = _positive_arg(work, x, "psi1")
-    return context(dps).mpf(_psi_raw(work, xm, 1))
+    return _evaluate("psi1", lambda ctx, t: _psi_raw(ctx, t, 1), dps, x)
 
 
 def psi2(x, dps: int = DEFAULT_DPS):
     """Tetragamma psi''(x) for x > 0."""
-    work = context(dps + GUARD_DIGITS)
-    xm = _positive_arg(work, x, "psi2")
-    return context(dps).mpf(_psi_raw(work, xm, 2))
+    return _evaluate("psi2", lambda ctx, t: _psi_raw(ctx, t, 2), dps, x)
 
 
 def delta(x, dps: int = DEFAULT_DPS):
     """The gap 1/x^2 - Gamma(x)^2 / Gamma(2x), defined for x > 0."""
-    work = context(dps + GUARD_DIGITS)
-    xm = _positive_arg(work, x, "delta")
-    ratio = work.exp(2 * _log_gamma_raw(work, xm) - _log_gamma_raw(work, 2 * xm))
-    return context(dps).mpf(1 / (xm * xm) - ratio)
+    return _evaluate("delta", _delta_raw, dps, x)
 
 
 class DeltaMax(NamedTuple):
@@ -216,9 +214,7 @@ def locate_delta_max(dps: int = DEFAULT_DPS, xtol: str = "1e-12") -> DeltaMax:
     work = context(dps + GUARD_DIGITS)
 
     def f(t):
-        return 1 / (t * t) - work.exp(
-            2 * _log_gamma_raw(work, t) - _log_gamma_raw(work, 2 * t)
-        )
+        return _delta_raw(work, t)
 
     grid = [1 + work.mpf(k) / 10 for k in range(0, 21)]  # 1.0, 1.1, ..., 3.0
     values = [f(t) for t in grid]
@@ -246,7 +242,3 @@ def locate_delta_max(dps: int = DEFAULT_DPS, xtol: str = "1e-12") -> DeltaMax:
     out = context(dps)
     return DeltaMax(out.mpf(xstar), out.mpf(f(xstar)))
 
-
-def maximize_delta(dps: int = DEFAULT_DPS, xtol: str = "1e-12"):
-    """Maximum of delta(x) over x >= 1 (argument tolerance `xtol`)."""
-    return locate_delta_max(dps, xtol).value

@@ -80,12 +80,12 @@ def test_criterion_2_root_enclosures():
     with Budget("2 (root enclosures)", 1.0):
         width = F(1, 10**6)
         prefixes = ("0.03733", "0.2114", "0.3085", "0.3822", "0.4439")
-        for poly, prefix in zip(CAT.q[1:], prefixes):
-            enc = signs.isolate_crossing(poly, 0, F(1, 2), width)
+        enclosures = [signs.isolate_crossing(p, 0, F(1, 2), width) for p in CAT.q[1:]]
+        for enc, prefix in zip(enclosures, prefixes):
             assert enc.width <= width
             check = signs.check_printed_digits(enc, prefix)
             assert check.certified, f"{prefix} not certified by {enc}"
-        assert signs.verify_root_ordering(CAT.q[1:], 0, F(1, 2), width)
+        assert signs.verify_root_ordering(enclosures)
 
 
 def test_criterion_3_constants_printed_digits():

@@ -130,6 +130,13 @@ class TestBoundsCommand:
         code, _ = run(["bounds", "--x", "-1"])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_point(self, value, capsys):
+        code, text = run(["bounds", "--x", value])
+        assert code == EXIT_CONFIG
+        assert text == ""
+        assert "--x must be a positive finite number" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_small_sweep_csv(self, tmp_path):

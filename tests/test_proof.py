@@ -1,23 +1,33 @@
 """Proof-engine: margins, symmetry, derivative validation, full replay."""
 
+import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+from betabound import proof
+from betabound.polys import BiPoly
 from betabound.proof import (
-    Trapezoid,
+    G_rational,
+    alzer_lower_bound,
     big_F,
     big_G,
     dF_dx,
     dF_dy,
+    dFdx_rational,
     dG_dx,
+    dGdx_rational,
     diag_gap,
-    diag_slope_half,
     edge_slope,
     ivady_lower,
+    ivady_lower_bound,
     ivady_upper,
+    ivady_upper_bound,
+    log_correction,
+    new_bound,
     new_lower_bound,
     remark_sandwich,
     replay_all,
@@ -29,7 +39,7 @@ from betabound.proof import (
 )
 from betabound.catalogue import load_catalogue
 from betabound.constants import agrees_with_printed
-from betabound.specials import context
+from betabound.specials import context, to_mpf
 
 HP = context(60)
 mpmath.mp.dps = 60
@@ -123,13 +133,60 @@ class TestCoreFunctionIdentities:
         assert abs(fd - dG_dx(x, y)) < HP.mpf("1e-14")
 
     def test_diag_slope_half_is_half_derivative(self):
+        # f'(x)/2 = dF/dx(x, x) by the symmetry of F
         h = HP.mpf("1e-8")
         x = HP.mpf("0.4")
         fd = (diag_gap(x + h) - diag_gap(x - h)) / (2 * h)
-        assert abs(fd - 2 * diag_slope_half(x)) < HP.mpf("1e-13")
+        assert abs(fd - 2 * dF_dx(x, x)) < HP.mpf("1e-13")
 
     def test_edge_slope_printed_value(self):
         assert agrees_with_printed(edge_slope(F(1, 5)), "0.001914")
+
+
+ALZER_ALPHA = F(5, 2)
+SHARED_FORMULAS = [
+    new_bound,
+    ivady_lower_bound,
+    ivady_upper_bound,
+    lambda x, y: alzer_lower_bound(x, y, ALZER_ALPHA),
+    lambda x, y: log_correction(x, y, lambda arg: arg),  # the log's argument
+    dFdx_rational,
+    G_rational,
+    dGdx_rational,
+]
+FORMULA_POINTS = [
+    (F(1, 3), F(5, 7)), (F(1, 10), F(9, 10)), (F(2, 5), F(1, 8)), (F(1), F(1)),
+]
+
+
+class TestSharedFormulas:
+    @pytest.mark.parametrize("formula", SHARED_FORMULAS)
+    def test_same_value_on_every_number_type(self, formula):
+        # one formula: the RationalFn it builds from BiPoly symbols, floats and
+        # mpfs all reproduce its exact value at rational points
+        rf = formula(BiPoly.x(), BiPoly.y())
+        for x, y in FORMULA_POINTS:
+            exact = formula(x, y)
+            assert isinstance(exact, F)
+            assert rf(x, y) == exact
+            as_float = formula(float(x), float(y))
+            assert abs(as_float - float(exact)) <= 1e-15 * abs(float(exact))
+            as_mpf = formula(to_mpf(HP, x), to_mpf(HP, y))
+            assert abs(as_mpf - to_mpf(HP, exact)) < HP.mpf("1e-55")
+
+    def test_log_correction_takes_the_log_of_its_type(self):
+        x, y = F(1, 3), F(5, 7)
+        arg = 1 - 2 * x * y / (x + y + 1)
+        as_float = log_correction(float(x), float(y), math.log)
+        assert as_float == pytest.approx(math.log(arg), rel=1e-15)
+        as_mpf = log_correction(to_mpf(HP, x), to_mpf(HP, y), HP.ln)
+        assert abs(as_mpf - HP.ln(to_mpf(HP, arg))) < HP.mpf("1e-55")
+
+    def test_wrappers_evaluate_the_shared_formulas(self):
+        x, y = F(2, 5), F(3, 4)
+        assert abs(new_lower_bound(x, y) - to_mpf(HP, new_bound(x, y))) < HP.mpf("1e-45")
+        assert abs(edge_slope(F(1, 5)) - dG_dx(F(1, 5), F(14, 25))) < HP.mpf("1e-45")
+        assert abs(diag_gap(F(3, 10)) - big_F(F(3, 10), F(3, 10))) < HP.mpf("1e-45")
 
 
 class TestRemarkOrdering:
@@ -165,22 +222,6 @@ class TestBounds:
         assert CAT.q[1](F(1, 4)) > 0
 
 
-class TestTrapezoid:
-    def test_membership(self):
-        t = Trapezoid()
-        assert t.contains(F(1, 10), F(2, 5))
-        assert not t.contains(F(1, 4), F(3, 10))
-        assert not t.contains(F(1, 10), F(95, 100))
-
-    def test_boundary_segments(self):
-        t = Trapezoid()
-        assert t.on_boundary(F(0), F(1, 2))
-        assert t.on_boundary(F(1, 10), F(9, 10))   # x + y = 1
-        assert t.on_boundary(F(1, 10), F(1, 10))   # diagonal
-        assert t.on_boundary(F(1, 5), F(1, 2))     # right edge
-        assert not t.on_boundary(F(1, 10), F(1, 2))
-
-
 class TestReplay:
     def test_diagonal_phase(self):
         steps = replay_diagonal()
@@ -191,7 +232,21 @@ class TestReplay:
         assert all(s.status == "verified" for s in steps)
         by_id = {s.id: s for s in steps}
         assert "strip.dFdy-reduction-identity" in by_id
-        assert by_id["strip.pn-grid-audit"].evidence["enclosure_consistency"] == "True"
+        assert by_id["strip.pn-sign-vectors"].evidence["patterns"] == "{'PN': 16}"
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda q: (q[0], q[1], q[3], q[2], q[4], q[5]),   # q2, q3 swapped
+            lambda q: (q[0], -q[1]) + tuple(q[2:]),           # q1 negated
+        ],
+        ids=["swap-q2-q3", "negate-q1"],
+    )
+    def test_exact_strip_step_rejects_mutated_catalogue(self, monkeypatch, mutate):
+        mutated = dataclasses.replace(CAT, q=mutate(CAT.q))
+        monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
+        by_id = {s.id: s for s in replay_strip(30)}
+        assert by_id["strip.pn-sign-vectors"].status == "failed"
 
     def test_trapezoid_phase(self):
         steps = replay_trapezoid()

@@ -11,6 +11,7 @@ from betabound.psibounds import (
     A_LARGE,
     A_SMALL,
     PRINTED_LX,
+    PRINTED_LXX,
     alzer_bracket_rf,
     alzer_psi_diff_lower,
     closed_form_mismatches,
@@ -18,13 +19,13 @@ from betabound.psibounds import (
     derive_lxx,
     l_value,
     log_arguments,
-    lx,
     lx_general,
-    lxx,
     lxx_general,
     sandwich_check,
     sandwich_margins,
     verify_closed_forms,
+    yang_lx,
+    yang_lxx,
 )
 from betabound.specials import context, psi, psi1, to_mpf
 
@@ -34,28 +35,24 @@ mpmath.mp.dps = 60
 
 class TestPrintedForms:
     def test_lx_exact_values(self):
-        assert lx(0, A_SMALL) == F(183, 110)
-        assert lx(1, A_SMALL) == F(2169, 3362)
-        assert lx(1, A_LARGE) == F(5031, 7802)
+        assert PRINTED_LX[A_SMALL](F(0)) == F(183, 110)
+        assert PRINTED_LX[A_SMALL](F(1)) == F(2169, 3362)
+        assert PRINTED_LX[A_LARGE](F(1)) == F(5031, 7802)
 
     def test_lxx_exact_values(self):
-        assert lxx(0, A_SMALL) == F(-14979, 6050)
-        assert lxx(0, A_LARGE) == F(-139611, 69938)
+        assert PRINTED_LXX[A_SMALL](F(0)) == F(-14979, 6050)
+        assert PRINTED_LXX[A_LARGE](F(0)) == F(-139611, 69938)
 
     def test_lxx_negative_on_samples(self):
         for x in (F(1, 10), F(1), F(5)):
-            assert lxx(x, A_SMALL) < 0
-            assert lxx(x, A_LARGE) < 0
+            assert PRINTED_LXX[A_SMALL](x) < 0
+            assert PRINTED_LXX[A_LARGE](x) < 0
 
     def test_high_precision_path_agrees_with_exact(self):
         for a in (A_SMALL, A_LARGE):
-            exact = lx(F(1, 3), a)
-            hp = lx(HP.mpf(1) / 3, a)
+            exact = PRINTED_LX[a](F(1, 3))
+            hp = lx_general(HP.mpf(1) / 3, a)
             assert abs(hp - to_mpf(HP, exact)) < HP.mpf("1e-45")
-
-    def test_only_tabulated_parameters(self):
-        with pytest.raises(KeyError):
-            lx(1, F(1, 2))
 
 
 class TestClosedFormDerivation:
@@ -71,8 +68,21 @@ class TestClosedFormDerivation:
 
     def test_symbolic_forms_evaluate_consistently(self):
         x = F(2, 7)
-        assert derive_lx(A_LARGE)(x) == lx(x, A_LARGE)
-        assert derive_lxx(A_SMALL)(x) == lxx(x, A_SMALL)
+        assert derive_lx(A_LARGE)(x) == PRINTED_LX[A_LARGE](x)
+        assert derive_lxx(A_SMALL)(x) == PRINTED_LXX[A_SMALL](x)
+
+    @pytest.mark.parametrize("formula", [yang_lx, yang_lxx])
+    def test_one_formula_for_every_number_type(self, formula):
+        # the Poly-built RationalFn, floats and mpfs reproduce the exact value
+        for a in (A_SMALL, A_LARGE, F(1, 2)):
+            rf = formula(Poly.x(), a)
+            for x in (F(0), F(1, 3), F(2)):
+                exact = formula(x, a)
+                assert isinstance(exact, F) and rf(x) == exact
+                as_float = formula(float(x), float(a))
+                assert abs(as_float - float(exact)) <= 1e-15 * abs(float(exact))
+                as_mpf = formula(to_mpf(HP, x), to_mpf(HP, a))
+                assert abs(as_mpf - to_mpf(HP, exact)) < HP.mpf("1e-55")
 
     def test_parameter_domain_guard(self):
         with pytest.raises(ValueError, match="domain error"):
@@ -81,9 +91,9 @@ class TestClosedFormDerivation:
     def test_general_parameter_path(self):
         # derivative formulas at a = 2/5 agree with the printed forms
         hp = lx_general(HP.mpf(1) / 4, A_SMALL)
-        assert abs(hp - to_mpf(HP, lx(F(1, 4), A_SMALL))) < HP.mpf("1e-45")
+        assert abs(hp - to_mpf(HP, PRINTED_LX[A_SMALL](F(1, 4)))) < HP.mpf("1e-45")
         hp2 = lxx_general(HP.mpf(1) / 4, A_SMALL)
-        assert abs(hp2 - to_mpf(HP, lxx(F(1, 4), A_SMALL))) < HP.mpf("1e-45")
+        assert abs(hp2 - to_mpf(HP, PRINTED_LXX[A_SMALL](F(1, 4)))) < HP.mpf("1e-45")
 
     def test_l_value_derivative_numerically(self):
         # centred difference of L(., 2/5) matches L_x to O(h^2)

@@ -106,21 +106,23 @@ class TestIsolateCrossing:
         assert (X - 1)(enc.lo) * (X - 1)(enc.hi) < 0
 
 
+def enclose(polys, width=signs.DEFAULT_WIDTH):
+    return [signs.isolate_crossing(p, 0, F(1, 2), width) for p in polys]
+
+
 class TestRootOrdering:
     def test_q_family_ordered(self):
-        assert signs.verify_root_ordering(CAT.q[1:], 0, F(1, 2))
+        assert signs.verify_root_ordering(enclose(CAT.q[1:]))
 
     def test_reversed_pair_not_ordered(self):
-        assert not signs.verify_root_ordering(
-            [CAT.q[5], CAT.q[1]], 0, F(1, 2)
-        )
+        assert not signs.verify_root_ordering(enclose([CAT.q[5], CAT.q[1]]))
 
     def test_single_poly_vacuous(self):
-        assert signs.verify_root_ordering([CAT.q[3]], 0, F(1, 2))
+        assert signs.verify_root_ordering(enclose([CAT.q[3]]))
 
     def test_overlap_at_coarse_width_raises(self):
         with pytest.raises(ValueError, match="refine width"):
-            signs.verify_root_ordering(CAT.q[1:], 0, F(1, 2), F(1, 4))
+            signs.verify_root_ordering(enclose(CAT.q[1:], F(1, 4)))
 
     def test_q_signs_around_enclosures(self):
         # exact sign of q_j below and above its enclosure, 100 points each side

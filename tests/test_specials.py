@@ -14,7 +14,6 @@ from betabound.specials import (
     gamma,
     locate_delta_max,
     log_gamma,
-    maximize_delta,
     psi,
     psi1,
     psi2,
@@ -154,7 +153,7 @@ class TestDelta:
         assert close(delta(2), F(1, 12), "1e-40")
 
     def test_maximum_printed_digits(self):
-        value = maximize_delta()
+        value = locate_delta_max().value
         assert abs(value - HP.mpf("0.08731986118214561")) < HP.mpf("1e-14")
 
     def test_maximizer_location_exposed(self):
