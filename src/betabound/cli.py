@@ -20,7 +20,6 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -270,12 +269,9 @@ def cmd_sweep(cfg: RunConfig, stdout) -> int:
     out_path = cfg.output_path or "sweep.csv"
     try:
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(proof.CSV_HEADER.split(","))
+            fh.write(proof.CSV_HEADER + "\r\n")
             result = proof.sweep_theorem(
-                cfg.grid_n,
-                dps=cfg.precision_digits,
-                row_sink=lambda row: writer.writerow([repr(v) for v in row]),
+                cfg.grid_n, dps=cfg.precision_digits, row_sink=fh.write
             )
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
@@ -288,7 +284,7 @@ def cmd_sweep(cfg: RunConfig, stdout) -> int:
         "min_margin_ivady": result.min_margin_ivady,
         "min_margin_alzer": result.min_margin_alzer,
         "alpha": _decimal(result.alpha_used),
-        "corner_equalities_at_(1,1)": result.corner_equalities,
+        "classical_edges_exact": result.classical_edges_exact,
         "hp_min_margin": result.hp_min_margin,
         "hp_agrees": result.hp_agrees,
         "csv": out_path,
@@ -303,10 +299,11 @@ def cmd_sweep(cfg: RunConfig, stdout) -> int:
         stdout.write(
             f"min ivady margin {result.min_margin_ivady:.6e}; "
             f"min alzer margin {result.min_margin_alzer:.6e} "
-            f"(alpha = {summary['alpha']})\n"
+            f"(interior cells; alpha = {summary['alpha']})\n"
         )
         stdout.write(
-            f"corner equalities at (1,1): {result.corner_equalities}; "
+            f"classical bounds equal beta exactly on x = 1 and y = 1: "
+            f"{result.classical_edges_exact}; "
             f"high-precision check of worst cell: {result.hp_min_margin} "
             f"(agrees={result.hp_agrees})\n"
         )

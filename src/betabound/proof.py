@@ -1188,12 +1188,12 @@ class SweepResult:
     rows_written: int
     min_margin_new: float
     argmin_new: tuple[float, float]
-    min_margin_ivady: float
+    min_margin_ivady: float          # over interior cells: i, j < n
     argmin_ivady: tuple[float, float]
-    min_margin_alzer: float
+    min_margin_alzer: float          # over interior cells: i, j < n
     argmin_alzer: tuple[float, float]
     alpha_used: float
-    corner_equalities: bool          # B = both classical bounds at (1, 1)
+    classical_edges_exact: bool      # both classical bounds = B on x = 1 and y = 1
     hp_min_margin: str               # argmin margin recomputed at full precision
     hp_agrees: bool
 
@@ -1201,10 +1201,30 @@ class SweepResult:
 CSV_HEADER = "x,y,beta,new_bound,ivady_lower,alzer_lower,margin_new,margin_ivady"
 
 
+def classical_edges_exact() -> bool:
+    """Both classical lower bounds equal B exactly on the edges x = 1 and y = 1.
+
+    B(1, t) = Gamma(1) Gamma(t) / Gamma(1 + t) = 1/t.  The shared formulas
+    give ivady_lower_bound(1, t) = alzer_lower_bound(1, t, alpha) = 1/t as
+    rational functions of t and a free alpha, and the same with the
+    arguments swapped; the check is by exact cross-multiplication.
+    """
+    t, alpha = BiPoly.x(), BiPoly.y()
+    one = Fraction(1)
+    reciprocal = RationalFn(BiPoly.const(1), t)
+    edges = (
+        ivady_lower_bound(one, t),
+        ivady_lower_bound(t, one),
+        alzer_lower_bound(one, t, alpha),
+        alzer_lower_bound(t, one, alpha),
+    )
+    return all(bound.equivalent(reciprocal) for bound in edges)
+
+
 def sweep_theorem(
     grid_n: int,
     dps: int = DEFAULT_DPS,
-    row_sink: Optional[Callable[[tuple], None]] = None,
+    row_sink: Optional[Callable[[str], object]] = None,
 ) -> SweepResult:
     """Audit the bound on the grid {(i/n, j/n)}, i, j = 1..n.
 
@@ -1212,8 +1232,15 @@ def sweep_theorem(
     formulas.  The margin on the edge y = 1 is x/(x+2), so the grid minimum
     is 1/(2n+1) at (1/n, 1), far above double rounding at desk grid sizes;
     the worst cell is then re-evaluated at full working precision and the
-    two values are required to agree.  `row_sink`, when given, receives
-    one tuple per cell in row-major order.
+    two values are required to agree.  Both classical bounds equal B
+    exactly on the edges x = 1 and y = 1 (`classical_edges_exact`), where a
+    double-precision margin is rounding noise of either sign, so their
+    minima are taken over the interior cells i, j < n.
+
+    `row_sink`, when given, is called once per grid line x = i/n with the
+    CSV text of its n cells (columns as in `CSV_HEADER`, shortest
+    round-trip ``repr`` of each double, CRLF line ends); a file's
+    ``write`` fits.  Without it no cell is formatted.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -1223,32 +1250,33 @@ def sweep_theorem(
     best = (math.inf, (0.0, 0.0))
     best_iv = (math.inf, (0.0, 0.0))
     best_az = (math.inf, (0.0, 0.0))
-    rows = 0
+    y_axis = [(yv, lgamma(yv), repr(yv)) for yv in (j / n for j in range(1, n + 1))]
     for i in range(1, n + 1):
         xv = i / n
         lg_x = lgamma(xv)
-        for j in range(1, n + 1):
-            yv = j / n
-            b = math.exp(lg_x + lgamma(yv) - lgamma(xv + yv))
+        head = repr(xv) + ","
+        cells = []
+        for yv, lg_y, r_y in y_axis:
+            b = math.exp(lg_x + lg_y - lgamma(xv + yv))
             new = new_bound(xv, yv)
             iv = ivady_lower_bound(xv, yv)
             az = alzer_lower_bound(xv, yv, al)
             m_new = b - new
             m_iv = b - iv
-            m_az = b - az
             if m_new < best[0]:
                 best = (m_new, (xv, yv))
-            if m_iv < best_iv[0]:
-                best_iv = (m_iv, (xv, yv))
-            if m_az < best_az[0]:
-                best_az = (m_az, (xv, yv))
+            if xv < 1 and yv < 1:
+                if m_iv < best_iv[0]:
+                    best_iv = (m_iv, (xv, yv))
+                m_az = b - az
+                if m_az < best_az[0]:
+                    best_az = (m_az, (xv, yv))
             if row_sink is not None:
-                row_sink((xv, yv, b, new, iv, az, m_new, m_iv))
-            rows += 1
-
-    # corner (1, 1): both classical bounds equal B(1, 1) = 1 exactly
-    one = Fraction(1)
-    corner = ivady_lower_bound(one, one) == 1 == ivady_upper_bound(one, one)
+                cells.append(
+                    f"{head}{r_y},{b!r},{new!r},{iv!r},{az!r},{m_new!r},{m_iv!r}\r\n"
+                )
+        if row_sink is not None:
+            row_sink("".join(cells))
 
     xa, ya = best[1]
     hp = theorem_margin(
@@ -1257,7 +1285,7 @@ def sweep_theorem(
     hp_agrees = abs(float(hp) - best[0]) <= 1e-9 * max(1.0, abs(best[0]))
     return SweepResult(
         grid_n=n,
-        rows_written=rows,
+        rows_written=n * n,
         min_margin_new=best[0],
         argmin_new=best[1],
         min_margin_ivady=best_iv[0],
@@ -1265,8 +1293,7 @@ def sweep_theorem(
         min_margin_alzer=best_az[0],
         argmin_alzer=best_az[1],
         alpha_used=al,
-        corner_equalities=corner,
+        classical_edges_exact=classical_edges_exact(),
         hp_min_margin=str(hp),
         hp_agrees=hp_agrees,
     )
-

@@ -1,7 +1,9 @@
 """CLI: exit codes, report determinism, CSV contract, env overrides."""
 
+import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -11,7 +13,12 @@ from betabound.cli import (
     RunConfig,
     main,
 )
-from betabound.proof import CSV_HEADER
+from betabound.proof import (
+    CSV_HEADER,
+    alzer_lower_bound,
+    ivady_lower_bound,
+    new_bound,
+)
 
 
 def run(argv, env=None):
@@ -152,14 +159,43 @@ class TestSweepCommand:
         assert abs(float(last[6]) - 1 / 3) < 1e-12        # margin_new
         assert "alpha = 2.5797362" in text
 
-    def test_hundred_grid_all_margins_positive(self, tmp_path):
-        import csv as csv_mod
+    def test_csv_bytes_match_reference(self, tmp_path):
+        # csv.writer over repr of each cell, recomputed in the sweep's order
+        n = 7
+        out_path = tmp_path / "sweep7.csv"
+        code, _ = run(["sweep", "--grid", str(n), "--out", str(out_path)])
+        assert code == EXIT_OK
+        alpha = 2 * math.pi**2 / 3 - 4
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(CSV_HEADER.split(","))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                x, y = i / n, j / n
+                b = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+                new = new_bound(x, y)
+                iv = ivady_lower_bound(x, y)
+                az = alzer_lower_bound(x, y, alpha)
+                row = (x, y, b, new, iv, az, b - new, b - iv)
+                writer.writerow([repr(v) for v in row])
+        assert out_path.read_bytes() == expected.getvalue().encode("utf-8")
 
+    def test_summary_has_no_negative_classical_margin(self, tmp_path):
+        out_path = tmp_path / "sweep20.csv"
+        code, text = run(["sweep", "--grid", "20", "--out", str(out_path),
+                          "--format", "json"])
+        assert code == EXIT_OK
+        summary = json.loads(text)
+        assert summary["min_margin_ivady"] > 0
+        assert summary["min_margin_alzer"] > 0
+        assert summary["classical_edges_exact"] is True
+
+    def test_hundred_grid_all_margins_positive(self, tmp_path):
         out_path = tmp_path / "sweep100.csv"
         code, _ = run(["sweep", "--grid", "100", "--out", str(out_path)])
         assert code == EXIT_OK
         with open(out_path, newline="") as fh:
-            reader = csv_mod.reader(fh)
+            reader = csv.reader(fh)
             header = next(reader)
             assert ",".join(header) == CSV_HEADER
             rows = list(reader)

@@ -1,6 +1,7 @@
 """Proof-engine: margins, symmetry, derivative validation, full replay."""
 
 import dataclasses
+import io
 import math
 import random
 from fractions import Fraction as F
@@ -38,6 +39,7 @@ from betabound.proof import (
     theorem_margin,
 )
 from betabound.catalogue import load_catalogue
+from betabound.cli import main
 from betabound.constants import agrees_with_printed
 from betabound.specials import context, to_mpf
 
@@ -283,18 +285,47 @@ class TestSweep:
         result = sweep_theorem(4)
         assert result.min_margin_new > 0
         assert result.argmin_new == (0.25, 0.25)
-        assert result.corner_equalities
+        assert result.classical_edges_exact
         assert result.hp_agrees
 
-    def test_rows_stream(self):
-        rows = []
-        sweep_theorem(3, row_sink=rows.append)
-        assert len(rows) == 9
-        x, y, b, new, iv, az, m_new, m_iv = rows[-1]
+    def test_classical_minima_are_interior_and_positive(self):
+        # both classical bounds equal B on x = 1 and y = 1, where the double
+        # margins are rounding noise of either sign; the minima skip them
+        result = sweep_theorem(150)
+        assert result.min_margin_ivady > 0 and result.min_margin_alzer > 0
+        for x, y in (result.argmin_ivady, result.argmin_alzer):
+            assert x < 1 and y < 1
+
+    def test_rows_stream(self, tmp_path):
+        # one call per grid line x = i/n, holding its n CRLF-terminated rows
+        n = 3
+        lines = []
+        sweep_theorem(n, row_sink=lines.append)
+        assert len(lines) == n
+        for i, line in enumerate(lines, start=1):
+            rows = line.split("\r\n")
+            assert len(rows) == n + 1 and rows[-1] == ""
+            assert all(float(row.split(",")[0]) == i / n for row in rows[:-1])
+        last_row = lines[-1].split("\r\n")[-2]
+        x, y, b, new, iv, az, m_new, m_iv = map(float, last_row.split(","))
         assert (x, y) == (1.0, 1.0)
         assert abs(b - 1.0) < 1e-12
         assert abs(m_new - 1 / 3) < 1e-12
         assert abs(m_iv) < 1e-12
+        # their concatenation is the body of the CSV that `sweep` writes
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--grid", str(n), "--out", str(out)],
+                    environ={}, stdout=io.StringIO()) == 0
+        header, body = out.read_bytes().split(b"\r\n", 1)
+        assert body == "".join(lines).encode()
+
+    def test_sink_does_not_change_the_result(self):
+        assert sweep_theorem(6, row_sink=len) == sweep_theorem(6)
+
+    def test_classical_edges_check_catches_a_wrong_formula(self, monkeypatch):
+        # (x + y)/(xy) is 1 + 1/y at x = 1, not B(1, y) = 1/y
+        monkeypatch.setattr(proof, "ivady_lower_bound", lambda x, y: (x + y) / (x * y))
+        assert not proof.classical_edges_exact()
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError, match="grid_n"):
