@@ -269,7 +269,7 @@ def cmd_sweep(cfg: RunConfig, stdout) -> int:
     out_path = cfg.output_path or "sweep.csv"
     try:
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(proof.CSV_HEADER + "\r\n")
+            fh.write(proof.CSV_HEADER_LINE)
             result = proof.sweep_theorem(
                 cfg.grid_n, dps=cfg.precision_digits, row_sink=fh.write
             )

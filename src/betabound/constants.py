@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .psibounds import error_budget, lx_general, lxx_general
 from .specials import (
@@ -73,14 +72,11 @@ def a2(dps: int = DEFAULT_DPS):
     return context(dps).mpf(value)
 
 
-@lru_cache(maxsize=None)
 def solve_a3(dps: int = DEFAULT_DPS, tol: str = "1e-15"):
     """The unique solution of L_xx(0, a) = psi''(1), by bisection.
 
     a -> L_xx(0, a) is increasing on (1/15, oo), so the root in (1/15, 2)
     is unique and plain bisection on the sign of the difference converges.
-    The result depends only on (dps, tol) and an mpf is immutable, so it is
-    solved once per pair and process: `full_sandwich` needs it at every x.
     """
     work = context(dps + GUARD_DIGITS)
     target = to_mpf(work, psi2(1, dps + GUARD_DIGITS))

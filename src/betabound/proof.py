@@ -1199,6 +1199,7 @@ class SweepResult:
 
 
 CSV_HEADER = "x,y,beta,new_bound,ivady_lower,alzer_lower,margin_new,margin_ivady"
+CSV_HEADER_LINE = CSV_HEADER + "\r\n"   # CRLF ends every line, as in the rows
 
 
 def classical_edges_exact() -> bool:
