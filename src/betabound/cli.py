@@ -64,8 +64,8 @@ class RunConfig:
             raise ConfigError("grid_n must be >= 2")
         if self.enclosure_width <= 0:
             raise ConfigError("enclosure width must be positive")
-        if self.format not in ("json", "csv", "text"):
-            raise ConfigError("format must be one of json, csv, text")
+        if self.format not in ("json", "text"):
+            raise ConfigError("format must be one of json, text")
 
 
 def _env(environ, name: str) -> Optional[str]:
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--width", default=None,
                         help="root enclosure width, e.g. 1e-6 or 1/1000000")
     common.add_argument("--out", default=None, help="output path for report/CSV")
-    common.add_argument("--format", default=None, choices=("json", "csv", "text"),
+    common.add_argument("--format", default=None, choices=("json", "text"),
                         help="stdout format (default text)")
 
     parser = argparse.ArgumentParser(

@@ -109,7 +109,7 @@ class NamedConstants:
     a2: object
     a3: object
     alzer_max: object
-    delta_argmax: object  # exposed for inspection; nothing downstream uses it
+    delta_argmax: object  # where Delta peaks; `betabound constants` prints it
 
 
 def compute_constants(dps: int = DEFAULT_DPS) -> NamedConstants:

@@ -245,10 +245,6 @@ class BiPoly:
     def from_x_poly(p: Poly) -> "BiPoly":
         return BiPoly({(k, 0): c for k, c in enumerate(p.coeffs)})
 
-    @staticmethod
-    def from_y_poly(p: Poly) -> "BiPoly":
-        return BiPoly({(0, k): c for k, c in enumerate(p.coeffs)})
-
     # -- structure --------------------------------------------------------
 
     @property
@@ -394,13 +390,6 @@ class BiPoly:
             out = out + q * cp
         return out
 
-    def substitute_x(self, p: Poly) -> Poly:
-        """Replace x by a polynomial in y; the result is univariate in y."""
-        return self.swap_vars().substitute_y(p)
-
-    def swap_vars(self) -> "BiPoly":
-        return BiPoly({(j, i): c for (i, j), c in self.terms.items()})
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -536,24 +525,6 @@ class RationalFn:
             raise TypeError("partial_y() is for bivariate quotients")
         n, d = self.num, self.den
         return RationalFn(n.partial_y() * d - n * d.partial_y(), d * d)
-
-    def partial_x(self) -> "RationalFn":
-        if not isinstance(self.num, BiPoly):
-            raise TypeError("partial_x() is for bivariate quotients")
-        n, d = self.num, self.den
-        return RationalFn(n.partial_x() * d - n * d.partial_x(), d * d)
-
-    def substitute_y(self, p: Poly) -> "RationalFn":
-        """y := p(x) on a bivariate quotient, giving a univariate one."""
-        if not isinstance(self.num, BiPoly):
-            raise TypeError("substitute_y() is for bivariate quotients")
-        return RationalFn(self.num.substitute_y(p), self.den.substitute_y(p))
-
-    def substitute_x(self, p: Poly) -> "RationalFn":
-        """x := p(y) on a bivariate quotient, giving a univariate one."""
-        if not isinstance(self.num, BiPoly):
-            raise TypeError("substitute_x() is for bivariate quotients")
-        return RationalFn(self.num.substitute_x(p), self.den.substitute_x(p))
 
 
 def _promote_scalar(value, like):

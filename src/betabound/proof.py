@@ -18,7 +18,11 @@ Each displayed step of that argument becomes a ``ProofStep``: algebraic
 identities are certified by exact cross-multiplication, polynomial sign
 claims by the one-sign-change criterion with exact evaluations, and the
 finitely many transcendental values by high-precision evaluation with a
-10x error-budget margin rule.
+10x error-budget margin rule.  Each phase is a table of (id, claim,
+method, check) rows that one runner, ``_Phase.run``, turns into steps; a
+check has one of three shapes, each written once: exact (named booleans
+through ``_status``), PN certificate (``_pn_certificate``) and
+high-precision sample (``_sample``).
 """
 
 from __future__ import annotations
@@ -26,12 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .catalogue import load_catalogue
+from .catalogue import Catalogue, load_catalogue
 from .constants import agrees_with_printed
 from .polys import BiPoly, Poly, RationalFn
 from .psibounds import (
@@ -297,27 +301,53 @@ class ProofStep:
     evidence: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {
-            "id": self.id,
-            "claim": self.claim,
-            "method": self.method,
-            "status": self.status,
-            "evidence": self.evidence,
-        }
+        return asdict(self)
 
 
-def _identity_step(sid: str, claim: str, ok: bool, **evidence) -> ProofStep:
-    ev = {k: str(v) for k, v in evidence.items()}
-    return ProofStep(sid, claim, METHOD_EXACT_IDENTITY, VERIFIED if ok else FAILED, ev)
+def _step(table: list, sid: str, method: str, claim: str):
+    """Append the decorated check to `table` as the row (id, claim, method, check)."""
+
+    def add(check):
+        table.append((sid, claim, method, check))
+        return check
+
+    return add
 
 
-def _hp_status(margin, dps: int) -> str:
-    threshold = 10 * error_budget(dps)
-    if margin > threshold:
-        return VERIFIED
-    if abs(margin) <= threshold:
-        return INCONCLUSIVE
-    return FAILED
+class _Phase:
+    """One phase of the replay: its step table and what its checks share.
+
+    A subclass lists its rows in ``STEPS`` through ``_step``, in proof
+    order; each check is a method returning (status, evidence).  Values
+    that several checks need are computed once, in ``__init__``.
+    """
+
+    STEPS: list
+
+    def __init__(self, dps: int):
+        self.dps = dps
+        self.steps: list[ProofStep] = []   # the steps run so far
+
+    def run(self) -> list[ProofStep]:
+        """Run the rows in order; the one place a ProofStep is built.
+
+        Evidence values are reported as their ``str``.  A check that raises
+        ValueError (a sign criterion that does not apply, root enclosures too
+        wide to order) gives an inconclusive step that carries the message,
+        and the later rows still run.
+        """
+        for sid, claim, method, check in self.STEPS:
+            try:
+                status, evidence = check(self)
+            except ValueError as exc:
+                status, evidence = INCONCLUSIVE, {"error": str(exc)}
+            evidence = {k: str(v) for k, v in evidence.items()}
+            self.steps.append(ProofStep(sid, claim, method, status, evidence))
+        return self.steps
+
+
+def _status(ok: bool) -> str:
+    return VERIFIED if ok else FAILED
 
 
 def _combine(statuses) -> str:
@@ -329,34 +359,54 @@ def _combine(statuses) -> str:
     return VERIFIED
 
 
-def poly_lower_bound_on_box(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact lower bound for p on [lo, hi], 0 <= lo <= hi.
+def _hp_status(margin, dps: int) -> str:
+    threshold = 10 * error_budget(dps)
+    if abs(margin) <= threshold:
+        return INCONCLUSIVE
+    return _status(margin > threshold)
 
-    Each monomial c x^k is monotone on the nonnegative axis, so its
-    minimum sits at one of the two endpoints; summing the per-monomial
-    minima gives a crude but certified bound.
+
+def _vanishes(value, dps: int) -> str:
+    """The rule for values that are exactly 0: |value| <= 1e-25."""
+    return _status(abs(value) <= context(dps + GUARD_DIGITS).mpf(10) ** (-25))
+
+
+def _sample(fn, points, dps: int, key=None, rule=_hp_status):
+    """fn(*point, dps) at each point, each value judged by `rule`.
+
+    Returns the values, their combined status and the samples
+    ``[(label, str(value))]`` that the evidence records; a point's label is
+    ``key.format(*point)``, or the tuple of its coordinates' ``str``.
     """
-    if not 0 <= lo <= hi:
-        raise ValueError("box must satisfy 0 <= lo <= hi")
-    total = Fraction(0)
-    for k, c in enumerate(p.coeffs):
-        total += min(c * lo**k, c * hi**k)
-    return total
+    values = [fn(*point, dps) for point in points]
+    status = _combine(rule(value, dps) for value in values)
+    labels = [tuple(map(str, pt)) if key is None else key.format(*pt) for pt in points]
+    return values, status, list(zip(labels, map(str, values)))
 
 
-def bilinear_corner_min(bp: BiPoly, xlo, xhi, ylo, yhi) -> Fraction:
-    """Exact minimum over a box of a polynomial of degree <= 1 per variable."""
-    if bp.degree_x > 1 or bp.degree_y > 1 or any(
-        i > 1 or j > 1 for (i, j) in bp.terms
-    ):
+def _pn_certificate(identities: dict, p: Poly, point, key: str, guard=True, **evidence):
+    """Exact identities plus a PN certificate: p(point) > 0 gives p > 0 on (0, point].
+
+    The evidence lists the identities, the certificate value under `key`,
+    then `evidence`; `guard` is a further condition of the step.
+    ``signs.report_positive_below`` raises ValueError when p is not PN.
+    """
+    value = signs.report_positive_below(p, point).certificate[1]
+    ok = all(identities.values()) and value > 0 and guard
+    return _status(ok), {**identities, key: value, **evidence}
+
+
+def _unit_square_min(bp: BiPoly) -> Fraction:
+    """Exact minimum over [0, 1]^2 of a polynomial of degree <= 1 per variable."""
+    if any(i > 1 or j > 1 for (i, j) in bp.terms):
         raise ValueError("corner minimization needs degree <= 1 per variable")
-    corners = [(xlo, ylo), (xlo, yhi), (xhi, ylo), (xhi, yhi)]
-    return min(bp(Fraction(cx), Fraction(cy)) for cx, cy in corners)
+    return min(bp(Fraction(cx), Fraction(cy)) for cx in (0, 1) for cy in (0, 1))
 
 
 # -- shared exact building blocks -------------------------------------------
 
 _T = Poly.x()
+HALF = Fraction(1, 2)
 
 # numerator of the lower bound for the half-slope derivative of the
 # diagonal gap (all coefficients positive, degree 12)
@@ -370,24 +420,6 @@ DIAG_SLOPE_NUMERATOR = Poly(
 EDGE_SLOPE_QUOTIENT = (913 + 350 * _T - 1250 * _T**2) / (
     2 * (17 + 16 * _T - 25 * _T**2) ** 2
 )
-EDGE_SLOPE_DERIV_QUOTIENT = (
-    11633 - 21600 * _T - 13125 * _T**2 + 31250 * _T**3
-) / ((17 + 16 * _T - 25 * _T**2) ** 3)
-
-B_EDGE_QUOTIENT = (13 + 2150 * _T - 1250 * _T**2) / (
-    2 * (8 + 34 * _T - 25 * _T**2) ** 2
-)
-B_CONCAVITY_QUOTIENT = RationalFn(Poly((25564,)), (34 + 7 * _T) ** 3)
-
-# bracket multiplying (25y - 9) in the lower trapezoid slope bound
-B_EDGE_BRACKET = (
-    4404553 + 18643550 * _T + 55576875 * _T**2 + 88996875 * _T**3
-    + 9375000 * _T**4 + 843750 * _T**4 * (1 - _T) * (57 + 50 * _T)
-)
-
-
-def _compose_rf(rf: RationalFn, inner: Poly) -> RationalFn:
-    return RationalFn(rf.num.compose(inner), rf.den.compose(inner))
 
 
 @lru_cache(maxsize=1)
@@ -403,6 +435,62 @@ def _bivariate_pieces():
 # ---------------------------------------------------------------------------
 
 
+class _Diagonal(_Phase):
+    STEPS: list = []
+
+    @_step(STEPS, "diagonal.slope-rational-identity", METHOD_EXACT_IDENTITY,
+           "The non-polygamma part of f'(x) equals 4x(1+x)/((1+2x)(1+2x-2x^2)) "
+           "exactly.")
+    def slope_rational(self):
+        t = _T
+        lhs = RationalFn(Poly((2,)), 1 + 2 * t) - (2 - 4 * t) / (1 + 2 * t - 2 * t**2)
+        return _status(lhs.equivalent(2 * dFdx_rational(t, t))), {}
+
+    @_step(STEPS, "diagonal.slope-lower-identity", METHOD_EXACT_IDENTITY,
+           "The sandwich lower bound for the half-slope derivative equals the "
+           "displayed degree-12 quotient after clearing denominators.")
+    def slope_lower(self):
+        t = _T
+        small = PRINTED_LX[A_SMALL]
+        lower = (
+            PRINTED_LX[A_LARGE]
+            - 2 * RationalFn(small.num.compose(2 * t), small.den.compose(2 * t))
+            + (2 * (1 + 2 * t + 2 * t**2 + 8 * t**3 + 4 * t**4))
+            / ((1 + 2 * t) ** 2 * (1 + 2 * t - 2 * t**2) ** 2)
+        )
+        den = (
+            2 * (1 + 2 * t) ** 2 * (1 + 2 * t - 2 * t**2) ** 2
+            * (17 + 15 * t + 15 * t**2) * (11 + 36 * t + 36 * t**2)
+            * (11 + 30 * t + 60 * t**2) * (5 + 36 * t + 72 * t**2)
+        )
+        return _status(lower.equivalent(RationalFn(DIAG_SLOPE_NUMERATOR, den))), {
+            "numerator_constant": DIAG_SLOPE_NUMERATOR.coefficient(0),
+            "numerator_leading": DIAG_SLOPE_NUMERATOR.coeffs[-1],
+        }
+
+    @_step(STEPS, "diagonal.slope-numerator-positive", METHOD_EXACT_POLY,
+           "Every coefficient of the degree-12 numerator is positive and the "
+           "denominator is a product of squares and positive-coefficient "
+           "factors, so the quotient is positive for x > 0.")
+    def numerator_positive(self):
+        ok = all(c > 0 for c in DIAG_SLOPE_NUMERATOR.coeffs)
+        return _status(ok), {
+            "degree": DIAG_SLOPE_NUMERATOR.degree,
+            "coefficient_signs": "all positive" if ok else "mixed",
+        }
+
+    @_step(STEPS, "diagonal.gap-positive-spots", METHOD_HIGH_PRECISION,
+           "f is strictly positive at the sampled diagonal points, and "
+           "f(1/2) agrees with log(pi/3).")
+    def spots(self):
+        spots = [(Fraction(1, 10),), (HALF,), (Fraction(1),), (Fraction(13, 10),)]
+        values, status, samples = _sample(diag_gap, spots, self.dps, "{}")
+        work = context(self.dps + GUARD_DIGITS)
+        half_ok = abs(values[1] - work.ln(work.pi / 3)) < 10 * error_budget(self.dps)
+        evidence = dict(samples) | {"f(1/2)==log(pi/3)": half_ok}
+        return _combine([status, _status(half_ok)]), evidence
+
+
 def replay_diagonal(dps: int = DEFAULT_DPS) -> list[ProofStep]:
     """Certify f(x) = F(x, x) > 0 on the diagonal.
 
@@ -412,78 +500,7 @@ def replay_diagonal(dps: int = DEFAULT_DPS) -> list[ProofStep]:
         half-slope is increasing from its zero at x = 0;
     (c) high-precision spot checks of f itself.
     """
-    steps = []
-    t = _T
-
-    # (a) rational part of the derivative
-    lhs = RationalFn(Poly((2,)), 1 + 2 * t) - (2 - 4 * t) / (1 + 2 * t - 2 * t**2)
-    rhs = 2 * dFdx_rational(t, t)
-    steps.append(
-        _identity_step(
-            "diagonal.slope-rational-identity",
-            "The non-polygamma part of f'(x) equals 4x(1+x)/((1+2x)(1+2x-2x^2)) exactly.",
-            lhs.equivalent(rhs),
-        )
-    )
-
-    # (b) half-slope lower bound: identity, then positivity
-    lower = (
-        PRINTED_LX[A_LARGE]
-        - 2 * _compose_rf(PRINTED_LX[A_SMALL], 2 * t)
-        + (2 * (1 + 2 * t + 2 * t**2 + 8 * t**3 + 4 * t**4))
-        / ((1 + 2 * t) ** 2 * (1 + 2 * t - 2 * t**2) ** 2)
-    )
-    den = (
-        2 * (1 + 2 * t) ** 2 * (1 + 2 * t - 2 * t**2) ** 2
-        * (17 + 15 * t + 15 * t**2) * (11 + 36 * t + 36 * t**2)
-        * (11 + 30 * t + 60 * t**2) * (5 + 36 * t + 72 * t**2)
-    )
-    identity_ok = lower.equivalent(RationalFn(DIAG_SLOPE_NUMERATOR, den))
-    steps.append(
-        _identity_step(
-            "diagonal.slope-lower-identity",
-            "The sandwich lower bound for the half-slope derivative equals the "
-            "displayed degree-12 quotient after clearing denominators.",
-            identity_ok,
-            numerator_constant=DIAG_SLOPE_NUMERATOR.coefficient(0),
-            numerator_leading=DIAG_SLOPE_NUMERATOR.coeffs[-1],
-        )
-    )
-
-    all_positive = all(c > 0 for c in DIAG_SLOPE_NUMERATOR.coeffs)
-    steps.append(
-        ProofStep(
-            "diagonal.slope-numerator-positive",
-            "Every coefficient of the degree-12 numerator is positive and the "
-            "denominator is a product of squares and positive-coefficient "
-            "factors, so the quotient is positive for x > 0.",
-            METHOD_EXACT_POLY,
-            VERIFIED if all_positive else FAILED,
-            {
-                "degree": str(DIAG_SLOPE_NUMERATOR.degree),
-                "coefficient_signs": "all positive" if all_positive else "mixed",
-            },
-        )
-    )
-
-    # (c) spot checks of f
-    spots = [Fraction(1, 10), Fraction(1, 2), Fraction(1), Fraction(13, 10)]
-    values = {str(s): diag_gap(s, dps) for s in spots}
-    statuses = [_hp_status(v, dps) for v in values.values()]
-    work = context(dps + GUARD_DIGITS)
-    log_pi_third = work.ln(work.pi / 3)
-    half_matches = abs(values["1/2"] - log_pi_third) < 10 * error_budget(dps)
-    steps.append(
-        ProofStep(
-            "diagonal.gap-positive-spots",
-            "f is strictly positive at the sampled diagonal points, and "
-            "f(1/2) agrees with log(pi/3).",
-            METHOD_HIGH_PRECISION,
-            _combine(statuses + [VERIFIED if half_matches else FAILED]),
-            {k: str(v) for k, v in values.items()} | {"f(1/2)==log(pi/3)": str(half_matches)},
-        )
-    )
-    return steps
+    return _Diagonal(dps).run()
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +532,131 @@ def _q_sign_vectors(enclosures, right: Fraction) -> tuple[list[str], dict]:
     return vectors, dict(patterns)
 
 
+class _Strip(_Phase):
+    STEPS: list = []
+
+    def __init__(self, dps: int, width: Fraction):
+        super().__init__(dps)
+        self.cat = load_catalogue()
+        self.width = width
+        self.enclosures = [
+            signs.isolate_crossing(q, 0, HALF, width) for q in self.cat.q[1:]
+        ]
+        # the inner factor of Q(x, 1 - x)
+        self.inner = 7137 + (1 - _T) * (24365 + 375 * _T**2) + 5300 * _T**2
+
+    def q_chain_ok(self) -> bool:
+        """q0 < 0 on (0, 1/2]; the q1..q5 enclosures increase (raises on overlap)."""
+        q0_neg = signs.negative_below(self.cat.q[0], HALF)
+        return signs.verify_root_ordering(self.enclosures) and q0_neg
+
+    @_step(STEPS, "strip.gradient-identities", METHOD_EXACT_IDENTITY,
+           "The rational parts of dF/dx, dF/dy and of G = dF/dx - dF/dy match "
+           "their displayed closed forms exactly.")
+    def gradients(self):
+        x, y, u, v = _bivariate_pieces()
+        id_dx = (1 / u - (1 - 2 * y) / v).equivalent(dFdx_rational(x, y))
+        id_dy = (1 / u - (1 - 2 * x) / v).equivalent(dFdx_rational(y, x))
+        id_g = (dFdx_rational(x, y) - dFdx_rational(y, x)).equivalent(G_rational(x, y))
+        return _status(id_dx and id_dy and id_g), {}
+
+    @_step(STEPS, "strip.dFdy-reduction-identity", METHOD_EXACT_IDENTITY,
+           "The three-term digamma-difference lower bound for dF/dy minus "
+           "1/(x+y) plus the rational term equals x Q(x,y) over the product "
+           "of the shifted linear factors, as rational functions.")
+    def reduction(self):
+        x, y, u, v = _bivariate_pieces()
+        lhs = (
+            alzer_bracket_rf(3)
+            - RationalFn(BiPoly.const(1), x + y)
+            + dFdx_rational(y, x)
+        )
+        den = v * (y + 1) * (x + y + 1) * (y + 2) * (x + y + 2) * (y + 3) * (x + y + 3)
+        return _status(lhs.equivalent(RationalFn(x * self.cat.Q, den))), {}
+
+    @_step(STEPS, "strip.q-root-ordering", METHOD_SIGN_ENGINE,
+           "q0 < 0 on (0, 1/2]; each of q1..q5 has a unique crossing root "
+           "there and the enclosures are disjoint and increasing, so "
+           "q_j < 0 implies q_{j+1} < 0.")
+    def root_ordering(self):
+        return _status(self.q_chain_ok()), {
+            "enclosures": [(str(e.lo), str(e.hi)) for e in self.enclosures],
+            "width": self.width,
+        }
+
+    @_step(STEPS, "strip.pn-sign-vectors", METHOD_SIGN_ENGINE,
+           "For every x in (0, 1/2] the y-coefficient sequence -q0, q1..q5, "
+           "2x-1 of Q has at most one sign change, positive block first: "
+           "q1..q5 are NP, so each changes sign only inside its root "
+           "enclosure; the sign vector is fixed and PN on each of the six "
+           "intervals between enclosures, and PN inside each enclosure for "
+           "either sign of the one undetermined q_k.")
+    def pn_sign_vectors(self):
+        q_kinds = [signs.classify(q).kind for q in self.cat.q[1:]]
+        top = Poly((-1, 2))  # 2x - 1: NP with top(1/2) = 0, so <= 0 on (0, 1/2]
+        top_ok = signs.classify(top).kind is signs.PatternKind.NP and top(HALF) <= 0
+        vectors, patterns = _q_sign_vectors(self.enclosures, HALF)
+        ok = (
+            self.q_chain_ok()
+            and set(patterns) == {signs.PatternKind.PN.value}
+            and all(kind is signs.PatternKind.NP for kind in q_kinds)
+            and top_ok
+        )
+        return _status(ok), {
+            "q1..q5_patterns": " ".join(kind.value for kind in q_kinds),
+            "sign_vectors": " ".join(vectors),
+            "patterns": patterns,
+        }
+
+    @_step(STEPS, "strip.antidiagonal-identity", METHOD_EXACT_IDENTITY,
+           "Q(x, 1-x) equals its displayed factored form coefficient for "
+           "coefficient.")
+    def antidiagonal_identity(self):
+        t = _T
+        factored = Fraction(4, 625) * (1 - t) * (252 + (5 * t - 1) * self.inner)
+        substituted = self.cat.Q.substitute_y(Poly((1, -1)))  # y := 1 - x
+        return _status(substituted == factored), {"leading_constant": Fraction(4, 625)}
+
+    @_step(STEPS, "strip.antidiagonal-positive", METHOD_EXACT_POLY,
+           "On [1/5, 1/2] the factored form is positive: the inner factor "
+           "has a certified positive minimum, (5x-1) is nonnegative and "
+           "(1-x) at least 1/2.")
+    def antidiagonal_positive(self):
+        # each monomial c x^k is monotone for x >= 0, so it is smallest at an
+        # endpoint of [1/5, 1/2]; the sum of those minima bounds the inner factor
+        coeffs = enumerate(self.inner.coeffs)
+        inner_min = sum(min(c * Fraction(1, 5) ** k, c * HALF**k) for k, c in coeffs)
+        # (5x - 1) >= 0 and (1 - x) >= 1/2 on [1/5, 1/2], so the bracket >= 252
+        edge_lower = Fraction(4, 625) * (1 - HALF) * 252
+        return _status(inner_min > 0), {
+            "inner_min_bound": inner_min,
+            "edge_lower_bound": edge_lower,
+        }
+
+    @_step(STEPS, "strip.denominator-positivity", METHOD_EXACT_POLY,
+           "1 + x + y - 2xy >= 1 on the unit square (bilinear, so its "
+           "minimum is at a corner); the remaining cleared factors have "
+           "positive coefficients.")
+    def denominators(self):
+        corner_min = _unit_square_min(_bivariate_pieces()[3])
+        return _status(corner_min >= 1), {"corner_min": corner_min}
+
+    @_step(STEPS, "strip.reduce-to-diagonal", METHOD_HIGH_PRECISION,
+           "With dF/dy > 0 on the strip, F(x, y) >= F(x, x) = f(x) > 0; "
+           "numeric spot checks of F(x, y) - f(x) agree.")
+    def reduce_to_diagonal(self):
+        xs = (Fraction(1, 4), Fraction(3, 10), Fraction(9, 20))
+        values, f_status, _ = _sample(diag_gap, [(x,) for x in xs], self.dps)
+        f = dict(zip(xs, values))
+        gap = lambda x, y, dps: big_F(x, y, dps) - f[x]
+        points = [(x, y) for x in xs for y in (x, HALF, 1 - x)]
+        # F(x, x) - f(x) is exactly 0, so the gaps need only be nonnegative
+        nonnegative = lambda value, dps: _status(value > -error_budget(dps))
+        _, status, samples = _sample(gap, points, self.dps, rule=nonnegative)
+        evidence = {"samples": samples, "depends_on": "diagonal.*, strip.*"}
+        return _combine([f_status, status]), evidence
+
+
 def replay_strip(
     dps: int = DEFAULT_DPS, width: Fraction = Fraction(1, 10**6)
 ) -> list[ProofStep]:
@@ -524,165 +666,7 @@ def replay_strip(
     x Q(x, y) / [positive factors]; Q is a one-sign-change polynomial in y
     whose positivity on x <= y <= 1 - x follows from Q(x, 1-x) > 0.
     """
-    steps = []
-    cat = load_catalogue()
-    x, y, u, v = _bivariate_pieces()
-
-    # gradient identities behind the reduction
-    id_dx = (1 / u - (1 - 2 * y) / v).equivalent(dFdx_rational(x, y))
-    id_dy = (1 / u - (1 - 2 * x) / v).equivalent(dFdx_rational(y, x))
-    id_g = (dFdx_rational(x, y) - dFdx_rational(y, x)).equivalent(G_rational(x, y))
-    steps.append(
-        _identity_step(
-            "strip.gradient-identities",
-            "The rational parts of dF/dx, dF/dy and of G = dF/dx - dF/dy match "
-            "their displayed closed forms exactly.",
-            id_dx and id_dy and id_g,
-        )
-    )
-
-    # (a) the bivariate reduction identity
-    lhs = (
-        alzer_bracket_rf(3)
-        - RationalFn(BiPoly.const(1), x + y)
-        + dFdx_rational(y, x)
-    )
-    den = v * (y + 1) * (x + y + 1) * (y + 2) * (x + y + 2) * (y + 3) * (x + y + 3)
-    rhs = RationalFn(x * cat.Q, den)
-    steps.append(
-        _identity_step(
-            "strip.dFdy-reduction-identity",
-            "The three-term digamma-difference lower bound for dF/dy minus "
-            "1/(x+y) plus the rational term equals x Q(x,y) over the product "
-            "of the shifted linear factors, as rational functions.",
-            lhs.equivalent(rhs),
-        )
-    )
-
-    # root enclosures and ordering for the q family
-    half = Fraction(1, 2)
-    q0_neg = signs.negative_below(cat.q[0], half)
-    enclosures = [
-        signs.isolate_crossing(cat.q[k], 0, half, width) for k in range(1, 6)
-    ]
-    ordering = signs.verify_root_ordering(enclosures)
-    steps.append(
-        ProofStep(
-            "strip.q-root-ordering",
-            "q0 < 0 on (0, 1/2]; each of q1..q5 has a unique crossing root "
-            "there and the enclosures are disjoint and increasing, so "
-            "q_j < 0 implies q_{j+1} < 0.",
-            METHOD_SIGN_ENGINE,
-            VERIFIED if (q0_neg and ordering) else FAILED,
-            {
-                "enclosures": str(
-                    [(str(e.lo), str(e.hi)) for e in enclosures]
-                ),
-                "width": str(width),
-            },
-        )
-    )
-
-    # (b) the y-coefficients -q0, q1..q5, 2x-1 of Q form a PN sequence
-    q_kinds = [signs.classify(cat.q[k]).kind for k in range(1, 6)]
-    np_ok = all(kind is signs.PatternKind.NP for kind in q_kinds)
-    top = Poly((-1, 2))  # 2x - 1: NP with top(1/2) = 0, so <= 0 on (0, 1/2]
-    top_ok = signs.classify(top).kind is signs.PatternKind.NP and top(half) <= 0
-    vectors, patterns = _q_sign_vectors(enclosures, half)
-    pn_ok = set(patterns) == {signs.PatternKind.PN.value}
-    pn_ok = pn_ok and np_ok and q0_neg and ordering and top_ok
-    steps.append(
-        ProofStep(
-            "strip.pn-sign-vectors",
-            "For every x in (0, 1/2] the y-coefficient sequence -q0, q1..q5, "
-            "2x-1 of Q has at most one sign change, positive block first: "
-            "q1..q5 are NP, so each changes sign only inside its root "
-            "enclosure; the sign vector is fixed and PN on each of the six "
-            "intervals between enclosures, and PN inside each enclosure for "
-            "either sign of the one undetermined q_k.",
-            METHOD_SIGN_ENGINE,
-            VERIFIED if pn_ok else FAILED,
-            {
-                "q1..q5_patterns": " ".join(kind.value for kind in q_kinds),
-                "sign_vectors": " ".join(vectors),
-                "patterns": str(patterns),
-            },
-        )
-    )
-
-    # (c) the antidiagonal substitution and (d) its positivity
-    t = _T
-    inner = 7137 + (1 - t) * (24365 + 375 * t**2) + 5300 * t**2
-    factored = Fraction(4, 625) * (1 - t) * (252 + (5 * t - 1) * inner)
-    substituted = cat.Q.substitute_y(Poly((1, -1)))  # y := 1 - x
-    steps.append(
-        _identity_step(
-            "strip.antidiagonal-identity",
-            "Q(x, 1-x) equals its displayed factored form coefficient for "
-            "coefficient.",
-            substituted == factored,
-            leading_constant=Fraction(4, 625),
-        )
-    )
-
-    lo, hi = Fraction(1, 5), Fraction(1, 2)
-    inner_min = poly_lower_bound_on_box(inner, lo, hi)
-    # (5x - 1) >= 0 and (1 - x) >= 1/2 on [1/5, 1/2], so the bracket >= 252
-    edge_lower = Fraction(4, 625) * (1 - hi) * 252
-    positivity_ok = inner_min > 0
-    steps.append(
-        ProofStep(
-            "strip.antidiagonal-positive",
-            "On [1/5, 1/2] the factored form is positive: the inner factor "
-            "has a certified positive minimum, (5x-1) is nonnegative and "
-            "(1-x) at least 1/2.",
-            METHOD_EXACT_POLY,
-            VERIFIED if positivity_ok else FAILED,
-            {
-                "inner_min_bound": str(inner_min),
-                "edge_lower_bound": str(edge_lower),
-            },
-        )
-    )
-
-    # positivity of the cleared denominators on the strip region
-    corner_min = bilinear_corner_min(
-        1 + x + y - 2 * x * y, Fraction(0), Fraction(1), Fraction(0), Fraction(1)
-    )
-    steps.append(
-        ProofStep(
-            "strip.denominator-positivity",
-            "1 + x + y - 2xy >= 1 on the unit square (bilinear, so its "
-            "minimum is at a corner); the remaining cleared factors have "
-            "positive coefficients.",
-            METHOD_EXACT_POLY,
-            VERIFIED if corner_min >= 1 else FAILED,
-            {"corner_min": str(corner_min)},
-        )
-    )
-
-    # (e) conclusion: F(x, y) >= f(x) > 0, spot-checked
-    samples = []
-    hp_statuses = []
-    for xs in (Fraction(1, 4), Fraction(3, 10), Fraction(9, 20)):
-        fx = diag_gap(xs, dps)
-        hp_statuses.append(_hp_status(fx, dps))
-        for ys in (xs, (xs + (1 - xs)) / 2, 1 - xs):
-            gap = big_F(xs, ys, dps) - fx
-            samples.append(((str(xs), str(ys)), str(gap)))
-            if ys != xs:
-                hp_statuses.append(VERIFIED if gap > -error_budget(dps) else FAILED)
-    steps.append(
-        ProofStep(
-            "strip.reduce-to-diagonal",
-            "With dF/dy > 0 on the strip, F(x, y) >= F(x, x) = f(x) > 0; "
-            "numeric spot checks of F(x, y) - f(x) agree.",
-            METHOD_HIGH_PRECISION,
-            _combine(hp_statuses),
-            {"samples": str(samples), "depends_on": "diagonal.*, strip.*"},
-        )
-    )
-    return steps
+    return _Strip(dps, width).run()
 
 
 # ---------------------------------------------------------------------------
@@ -690,449 +674,295 @@ def replay_strip(
 # ---------------------------------------------------------------------------
 
 
+class _Trapezoid(_Phase):
+    STEPS: list = []
+
+    def __init__(self, dps: int):
+        super().__init__(dps)
+        self.cat = load_catalogue()
+        # 17 + 16x - 25x^2 > 0 on (0, 1/5], a denominator of g and g'
+        self.guard_ok = signs.positive_below(Poly((17, 16, -25)), Fraction(1, 5))
+
+    # --- subregion A: y >= x + 9/25 --------------------------------------
+    @_step(STEPS, "trapezoid.A.mixed-partial", METHOD_EXACT_IDENTITY,
+           "d2G/dxdy = 12(y-x)/(1+x+y-2xy)^3 exactly, and the cube's base "
+           "is at least 1 on the unit square, so dG/dx increases in y "
+           "(and dG/dy in x) above the diagonal.")
+    def mixed_partial(self):
+        x, y, u, v = _bivariate_pieces()
+        mixed = dGdx_rational(x, y).partial_y()
+        mixed_ok = mixed.equivalent((12 * (y - x)) / (v * v * v))
+        corner_min = _unit_square_min(v)
+        return _status(mixed_ok and corner_min >= 1), {"corner_min": corner_min}
+
+    @_step(STEPS, "trapezoid.A.edge-slope-identity", METHOD_EXACT_IDENTITY,
+           "Substituting y = x + 9/25 into the rational part of dG/dx "
+           "gives (913+350x-1250x^2)/(2(17+16x-25x^2)^2) exactly.")
+    def edge_slope_identity(self):
+        # dG/dx on the edge y = x + 9/25: the formula edge_slope evaluates
+        ok = dGdx_rational(_T, _T + EDGE_OFFSET).equivalent(-EDGE_SLOPE_QUOTIENT)
+        return _status(ok), {}
+
+    @_step(STEPS, "trapezoid.A.g-lower", METHOD_SIGN_ENGINE,
+           "g(x) exceeds a quotient whose numerator is p0(x) plus "
+           "nonnegative tail terms; p0(3/20) > 0 certifies p0 > 0 on "
+           "(0, 3/20], hence g > 0 there.")
+    def g_lower(self):
+        t = _T
+        p0 = self.cat.p[0]
+        tail = 307230 * t**5 + 823500 * t**6 + 675000 * t**7
+        rhs = RationalFn(
+            p0 + tail,
+            2 * (17 + 15 * t + 15 * t**2)
+            * (17 + 16 * t - 25 * t**2) ** 2
+            * (11 + 36 * t + 36 * t**2),
+        )
+        identity = (PRINTED_LX[A_LARGE] - EDGE_SLOPE_QUOTIENT).equivalent(rhs)
+        return _pn_certificate(
+            {"identity": identity}, p0, Fraction(3, 20), "p0_at_3_20", self.guard_ok,
+            tail="307230 x^5 + 823500 x^6 + 675000 x^7 (nonnegative)",
+        )
+
+    @_step(STEPS, "trapezoid.A.g-decreasing", METHOD_SIGN_ENGINE,
+           "g'(x) is below minus a quotient whose numerator combines "
+           "127679911(10x-1) with x p1(x): positive on (1/10, 1/5) since "
+           "p1(1/5) > 0 certifies p1 > 0 on (0, 1/5]; hence g decreases "
+           "there and g(x) > g(1/5).")
+    def g_decreasing(self):
+        t = _T
+        p1 = self.cat.p[1]
+        deriv_quotient = (11633 - 21600 * t - 13125 * t**2 + 31250 * t**3) / (
+            (17 + 16 * t - 25 * t**2) ** 3
+        )
+        deriv_ok = (-EDGE_SLOPE_QUOTIENT).derivative().equivalent(deriv_quotient)
+        rhs = RationalFn(
+            -(127679911 * (10 * t - 1) + t * p1),
+            2 * (17 + 15 * t + 15 * t**2) ** 2
+            * (17 + 16 * t - 25 * t**2) ** 3
+            * (11 + 36 * t + 36 * t**2) ** 2,
+        )
+        identity = (PRINTED_LXX[A_LARGE] + deriv_quotient).equivalent(rhs)
+        identities = {"derivative_identity": deriv_ok, "identity": identity}
+        return _pn_certificate(
+            identities, p1, Fraction(1, 5), "p1_at_1_5", self.guard_ok
+        )
+
+    @_step(STEPS, "trapezoid.A.g-at-right-edge", METHOD_HIGH_PRECISION,
+           "g(1/5) = 0.001914... > 0; with g decreasing on (1/10, 1/5) and "
+           "positive on (0, 3/20], the intervals overlap (1/10 < 3/20) and "
+           "cover (0, 1/5), so dG/dx > 0 on the whole subregion.")
+    def g_at_right_edge(self):
+        fifth = [(Fraction(1, 5),)]
+        (g,), status, samples = _sample(edge_slope, fifth, self.dps, "g({})")
+        evidence = dict(samples) | {
+            "printed": "0.001914",
+            "interval_cover": "(0,3/20] union (1/10,1/5) covers (0,1/5)",
+        }
+        return _combine([status, _status(agrees_with_printed(g, "0.001914"))]), evidence
+
+    @_step(STEPS, "trapezoid.A.left-edge-concavity", METHOD_SIGN_ENGINE,
+           "d2/dy2 G(0, y) = -4/(1+y)^3 - psi''(1+y) is bounded above by "
+           "-p2(y)/[positive], and p2(1) > 0 certifies p2 > 0 on (0, 1]: "
+           "G(0, .) is strictly concave on [0, 1].")
+    def left_edge_concavity(self):
+        t = _T
+        p2 = self.cat.p[2]
+        quotient = RationalFn(Poly((-4,)), (1 + t) ** 3)
+        second = RationalFn(2 * t, 1 + t).derivative().derivative()
+        second_ok = second.equivalent(quotient)
+        rhs = RationalFn(
+            -p2,
+            2 * (1 + t) ** 3
+            * (11 + 15 * t + 15 * t**2) ** 2
+            * (5 + 18 * t + 18 * t**2) ** 2,
+        )
+        identity = (quotient - PRINTED_LXX[A_SMALL]).equivalent(rhs)
+        identities = {"second_derivative_identity": second_ok, "identity": identity}
+        return _pn_certificate(identities, p2, Fraction(1), "p2_at_1")
+
+    @_step(STEPS, "trapezoid.A.left-edge-endpoints", METHOD_HIGH_PRECISION,
+           "G(0,0) = 0 and G(0,1) = psi(1) - psi(2) + 1 = 0, so concavity "
+           "makes G(0, y) nonnegative on [0, 1].")
+    def left_edge_endpoints(self):
+        points = [(0, 0), (0, 1)]
+        _, status, samples = _sample(big_G, points, self.dps, "G({},{})", _vanishes)
+        return status, dict(samples)
+
+    @_step(STEPS, "trapezoid.A.conclusion", METHOD_HIGH_PRECISION,
+           "dG/dx > 0 on 0 < x < 1/5 and G(0, y) >= 0 give G > 0 for "
+           "y >= x + 9/25; sampled values agree.")
+    def a_conclusion(self):
+        points = []
+        for x in (Fraction(1, 100), Fraction(1, 10), Fraction(19, 100)):
+            base = x + EDGE_OFFSET
+            step = (Fraction(99, 100) - base) / 3
+            points += [(x, base + step * k) for k in range(4)]
+        _, status, samples = _sample(big_G, points, self.dps)
+        return status, {"samples": samples}
+
+    # --- subregion B: 9/25 < y < x + 9/25 --------------------------------------
+    @_step(STEPS, "trapezoid.B.slope-positive", METHOD_SIGN_ENGINE,
+           "On the edge x = y - 9/25 the rational part of dG/dy matches "
+           "(13+2150y-1250y^2)/(2(8+34y-25y^2)^2); subtracting the upper "
+           "psi' bound leaves [5275352 + (25y-9) * bracket]/[positive] "
+           "with the bracket positive on (0, 1], so dG/dy > 0 for "
+           "9/25 < y < 1 (using the mixed-partial monotonicity).")
+    def b_slope(self):
+        # dG/dy(x, y) = -dG/dx(y, x) by antisymmetry; on the edge x = y - 9/25
+        t = _T
+        quotient = (13 + 2150 * t - 1250 * t**2) / (2 * (8 + 34 * t - 25 * t**2) ** 2)
+        sub_ok = dGdx_rational(t, t - EDGE_OFFSET).equivalent(-quotient)
+        # the bracket multiplying (25y - 9) in the slope bound
+        bracket = (
+            4404553 + 18643550 * t + 55576875 * t**2 + 88996875 * t**3
+            + 9375000 * t**4 + 843750 * t**4 * (1 - t) * (57 + 50 * t)
+        )
+        rhs = RationalFn(
+            5275352 + (25 * t - 9) * bracket,
+            6250 * (11 + 15 * t + 15 * t**2)
+            * (5 + 18 * t + 18 * t**2)
+            * (8 + 34 * t - 25 * t**2) ** 2,
+        )
+        identity = (quotient - PRINTED_LX[A_SMALL]).equivalent(rhs)
+        bracket_pos = signs.positive_below(bracket, Fraction(1))
+        guard_ok = signs.positive_below(Poly((8, 34, -25)), Fraction(1))
+        return _status(sub_ok and identity and bracket_pos and guard_ok), {
+            "substitution_identity": sub_ok,
+            "identity": identity,
+            "bracket_pattern": signs.classify(bracket).kind.value,
+            "bracket_at_1": bracket(Fraction(1)),
+            "depends_on": "trapezoid.A.mixed-partial",
+        }
+
+    @_step(STEPS, "trapezoid.B.concavity", METHOD_SIGN_ENGINE,
+           "d2/dx2 G(x, 9/25) = psi''(x+1) + 25564/(34+7x)^3 is bounded by "
+           "-[p3(x) + 200037600 x^9]/[positive]; p3(1) > 0 certifies p3 > 0 "
+           "on (0, 1], so G(., 9/25) is strictly concave on (0, 1/5).")
+    def b_concavity(self):
+        t = _T
+        p3 = self.cat.p[3]
+        quotient = RationalFn(Poly((25564,)), (34 + 7 * t) ** 3)
+        second = RationalFn(-(50 * t - 18), 34 + 7 * t).derivative().derivative()
+        second_ok = second.equivalent(quotient)
+        rhs = RationalFn(
+            -(p3 + 200037600 * t**9),
+            2 * (34 + 7 * t) ** 3
+            * (17 + 15 * t + 15 * t**2) ** 2
+            * (11 + 36 * t + 36 * t**2) ** 2,
+        )
+        identity = (PRINTED_LXX[A_LARGE] + quotient).equivalent(rhs)
+        identities = {"second_derivative_identity": second_ok, "identity": identity}
+        return _pn_certificate(identities, p3, Fraction(1), "p3_at_1")
+
+    @_step(STEPS, "trapezoid.B.corner-values", METHOD_HIGH_PRECISION,
+           "G(0, 9/25) = 0.0554... and G(1/5, 9/25) = 0.04015... are both "
+           "positive; concavity pins G(x, 9/25) above their minimum.")
+    def b_corners(self):
+        corners = [(0, Fraction(9, 25)), (Fraction(1, 5), Fraction(9, 25))]
+        (left, right), status, samples = _sample(big_G, corners, self.dps, "G({},{})")
+        left_ok = agrees_with_printed(left, "0.0554")
+        right_ok = agrees_with_printed(right, "0.04015")
+        evidence = dict(samples) | {"printed": "0.0554, 0.04015"}
+        return _combine([status, _status(left_ok and right_ok)]), evidence
+
+    @_step(STEPS, "trapezoid.B.conclusion", METHOD_HIGH_PRECISION,
+           "G increases in y past 9/25 and G(., 9/25) is concave with "
+           "positive corner values, so G > 0 for 9/25 < y < x + 9/25.")
+    def b_conclusion(self):
+        low = Fraction(9, 25)
+        points = [
+            (x, y)
+            for x in (Fraction(1, 50), Fraction(1, 10), Fraction(9, 50))
+            for y in (Fraction(37, 100), Fraction(2, 5), x + low - Fraction(1, 100))
+            if low < y < x + low
+        ]
+        _, status, samples = _sample(big_G, points, self.dps)
+        return status, {"samples": samples}
+
+    # --- subregion C: x < y <= 9/25 --------------------------------------------
+    @_step(STEPS, "trapezoid.C.slope-positive", METHOD_SIGN_ENGINE,
+           "dG/dy at x = 0 equals 2/(1+y)^2 - psi'(y+1), bounded below by "
+           "p4(y)/[positive]; p4(9/25) > 0 certifies p4 > 0 on (0, 9/25], "
+           "so dG/dy > 0 there and G(x, y) > G(x, x) = 0.")
+    def c_slope(self):
+        t = _T
+        p4 = self.cat.p[4]
+        slope = RationalFn(Poly((2,)), (1 + t) ** 2)
+        sub_ok = dGdx_rational(t, 0).equivalent(-slope)
+        rhs = RationalFn(
+            p4, 2 * (1 + t) ** 2 * (11 + 15 * t + 15 * t**2) * (5 + 18 * t + 18 * t**2)
+        )
+        identity = (slope - PRINTED_LX[A_SMALL]).equivalent(rhs)
+        return _pn_certificate(
+            {"substitution_identity": sub_ok, "identity": identity},
+            p4, Fraction(9, 25), "p4_at_9_25", depends_on="trapezoid.A.mixed-partial",
+        )
+
+    @_step(STEPS, "trapezoid.C.conclusion", METHOD_HIGH_PRECISION,
+           "G > 0 for x < y <= 9/25; sampled values agree.")
+    def c_conclusion(self):
+        points = [
+            (Fraction(1, 20), Fraction(1, 5)),
+            (Fraction(1, 10), Fraction(3, 10)),
+            (Fraction(3, 20), Fraction(9, 25)),
+            (Fraction(1, 100), Fraction(1, 10)),
+        ]
+        _, status, samples = _sample(big_G, points, self.dps)
+        return status, {"samples": samples}
+
+    # --- boundary of D -----------------------------------------------------------
+    @_step(STEPS, "trapezoid.boundary.antidiagonal", METHOD_HIGH_PRECISION,
+           "On x + y = 1 the two lower bounds coincide exactly and "
+           "B stays strictly above them, so F(x, 1-x) > 0.")
+    def boundary_antidiagonal(self):
+        t = _T
+        coincide = new_bound(t, 1 - t).equivalent(ivady_lower_bound(t, 1 - t))
+        xs = (Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(19, 100))
+        points = [(x, 1 - x) for x in xs]
+        _, status, samples = _sample(big_F, points, self.dps, "{0}")
+        ordered = all(remark_sandwich(x, y, self.dps).ok for x, y in points)
+        evidence = {"bounds_coincide_identity": coincide, "F_samples": samples}
+        return _combine([status, _status(coincide and ordered)]), evidence
+
+    @_step(STEPS, "trapezoid.boundary.left-edge", METHOD_HIGH_PRECISION,
+           "F(0, y) vanishes identically (the log arguments collapse to 1).")
+    def boundary_left_edge(self):
+        points = [(0, y) for y in (Fraction(1, 4), HALF, Fraction(9, 10), Fraction(1))]
+        _, status, samples = _sample(big_F, points, self.dps, rule=_vanishes)
+        return status, {"values": [value for _, value in samples]}
+
+    @_step(STEPS, "trapezoid.boundary.diagonal", METHOD_HIGH_PRECISION,
+           "F(x, x) = f(x) > 0 on the fold diagonal.")
+    def boundary_diagonal(self):
+        xs = (Fraction(1, 100), Fraction(1, 10), Fraction(19, 100))
+        points = [(x, x) for x in xs]
+        values, status, samples = _sample(big_F, points, self.dps, "{0}")
+        # F(x, x) and f(x) = diag_gap(x) are one formula
+        f = [diag_gap(x, self.dps) for x in xs]
+        same = [_vanishes(v - fx, self.dps) for v, fx in zip(values, f)]
+        evidence = {"samples": samples, "depends_on": "diagonal.*"}
+        return _combine([status] + same), evidence
+
+    @_step(STEPS, "trapezoid.boundary.right-edge", METHOD_HIGH_PRECISION,
+           "F(1/5, y) > 0 for y in [1/5, 4/5] (covered by the strip "
+           "argument).")
+    def boundary_right_edge(self):
+        points = [(Fraction(1, 5), Fraction(k, 5)) for k in range(1, 5)]
+        _, status, samples = _sample(big_F, points, self.dps, "{1}")
+        return status, {"samples": samples, "depends_on": "strip.*"}
+
+    @_step(STEPS, "trapezoid.no-interior-extremum", METHOD_HIGH_PRECISION,
+           "G > 0 throughout D rules out interior critical points of F, "
+           "so F attains its minimum on the boundary, where it is 0 only "
+           "on the x = 0 edge: F(x, y) >= 0 with equality only at x = 0.")
+    def no_interior_extremum(self):
+        return _combine(s.status for s in self.steps), {"depends_on": "trapezoid.*"}
+
+
 def replay_trapezoid(dps: int = DEFAULT_DPS) -> list[ProofStep]:
     """Certify that G > 0 on D (no interior extremum of F) and that F >= 0
     on the boundary of D with equality only on the x = 0 edge."""
-    steps = []
-    cat = load_catalogue()
-    p0, p1, p2, p3, p4 = cat.p
-    x, y, u, v = _bivariate_pieces()
-    t = _T
-    work = context(dps + GUARD_DIGITS)
-
-    # --- subregion A: y >= x + 9/25 ------------------------------------
-
-    mixed = dGdx_rational(x, y).partial_y()
-    mixed_ok = mixed.equivalent((12 * (y - x)) / (v * v * v))
-    corner_min = bilinear_corner_min(
-        v, Fraction(0), Fraction(1), Fraction(0), Fraction(1)
-    )
-    steps.append(
-        ProofStep(
-            "trapezoid.A.mixed-partial",
-            "d2G/dxdy = 12(y-x)/(1+x+y-2xy)^3 exactly, and the cube's base "
-            "is at least 1 on the unit square, so dG/dx increases in y "
-            "(and dG/dy in x) above the diagonal.",
-            METHOD_EXACT_IDENTITY,
-            VERIFIED if (mixed_ok and corner_min >= 1) else FAILED,
-            {"corner_min": str(corner_min)},
-        )
-    )
-
-    # dG/dx on the edge y = x + 9/25: the formula edge_slope evaluates
-    edge_sub_ok = dGdx_rational(t, t + EDGE_OFFSET).equivalent(-EDGE_SLOPE_QUOTIENT)
-    steps.append(
-        _identity_step(
-            "trapezoid.A.edge-slope-identity",
-            "Substituting y = x + 9/25 into the rational part of dG/dx "
-            "gives (913+350x-1250x^2)/(2(17+16x-25x^2)^2) exactly.",
-            edge_sub_ok,
-        )
-    )
-
-    # g > 0 on (0, 3/20]
-    tail = 307230 * t**5 + 823500 * t**6 + 675000 * t**7
-    g_lower_rhs = RationalFn(
-        p0 + tail,
-        2 * (17 + 15 * t + 15 * t**2)
-        * (17 + 16 * t - 25 * t**2) ** 2
-        * (11 + 36 * t + 36 * t**2),
-    )
-    g_lower_ok = (PRINTED_LX[A_LARGE] - EDGE_SLOPE_QUOTIENT).equivalent(g_lower_rhs)
-    p0_report = signs.report_positive_below(p0, Fraction(3, 20))
-    p0_ok = p0_report.certificate[1] > 0
-    guard_poly = Poly((17, 16, -25))
-    guard_ok = signs.positive_below(guard_poly, Fraction(1, 5))
-    steps.append(
-        ProofStep(
-            "trapezoid.A.g-lower",
-            "g(x) exceeds a quotient whose numerator is p0(x) plus "
-            "nonnegative tail terms; p0(3/20) > 0 certifies p0 > 0 on "
-            "(0, 3/20], hence g > 0 there.",
-            METHOD_SIGN_ENGINE,
-            VERIFIED if (g_lower_ok and p0_ok and guard_ok) else FAILED,
-            {
-                "identity": str(g_lower_ok),
-                "p0_at_3_20": str(p0_report.certificate[1]),
-                "tail": "307230 x^5 + 823500 x^6 + 675000 x^7 (nonnegative)",
-            },
-        )
-    )
-
-    # g' < 0 on (1/10, 1/5)
-    deriv_ok = (-EDGE_SLOPE_QUOTIENT).derivative().equivalent(
-        EDGE_SLOPE_DERIV_QUOTIENT
-    )
-    num = 127679911 * (10 * t - 1) + t * p1
-    gprime_rhs = RationalFn(
-        -num,
-        2 * (17 + 15 * t + 15 * t**2) ** 2
-        * (17 + 16 * t - 25 * t**2) ** 3
-        * (11 + 36 * t + 36 * t**2) ** 2,
-    )
-    gprime_ok = (PRINTED_LXX[A_LARGE] + EDGE_SLOPE_DERIV_QUOTIENT).equivalent(
-        gprime_rhs
-    )
-    p1_report = signs.report_positive_below(p1, Fraction(1, 5))
-    p1_ok = p1_report.certificate[1] > 0
-    steps.append(
-        ProofStep(
-            "trapezoid.A.g-decreasing",
-            "g'(x) is below minus a quotient whose numerator combines "
-            "127679911(10x-1) with x p1(x): positive on (1/10, 1/5) since "
-            "p1(1/5) > 0 certifies p1 > 0 on (0, 1/5]; hence g decreases "
-            "there and g(x) > g(1/5).",
-            METHOD_SIGN_ENGINE,
-            VERIFIED
-            if (deriv_ok and gprime_ok and p1_ok and guard_ok)
-            else FAILED,
-            {
-                "derivative_identity": str(deriv_ok),
-                "identity": str(gprime_ok),
-                "p1_at_1_5": str(p1_report.certificate[1]),
-            },
-        )
-    )
-
-    # g(1/5) > 0, printed digits
-    g_fifth = edge_slope(Fraction(1, 5), dps)
-    g_prefix_ok = agrees_with_printed(g_fifth, "0.001914")
-    steps.append(
-        ProofStep(
-            "trapezoid.A.g-at-right-edge",
-            "g(1/5) = 0.001914... > 0; with g decreasing on (1/10, 1/5) and "
-            "positive on (0, 3/20], the intervals overlap (1/10 < 3/20) and "
-            "cover (0, 1/5), so dG/dx > 0 on the whole subregion.",
-            METHOD_HIGH_PRECISION,
-            _combine([_hp_status(g_fifth, dps), VERIFIED if g_prefix_ok else FAILED]),
-            {
-                "g(1/5)": str(g_fifth),
-                "printed": "0.001914",
-                "interval_cover": "(0,3/20] union (1/10,1/5) covers (0,1/5)",
-            },
-        )
-    )
-
-    # concavity of G(0, y)
-    rational_part = RationalFn(2 * t, 1 + t)
-    second = rational_part.derivative().derivative()
-    concav_pre_ok = second.equivalent(RationalFn(Poly((-4,)), (1 + t) ** 3))
-    concav_rhs = RationalFn(
-        -p2,
-        2 * (1 + t) ** 3
-        * (11 + 15 * t + 15 * t**2) ** 2
-        * (5 + 18 * t + 18 * t**2) ** 2,
-    )
-    concav_ok = (RationalFn(Poly((-4,)), (1 + t) ** 3) - PRINTED_LXX[A_SMALL]).equivalent(
-        concav_rhs
-    )
-    p2_report = signs.report_positive_below(p2, Fraction(1))
-    p2_ok = p2_report.certificate[1] > 0
-    steps.append(
-        ProofStep(
-            "trapezoid.A.left-edge-concavity",
-            "d2/dy2 G(0, y) = -4/(1+y)^3 - psi''(1+y) is bounded above by "
-            "-p2(y)/[positive], and p2(1) > 0 certifies p2 > 0 on (0, 1]: "
-            "G(0, .) is strictly concave on [0, 1].",
-            METHOD_SIGN_ENGINE,
-            VERIFIED if (concav_pre_ok and concav_ok and p2_ok) else FAILED,
-            {
-                "second_derivative_identity": str(concav_pre_ok),
-                "identity": str(concav_ok),
-                "p2_at_1": str(p2_report.certificate[1]),
-            },
-        )
-    )
-
-    # endpoints of the left edge
-    g00 = big_G(0, 0, dps)
-    g01 = big_G(0, 1, dps)
-    tol = work.mpf(10) ** (-25)
-    endpoints_ok = abs(to_mpf(work, g00)) <= tol and abs(to_mpf(work, g01)) <= tol
-    steps.append(
-        ProofStep(
-            "trapezoid.A.left-edge-endpoints",
-            "G(0,0) = 0 and G(0,1) = psi(1) - psi(2) + 1 = 0, so concavity "
-            "makes G(0, y) nonnegative on [0, 1].",
-            METHOD_HIGH_PRECISION,
-            VERIFIED if endpoints_ok else FAILED,
-            {"G(0,0)": str(g00), "G(0,1)": str(g01)},
-        )
-    )
-
-    # conclusion for subregion A
-    a_samples = []
-    a_statuses = []
-    for xs in (Fraction(1, 100), Fraction(1, 10), Fraction(19, 100)):
-        base = xs + Fraction(9, 25)
-        for k in range(4):
-            ys = base + (Fraction(99, 100) - base) * Fraction(k, 3)
-            if ys >= 1:
-                continue
-            val = big_G(xs, ys, dps)
-            a_samples.append(((str(xs), str(ys)), str(val)))
-            a_statuses.append(_hp_status(val, dps))
-    steps.append(
-        ProofStep(
-            "trapezoid.A.conclusion",
-            "dG/dx > 0 on 0 < x < 1/5 and G(0, y) >= 0 give G > 0 for "
-            "y >= x + 9/25; sampled values agree.",
-            METHOD_HIGH_PRECISION,
-            _combine(a_statuses),
-            {"samples": str(a_samples)},
-        )
-    )
-
-    # --- subregion B: 9/25 < y < x + 9/25 --------------------------------
-
-    # dG/dy(x, y) = -dG/dx(y, x) by antisymmetry; on the edge x = y - 9/25
-    b_edge_sub_ok = dGdx_rational(t, t - EDGE_OFFSET).equivalent(-B_EDGE_QUOTIENT)
-    bracket = B_EDGE_BRACKET
-    b_slope_rhs = RationalFn(
-        5275352 + (25 * t - 9) * bracket,
-        6250 * (11 + 15 * t + 15 * t**2)
-        * (5 + 18 * t + 18 * t**2)
-        * (8 + 34 * t - 25 * t**2) ** 2,
-    )
-    b_slope_ok = (B_EDGE_QUOTIENT - PRINTED_LX[A_SMALL]).equivalent(b_slope_rhs)
-    bracket_pattern = signs.classify(bracket)
-    bracket_pos = signs.positive_below(bracket, Fraction(1))
-    b_guard_ok = signs.positive_below(Poly((8, 34, -25)), Fraction(1))
-    steps.append(
-        ProofStep(
-            "trapezoid.B.slope-positive",
-            "On the edge x = y - 9/25 the rational part of dG/dy matches "
-            "(13+2150y-1250y^2)/(2(8+34y-25y^2)^2); subtracting the upper "
-            "psi' bound leaves [5275352 + (25y-9) * bracket]/[positive] "
-            "with the bracket positive on (0, 1], so dG/dy > 0 for "
-            "9/25 < y < 1 (using the mixed-partial monotonicity).",
-            METHOD_SIGN_ENGINE,
-            VERIFIED
-            if (b_edge_sub_ok and b_slope_ok and bracket_pos and b_guard_ok)
-            else FAILED,
-            {
-                "substitution_identity": str(b_edge_sub_ok),
-                "identity": str(b_slope_ok),
-                "bracket_pattern": bracket_pattern.kind.value,
-                "bracket_at_1": str(bracket(Fraction(1))),
-                "depends_on": "trapezoid.A.mixed-partial",
-            },
-        )
-    )
-
-    b_concav_pre = RationalFn(-(50 * t - 18), 34 + 7 * t).derivative().derivative()
-    b_concav_pre_ok = b_concav_pre.equivalent(B_CONCAVITY_QUOTIENT)
-    b_concav_rhs = RationalFn(
-        -(p3 + 200037600 * t**9),
-        2 * (34 + 7 * t) ** 3
-        * (17 + 15 * t + 15 * t**2) ** 2
-        * (11 + 36 * t + 36 * t**2) ** 2,
-    )
-    b_concav_ok = (PRINTED_LXX[A_LARGE] + B_CONCAVITY_QUOTIENT).equivalent(
-        b_concav_rhs
-    )
-    p3_report = signs.report_positive_below(p3, Fraction(1))
-    p3_ok = p3_report.certificate[1] > 0
-    steps.append(
-        ProofStep(
-            "trapezoid.B.concavity",
-            "d2/dx2 G(x, 9/25) = psi''(x+1) + 25564/(34+7x)^3 is bounded by "
-            "-[p3(x) + 200037600 x^9]/[positive]; p3(1) > 0 certifies p3 > 0 "
-            "on (0, 1], so G(., 9/25) is strictly concave on (0, 1/5).",
-            METHOD_SIGN_ENGINE,
-            VERIFIED if (b_concav_pre_ok and b_concav_ok and p3_ok) else FAILED,
-            {
-                "second_derivative_identity": str(b_concav_pre_ok),
-                "identity": str(b_concav_ok),
-                "p3_at_1": str(p3_report.certificate[1]),
-            },
-        )
-    )
-
-    g_left = big_G(0, Fraction(9, 25), dps)
-    g_right = big_G(Fraction(1, 5), Fraction(9, 25), dps)
-    left_ok = agrees_with_printed(g_left, "0.0554")
-    right_ok = agrees_with_printed(g_right, "0.04015")
-    steps.append(
-        ProofStep(
-            "trapezoid.B.corner-values",
-            "G(0, 9/25) = 0.0554... and G(1/5, 9/25) = 0.04015... are both "
-            "positive; concavity pins G(x, 9/25) above their minimum.",
-            METHOD_HIGH_PRECISION,
-            _combine(
-                [
-                    _hp_status(g_left, dps),
-                    _hp_status(g_right, dps),
-                    VERIFIED if (left_ok and right_ok) else FAILED,
-                ]
-            ),
-            {
-                "G(0,9/25)": str(g_left),
-                "G(1/5,9/25)": str(g_right),
-                "printed": "0.0554, 0.04015",
-            },
-        )
-    )
-
-    b_samples = []
-    b_statuses = []
-    for xs in (Fraction(1, 50), Fraction(1, 10), Fraction(9, 50)):
-        for ys in (Fraction(37, 100), Fraction(2, 5), xs + Fraction(9, 25) - Fraction(1, 100)):
-            if Fraction(9, 25) < ys < xs + Fraction(9, 25):
-                val = big_G(xs, ys, dps)
-                b_samples.append(((str(xs), str(ys)), str(val)))
-                b_statuses.append(_hp_status(val, dps))
-    steps.append(
-        ProofStep(
-            "trapezoid.B.conclusion",
-            "G increases in y past 9/25 and G(., 9/25) is concave with "
-            "positive corner values, so G > 0 for 9/25 < y < x + 9/25.",
-            METHOD_HIGH_PRECISION,
-            _combine(b_statuses) if b_statuses else VERIFIED,
-            {"samples": str(b_samples)},
-        )
-    )
-
-    # --- subregion C: x < y <= 9/25 --------------------------------------
-
-    c_sub_ok = dGdx_rational(t, 0).equivalent(RationalFn(Poly((-2,)), (1 + t) ** 2))
-    c_rhs = RationalFn(
-        p4,
-        2 * (1 + t) ** 2 * (11 + 15 * t + 15 * t**2) * (5 + 18 * t + 18 * t**2),
-    )
-    c_ok = (RationalFn(Poly((2,)), (1 + t) ** 2) - PRINTED_LX[A_SMALL]).equivalent(
-        c_rhs
-    )
-    p4_report = signs.report_positive_below(p4, Fraction(9, 25))
-    p4_ok = p4_report.certificate[1] > 0
-    steps.append(
-        ProofStep(
-            "trapezoid.C.slope-positive",
-            "dG/dy at x = 0 equals 2/(1+y)^2 - psi'(y+1), bounded below by "
-            "p4(y)/[positive]; p4(9/25) > 0 certifies p4 > 0 on (0, 9/25], "
-            "so dG/dy > 0 there and G(x, y) > G(x, x) = 0.",
-            METHOD_SIGN_ENGINE,
-            VERIFIED if (c_sub_ok and c_ok and p4_ok) else FAILED,
-            {
-                "substitution_identity": str(c_sub_ok),
-                "identity": str(c_ok),
-                "p4_at_9_25": str(p4_report.certificate[1]),
-                "depends_on": "trapezoid.A.mixed-partial",
-            },
-        )
-    )
-
-    c_samples = []
-    c_statuses = []
-    for xs, ys in (
-        (Fraction(1, 20), Fraction(1, 5)),
-        (Fraction(1, 10), Fraction(3, 10)),
-        (Fraction(3, 20), Fraction(9, 25)),
-        (Fraction(1, 100), Fraction(1, 10)),
-    ):
-        val = big_G(xs, ys, dps)
-        c_samples.append(((str(xs), str(ys)), str(val)))
-        c_statuses.append(_hp_status(val, dps))
-    steps.append(
-        ProofStep(
-            "trapezoid.C.conclusion",
-            "G > 0 for x < y <= 9/25; sampled values agree.",
-            METHOD_HIGH_PRECISION,
-            _combine(c_statuses),
-            {"samples": str(c_samples)},
-        )
-    )
-
-    # --- boundary of D -----------------------------------------------------
-
-    # (i) antidiagonal x + y = 1: our bound coincides with the classical
-    # polynomial bound there, and B exceeds that bound strictly.
-    top_identity = new_bound(t, 1 - t).equivalent(ivady_lower_bound(t, 1 - t))
-    top_samples = []
-    top_statuses = []
-    for xs in (Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(19, 100)):
-        rep = remark_sandwich(xs, 1 - xs, dps)
-        fval = big_F(xs, 1 - xs, dps)
-        top_samples.append((str(xs), str(fval)))
-        top_statuses.append(_hp_status(fval, dps))
-        if not rep.ok:
-            top_statuses.append(FAILED)
-    steps.append(
-        ProofStep(
-            "trapezoid.boundary.antidiagonal",
-            "On x + y = 1 the two lower bounds coincide exactly and "
-            "B stays strictly above them, so F(x, 1-x) > 0.",
-            METHOD_HIGH_PRECISION,
-            _combine([VERIFIED if top_identity else FAILED] + top_statuses),
-            {"bounds_coincide_identity": str(top_identity), "F_samples": str(top_samples)},
-        )
-    )
-
-    # (ii) left edge x = 0
-    left_vals = [big_F(0, ys, dps) for ys in (Fraction(1, 4), Fraction(1, 2), Fraction(9, 10), Fraction(1))]
-    left_edge_ok = all(abs(to_mpf(work, vv)) <= tol for vv in left_vals)
-    steps.append(
-        ProofStep(
-            "trapezoid.boundary.left-edge",
-            "F(0, y) vanishes identically (the log arguments collapse to 1).",
-            METHOD_HIGH_PRECISION,
-            VERIFIED if left_edge_ok else FAILED,
-            {"values": str([str(vv) for vv in left_vals])},
-        )
-    )
-
-    # (iii) fold diagonal y = x
-    diag_statuses = []
-    diag_samples = []
-    for xs in (Fraction(1, 100), Fraction(1, 10), Fraction(19, 100)):
-        fv = big_F(xs, xs, dps)
-        dv = diag_gap(xs, dps)
-        diag_samples.append((str(xs), str(fv)))
-        diag_statuses.append(_hp_status(fv, dps))
-        if not abs(to_mpf(work, fv) - to_mpf(work, dv)) <= tol:
-            diag_statuses.append(FAILED)
-    steps.append(
-        ProofStep(
-            "trapezoid.boundary.diagonal",
-            "F(x, x) = f(x) > 0 on the fold diagonal.",
-            METHOD_HIGH_PRECISION,
-            _combine(diag_statuses),
-            {"samples": str(diag_samples), "depends_on": "diagonal.*"},
-        )
-    )
-
-    # (iv) right edge x = 1/5
-    right_statuses = []
-    right_samples = []
-    for ys in (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5), Fraction(4, 5)):
-        fv = big_F(Fraction(1, 5), ys, dps)
-        right_samples.append((str(ys), str(fv)))
-        right_statuses.append(_hp_status(fv, dps))
-    steps.append(
-        ProofStep(
-            "trapezoid.boundary.right-edge",
-            "F(1/5, y) > 0 for y in [1/5, 4/5] (covered by the strip "
-            "argument).",
-            METHOD_HIGH_PRECISION,
-            _combine(right_statuses),
-            {"samples": str(right_samples), "depends_on": "strip.*"},
-        )
-    )
-
-    steps.append(
-        ProofStep(
-            "trapezoid.no-interior-extremum",
-            "G > 0 throughout D rules out interior critical points of F, "
-            "so F attains its minimum on the boundary, where it is 0 only "
-            "on the x = 0 edge: F(x, y) >= 0 with equality only at x = 0.",
-            METHOD_HIGH_PRECISION,
-            _combine(
-                [s.status for s in steps if s.id.startswith("trapezoid.")]
-            ),
-            {"depends_on": "trapezoid.*"},
-        )
-    )
-    return steps
+    return _Trapezoid(dps).run()
 
 
 # ---------------------------------------------------------------------------
@@ -1147,10 +977,8 @@ class ProofReport:
 
     @property
     def counts(self) -> dict:
-        out = {VERIFIED: 0, FAILED: 0, INCONCLUSIVE: 0}
-        for s in self.steps:
-            out[s.status] = out.get(s.status, 0) + 1
-        return out
+        statuses = [s.status for s in self.steps]
+        return {k: statuses.count(k) for k in (VERIFIED, FAILED, INCONCLUSIVE)}
 
     @property
     def all_verified(self) -> bool:
@@ -1166,9 +994,7 @@ class ProofReport:
             "steps": [s.to_json_obj() for s in self.steps],
             "summary": {
                 "total": len(self.steps),
-                "verified": self.counts[VERIFIED],
-                "failed": self.counts[FAILED],
-                "inconclusive": self.counts[INCONCLUSIVE],
+                **self.counts,
                 "all_verified": self.all_verified,
             },
         }

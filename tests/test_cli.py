@@ -10,6 +10,7 @@ import pytest
 from betabound.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_VERIFY_FAILED,
     RunConfig,
     main,
 )
@@ -72,6 +73,20 @@ class TestReplayCommand:
         run(["replay", "--out", str(a)])
         run(["replay", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_coarse_width_gives_inconclusive_step(self, tmp_path, capsys):
+        # at width 1/10 the q-root enclosures overlap and cannot be ordered
+        out_path = tmp_path / "coarse.json"
+        code, _ = run(["replay", "--precision", "30", "--width", "0.1",
+                       "--out", str(out_path)])
+        assert code == EXIT_VERIFY_FAILED
+        steps = {s["id"]: s for s in json.loads(out_path.read_text())["steps"]}
+        assert len(steps) == 31
+        assert steps["strip.q-root-ordering"]["status"] == "inconclusive"
+        assert steps["strip.q-root-ordering"]["evidence"] == {
+            "error": "refine width: enclosures overlap at requested width"
+        }
+        assert "strip.q-root-ordering" in capsys.readouterr().err
 
     def test_json_format_prints_report(self, tmp_path):
         out_path = tmp_path / "r.json"
@@ -226,10 +241,13 @@ class TestSweepCommand:
 
 
 def test_unknown_format_rejected():
-    with pytest.raises(SystemExit):  # argparse choice error
-        main(["replay", "--format", "yaml"], environ={}, stdout=io.StringIO())
+    for fmt in ("yaml", "csv"):
+        with pytest.raises(SystemExit) as exc:  # argparse choice error
+            main(["replay", "--format", fmt], environ={}, stdout=io.StringIO())
+        assert exc.value.code == EXIT_CONFIG
 
 
 def test_env_format_validated():
-    code, _ = run(["roots"], env={"BETABOUND_FORMAT": "yaml"})
-    assert code == EXIT_CONFIG
+    for fmt in ("yaml", "csv"):
+        code, _ = run(["roots"], env={"BETABOUND_FORMAT": fmt})
+        assert code == EXIT_CONFIG

@@ -1,6 +1,7 @@
 """Proof-engine: margins, symmetry, derivative validation, full replay."""
 
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ import mpmath
 import pytest
 
 from betabound import proof
-from betabound.polys import BiPoly
+from betabound.polys import BiPoly, Poly
 from betabound.proof import (
     G_rational,
     alzer_lower_bound,
@@ -222,6 +223,56 @@ class TestBounds:
         assert CAT.q[1](F(1, 4)) > 0
 
 
+PINNED_STEPS = [
+    ("diagonal.slope-rational-identity", "exact-identity", ()),
+    ("diagonal.slope-lower-identity", "exact-identity",
+     ("numerator_constant", "numerator_leading")),
+    ("diagonal.slope-numerator-positive", "exact-polynomial",
+     ("degree", "coefficient_signs")),
+    ("diagonal.gap-positive-spots", "high-precision",
+     ("1/10", "1/2", "1", "13/10", "f(1/2)==log(pi/3)")),
+    ("strip.gradient-identities", "exact-identity", ()),
+    ("strip.dFdy-reduction-identity", "exact-identity", ()),
+    ("strip.q-root-ordering", "sign-engine", ("enclosures", "width")),
+    ("strip.pn-sign-vectors", "sign-engine",
+     ("q1..q5_patterns", "sign_vectors", "patterns")),
+    ("strip.antidiagonal-identity", "exact-identity", ("leading_constant",)),
+    ("strip.antidiagonal-positive", "exact-polynomial",
+     ("inner_min_bound", "edge_lower_bound")),
+    ("strip.denominator-positivity", "exact-polynomial", ("corner_min",)),
+    ("strip.reduce-to-diagonal", "high-precision", ("samples", "depends_on")),
+    ("trapezoid.A.mixed-partial", "exact-identity", ("corner_min",)),
+    ("trapezoid.A.edge-slope-identity", "exact-identity", ()),
+    ("trapezoid.A.g-lower", "sign-engine", ("identity", "p0_at_3_20", "tail")),
+    ("trapezoid.A.g-decreasing", "sign-engine",
+     ("derivative_identity", "identity", "p1_at_1_5")),
+    ("trapezoid.A.g-at-right-edge", "high-precision",
+     ("g(1/5)", "printed", "interval_cover")),
+    ("trapezoid.A.left-edge-concavity", "sign-engine",
+     ("second_derivative_identity", "identity", "p2_at_1")),
+    ("trapezoid.A.left-edge-endpoints", "high-precision", ("G(0,0)", "G(0,1)")),
+    ("trapezoid.A.conclusion", "high-precision", ("samples",)),
+    ("trapezoid.B.slope-positive", "sign-engine",
+     ("substitution_identity", "identity", "bracket_pattern", "bracket_at_1",
+      "depends_on")),
+    ("trapezoid.B.concavity", "sign-engine",
+     ("second_derivative_identity", "identity", "p3_at_1")),
+    ("trapezoid.B.corner-values", "high-precision",
+     ("G(0,9/25)", "G(1/5,9/25)", "printed")),
+    ("trapezoid.B.conclusion", "high-precision", ("samples",)),
+    ("trapezoid.C.slope-positive", "sign-engine",
+     ("substitution_identity", "identity", "p4_at_9_25", "depends_on")),
+    ("trapezoid.C.conclusion", "high-precision", ("samples",)),
+    ("trapezoid.boundary.antidiagonal", "high-precision",
+     ("bounds_coincide_identity", "F_samples")),
+    ("trapezoid.boundary.left-edge", "high-precision", ("values",)),
+    ("trapezoid.boundary.diagonal", "high-precision", ("samples", "depends_on")),
+    ("trapezoid.boundary.right-edge", "high-precision", ("samples", "depends_on")),
+    ("trapezoid.no-interior-extremum", "high-precision", ("depends_on",)),
+]
+PINNED_CLAIMS_SHA256 = "cf011152039c0d736b42a74cad734e5ec1f0f693be801a0a151e2b73fc75e880"
+
+
 class TestReplay:
     def test_diagonal_phase(self):
         steps = replay_diagonal()
@@ -265,6 +316,43 @@ class TestReplay:
             "high-precision",
             "sign-engine",
         }
+
+    def test_step_table_is_pinned(self):
+        # ids, order, methods and evidence keys of every step, and the claims
+        steps = replay_all(30).steps
+        assert [(s.id, s.method, tuple(s.evidence)) for s in steps] == PINNED_STEPS
+        claims = "\n".join(s.claim for s in steps).encode()
+        assert hashlib.sha256(claims).hexdigest() == PINNED_CLAIMS_SHA256
+
+    @staticmethod
+    def _replay_with_p0(monkeypatch, p0):
+        mutated = dataclasses.replace(CAT, p=(p0,) + tuple(CAT.p[1:]))
+        monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
+        return {s.id: s for s in replay_all(30).steps}
+
+    def test_pn_certificate_rejects_p0_negative_at_its_point(self, monkeypatch):
+        # still PN, so the criterion applies, but p0(3/20) is about -3.37e6
+        p0 = CAT.p[0] - 10**9 * Poly.x() ** 3
+        steps = self._replay_with_p0(monkeypatch, p0)
+        bad = {"trapezoid.A.g-lower", "trapezoid.no-interior-extremum"}
+        assert {k: s.status for k, s in steps.items() if k in bad} == dict.fromkeys(
+            bad, "failed"
+        )
+        assert len(steps) == 31
+        assert all(s.status == "verified" for k, s in steps.items() if k not in bad)
+
+    def test_check_that_raises_is_inconclusive(self, monkeypatch):
+        # -p0 is NP: the PN criterion does not apply, and the replay goes on
+        steps = self._replay_with_p0(monkeypatch, -CAT.p[0])
+        bad = {"trapezoid.A.g-lower", "trapezoid.no-interior-extremum"}
+        assert {k: s.status for k, s in steps.items() if k in bad} == dict.fromkeys(
+            bad, "inconclusive"
+        )
+        assert steps["trapezoid.A.g-lower"].evidence == {
+            "error": "criterion inapplicable: expected PN pattern, got NP"
+        }
+        assert len(steps) == 31
+        assert all(s.status == "verified" for k, s in steps.items() if k not in bad)
 
     def test_replay_at_reduced_precision(self):
         report = replay_all(dps=30)
