@@ -34,7 +34,7 @@ from .constants import (
     compute_constants,
     full_sandwich,
 )
-from .specials import context, to_mpf
+from .specials import DEFAULT_DPS, context, to_mpf
 
 ENV_PREFIX = "BETABOUND_"
 EXIT_OK = 0
@@ -51,9 +51,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    precision_digits: int = 50
+    precision_digits: int = DEFAULT_DPS
     grid_n: int = 1000
-    enclosure_width: Fraction = Fraction(1, 10**6)
+    enclosure_width: Fraction = signs.DEFAULT_WIDTH
     output_path: Optional[str] = None
     format: str = "text"
 
@@ -322,7 +322,8 @@ def cmd_sweep(cfg: RunConfig, stdout) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=int, default=None,
-                        help="working precision in decimal digits (>= 30, default 50)")
+                        help="working precision in decimal digits "
+                        f"(>= 30, default {DEFAULT_DPS})")
     common.add_argument("--grid", type=int, default=None,
                         help="sweep grid size per axis (default 1000)")
     common.add_argument("--width", default=None,

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .psibounds import error_budget, lx_general, lxx_general
+from .psibounds import lx_general, lxx_general
 from .specials import (
     DEFAULT_DPS,
-    GUARD_DIGITS,
     context,
+    evaluate,
     locate_delta_max,
     psi1,
     psi2,
@@ -52,24 +52,24 @@ def agrees_with_printed(value, printed: str) -> bool:
 
 def alpha(dps: int = DEFAULT_DPS):
     """2 pi^2 / 3 - 4 = 2.57973..."""
-    work = context(dps + GUARD_DIGITS)
-    return context(dps).mpf(2 * work.pi**2 / 3 - 4)
+    return evaluate(lambda work: 2 * work.pi**2 / 3 - 4, dps)
 
 
 def a1(dps: int = DEFAULT_DPS):
     """(40 + 3 sqrt(205)) / 105 = 0.79003..."""
-    work = context(dps + GUARD_DIGITS)
-    return context(dps).mpf((40 + 3 * work.sqrt(205)) / 105)
+    return evaluate(lambda work: (40 + 3 * work.sqrt(205)) / 105, dps)
 
 
 def a2(dps: int = DEFAULT_DPS):
     """(45 - 4 pi^2 + 3 sqrt(4 pi^4 - 80 pi^2 + 405)) / (30 (pi^2 - 9))."""
-    work = context(dps + GUARD_DIGITS)
-    pi2 = work.pi**2
-    value = (45 - 4 * pi2 + 3 * work.sqrt(4 * pi2**2 - 80 * pi2 + 405)) / (
-        30 * (pi2 - 9)
-    )
-    return context(dps).mpf(value)
+
+    def raw(work):
+        pi2 = work.pi**2
+        return (45 - 4 * pi2 + 3 * work.sqrt(4 * pi2**2 - 80 * pi2 + 405)) / (
+            30 * (pi2 - 9)
+        )
+
+    return evaluate(raw, dps)
 
 
 def solve_a3(dps: int = DEFAULT_DPS, tol: str = "1e-15"):
@@ -78,27 +78,30 @@ def solve_a3(dps: int = DEFAULT_DPS, tol: str = "1e-15"):
     a -> L_xx(0, a) is increasing on (1/15, oo), so the root in (1/15, 2)
     is unique and plain bisection on the sign of the difference converges.
     """
-    work = context(dps + GUARD_DIGITS)
-    target = to_mpf(work, psi2(1, dps + GUARD_DIGITS))
 
-    def gap(am):
-        return to_mpf(work, lxx_general(0, am, dps + GUARD_DIGITS)) - target
+    def bisect(work):
+        target = psi2(1, work.dps)
 
-    lo = work.mpf(1) / 15 + work.mpf("1e-9")
-    hi = work.mpf(2)
-    flo, fhi = gap(lo), gap(hi)
-    if not (flo < 0 < fhi):
-        raise RuntimeError(
-            "no sign change on the a3 bracket (indicates an implementation bug)"
-        )
-    tol_m = work.mpf(tol)
-    while hi - lo > tol_m:
-        mid = (lo + hi) / 2
-        if gap(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return context(dps).mpf((lo + hi) / 2)
+        def gap(am):
+            return lxx_general(0, am, work.dps) - target
+
+        lo = work.mpf(1) / 15 + work.mpf("1e-9")
+        hi = work.mpf(2)
+        flo, fhi = gap(lo), gap(hi)
+        if not (flo < 0 < fhi):
+            raise RuntimeError(
+                "no sign change on the a3 bracket (indicates an implementation bug)"
+            )
+        tol_m = work.mpf(tol)
+        while hi - lo > tol_m:
+            mid = (lo + hi) / 2
+            if gap(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+    return evaluate(bisect, dps)
 
 
 @dataclass(frozen=True)
@@ -132,21 +135,23 @@ def full_sandwich(x, dps: int = DEFAULT_DPS) -> list[tuple[str, object]]:
     L_x(x,4/5) < L_x(x,a1) < psi'(x+1) < L_x(x,a2) < L_x(x,2/5) and
     L_xx(x,2/5) < L_xx(x,a3) < psi''(x+1) < L_xx(x,a1) < L_xx(x,4/5).
     """
-    work = context(dps + GUARD_DIGITS)
-    xm = to_mpf(work, x)
-    c1, c2, c3 = a1(dps), a2(dps), solve_a3(dps)
-    return [
-        ("Lx(x, 4/5)", lx_general(xm, Fraction(4, 5), dps)),
-        ("Lx(x, a1)", lx_general(xm, c1, dps)),
-        ("psi'(x+1)", psi1(xm + 1, dps)),
-        ("Lx(x, a2)", lx_general(xm, c2, dps)),
-        ("Lx(x, 2/5)", lx_general(xm, Fraction(2, 5), dps)),
-        ("Lxx(x, 2/5)", lxx_general(xm, Fraction(2, 5), dps)),
-        ("Lxx(x, a3)", lxx_general(xm, c3, dps)),
-        ("psi''(x+1)", psi2(xm + 1, dps)),
-        ("Lxx(x, a1)", lxx_general(xm, c1, dps)),
-        ("Lxx(x, 4/5)", lxx_general(xm, Fraction(4, 5), dps)),
-    ]
+
+    def chain(work, x):
+        c1, c2, c3 = a1(dps), a2(dps), solve_a3(dps)
+        return {
+            "Lx(x, 4/5)": lx_general(x, Fraction(4, 5), dps),
+            "Lx(x, a1)": lx_general(x, c1, dps),
+            "psi'(x+1)": psi1(x + 1, dps),
+            "Lx(x, a2)": lx_general(x, c2, dps),
+            "Lx(x, 2/5)": lx_general(x, Fraction(2, 5), dps),
+            "Lxx(x, 2/5)": lxx_general(x, Fraction(2, 5), dps),
+            "Lxx(x, a3)": lxx_general(x, c3, dps),
+            "psi''(x+1)": psi2(x + 1, dps),
+            "Lxx(x, a1)": lxx_general(x, c1, dps),
+            "Lxx(x, 4/5)": lxx_general(x, Fraction(4, 5), dps),
+        }
+
+    return list(evaluate(chain, dps, x).items())
 
 
 __all__ = [
@@ -157,7 +162,6 @@ __all__ = [
     "agrees_with_printed",
     "alpha",
     "compute_constants",
-    "error_budget",
     "full_sandwich",
     "solve_a3",
 ]

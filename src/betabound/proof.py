@@ -17,12 +17,12 @@ positive (no interior extremum) and the boundary values pin the minimum.
 Each displayed step of that argument becomes a ``ProofStep``: algebraic
 identities are certified by exact cross-multiplication, polynomial sign
 claims by the one-sign-change criterion with exact evaluations, and the
-finitely many transcendental values by high-precision evaluation with a
-10x error-budget margin rule.  Each phase is a table of (id, claim,
-method, check) rows that one runner, ``_Phase.run``, turns into steps; a
-check has one of three shapes, each written once: exact (named booleans
-through ``_status``), PN certificate (``_pn_certificate``) and
-high-precision sample (``_sample``).
+finitely many transcendental values by high-precision evaluation read
+through the 10x error-budget band of ``certified_sign``.  Each phase is
+a table of (id, claim, method, check) rows that one runner,
+``_Phase.run``, turns into steps; a check has one of three shapes, each
+written once: exact (named booleans through ``_status``), PN certificate
+(``_pn_certificate``) and high-precision sample (``_sample``).
 """
 
 from __future__ import annotations
@@ -44,17 +44,17 @@ from .psibounds import (
     PRINTED_LX,
     PRINTED_LXX,
     alzer_bracket_rf,
-    error_budget,
+    certified_sign,
 )
 from .specials import (
     DEFAULT_DPS,
-    GUARD_DIGITS,
     beta,
-    context,
+    evaluate,
     log_gamma,
     psi,
     psi1,
     to_mpf,
+    work_context,
 )
 from . import signs
 
@@ -115,45 +115,22 @@ def dGdx_rational(x, y):
 EDGE_OFFSET = Fraction(9, 25)   # the upper trapezoid subregion is y >= x + 9/25
 
 
-def _unit_args(ctx, x, y, allow_zero: bool = False):
-    xm, ym = to_mpf(ctx, x), to_mpf(ctx, y)
-    low_ok = (xm >= 0 and ym >= 0) if allow_zero else (xm > 0 and ym > 0)
-    if not (low_ok and xm <= 1 and ym <= 1):
-        raise ValueError("domain error: arguments must lie in (0, 1]")
-    return xm, ym
+def _on_unit_square(raw, allow_zero: bool = False):
+    """`raw` behind the domain check x, y in (0, 1], or in [0, 1] with `allow_zero`."""
 
+    def checked(work, x, y):
+        low_ok = (x >= 0 and y >= 0) if allow_zero else (x > 0 and y > 0)
+        if not (low_ok and x <= 1 and y <= 1):
+            raise ValueError("domain error: arguments must lie in (0, 1]")
+        return raw(work, x, y)
 
-def _evaluate(compute, x, y, dps: int, allow_zero: bool = False):
-    """compute(work, x, y) on the unit square, rounded to `dps` digits.
-
-    `work` is the context with GUARD_DIGITS extra digits; x and y arrive as
-    its mpfs, and special functions inside are evaluated at ``work.dps``.
-    """
-    work = context(dps + GUARD_DIGITS)
-    xm, ym = _unit_args(work, x, y, allow_zero)
-    return context(dps).mpf(compute(work, xm, ym))
-
-
-def new_lower_bound(x, y, dps: int = DEFAULT_DPS):
-    """The certified bound ((x+y)/(xy)) (1 - 2xy/(x+y+1))."""
-    return _evaluate(lambda work, x, y: new_bound(x, y), x, y, dps)
-
-
-def ivady_lower(x, y, dps: int = DEFAULT_DPS):
-    """(x + y - xy) / (xy), the classical polynomial lower bound."""
-    return _evaluate(lambda work, x, y: ivady_lower_bound(x, y), x, y, dps)
-
-
-def ivady_upper(x, y, dps: int = DEFAULT_DPS):
-    """(x + y) / (xy (1 + xy)), the matching upper bound."""
-    return _evaluate(lambda work, x, y: ivady_upper_bound(x, y), x, y, dps)
+    return checked
 
 
 def theorem_margin(x, y, dps: int = DEFAULT_DPS):
     """B(x, y) minus the certified lower bound; positive on (0,1]^2."""
-    return _evaluate(
-        lambda work, x, y: beta(x, y, work.dps) - new_bound(x, y), x, y, dps
-    )
+    raw = lambda w, x, y: beta(x, y, w.dps) - new_bound(x, y)
+    return evaluate(_on_unit_square(raw), dps, x, y)
 
 
 def _log_margin(work, x, y):
@@ -163,16 +140,15 @@ def _log_margin(work, x, y):
 
 def big_F(x, y, dps: int = DEFAULT_DPS):
     """The log-scale margin; zero exactly on the x = 0 and y = 0 edges."""
-    return _evaluate(_log_margin, x, y, dps, allow_zero=True)
-
-
-def _dF_dx(work, x, y):
-    return psi(x + 1, work.dps) - psi(x + y + 1, work.dps) + dFdx_rational(x, y)
+    return evaluate(_on_unit_square(_log_margin, allow_zero=True), dps, x, y)
 
 
 def dF_dx(x, y, dps: int = DEFAULT_DPS):
     """psi(x+1) - psi(x+y+1) + 2y(1+y)/((1+x+y)(1+x+y-2xy))."""
-    return _evaluate(_dF_dx, x, y, dps, allow_zero=True)
+    raw = lambda w, x, y: (
+        psi(x + 1, w.dps) - psi(x + y + 1, w.dps) + dFdx_rational(x, y)
+    )
+    return evaluate(_on_unit_square(raw, allow_zero=True), dps, x, y)
 
 
 def dF_dy(x, y, dps: int = DEFAULT_DPS):
@@ -180,22 +156,22 @@ def dF_dy(x, y, dps: int = DEFAULT_DPS):
     return dF_dx(y, x, dps)
 
 
-def _G(work, x, y):
-    return psi(x + 1, work.dps) - psi(y + 1, work.dps) + G_rational(x, y)
-
-
 def big_G(x, y, dps: int = DEFAULT_DPS):
     """dF/dx - dF/dy = psi(x+1) - psi(y+1) - 2(x-y)/(1+x+y-2xy)."""
-    return _evaluate(_G, x, y, dps, allow_zero=True)
-
-
-def _dG_dx(work, x, y):
-    return psi1(x + 1, work.dps) + dGdx_rational(x, y)
+    raw = lambda w, x, y: psi(x + 1, w.dps) - psi(y + 1, w.dps) + G_rational(x, y)
+    return evaluate(_on_unit_square(raw, allow_zero=True), dps, x, y)
 
 
 def dG_dx(x, y, dps: int = DEFAULT_DPS):
     """psi'(x+1) - 2(1+2y-2y^2)/(1+x+y-2xy)^2."""
-    return _evaluate(_dG_dx, x, y, dps, allow_zero=True)
+    raw = lambda w, x, y: psi1(x + 1, w.dps) + dGdx_rational(x, y)
+    return evaluate(_on_unit_square(raw, allow_zero=True), dps, x, y)
+
+
+def _diag_gap(work, x):
+    if not (x > 0 and 1 + 2 * x - 2 * x * x > 0):
+        raise ValueError("domain error: diag_gap requires x > 0 and 1 + 2x - 2x^2 > 0")
+    return _log_margin(work, x, x)
 
 
 def diag_gap(x, dps: int = DEFAULT_DPS):
@@ -204,13 +180,7 @@ def diag_gap(x, dps: int = DEFAULT_DPS):
     Defined while 1 + 2x - 2x^2 > 0, i.e. up to x = (sqrt(3)+1)/2; the
     denominator positivity is checked explicitly before evaluating.
     """
-    work = context(dps + GUARD_DIGITS)
-    xm = to_mpf(work, x)
-    if not xm > 0:
-        raise ValueError("domain error: diag_gap requires x > 0")
-    if not 1 + 2 * xm - 2 * xm * xm > 0:
-        raise ValueError("domain error: diag_gap requires 1 + 2x - 2x^2 > 0")
-    return context(dps).mpf(_log_margin(work, xm, xm))
+    return evaluate(_diag_gap, dps, x)
 
 
 def edge_slope(x, dps: int = DEFAULT_DPS):
@@ -219,9 +189,7 @@ def edge_slope(x, dps: int = DEFAULT_DPS):
     Equals psi'(x+1) - (913+350x-1250x^2)/(2(17+16x-25x^2)^2); the replay
     step ``trapezoid.A.edge-slope-identity`` certifies that rational part.
     """
-    work = context(dps + GUARD_DIGITS)
-    xm = to_mpf(work, x)
-    return dG_dx(xm, xm + to_mpf(work, EDGE_OFFSET), dps)
+    return evaluate(lambda w, x: dG_dx(x, x + to_mpf(w, EDGE_OFFSET), dps), dps, x)
 
 
 @dataclass(frozen=True)
@@ -245,37 +213,22 @@ def remark_sandwich(x, y, dps: int = DEFAULT_DPS) -> RemarkOrdering:
     is at least as strong); for x + y <= 1 the second comparison reverses
     and the new bound is the stronger one.
     """
-    work = context(dps + GUARD_DIGITS)
-    xm, ym = _unit_args(work, x, y)
-    b = beta(xm, ym, work.dps)
-    new = new_bound(xm, ym)
-    iv = ivady_lower_bound(xm, ym)
-    tol = 10 * to_mpf(work, error_budget(dps))
-    equalities = []
-    if xm + ym >= 1:
-        regime = "x+y>=1"
-        first = b - iv
-        second = iv - new
-    else:
-        regime = "x+y<=1"
-        first = b - new
-        second = new - iv
-    ok = first > -tol and second > -tol
-    if abs(first) <= tol:
-        equalities.append("beta == stronger bound")
-    if abs(second) <= tol:
-        equalities.append("bounds coincide")
-    out = context(dps)
-    return RemarkOrdering(
-        x=out.mpf(xm),
-        y=out.mpf(ym),
-        regime=regime,
-        beta=out.mpf(b),
-        new_bound=out.mpf(new),
-        ivady_bound=out.mpf(iv),
-        ok=bool(ok),
-        equalities=tuple(equalities),
-    )
+
+    def compare(work, x, y):
+        b = beta(x, y, work.dps)
+        new = new_bound(x, y)
+        iv = ivady_lower_bound(x, y)
+        if x + y >= 1:
+            regime, first, second = "x+y>=1", b - iv, iv - new
+        else:
+            regime, first, second = "x+y<=1", b - new, new - iv
+        sgn = certified_sign(first, dps), certified_sign(second, dps)
+        labels = ("beta == stronger bound", "bounds coincide")
+        equalities = tuple(k for k, v in zip(labels, sgn) if v == 0)
+        return dict(x=x, y=y, regime=regime, beta=b, new_bound=new, ivady_bound=iv,
+                    ok=min(sgn) >= 0, equalities=equalities)
+
+    return RemarkOrdering(**evaluate(_on_unit_square(compare), dps, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +313,13 @@ def _combine(statuses) -> str:
 
 
 def _hp_status(margin, dps: int) -> str:
-    threshold = 10 * error_budget(dps)
-    if abs(margin) <= threshold:
-        return INCONCLUSIVE
-    return _status(margin > threshold)
+    sign = certified_sign(margin, dps)
+    return INCONCLUSIVE if sign == 0 else _status(sign > 0)
 
 
 def _vanishes(value, dps: int) -> str:
-    """The rule for values that are exactly 0: |value| <= 1e-25."""
-    return _status(abs(value) <= context(dps + GUARD_DIGITS).mpf(10) ** (-25))
+    """The rule for values that are exactly 0: inside the certification band."""
+    return _status(certified_sign(value, dps) == 0)
 
 
 def _sample(fn, points, dps: int, key=None, rule=_hp_status):
@@ -485,8 +436,8 @@ class _Diagonal(_Phase):
     def spots(self):
         spots = [(Fraction(1, 10),), (HALF,), (Fraction(1),), (Fraction(13, 10),)]
         values, status, samples = _sample(diag_gap, spots, self.dps, "{}")
-        work = context(self.dps + GUARD_DIGITS)
-        half_ok = abs(values[1] - work.ln(work.pi / 3)) < 10 * error_budget(self.dps)
+        work = work_context(self.dps)
+        half_ok = certified_sign(values[1] - work.ln(work.pi / 3), self.dps) == 0
         evidence = dict(samples) | {"f(1/2)==log(pi/3)": half_ok}
         return _combine([status, _status(half_ok)]), evidence
 
@@ -651,14 +602,14 @@ class _Strip(_Phase):
         gap = lambda x, y, dps: big_F(x, y, dps) - f[x]
         points = [(x, y) for x in xs for y in (x, HALF, 1 - x)]
         # F(x, x) - f(x) is exactly 0, so the gaps need only be nonnegative
-        nonnegative = lambda value, dps: _status(value > -error_budget(dps))
+        nonnegative = lambda value, dps: _status(certified_sign(value, dps) >= 0)
         _, status, samples = _sample(gap, points, self.dps, rule=nonnegative)
         evidence = {"samples": samples, "depends_on": "diagonal.*, strip.*"}
         return _combine([f_status, status]), evidence
 
 
 def replay_strip(
-    dps: int = DEFAULT_DPS, width: Fraction = Fraction(1, 10**6)
+    dps: int = DEFAULT_DPS, width: Fraction = signs.DEFAULT_WIDTH
 ) -> list[ProofStep]:
     """Certify F(x, y) >= f(x) > 0 on the strip via dF/dy > 0.
 
@@ -1001,7 +952,7 @@ class ProofReport:
 
 
 def replay_all(
-    dps: int = DEFAULT_DPS, width: Fraction = Fraction(1, 10**6)
+    dps: int = DEFAULT_DPS, width: Fraction = signs.DEFAULT_WIDTH
 ) -> ProofReport:
     """Run every step of the proof replay and collect the report."""
     steps = replay_diagonal(dps) + replay_strip(dps, width) + replay_trapezoid(dps)

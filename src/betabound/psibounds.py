@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polys import BiPoly, Poly, RationalFn, as_fraction
-from .specials import DEFAULT_DPS, GUARD_DIGITS, context, psi1, psi2, to_mpf
+from .specials import DEFAULT_DPS, context, evaluate, psi1, psi2, to_mpf
 
 A_SMALL = Fraction(2, 5)
 A_LARGE = Fraction(4, 5)
@@ -111,29 +111,24 @@ def verify_closed_forms() -> bool:
     return not closed_form_mismatches()
 
 
-def _at_work(formula, x, a, dps: int):
-    work = context(dps + GUARD_DIGITS)
-    return context(dps).mpf(formula(to_mpf(work, x), to_mpf(work, a)))
+def _l_raw(work, x, a):
+    w1, w2, c1, c2 = log_arguments(a)
+    return w1 * work.ln(x * x + x + c1) + w2 * work.ln(x * x + x + c2)
 
 
 def l_value(x, a, dps: int = DEFAULT_DPS):
     """Yang's L(x, a) itself (high precision), for x >= 0 and a > 1/15."""
-    work = context(dps + GUARD_DIGITS)
-    w1, w2, c1, c2 = log_arguments(to_mpf(work, a))
-    xm = to_mpf(work, x)
-    return context(dps).mpf(
-        w1 * work.ln(xm * xm + xm + c1) + w2 * work.ln(xm * xm + xm + c2)
-    )
+    return evaluate(_l_raw, dps, x, a)
 
 
 def lx_general(x, a, dps: int = DEFAULT_DPS):
     """L_x(x, a) for any a > 1/15 (high precision)."""
-    return _at_work(yang_lx, x, a, dps)
+    return evaluate(lambda work, x, a: yang_lx(x, a), dps, x, a)
 
 
 def lxx_general(x, a, dps: int = DEFAULT_DPS):
     """L_xx(x, a) for any a > 1/15 (high precision)."""
-    return _at_work(yang_lxx, x, a, dps)
+    return evaluate(lambda work, x, a: yang_lxx(x, a), dps, x, a)
 
 
 def error_budget(dps: int):
@@ -146,26 +141,37 @@ def error_budget(dps: int):
     return context(dps).mpf(10) ** (-min(30, dps - 2))
 
 
+def certified_sign(value, dps: int) -> int:
+    """+1 or -1 when |value| exceeds 10x the error budget, else 0.
+
+    The band |value| <= 10x budget is the package's one certification
+    threshold: a value inside it is indistinguishable from 0 at `dps` digits.
+    """
+    threshold = 10 * error_budget(dps)
+    return (value > threshold) - (value < -threshold)
+
+
+def _sandwich_raw(work, x) -> dict:
+    if not x > 0:
+        raise ValueError("domain error: sandwich bounds require x > 0")
+    p1 = psi1(x + 1, work.dps)
+    p2 = psi2(x + 1, work.dps)
+    small, large = to_mpf(work, A_SMALL), to_mpf(work, A_LARGE)
+    return {
+        "psi1_above_lx45": p1 - yang_lx(x, large),
+        "psi1_below_lx25": yang_lx(x, small) - p1,
+        "psi2_above_lxx25": p2 - yang_lxx(x, small),
+        "psi2_below_lxx45": yang_lxx(x, large) - p2,
+    }
+
+
 def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
     """The four sandwich margins at x > 0 (all positive when the bounds hold).
 
     Keys: lower/upper margins of L_x(., 4/5) < psi'(x+1) < L_x(., 2/5) and
     of L_xx(., 2/5) < psi''(x+1) < L_xx(., 4/5).
     """
-    work = context(dps + GUARD_DIGITS)
-    xm = to_mpf(work, x)
-    if not xm > 0:
-        raise ValueError("domain error: sandwich bounds require x > 0")
-    p1 = psi1(xm + 1, work.dps)
-    p2 = psi2(xm + 1, work.dps)
-    small, large = to_mpf(work, A_SMALL), to_mpf(work, A_LARGE)
-    out = context(dps)
-    return {
-        "psi1_above_lx45": out.mpf(p1 - yang_lx(xm, large)),
-        "psi1_below_lx25": out.mpf(yang_lx(xm, small) - p1),
-        "psi2_above_lxx25": out.mpf(p2 - yang_lxx(xm, small)),
-        "psi2_below_lxx45": out.mpf(yang_lxx(xm, large) - p2),
-    }
+    return evaluate(_sandwich_raw, dps, x)
 
 
 def sandwich_check(x, dps: int = DEFAULT_DPS) -> bool:
@@ -174,11 +180,10 @@ def sandwich_check(x, dps: int = DEFAULT_DPS) -> bool:
     Margins inside the budget band are neither certifiable nor refutable
     and raise instead of guessing.
     """
-    threshold = 10 * error_budget(dps)
-    margins = sandwich_margins(x, dps)
-    if all(m > threshold for m in margins.values()):
+    signs = [certified_sign(m, dps) for m in sandwich_margins(x, dps).values()]
+    if all(sign == 1 for sign in signs):
         return True
-    if any(m < -threshold for m in margins.values()):
+    if -1 in signs:
         return False
     raise ValueError("inconclusive: sandwich margin within the error budget")
 
@@ -200,18 +205,17 @@ def alzer_psi_diff_lower(x, s, n: int, dps: int = DEFAULT_DPS):
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("domain error: n must be a nonnegative integer")
-    exact = isinstance(x, (int, Fraction)) and isinstance(s, (int, Fraction))
-    if exact:
-        xv, sv = as_fraction(x), as_fraction(s)
-    else:
-        work = context(dps + GUARD_DIGITS)
-        xv, sv = to_mpf(work, x), to_mpf(work, s)
-    if not 0 < sv < 1:
-        raise ValueError("domain error: s must lie in (0, 1)")
-    if not xv > 0:
-        raise ValueError("domain error: x must be positive")
-    value = _alzer_sum(xv, sv, n)
-    return value if exact else context(dps).mpf(value)
+
+    def checked(work, x, s):
+        if not 0 < s < 1:
+            raise ValueError("domain error: s must lie in (0, 1)")
+        if not x > 0:
+            raise ValueError("domain error: x must be positive")
+        return _alzer_sum(x, s, n)
+
+    if isinstance(x, (int, Fraction)) and isinstance(s, (int, Fraction)):
+        return checked(None, as_fraction(x), as_fraction(s))
+    return evaluate(checked, dps, x, s)
 
 
 @lru_cache(maxsize=None)

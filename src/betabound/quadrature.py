@@ -14,19 +14,18 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .specials import DEFAULT_DPS, GUARD_DIGITS, context, to_mpf
+from .specials import DEFAULT_DPS, evaluate
 
 
-def _de_sum(node: Callable, dps: int, u_max: float, max_level: int) -> object:
+def _de_sum(work, node: Callable, dps: int, u_max: float, max_level: int) -> object:
     """Halving trapezoid sums of node(u) + node(-u) over the real line.
 
     Each row adds the odd multiples of the new step; a row stops once its
     terms fall below 10^-(dps+5) relative to its running total, or once u
     passes `u_max`, beyond which the transformed integrand is negligible.
     Levels stop when two successive estimates agree to the same target.
-    `node` computes in ``context(dps + GUARD_DIGITS)``.
+    `node` computes in `work`, the working context of a `dps`-digit result.
     """
-    work = context(dps + GUARD_DIGITS)
     target = work.mpf(10) ** (-(dps + 5))
 
     def row(h, only_odd: bool) -> object:
@@ -55,33 +54,32 @@ def _de_sum(node: Callable, dps: int, u_max: float, max_level: int) -> object:
             estimate = new
             break
         estimate = new
-    return context(dps).mpf(estimate)
+    return estimate
 
 
-def tanh_sinh_unit(
-    f: Callable,
-    dps: int = DEFAULT_DPS,
-    max_level: int = 12,
-) -> object:
+def tanh_sinh_unit(f: Callable, dps: int = DEFAULT_DPS, max_level: int = 12) -> object:
     """Integrate f(t, 1-t) over (0, 1) with tanh-sinh node placement.
 
     `f` must accept the node and its complement: near t = 1 the complement
     carries the precision that 1 - t would destroy.
     """
-    work = context(dps + GUARD_DIGITS)
-    pi_half = work.pi / 2
 
-    def node(u):
-        s = pi_half * work.sinh(u)
-        e2s = work.exp(-2 * abs(s))
-        t_small = e2s / (1 + e2s)          # min(t, 1-t), stable for large |s|
-        t_big = 1 / (1 + e2s)
-        t, tc = (t_small, t_big) if s < 0 else (t_big, t_small)
-        weight = work.pi * work.cosh(u) * t * tc
-        return weight * f(t, tc)
+    def integral(work):
+        pi_half = work.pi / 2
 
-    # beyond u = 10 tanh is saturated far beyond working precision
-    return _de_sum(node, dps, 10, max_level)
+        def node(u):
+            s = pi_half * work.sinh(u)
+            e2s = work.exp(-2 * abs(s))
+            t_small = e2s / (1 + e2s)          # min(t, 1-t), stable for large |s|
+            t_big = 1 / (1 + e2s)
+            t, tc = (t_small, t_big) if s < 0 else (t_big, t_small)
+            weight = work.pi * work.cosh(u) * t * tc
+            return weight * f(t, tc)
+
+        # beyond u = 10 tanh is saturated far beyond working precision
+        return _de_sum(work, node, dps, 10, max_level)
+
+    return evaluate(integral, dps)
 
 
 def beta_integral(x, y, dps: int = DEFAULT_DPS) -> object:
@@ -90,15 +88,13 @@ def beta_integral(x, y, dps: int = DEFAULT_DPS) -> object:
     Direct evaluation of int_0^1 t^(x-1) (1-t)^(y-1) dt; independent of the
     gamma-series route.
     """
-    work = context(dps + GUARD_DIGITS)
-    xm, ym = to_mpf(work, x), to_mpf(work, y)
-    if not (xm > 0 and ym > 0):
-        raise ValueError("domain error: beta_integral requires positive arguments")
 
-    def integrand(t, tc):
-        return t ** (xm - 1) * tc ** (ym - 1)
+    def integral(work, x, y):
+        if not (x > 0 and y > 0):
+            raise ValueError("domain error: beta_integral requires positive arguments")
+        return tanh_sinh_unit(lambda t, tc: t ** (x - 1) * tc ** (y - 1), dps)
 
-    return tanh_sinh_unit(integrand, dps)
+    return evaluate(integral, dps, x, y)
 
 
 def gamma_integral(x, dps: int = DEFAULT_DPS, max_level: int = 12) -> object:
@@ -109,15 +105,17 @@ def gamma_integral(x, dps: int = DEFAULT_DPS, max_level: int = 12) -> object:
     in both directions; int_0^infty t^(x-1) e^(-t) dt follows from a plain
     trapezoid sum in u.
     """
-    work = context(dps + GUARD_DIGITS)
-    xm = to_mpf(work, x)
-    if not xm > 0:
-        raise ValueError("domain error: gamma_integral requires a positive argument")
 
-    def node(u):
-        log_t = u - work.exp(-u)            # log of the substituted variable
-        t = work.exp(log_t)
-        jac = t * (1 + work.exp(-u))
-        return work.exp(-t + (xm - 1) * log_t) * jac
+    def integral(work, x):
+        if not x > 0:
+            raise ValueError("domain error: gamma_integral requires x > 0")
 
-    return _de_sum(node, dps, 12, max_level)
+        def node(u):
+            log_t = u - work.exp(-u)            # log of the substituted variable
+            t = work.exp(log_t)
+            jac = t * (1 + work.exp(-u))
+            return work.exp(-t + (x - 1) * log_t) * jac
+
+        return _de_sum(work, node, dps, 12, max_level)
+
+    return evaluate(integral, dps, x)

@@ -9,21 +9,26 @@ the test suite (alongside the quadrature oracles).
 
 Precision contract
 ------------------
-``STIRLING_SHIFT`` and ``STIRLING_TERMS`` are fixed: with the argument
-shifted to ``x >= 40`` and 21 series terms (Bernoulli numbers up to B_42),
-the first omitted series term is below 1e-46 of the result for every
-function here (worst case is the second psi derivative), far inside the
-library's 1e-30 error budget.  Working precision carries ``GUARD_DIGITS``
-extra digits so recurrence accumulation stays below final rounding.
-Results are rounded to the requested ``dps`` digits.  Precision is a
-per-call parameter; no ambient global state is mutated.
+``work_context(dps)`` is the one place the ``GUARD_DIGITS`` extra digits
+are added.  Every public high-precision function of the package runs
+through ``evaluate(raw, dps, *args)``: the arguments become mpfs of the
+working context (a non-finite one is a domain error), ``raw`` checks its
+own domain and computes, and the result is rounded to ``dps`` digits.
+Compositions (F, G, the sandwich margins) call the public functions at
+``work.dps``.  No ambient global state is mutated.
+
+``STIRLING_SHIFT = 40`` and ``STIRLING_TERMS = 21`` (Bernoulli numbers up
+to B_42) put the first omitted series term below 1e-46 of the result for
+every function here (worst case psi''), far inside the 1e-30 error
+budget.  Being fixed, they cap the accuracy at about 1e-53 absolute
+whatever ``dps`` asks for.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from mpmath.ctx_mp import MPContext
@@ -47,6 +52,29 @@ def to_mpf(ctx: MPContext, value):
     if isinstance(value, Fraction):
         return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
     return ctx.mpf(value)
+
+
+def work_context(dps: int) -> MPContext:
+    """The working context of a `dps`-digit evaluation: GUARD_DIGITS extra digits."""
+    return context(dps + GUARD_DIGITS)
+
+
+def evaluate(raw, dps: int, *args):
+    """raw(work, *args) in ``work_context(dps)``, rounded to `dps` digits.
+
+    The arguments arrive as mpfs of `work`, and a non-finite one is a domain
+    error.  A dict result has its mpfs of `work` rounded; other values pass.
+    """
+    work = work_context(dps)
+    values = [to_mpf(work, a) for a in args]
+    if not all(map(work.isfinite, values)):
+        raise ValueError("domain error: arguments must be finite")
+    result = raw(work, *values)
+    out = context(dps)
+    if isinstance(result, dict):
+        return {k: out.mpf(v) if isinstance(v, work.mpf) else v
+                for k, v in result.items()}
+    return out.mpf(result)
 
 
 @lru_cache(maxsize=None)
@@ -80,15 +108,10 @@ def _series_coeffs(dps: int):
     return lgamma, psi, psi1, psi2
 
 
-def _positive_arg(ctx: MPContext, x, name: str):
-    xm = to_mpf(ctx, x)
-    if not xm > 0:
-        raise ValueError(f"domain error: {name} requires a positive argument")
-    return xm
-
-
 def _log_gamma_raw(ctx: MPContext, x):
     """log Gamma via argument shifting plus the Stirling series (ctx mpf in/out)."""
+    if not x > 0:
+        raise ValueError("domain error: the gamma family requires a positive argument")
     prod = None
     while x < STIRLING_SHIFT:
         prod = x if prod is None else prod * x
@@ -110,6 +133,8 @@ def _log_gamma_raw(ctx: MPContext, x):
 
 def _psi_raw(ctx: MPContext, x, order: int):
     """psi (order 0), psi' (order 1) or psi'' (order 2), via shift + series."""
+    if not x > 0:
+        raise ValueError("domain error: the gamma family requires a positive argument")
     correction = ctx.mpf(0)
     while x < STIRLING_SHIFT:
         if order == 0:
@@ -143,16 +168,6 @@ def _psi_raw(ctx: MPContext, x, order: int):
     return result + correction
 
 
-def _evaluate(name: str, raw, dps: int, *args):
-    """raw(work, *args) on positive arguments, rounded to `dps` digits.
-
-    `work` is the context with GUARD_DIGITS extra digits; the arguments
-    arrive as its mpfs.
-    """
-    work = context(dps + GUARD_DIGITS)
-    return context(dps).mpf(raw(work, *(_positive_arg(work, a, name) for a in args)))
-
-
 def _beta_raw(ctx: MPContext, x, y):
     return ctx.exp(
         _log_gamma_raw(ctx, x) + _log_gamma_raw(ctx, y) - _log_gamma_raw(ctx, x + y)
@@ -166,37 +181,37 @@ def _delta_raw(ctx: MPContext, x):
 
 def log_gamma(x, dps: int = DEFAULT_DPS):
     """log Gamma(x) for x > 0, accurate to the documented budget."""
-    return _evaluate("log_gamma", _log_gamma_raw, dps, x)
+    return evaluate(_log_gamma_raw, dps, x)
 
 
 def gamma(x, dps: int = DEFAULT_DPS):
     """Gamma(x) = exp(log_gamma(x)) for x > 0."""
-    return _evaluate("gamma", lambda ctx, t: ctx.exp(_log_gamma_raw(ctx, t)), dps, x)
+    return evaluate(lambda ctx, t: ctx.exp(_log_gamma_raw(ctx, t)), dps, x)
 
 
 def beta(x, y, dps: int = DEFAULT_DPS):
     """Euler beta B(x, y) = exp(lgamma(x) + lgamma(y) - lgamma(x+y))."""
-    return _evaluate("beta", _beta_raw, dps, x, y)
+    return evaluate(_beta_raw, dps, x, y)
 
 
 def psi(x, dps: int = DEFAULT_DPS):
     """Digamma psi(x) for x > 0."""
-    return _evaluate("psi", lambda ctx, t: _psi_raw(ctx, t, 0), dps, x)
+    return evaluate(lambda ctx, t: _psi_raw(ctx, t, 0), dps, x)
 
 
 def psi1(x, dps: int = DEFAULT_DPS):
     """Trigamma psi'(x) for x > 0."""
-    return _evaluate("psi1", lambda ctx, t: _psi_raw(ctx, t, 1), dps, x)
+    return evaluate(lambda ctx, t: _psi_raw(ctx, t, 1), dps, x)
 
 
 def psi2(x, dps: int = DEFAULT_DPS):
     """Tetragamma psi''(x) for x > 0."""
-    return _evaluate("psi2", lambda ctx, t: _psi_raw(ctx, t, 2), dps, x)
+    return evaluate(lambda ctx, t: _psi_raw(ctx, t, 2), dps, x)
 
 
 def delta(x, dps: int = DEFAULT_DPS):
     """The gap 1/x^2 - Gamma(x)^2 / Gamma(2x), defined for x > 0."""
-    return _evaluate("delta", _delta_raw, dps, x)
+    return evaluate(_delta_raw, dps, x)
 
 
 class DeltaMax(NamedTuple):
@@ -204,18 +219,8 @@ class DeltaMax(NamedTuple):
     value: object   # maximum of delta (mpf)
 
 
-def locate_delta_max(dps: int = DEFAULT_DPS, xtol: str = "1e-12") -> DeltaMax:
-    """Maximize delta over x >= 1: coarse scan, then golden-section.
-
-    The maximum is interior and the function is unimodal on the scanned
-    bracket, so a 0.1-step scan over [1, 3] followed by golden-section to
-    `xtol` encloses it.
-    """
-    work = context(dps + GUARD_DIGITS)
-
-    def f(t):
-        return _delta_raw(work, t)
-
+def _delta_max_raw(work: MPContext, xtol: str) -> dict:
+    f = partial(_delta_raw, work)
     grid = [1 + work.mpf(k) / 10 for k in range(0, 21)]  # 1.0, 1.1, ..., 3.0
     values = [f(t) for t in grid]
     best = max(range(len(grid)), key=lambda k: values[k])
@@ -239,6 +244,14 @@ def locate_delta_max(dps: int = DEFAULT_DPS, xtol: str = "1e-12") -> DeltaMax:
             d = a + invphi * (b - a)
             fd = f(d)
     xstar = (a + b) / 2
-    out = context(dps)
-    return DeltaMax(out.mpf(xstar), out.mpf(f(xstar)))
+    return {"x": xstar, "value": f(xstar)}
 
+
+def locate_delta_max(dps: int = DEFAULT_DPS, xtol: str = "1e-12") -> DeltaMax:
+    """Maximize delta over x >= 1: coarse scan, then golden-section.
+
+    The maximum is interior and the function is unimodal on the scanned
+    bracket, so a 0.1-step scan over [1, 3] followed by golden-section to
+    `xtol` encloses it.
+    """
+    return DeltaMax(**evaluate(lambda work: _delta_max_raw(work, xtol), dps))

@@ -23,8 +23,8 @@ from betabound.proof import (
     big_G,
     dF_dx,
     edge_slope,
-    ivady_lower,
-    ivady_upper,
+    ivady_lower_bound,
+    ivady_upper_bound,
     replay_all,
     sweep_theorem,
 )
@@ -142,8 +142,8 @@ def test_criterion_7_theorem_desk_audit():
             assert 0 < f_val < HP.mpf("1e-4")
         # classical two-sided bound attains equality at the (1, 1) corner
         assert abs(beta(1, 1) - 1) < HP.mpf("1e-45")
-        assert abs(ivady_upper(1, 1) - 1) < HP.mpf("1e-45")
-        assert abs(ivady_lower(1, 1) - 1) < HP.mpf("1e-45")
+        assert ivady_upper_bound(F(1), F(1)) == 1
+        assert ivady_lower_bound(F(1), F(1)) == 1
 
 
 def test_criterion_8_property_suites():

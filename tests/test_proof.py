@@ -23,13 +23,10 @@ from betabound.proof import (
     dGdx_rational,
     diag_gap,
     edge_slope,
-    ivady_lower,
     ivady_lower_bound,
-    ivady_upper,
     ivady_upper_bound,
     log_correction,
     new_bound,
-    new_lower_bound,
     remark_sandwich,
     replay_all,
     replay_diagonal,
@@ -185,7 +182,7 @@ class TestSharedFormulas:
 
     def test_wrappers_evaluate_the_shared_formulas(self):
         x, y = F(2, 5), F(3, 4)
-        assert abs(new_lower_bound(x, y) - to_mpf(HP, new_bound(x, y))) < HP.mpf("1e-45")
+        assert new_bound(x, y) == F(713, 258)
         assert abs(edge_slope(F(1, 5)) - dG_dx(F(1, 5), F(14, 25))) < HP.mpf("1e-45")
         assert abs(diag_gap(F(3, 10)) - big_F(F(3, 10), F(3, 10))) < HP.mpf("1e-45")
 
@@ -213,11 +210,11 @@ class TestRemarkOrdering:
 
 class TestBounds:
     def test_ivady_equalities_at_corner(self):
-        assert abs(ivady_upper(1, 1) - 1) < HP.mpf("1e-45")
-        assert abs(ivady_lower(1, 1) - 1) < HP.mpf("1e-45")
+        assert ivady_upper_bound(F(1), F(1)) == 1
+        assert ivady_lower_bound(F(1), F(1)) == 1
 
     def test_new_bound_at_corner(self):
-        assert abs(new_lower_bound(1, 1) - F(2, 3)) < HP.mpf("1e-45")
+        assert new_bound(F(1), F(1)) == F(2, 3)
 
     def test_q1_positive_past_its_root(self):
         assert CAT.q[1](F(1, 4)) > 0

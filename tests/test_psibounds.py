@@ -1,11 +1,13 @@
 """Sandwich bounds, closed-form re-derivation, digamma-difference bound."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+from betabound import psibounds
 from betabound.polys import Poly, RationalFn
 from betabound.psibounds import (
     A_LARGE,
@@ -14,9 +16,11 @@ from betabound.psibounds import (
     PRINTED_LXX,
     alzer_bracket_rf,
     alzer_psi_diff_lower,
+    certified_sign,
     closed_form_mismatches,
     derive_lx,
     derive_lxx,
+    error_budget,
     l_value,
     log_arguments,
     lx_general,
@@ -87,6 +91,15 @@ class TestClosedFormDerivation:
     def test_parameter_domain_guard(self):
         with pytest.raises(ValueError, match="domain error"):
             log_arguments(F(1, 15))
+        for bad in (math.inf, math.nan):
+            for fn in (l_value, lx_general, lxx_general):
+                with pytest.raises(ValueError, match="domain error"):
+                    fn(bad, F(1, 2))
+                with pytest.raises(ValueError, match="domain error"):
+                    fn(F(1, 2), bad)
+            for fn in (sandwich_margins, sandwich_check):
+                with pytest.raises(ValueError, match="domain error"):
+                    fn(bad)
 
     def test_general_parameter_path(self):
         # derivative formulas at a = 2/5 agree with the printed forms
@@ -135,6 +148,25 @@ class TestSandwich:
             assert all(u < v for u, v in zip(lxx_vals, lxx_vals[1:]))
 
 
+class TestCertificationBand:
+    @pytest.mark.parametrize("dps", [30, 50])
+    def test_sign_outside_ten_budgets_and_zero_inside(self, dps):
+        budget = error_budget(dps)
+        assert certified_sign(11 * budget, dps) == 1
+        assert certified_sign(-11 * budget, dps) == -1
+        assert certified_sign(9 * budget, dps) == 0
+        assert certified_sign(-9 * budget, dps) == 0
+
+    def test_sandwich_check_raises_on_a_margin_inside_the_band(self, monkeypatch):
+        budget = error_budget(50)
+        margins = {"certified": 11 * budget, "in_band": 9 * budget}
+        monkeypatch.setattr(psibounds, "sandwich_margins", lambda x, dps: margins)
+        with pytest.raises(ValueError, match="inconclusive"):
+            sandwich_check(1, 50)
+        margins["in_band"] = -11 * budget
+        assert sandwich_check(1, 50) is False
+
+
 class TestAlzerLowerBound:
     def test_empty_sum_reduces(self):
         assert alzer_psi_diff_lower(F(2), F(1, 3), 0) == (1 - F(1, 3)) / (2 + F(1, 3))
@@ -172,3 +204,8 @@ class TestAlzerLowerBound:
             alzer_psi_diff_lower(F(-1), F(1, 2), 1)
         with pytest.raises(ValueError, match="domain error"):
             alzer_psi_diff_lower(F(1), F(1, 2), -2)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="domain error"):
+                alzer_psi_diff_lower(bad, F(1, 2), 3)
+            with pytest.raises(ValueError, match="domain error"):
+                alzer_psi_diff_lower(F(1), bad, 3)

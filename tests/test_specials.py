@@ -1,11 +1,13 @@
 """Special-function accuracy: classical values, recurrences, oracles."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
+from betabound import constants, proof, psibounds
 from betabound.quadrature import beta_integral, gamma_integral, tanh_sinh_unit
 from betabound.specials import (
     beta,
@@ -71,10 +73,63 @@ class TestDomainErrors:
             fn(0)
         with pytest.raises(ValueError, match="domain error"):
             fn(-1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="domain error"):
+                fn(bad)
 
     def test_beta_domain(self):
         with pytest.raises(ValueError, match="domain error"):
             beta(0, 1)
+        with pytest.raises(ValueError, match="domain error"):
+            beta(math.inf, 1)
+        with pytest.raises(ValueError, match="domain error"):
+            beta(1, math.nan)
+
+
+X, Y = F(1, 3), F(3, 4)
+# every public high-precision function, as the list of mpfs it returns
+HIGH_PRECISION = {
+    "log_gamma": lambda d: [log_gamma(X, d)],
+    "gamma": lambda d: [gamma(X, d)],
+    "beta": lambda d: [beta(X, Y, d)],
+    "psi": lambda d: [psi(X, d)],
+    "psi1": lambda d: [psi1(X, d)],
+    "psi2": lambda d: [psi2(X, d)],
+    "delta": lambda d: [delta(X, d)],
+    "locate_delta_max": lambda d: list(locate_delta_max(d)),
+    "tanh_sinh_unit": lambda d: [tanh_sinh_unit(lambda t, tc: t, d)],
+    "beta_integral": lambda d: [beta_integral(X, Y, d)],
+    "gamma_integral": lambda d: [gamma_integral(X, d)],
+    "l_value": lambda d: [psibounds.l_value(X, Y, d)],
+    "lx_general": lambda d: [psibounds.lx_general(X, Y, d)],
+    "lxx_general": lambda d: [psibounds.lxx_general(X, Y, d)],
+    "sandwich_margins": lambda d: list(psibounds.sandwich_margins(X, d).values()),
+    "alzer_psi_diff_lower": lambda d: [psibounds.alzer_psi_diff_lower("0.3", Y, 3, d)],
+    "alpha": lambda d: [constants.alpha(d)],
+    "a1": lambda d: [constants.a1(d)],
+    "a2": lambda d: [constants.a2(d)],
+    "solve_a3": lambda d: [constants.solve_a3(d)],
+    "full_sandwich": lambda d: [v for _, v in constants.full_sandwich(X, d)],
+    "theorem_margin": lambda d: [proof.theorem_margin(X, Y, d)],
+    "big_F": lambda d: [proof.big_F(X, Y, d)],
+    "dF_dx": lambda d: [proof.dF_dx(X, Y, d)],
+    "dF_dy": lambda d: [proof.dF_dy(X, Y, d)],
+    "big_G": lambda d: [proof.big_G(X, Y, d)],
+    "dG_dx": lambda d: [proof.dG_dx(X, Y, d)],
+    "diag_gap": lambda d: [proof.diag_gap(X, d)],
+    "edge_slope": lambda d: [proof.edge_slope(X, d)],
+    "remark_sandwich": lambda d: [
+        getattr(proof.remark_sandwich(X, Y, d), field)
+        for field in ("x", "y", "beta", "new_bound", "ivady_bound")
+    ],
+}
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+@pytest.mark.parametrize("name", sorted(HIGH_PRECISION))
+def test_public_functions_round_to_the_requested_precision(name, dps):
+    values = HIGH_PRECISION[name](dps)
+    assert values and all(isinstance(v, context(dps).mpf) for v in values)
 
 
 class TestQuadratureOracles:
