@@ -134,6 +134,7 @@ def full_sandwich(x, dps: int = DEFAULT_DPS) -> list[tuple[str, object]]:
     Returns labelled values for
     L_x(x,4/5) < L_x(x,a1) < psi'(x+1) < L_x(x,a2) < L_x(x,2/5) and
     L_xx(x,2/5) < L_xx(x,a3) < psi''(x+1) < L_xx(x,a1) < L_xx(x,4/5).
+    x < 0 is a domain error, raised by the first L_x member.
     """
 
     def chain(work, x):

@@ -9,12 +9,24 @@ no floating point enters any operation here.
 Equality of rational functions is decided by cross-multiplication and
 expansion, never by sampling, so a ``True`` from ``RationalFn.equivalent`` is
 a certificate.  Polynomial division/GCD is deliberately not implemented.
+
+Products run over integers: each operand is scaled once to integer
+numerators over the lcm of its denominators, the numerators are convolved
+as Python ints, and each output coefficient is one ``Fraction(n, D1 * D2)``
+(zeros dropped), so the stored coefficients stay canonical Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
+
+
+def _scaled(values: Collection[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of `values` over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
 
 
 def as_fraction(value) -> Fraction:
@@ -44,6 +56,13 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @staticmethod
+    def _wrap(coeffs: tuple) -> "Poly":
+        """A Poly over canonical Fractions with a nonzero last entry, as is."""
+        p = object.__new__(Poly)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -134,13 +153,16 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        left, left_den = _scaled(self.coeffs)
+        right, right_den = _scaled(other.coeffs)
+        out = [0] * (len(left) + len(right) - 1)
+        for i, a in enumerate(left):
+            if a:
+                for j, b in enumerate(right):
+                    out[i + j] += a * b
+        den = left_den * right_den
+        # both leading coefficients are nonzero, so the product's is too
+        return Poly._wrap(tuple(Fraction(n, den) for n in out))
 
     __rmul__ = __mul__
 
@@ -226,6 +248,13 @@ class BiPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("BiPoly is immutable")
+
+    @staticmethod
+    def _wrap(terms: dict) -> "BiPoly":
+        """A BiPoly over nonzero canonical Fractions with int keys, as is."""
+        p = object.__new__(BiPoly)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     # -- constructors ---------------------------------------------------
 
@@ -313,12 +342,18 @@ class BiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        left, left_den = _scaled(self.terms.values())
+        right, right_den = _scaled(other.terms.values())
+        right = list(zip(other.terms, right))
         out: dict = {}
-        for (i1, j1), a in self.terms.items():
-            for (i2, j2), b in other.terms.items():
+        for (i1, j1), a in zip(self.terms, left):
+            for (i2, j2), b in right:
                 key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return BiPoly(out)
+                out[key] = out.get(key, 0) + a * b
+        den = left_den * right_den
+        return BiPoly._wrap(
+            {key: Fraction(n, den) for key, n in out.items() if n}
+        )
 
     __rmul__ = __mul__
 

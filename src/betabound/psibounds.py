@@ -111,7 +111,15 @@ def verify_closed_forms() -> bool:
     return not closed_form_mismatches()
 
 
+def _nonnegative(x):
+    """x itself; L and its derivatives are only defined for x >= 0."""
+    if not x >= 0:
+        raise ValueError("domain error: L requires x >= 0")
+    return x
+
+
 def _l_raw(work, x, a):
+    x = _nonnegative(x)
     w1, w2, c1, c2 = log_arguments(a)
     return w1 * work.ln(x * x + x + c1) + w2 * work.ln(x * x + x + c2)
 
@@ -122,13 +130,13 @@ def l_value(x, a, dps: int = DEFAULT_DPS):
 
 
 def lx_general(x, a, dps: int = DEFAULT_DPS):
-    """L_x(x, a) for any a > 1/15 (high precision)."""
-    return evaluate(lambda work, x, a: yang_lx(x, a), dps, x, a)
+    """L_x(x, a) for x >= 0 and any a > 1/15 (high precision)."""
+    return evaluate(lambda work, x, a: yang_lx(_nonnegative(x), a), dps, x, a)
 
 
 def lxx_general(x, a, dps: int = DEFAULT_DPS):
-    """L_xx(x, a) for any a > 1/15 (high precision)."""
-    return evaluate(lambda work, x, a: yang_lxx(x, a), dps, x, a)
+    """L_xx(x, a) for x >= 0 and any a > 1/15 (high precision)."""
+    return evaluate(lambda work, x, a: yang_lxx(_nonnegative(x), a), dps, x, a)
 
 
 def error_budget(dps: int):

@@ -1,12 +1,19 @@
 """CLI: exit codes, report determinism, CSV contract, env overrides."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import betabound
+from betabound import specials
 from betabound.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -20,6 +27,7 @@ from betabound.proof import (
     ivady_lower_bound,
     new_bound,
 )
+from betabound.specials import context, locate_delta_max
 
 
 def run(argv, env=None):
@@ -52,6 +60,26 @@ class TestConfig:
         assert code == EXIT_CONFIG
 
 
+# sha256 of the replay report at each precision
+REPORT_SHA256 = {
+    "50": "9326e9ff8e527df69353a3973358fb03f7b026202473ae7748237b19cdbd1342",
+    "30": "a8b0eda313ddeae0ffa9ce136571b5b2f8a7dcce4637b2ad180bf38a98cb529d",
+}
+# replays at each precision in turn in one process, writing DIR/<k>.json; the
+# last line is the total kernel cache misses after each replay
+REPLAY_SEQUENCE = """
+import sys
+from betabound import cli, specials
+out_dir, *precisions = sys.argv[1:]
+misses = []
+for k, precision in enumerate(precisions):
+    cli.main(["replay", "--precision", precision, "--out", f"{out_dir}/{k}.json"])
+    kernels = (specials._log_gamma_raw, specials._psi_raw)
+    misses.append(sum(kernel.cache_info().misses for kernel in kernels))
+print(*misses)
+"""
+
+
 class TestReplayCommand:
     def test_exit_zero_and_report(self, tmp_path):
         out_path = tmp_path / "report.json"
@@ -73,6 +101,28 @@ class TestReplayCommand:
         run(["replay", "--out", str(a)])
         run(["replay", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("order", [("50", "30", "50"), ("30", "50", "30")])
+    def test_report_bytes_with_cold_and_warm_kernel_cache(self, tmp_path, order):
+        # a fresh interpreter starts with empty kernel caches: its first replay
+        # runs cold, the second at another precision shares no cache key with
+        # it, and the third repeats the first on warm caches
+        src = str(Path(betabound.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run(
+            [sys.executable, "-c", REPLAY_SEQUENCE, str(tmp_path), *order],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        for k, precision in enumerate(order):
+            report = (tmp_path / f"{k}.json").read_bytes()
+            assert hashlib.sha256(report).hexdigest() == REPORT_SHA256[precision]
+        misses = done.stdout.splitlines()[-1].split()
+        assert misses[2] == misses[1]  # the warm replay computed nothing new
+
+    def test_kernel_caches_are_bounded(self):
+        for kernel in (specials._log_gamma_raw, specials._psi_raw):
+            assert kernel.cache_info().maxsize == specials.KERNEL_CACHE_SIZE
 
     def test_coarse_width_gives_inconclusive_step(self, tmp_path, capsys):
         # at width 1/10 the q-root enclosures overlap and cannot be ordered
@@ -121,6 +171,11 @@ class TestRootsCommand:
         assert all(r["digits_certified"] for r in payload["roots"])
 
 
+@pytest.fixture(scope="module")
+def reference_maximizer():
+    return locate_delta_max(100, "1e-40").x
+
+
 class TestConstantsCommand:
     def test_prints_reference_digits(self):
         code, text = run(["constants"])
@@ -129,6 +184,14 @@ class TestConstantsCommand:
             assert ref in text
         assert "matches=True" in text
         assert "matches=False" not in text
+
+    @pytest.mark.parametrize("precision", ["30", "50", "100"])
+    def test_printed_maximizer_digits_are_correct(self, precision, reference_maximizer):
+        code, text = run(["constants", "--precision", precision])
+        assert code == EXIT_OK
+        printed = text.split("delta maximizer location: ")[1].strip()
+        ctx = context(25)
+        assert printed == ctx.nstr(ctx.mpf(reference_maximizer), 20)
 
     def test_json_format(self):
         code, text = run(["constants", "--format", "json"])

@@ -1,6 +1,9 @@
 """Named constants against their reference digits and defining equations."""
 
+from fractions import Fraction
+
 import mpmath
+import pytest
 
 from betabound.constants import (
     REFERENCE_DIGITS,
@@ -71,6 +74,16 @@ def test_full_sandwich_strictly_ordered():
         second = [v for _, v in chain[5:]]
         assert all(u < v for u, v in zip(first, first[1:]))
         assert all(u < v for u, v in zip(second, second[1:]))
+
+
+def test_full_sandwich_domain():
+    for x in (Fraction(-1, 2), "-1e-40"):
+        with pytest.raises(ValueError, match="domain error"):
+            full_sandwich(x, 30)
+    # x = 0 is inside: there L_xx(0, a3) = psi''(1) defines a3
+    chain = dict(full_sandwich(0, 30))
+    assert len(chain) == 10
+    assert all(context(30).isfinite(v) for v in chain.values())
 
 
 def test_constants_independent_of_request_order():

@@ -1,5 +1,6 @@
 """Exact polynomial algebra: worked values, ring laws, serialization."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -204,3 +205,70 @@ def test_rationalfn_equivalence_under_common_factor(num, den, s):
     assert f.equivalent(g)
     assert g.equivalent(f)
     assert f.equivalent(f)
+
+
+# mixed denominators, both signs, and explicit zeros (a product can also cancel)
+coeffs_mixed = st.one_of(
+    st.just(F(0)), st.fractions(min_value=-6, max_value=6, max_denominator=12)
+)
+polys_mixed = st.lists(coeffs_mixed, max_size=6).map(Poly)
+bipolys_mixed = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), coeffs_mixed, max_size=7
+).map(BiPoly)
+
+
+def schoolbook_poly(p, q):
+    out = [F(0)] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
+def schoolbook_bipoly(p, q):
+    out = {}
+    for (i1, j1), a in p.terms.items():
+        for (i2, j2), b in q.terms.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, F(0)) + a * b
+    return BiPoly(out)
+
+
+def assert_reduced(c):
+    assert type(c) is F
+    assert c.denominator > 0
+    assert math.gcd(c.numerator, c.denominator) == 1
+
+
+@settings(deadline=None)
+@given(polys_mixed, polys_mixed)
+def test_poly_product_matches_fraction_schoolbook(p, q):
+    # (p + q)(p - q) cancels its cross terms inside the convolution
+    for left, right in ((p, q), (p + q, p - q)):
+        product, expected = left * right, schoolbook_poly(left, right)
+        assert product.coeffs == expected.coeffs
+        assert product.to_json() == expected.to_json()
+        assert not product.coeffs or product.coeffs[-1] != 0
+        for c in product.coeffs:
+            assert_reduced(c)
+
+
+@settings(deadline=None)
+@given(bipolys_mixed, bipolys_mixed)
+def test_bipoly_product_matches_fraction_schoolbook(p, q):
+    for left, right in ((p, q), (p + q, p - q)):
+        product, expected = left * right, schoolbook_bipoly(left, right)
+        assert product.terms == expected.terms
+        assert product.to_json() == expected.to_json()
+        for c in product.terms.values():
+            assert c != 0
+            assert_reduced(c)
+
+
+def test_product_with_cancellation_and_zero():
+    x, y = BiPoly.x(), BiPoly.y()
+    half = F(1, 2)
+    assert (x * half - y / 3) * (x * half + y / 3) == x * x / 4 - y * y / 9
+    assert (x - y) * BiPoly() == BiPoly()
+    assert (X / 2 - F(1, 3)) * Poly() == Poly()
+    assert (X / 2 - F(1, 3)) * (X / 2 + F(1, 3)) == Poly((F(-1, 9), 0, F(1, 4)))

@@ -88,6 +88,20 @@ class TestClosedFormDerivation:
                 as_mpf = formula(to_mpf(HP, x), to_mpf(HP, a))
                 assert abs(as_mpf - to_mpf(HP, exact)) < HP.mpf("1e-55")
 
+    @pytest.mark.parametrize("fn", [l_value, lx_general, lxx_general])
+    def test_domain_boundaries(self, fn):
+        for x in (-1, F(-1, 2), "-1e-40"):
+            with pytest.raises(ValueError, match="domain error"):
+                fn(x, F(1, 2), 30)
+        for a in (F(1, 15), F(1, 20), 0, -1):
+            with pytest.raises(ValueError, match="domain error"):
+                fn(F(1, 2), a, 30)
+        # x = 0 (solve_a3 evaluates L_xx there) and a just above 1/15 are inside
+        ctx = context(30)
+        for a in (F(1, 2), F(1, 15) + F(1, 10**9)):
+            assert ctx.isfinite(fn(0, a, 30))
+            assert ctx.isfinite(fn("1e-40", a, 30))
+
     def test_parameter_domain_guard(self):
         with pytest.raises(ValueError, match="domain error"):
             log_arguments(F(1, 15))
