@@ -263,12 +263,19 @@ def _delta_max_raw(work: MPContext, xtol: str) -> dict:
     return {"x": xstar, "value": f(xstar)}
 
 
-def locate_delta_max(dps: int = DEFAULT_DPS, xtol: str = "1e-22") -> DeltaMax:
+def locate_delta_max(dps: int = DEFAULT_DPS, xtol: str | None = None) -> DeltaMax:
     """Maximize delta over x >= 1: coarse scan, then golden-section.
 
     The maximum is interior and the function is unimodal on the scanned
     bracket, so a 0.1-step scan over [1, 3] followed by golden-section to
-    `xtol` encloses it.  The default `xtol` keeps all 20 digits that
-    ``betabound constants`` prints correct from 30 digits up.
+    `xtol` encloses it.  The default `xtol` is 10^-floor((dps + GUARD_DIGITS)
+    / 2): delta is flat at its maximum, so near it delta(x) moves by about
+    (x - x*)^2 and comparisons in the working context resolve x only to
+    about the square root of its epsilon.  The value is then correct to
+    `dps` digits and the location to about half as many; at 30 digits the
+    default is 1e-22, which keeps all 20 digits that ``betabound
+    constants`` prints correct.
     """
+    if xtol is None:
+        xtol = f"1e-{(dps + GUARD_DIGITS) // 2}"
     return DeltaMax(**evaluate(lambda work: _delta_max_raw(work, xtol), dps))

@@ -211,6 +211,15 @@ class TestDelta:
         value = locate_delta_max().value
         assert abs(value - HP.mpf("0.08731986118214561")) < HP.mpf("1e-14")
 
+    @pytest.mark.parametrize("dps", [50, 100])
+    def test_default_tolerance_follows_precision(self, dps):
+        # a fixed 1e-22 leaves the value wrong from about the 47th digit
+        result = locate_delta_max(dps)
+        reference = locate_delta_max(dps, "1e-60")
+        assert abs(result.value - reference.value) < psibounds.error_budget(dps)
+        assert abs(result.value - reference.value) < HP.mpf(10) ** -dps
+        assert abs(result.x - reference.x) < HP.mpf(10) ** -(dps // 2)
+
     def test_maximizer_location_exposed(self):
         result = locate_delta_max()
         assert 2.3 < result.x < 2.34
