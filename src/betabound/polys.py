@@ -2,9 +2,18 @@
 
 The rational scalar type is ``fractions.Fraction`` (always canonical:
 positive denominator, gcd-reduced).  On top of it this module provides
-immutable univariate polynomials (``Poly``), sparse bivariate polynomials
+immutable univariate polynomials (``Poly``), bivariate polynomials
 (``BiPoly``) and formal quotients (``RationalFn``).  Everything is exact;
 no floating point enters any operation here.
+
+Both polynomial types are stored one way, sparsely: ``terms`` maps each
+exponent to its coefficient, a nonzero canonical Fraction, and the zero
+polynomial has no terms.  The exponent is an ``int`` for ``Poly`` and an
+``(i, j)`` pair for ``BiPoly``.  The ring operations (``+``, ``-``, ``*``,
+``**``, division by a scalar, ``==`` and hashing) are written once, in the
+private base ``_Sparse``, which needs from each type only how its exponents
+add.  The two rings never mix: ``Poly + BiPoly`` raises ``TypeError``, and
+``RationalFn`` lifts a ``Poly`` into the bivariate ring where it must.
 
 Equality of rational functions is decided by cross-multiplication and
 expansion, never by sampling, so a ``True`` from ``RationalFn.equivalent`` is
@@ -18,9 +27,11 @@ as Python ints, and each output coefficient is one ``Fraction(n, D1 * D2)``
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 def _scaled(values: Collection[Fraction]) -> tuple[list[int], int]:
@@ -38,138 +49,113 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-class Poly:
-    """Univariate polynomial; ``coeffs[k]`` is the degree-k coefficient.
+def _horner(coeffs: Sequence, x):
+    """sum(coeffs[k] * x**k) by Horner's rule; a str `x` is read as a Fraction."""
+    if isinstance(x, str):
+        x = Fraction(x)
+    acc = None
+    for c in reversed(coeffs):
+        acc = c if acc is None else acc * x + c
+    if acc is None:
+        return Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
+    return acc
 
-    Trailing zero coefficients are stripped on construction, so the leading
-    coefficient is nonzero unless the polynomial is zero (empty tuple).
-    Instances are immutable values: share them freely.
+
+def _coerced(op):
+    """Binary method `op` on ``self._coerce(other)``; NotImplemented if None."""
+
+    @functools.wraps(op)
+    def method(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else op(self, other)
+
+    return method
+
+
+class _Sparse:
+    """Ring arithmetic shared by ``Poly`` and ``BiPoly``.
+
+    ``terms`` maps exponents to nonzero canonical Fractions.  A subclass sets
+    ``ONE`` (the exponent of the constant term), ``_add`` (which adds two
+    exponents) and ``__mul__ = __rmul__``.  Instances are immutable values.
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ("terms",)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @staticmethod
-    def _wrap(coeffs: tuple) -> "Poly":
-        """A Poly over canonical Fractions with a nonzero last entry, as is."""
-        p = object.__new__(Poly)
-        object.__setattr__(p, "coeffs", coeffs)
+    @classmethod
+    def _wrap(cls, terms: dict):
+        """An instance over `terms` as is: nonzero canonical Fractions."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", terms)
         return p
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly((0, 1))
-
-    @staticmethod
-    def const(c) -> "Poly":
-        return Poly((c,))
-
-    # -- structure ----------------------------------------------------
+    @classmethod
+    def const(cls, c):
+        c = as_fraction(c)
+        return cls._wrap({cls.ONE: c} if c else {})
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
+    @_coerced
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly((other,))
-        return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
-
-    def __repr__(self):
-        if self.is_zero:
-            return "Poly(0)"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(f"{c}")
-            elif k == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{k}")
-        return "Poly(" + " + ".join(parts) + ")"
+        return hash((type(self).__name__, frozenset(self.terms.items())))
 
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Poly):
+        """`other` as an element of this ring, or None if it is not one."""
+        if isinstance(other, type(self)):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly((other,))
+            return self.const(other)
         return None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            (self.coefficient(k) + other.coefficient(k) for k in range(n))
-        )
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            total = out.pop(key, 0) + c
+            if total:
+                out[key] = total
+        return self._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly((-c for c in self.coeffs))
+        return self._wrap({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        left, left_den = _scaled(self.coeffs)
-        right, right_den = _scaled(other.coeffs)
-        out = [0] * (len(left) + len(right) - 1)
-        for i, a in enumerate(left):
-            if a:
-                for j, b in enumerate(right):
-                    out[i + j] += a * b
+        add = self._add
+        left, left_den = _scaled(self.terms.values())
+        right, right_den = _scaled(other.terms.values())
+        right = list(zip(other.terms, right))
+        out: dict = {}
+        for e1, a in zip(self.terms, left):
+            for e2, b in right:
+                key = add(e1, e2)
+                out[key] = out.get(key, 0) + a * b
         den = left_den * right_den
-        # both leading coefficients are nonzero, so the product's is too
-        return Poly._wrap(tuple(Fraction(n, den) for n in out))
-
-    __rmul__ = __mul__
+        return self._wrap({key: Fraction(n, den) for key, n in out.items() if n})
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = Poly((1,))
+        result = self.const(1)
         base = self
         while n:
             if n & 1:
@@ -181,39 +167,78 @@ class Poly:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             inv = Fraction(1) / as_fraction(other)
-            return Poly((c * inv for c in self.coeffs))
-        if isinstance(other, Poly):
+            return self._wrap({key: c * inv for key, c in self.terms.items()})
+        if isinstance(other, type(self)):
             return RationalFn(self, other)
         return NotImplemented
 
+    @_coerced
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFn(Poly((other,)), self)
-        return NotImplemented
+        return RationalFn(other, self)
+
+
+class Poly(_Sparse):
+    """Univariate polynomial; ``terms`` maps the power of x to its coefficient.
+
+    ``coeffs`` is a read-only dense view: ``coeffs[k]`` is the degree-k
+    coefficient, and the last entry is nonzero (the zero polynomial gives
+    the empty tuple).
+    """
+
+    __slots__ = ()
+    ONE = 0
+    _add = staticmethod(operator.add)
+    # own class entries rather than inherited ones, so that each ring's
+    # product can be wrapped on its own (perfbench/spans.py hooks them)
+    __mul__ = __rmul__ = _Sparse.__mul__
+
+    def __init__(self, coeffs: Iterable = ()):
+        terms = {k: c for k, c in enumerate(map(as_fraction, coeffs)) if c}
+        object.__setattr__(self, "terms", terms)
+
+    @staticmethod
+    def x() -> "Poly":
+        return Poly((0, 1))
+
+    @property
+    def coeffs(self) -> tuple:
+        zero = Fraction(0)
+        return tuple([self.terms.get(k, zero) for k in range(self.degree + 1)])
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return max(self.terms, default=-1)
+
+    def coefficient(self, k: int) -> Fraction:
+        return self.terms.get(k, Fraction(0))
+
+    def __repr__(self):
+        if self.is_zero:
+            return "Poly(0)"
+        parts = []
+        for k, c in sorted(self.terms.items()):
+            if k == 0:
+                parts.append(f"{c}")
+            elif k == 1:
+                parts.append(f"{c}*x")
+            else:
+                parts.append(f"{c}*x^{k}")
+        return "Poly(" + " + ".join(parts) + ")"
 
     # -- evaluation and calculus ---------------------------------------
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int arguments."""
-        if isinstance(x, str):
-            x = Fraction(x)
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
-        return acc
+        return _horner(self.coeffs, x)
 
     def derivative(self) -> "Poly":
         """Formal derivative with exact coefficients."""
-        return Poly((k * c for k, c in enumerate(self.coeffs) if k > 0))
+        return Poly._wrap({k - 1: k * c for k, c in self.terms.items() if k})
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)), expanded exactly (Horner over the polynomial ring)."""
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly((c,))
-        return acc
+        return _horner([Poly.const(c) for c in self.coeffs], inner)
 
     # -- serialization --------------------------------------------------
 
@@ -225,38 +250,28 @@ class Poly:
         return Poly(Fraction(c) for c in obj["coeffs"])
 
 
-class BiPoly:
-    """Sparse bivariate polynomial: map (x-degree, y-degree) -> coefficient.
+class BiPoly(_Sparse):
+    """Bivariate polynomial; ``terms`` maps (x-degree, y-degree) to its coefficient.
 
-    Zero coefficients are never stored.  Degrees in this library stay small
-    (well under 30 per variable), so sparsity is the only tuning needed.
+    Degrees in this library stay small (well under 30 per variable), so
+    sparsity is the only tuning needed.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping = ()):
-        clean = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for (i, j), c in items:
-            c = as_fraction(c)
-            if c != 0:
-                key = (int(i), int(j))
-                clean[key] = clean.get(key, Fraction(0)) + c
-        object.__setattr__(
-            self, "terms", {k: v for k, v in clean.items() if v != 0}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BiPoly is immutable")
+    __slots__ = ()
+    ONE = (0, 0)
+    __mul__ = __rmul__ = _Sparse.__mul__  # own entries, as in Poly
 
     @staticmethod
-    def _wrap(terms: dict) -> "BiPoly":
-        """A BiPoly over nonzero canonical Fractions with int keys, as is."""
-        p = object.__new__(BiPoly)
-        object.__setattr__(p, "terms", terms)
-        return p
+    def _add(a: tuple, b: tuple) -> tuple:
+        return (a[0] + b[0], a[1] + b[1])
 
-    # -- constructors ---------------------------------------------------
+    def __init__(self, terms: Mapping = ()):
+        clean: dict = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        for (i, j), c in items:
+            key = (int(i), int(j))
+            clean[key] = clean.get(key, 0) + as_fraction(c)
+        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c})
 
     @staticmethod
     def x() -> "BiPoly":
@@ -267,18 +282,10 @@ class BiPoly:
         return BiPoly({(0, 1): 1})
 
     @staticmethod
-    def const(c) -> "BiPoly":
-        return BiPoly({(0, 0): c})
-
-    @staticmethod
     def from_x_poly(p: Poly) -> "BiPoly":
-        return BiPoly({(k, 0): c for k, c in enumerate(p.coeffs)})
+        return BiPoly._wrap({(k, 0): c for k, c in p.terms.items()})
 
     # -- structure --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def degree_x(self) -> int:
@@ -288,16 +295,6 @@ class BiPoly:
     def degree_y(self) -> int:
         return max((j for _, j in self.terms), default=-1)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == BiPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("BiPoly", tuple(sorted(self.terms.items()))))
-
     def __repr__(self):
         if self.is_zero:
             return "BiPoly(0)"
@@ -306,124 +303,27 @@ class BiPoly:
         ]
         return "BiPoly(" + " + ".join(bits) + ")"
 
-    # -- ring operations ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BiPoly.const(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        left, left_den = _scaled(self.terms.values())
-        right, right_den = _scaled(other.terms.values())
-        right = list(zip(other.terms, right))
-        out: dict = {}
-        for (i1, j1), a in zip(self.terms, left):
-            for (i2, j2), b in right:
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + a * b
-        den = left_den * right_den
-        return BiPoly._wrap(
-            {key: Fraction(n, den) for key, n in out.items() if n}
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        result = BiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            inv = Fraction(1) / as_fraction(other)
-            return BiPoly({k: c * inv for k, c in self.terms.items()})
-        if isinstance(other, BiPoly):
-            return RationalFn(self, other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFn(BiPoly.const(other), self)
-        return NotImplemented
-
     # -- evaluation and calculus ---------------------------------------------
 
     def y_coefficients(self) -> list[Poly]:
         """Coefficient polynomials in x, indexed by the power of y."""
-        out: list[list] = [[] for _ in range(self.degree_y + 1)]
+        rows: list[dict] = [{} for _ in range(self.degree_y + 1)]
         for (i, j), c in self.terms.items():
-            row = out[j]
-            while len(row) <= i:
-                row.append(Fraction(0))
-            row[i] += c
-        return [Poly(row) for row in out]
+            rows[j][i] = c
+        return [Poly._wrap(row) for row in rows]
 
     def __call__(self, x, y):
         """Evaluate via Horner in y over the x-coefficient polynomials."""
-        if isinstance(x, str):
-            x = Fraction(x)
-        if isinstance(y, str):
-            y = Fraction(y)
-        coeffs = [p(x) for p in self.y_coefficients()]
-        acc = None
-        for c in reversed(coeffs):
-            acc = c if acc is None else acc * y + c
-        if acc is None:
-            return Fraction(0) if isinstance(y, (int, Fraction)) else 0 * y
-        return acc
-
-    def partial_x(self) -> "BiPoly":
-        return BiPoly(
-            {(i - 1, j): i * c for (i, j), c in self.terms.items() if i > 0}
-        )
+        return _horner([p(x) for p in self.y_coefficients()], y)
 
     def partial_y(self) -> "BiPoly":
-        return BiPoly(
-            {(i, j - 1): j * c for (i, j), c in self.terms.items() if j > 0}
+        return BiPoly._wrap(
+            {(i, j - 1): j * c for (i, j), c in self.terms.items() if j}
         )
 
     def substitute_y(self, p: Poly) -> Poly:
-        """Replace y by a polynomial in x; the result is univariate in x."""
-        out = Poly()
-        for q, cp in zip(self.y_coefficients(), _powers(p, self.degree_y)):
-            out = out + q * cp
-        return out
+        """Replace y by a polynomial in x (Horner in y); the result is in x."""
+        return _horner(self.y_coefficients(), p)
 
     # -- serialization -----------------------------------------------------
 
@@ -438,13 +338,6 @@ class BiPoly:
         return BiPoly({(i, j): Fraction(c) for i, j, c in obj["terms"]})
 
 
-def _powers(p: Poly, top: int) -> list[Poly]:
-    out = [Poly((1,))]
-    for _ in range(top):
-        out.append(out[-1] * p)
-    return out
-
-
 class RationalFn:
     """Formal quotient of two polynomials (both Poly, or both BiPoly).
 
@@ -453,21 +346,22 @@ class RationalFn:
     """
 
     __slots__ = ("num", "den")
+    # immutability and subtraction (as + and unary -) do not depend on the ring
+    __setattr__ = _Sparse.__setattr__
+    __sub__ = _Sparse.__sub__
+    __rsub__ = _Sparse.__rsub__
 
     def __init__(self, num, den):
-        num, den = _promote_pair(num, den)
+        ring = BiPoly if BiPoly in (type(num), type(den)) else Poly
+        num, den = _promote(num, ring), _promote(den, ring)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
-
     @staticmethod
     def from_ring(elem) -> "RationalFn":
-        one = Poly((1,)) if isinstance(elem, Poly) else BiPoly.const(1)
-        return RationalFn(elem, one)
+        return RationalFn(elem, 1)
 
     def __repr__(self):
         return f"RationalFn({self.num!r}, {self.den!r})"
@@ -477,15 +371,12 @@ class RationalFn:
     def _coerce(self, other):
         if isinstance(other, RationalFn):
             return other
-        if isinstance(other, (int, Fraction, Poly, BiPoly)):
-            promoted = _promote_scalar(other, like=self.num)
-            return RationalFn.from_ring(promoted)
+        if isinstance(other, (int, Fraction, _Sparse)):
+            return RationalFn(_promote(other, type(self.num)), 1)
         return None
 
+    @_coerced
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return RationalFn(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -495,33 +386,18 @@ class RationalFn:
     def __neg__(self):
         return RationalFn(-self.num, self.den)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
+    @_coerced
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return RationalFn(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return RationalFn(self.num * other.den, self.den * other.num)
 
+    @_coerced
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other / self
 
     # -- equivalence and evaluation -----------------------------------------
@@ -562,27 +438,12 @@ class RationalFn:
         return RationalFn(n.partial_y() * d - n * d.partial_y(), d * d)
 
 
-def _promote_scalar(value, like):
-    """Lift a scalar or mismatched polynomial into the ring of `like`."""
-    if isinstance(like, BiPoly):
-        if isinstance(value, BiPoly):
-            return value
-        if isinstance(value, Poly):
-            return BiPoly.from_x_poly(value)
-        return BiPoly.const(value)
-    if isinstance(value, Poly):
+def _promote(value, ring):
+    """`value` (a scalar, Poly or BiPoly) lifted into `ring`, Poly or BiPoly."""
+    if isinstance(value, ring):
         return value
     if isinstance(value, (int, Fraction)):
-        return Poly((value,))
-    raise TypeError(f"cannot mix {type(value).__name__} with Poly")
-
-
-def _promote_pair(num, den):
-    if isinstance(num, BiPoly) or isinstance(den, BiPoly):
-        num = _promote_scalar(num, like=BiPoly.const(0))
-        den = _promote_scalar(den, like=BiPoly.const(0))
-    else:
-        num = _promote_scalar(num, like=Poly())
-        den = _promote_scalar(den, like=Poly())
-    return num, den
-
+        return ring.const(value)
+    if ring is BiPoly and isinstance(value, Poly):
+        return BiPoly.from_x_poly(value)
+    raise TypeError(f"cannot mix {type(value).__name__} with {ring.__name__}")

@@ -54,7 +54,6 @@ class Enclosure:
 @dataclass(frozen=True)
 class SignReport:
     pattern: SignPattern
-    crossing: Optional[Enclosure] = None
     certificate: Optional[tuple[Fraction, Fraction]] = None  # (point, value)
     note: str = ""
 
@@ -82,12 +81,16 @@ def classify(p: Poly) -> SignPattern:
     return SignPattern(kind, split)
 
 
-def _require(p: Poly, kind: PatternKind) -> None:
-    got = classify(p).kind
-    if got is not kind:
+def _require(p: Poly, *kinds: PatternKind) -> SignPattern:
+    """The pattern of `p`, which must be one of `kinds`."""
+    pattern = classify(p)
+    if pattern.kind not in kinds:
+        expected = " or ".join(kind.value for kind in kinds)
         raise ValueError(
-            f"criterion inapplicable: expected {kind.value} pattern, got {got.value}"
+            f"criterion inapplicable: expected {expected} pattern, "
+            f"got {pattern.kind.value}"
         )
+    return pattern
 
 
 def positive_below(p: Poly, x1) -> bool:
@@ -120,11 +123,7 @@ def positive_above(p: Poly, x2) -> bool:
 
 def report_positive_below(p: Poly, x1) -> SignReport:
     """positive_below with the exact evaluation recorded as a certificate."""
-    pattern = classify(p)
-    if pattern.kind is not PatternKind.PN:
-        raise ValueError(
-            f"criterion inapplicable: expected PN pattern, got {pattern.kind.value}"
-        )
+    pattern = _require(p, PatternKind.PN)
     point = as_fraction(x1)
     value = p(point)
     note = "boundary root" if value == 0 else ""
@@ -140,7 +139,7 @@ def isolate_crossing(p: Poly, lo, hi, width=DEFAULT_WIDTH) -> Enclosure:
     lo, hi, width = as_fraction(lo), as_fraction(hi), as_fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    _require_crossing_kind(p)
+    _require(p, PatternKind.PN, PatternKind.NP)
     flo, fhi = p(lo), p(hi)
     if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
         raise ValueError("no bracket: endpoint signs are not strictly opposite")
@@ -160,14 +159,6 @@ def isolate_crossing(p: Poly, lo, hi, width=DEFAULT_WIDTH) -> Enclosure:
         else:
             hi, fhi = mid, fm
     return Enclosure(lo, hi)
-
-
-def _require_crossing_kind(p: Poly) -> None:
-    kind = classify(p).kind
-    if kind not in (PatternKind.PN, PatternKind.NP):
-        raise ValueError(
-            f"criterion inapplicable: expected PN or NP pattern, got {kind.value}"
-        )
 
 
 def verify_root_ordering(enclosures: Sequence[Enclosure]) -> bool:

@@ -244,7 +244,9 @@ def _delta_max_raw(work: MPContext, xtol: str) -> dict:
         raise RuntimeError("delta maximum did not bracket inside the scan")
     lo, hi = grid[best - 1], grid[best + 1]
 
-    tol = work.mpf(xtol)
+    # a few ulps near the bracket: below that the golden-section points stop
+    # moving, so a smaller caller-given xtol would never be reached
+    tol = max(work.mpf(xtol), 8 * hi * work.eps)
     invphi = (work.sqrt(5) - 1) / 2
     a, b = lo, hi
     c = b - invphi * (b - a)

@@ -220,6 +220,11 @@ class TestDelta:
         assert abs(result.value - reference.value) < HP.mpf(10) ** -dps
         assert abs(result.x - reference.x) < HP.mpf(10) ** -(dps // 2)
 
+    def test_tolerance_below_working_precision_returns(self):
+        # 1e-60 is below the spacing of 45 working digits near x = 2.32
+        result = locate_delta_max(30, "1e-60")
+        assert abs(result.value - locate_delta_max(30).value) < HP.mpf(10) ** -30
+
     def test_maximizer_location_exposed(self):
         result = locate_delta_max()
         assert 2.3 < result.x < 2.34
