@@ -8,10 +8,15 @@ constants  print the named constants next to their reference digits
 bounds     print both sandwich chains at a point (--x)
 sweep      grid audit of the bound; write the CSV and print min margins
 
-Common flags: --precision, --grid, --width, --out, --format.  Environment
-variables with the ``BETABOUND_`` prefix (PRECISION, GRID, WIDTH, OUT,
-FORMAT) supply defaults; explicit flags win.  Exit codes: 0 success,
-1 verification failure, 2 configuration error, 3 I/O failure.
+``OPTIONS`` declares each option once (converter and check, default, help)
+and ``COMMANDS`` each subcommand (runner, help, the options it reads); any
+other flag is a configuration error.  An option's ``BETABOUND_`` variable
+(PRECISION, GRID, WIDTH, OUT, FORMAT) is its default, so one converter
+checks flag and variable alike and a variable applies only where its option
+does; explicit flags win.  Every configuration error reaches ``main`` as a
+``ConfigError``.  A runner hands (payload, text) to one writer, the only
+reader of ``--format``.  Exit codes: 0 success, 1 verification failure,
+2 configuration error, 3 I/O failure.
 
 Reports carry no timestamps, so two runs with the same configuration
 produce byte-identical output.
@@ -21,13 +26,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from . import proof, signs
-from .catalogue import load_catalogue
 from .constants import (
     REFERENCE_DIGITS,
     agrees_with_printed,
@@ -49,115 +52,54 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    precision_digits: int = DEFAULT_DPS
-    grid_n: int = 1000
-    enclosure_width: Fraction = signs.DEFAULT_WIDTH
-    output_path: Optional[str] = None
-    format: str = "text"
-
-    def validate(self) -> None:
-        if self.precision_digits < 30:
-            raise ConfigError("precision must be >= 30 digits")
-        if self.grid_n < 2:
-            raise ConfigError("grid_n must be >= 2")
-        if self.enclosure_width <= 0:
-            raise ConfigError("enclosure width must be positive")
-        if self.format not in ("json", "text"):
-            raise ConfigError("format must be one of json, text")
-
-
-def _env(environ, name: str) -> Optional[str]:
-    return environ.get(ENV_PREFIX + name)
-
-
-def config_from_args(args, environ) -> RunConfig:
-    cfg = RunConfig()
-    prec = args.precision if args.precision is not None else _env(environ, "PRECISION")
-    grid = args.grid if args.grid is not None else _env(environ, "GRID")
-    width = args.width if args.width is not None else _env(environ, "WIDTH")
-    out = args.out if args.out is not None else _env(environ, "OUT")
-    fmt = args.format if args.format is not None else _env(environ, "FORMAT")
-    try:
-        if prec is not None:
-            cfg = replace(cfg, precision_digits=int(prec))
-        if grid is not None:
-            cfg = replace(cfg, grid_n=int(grid))
-        if width is not None:
-            cfg = replace(cfg, enclosure_width=Fraction(str(width)))
-        if out is not None:
-            cfg = replace(cfg, output_path=str(out))
-        if fmt is not None:
-            cfg = replace(cfg, format=str(fmt))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad option value: {exc}") from exc
-    cfg.validate()
-    return cfg
-
-
 def _decimal(value, digits: int = 20) -> str:
     ctx = context(digits + 5)
     return ctx.nstr(to_mpf(ctx, value), digits)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each hands its (payload, text) to ``emit``, returns the exit code
 # ---------------------------------------------------------------------------
 
 
-def cmd_replay(cfg: RunConfig, stdout) -> int:
-    report = proof.replay_all(
-        dps=cfg.precision_digits, width=cfg.enclosure_width
+def cmd_replay(args, emit) -> int:
+    report = proof.replay_all(dps=args.precision, width=args.width)
+    payload = report.to_json_obj()
+    out_path = args.out or "replay_report.json"
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(_json(payload))
+    lines = [f"[{step.status:>12}] {step.id}\n" for step in report.steps]
+    counts = report.counts
+    lines.append(
+        f"steps: {len(report.steps)}  verified: {counts['verified']}  "
+        f"failed: {counts['failed']}  inconclusive: {counts['inconclusive']}\n"
+        f"report written to {out_path}\n"
     )
-    payload = json.dumps(report.to_json_obj(), indent=2) + "\n"
-    out_path = cfg.output_path or "replay_report.json"
-    try:
-        _write_text(out_path, payload)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if cfg.format == "json":
-        stdout.write(payload)
-    else:
-        for step in report.steps:
-            stdout.write(f"[{step.status:>12}] {step.id}\n")
-        counts = report.counts
-        stdout.write(
-            f"steps: {len(report.steps)}  verified: {counts['verified']}  "
-            f"failed: {counts['failed']}  inconclusive: {counts['inconclusive']}\n"
-        )
-        stdout.write(f"report written to {out_path}\n")
+    emit(payload, "".join(lines))
     if not report.all_verified:
         print("failed steps: " + ", ".join(report.failed_ids), file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
 
-def cmd_roots(cfg: RunConfig, stdout) -> int:
-    cat = load_catalogue()
-    enclosures = [
-        signs.isolate_crossing(cat.q[k], 0, Fraction(1, 2), cfg.enclosure_width)
-        for k in range(1, 6)
-    ]
+def cmd_roots(args, emit) -> int:
+    enclosures = proof.q_root_enclosures(args.width)
     checks = [
         signs.check_printed_digits(enc, ref)
         for enc, ref in zip(enclosures, ROOT_REFERENCE_DIGITS)
     ]
     rows = []
     for k, (enc, chk) in enumerate(zip(enclosures, checks), start=1):
-        mid = (enc.lo + enc.hi) / 2
         rows.append(
             {
                 "root": f"x{k}",
                 "lo": str(enc.lo),
                 "hi": str(enc.hi),
-                "decimal": _decimal(mid),
+                "decimal": _decimal((enc.lo + enc.hi) / 2),
                 "reference": chk.prefix,
                 "digits_certified": chk.certified,
                 "digits_consistent": chk.consistent,
@@ -170,18 +112,14 @@ def cmd_roots(cfg: RunConfig, stdout) -> int:
         ordering = None
         ordering_note = "ordering unverified at this width"
 
-    if cfg.format == "json":
-        stdout.write(
-            json.dumps({"roots": rows, "ordering": ordering_note}, indent=2) + "\n"
-        )
-    else:
-        for row in rows:
-            stdout.write(
-                f"{row['root']}: {row['decimal']}  (reference {row['reference']})  "
-                f"enclosure [{row['lo']}, {row['hi']}]  "
-                f"certified={row['digits_certified']}\n"
-            )
-        stdout.write(f"ordering: {ordering_note}\n")
+    lines = [
+        f"{row['root']}: {row['decimal']}  (reference {row['reference']})  "
+        f"enclosure [{row['lo']}, {row['hi']}]  "
+        f"certified={row['digits_certified']}\n"
+        for row in rows
+    ]
+    lines.append(f"ordering: {ordering_note}\n")
+    emit({"roots": rows, "ordering": ordering_note}, "".join(lines))
 
     if any(not c.consistent for c in checks):
         print("reference digits fall outside an enclosure", file=sys.stderr)
@@ -192,8 +130,8 @@ def cmd_roots(cfg: RunConfig, stdout) -> int:
     return EXIT_OK
 
 
-def cmd_constants(cfg: RunConfig, stdout) -> int:
-    consts = compute_constants(cfg.precision_digits)
+def cmd_constants(args, emit) -> int:
+    consts = compute_constants(args.precision)
     values = {
         "alpha": consts.alpha,
         "beta": consts.beta_const,
@@ -202,12 +140,10 @@ def cmd_constants(cfg: RunConfig, stdout) -> int:
         "a3": consts.a3,
         "alzer_max": consts.alzer_max,
     }
-    ok = True
     rows = []
     for name, value in values.items():
         ref = REFERENCE_DIGITS.get(name, "")
         matches = agrees_with_printed(value, ref) if ref else True
-        ok = ok and matches
         rows.append(
             {
                 "name": name,
@@ -216,66 +152,39 @@ def cmd_constants(cfg: RunConfig, stdout) -> int:
                 "matches": matches,
             }
         )
-    if cfg.format == "json":
-        stdout.write(json.dumps({"constants": rows}, indent=2) + "\n")
-    else:
-        for row in rows:
-            stdout.write(
-                f"{row['name']:>10} = {row['value']:<26} "
-                f"reference {row['reference']}  matches={row['matches']}\n"
-            )
-        stdout.write(f"delta maximizer location: {_decimal(consts.delta_argmax)}\n")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    lines = [
+        f"{row['name']:>10} = {row['value']:<26} "
+        f"reference {row['reference']}  matches={row['matches']}\n"
+        for row in rows
+    ]
+    lines.append(f"delta maximizer location: {_decimal(consts.delta_argmax)}\n")
+    emit({"constants": rows}, "".join(lines))
+    return EXIT_OK if all(row["matches"] for row in rows) else EXIT_VERIFY_FAILED
 
 
-def _parse_point(text: str):
-    if "/" in text:
-        return Fraction(text)
-    return context(60).mpf(text)
-
-
-def cmd_bounds(cfg: RunConfig, x_text: str, stdout) -> int:
-    try:
-        point = _parse_point(x_text)
-        if not (point > 0 and context(60).isfinite(point)):
-            raise ConfigError("--x must be a positive finite number")
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    chain = full_sandwich(point, cfg.precision_digits)
+def cmd_bounds(args, emit) -> int:
+    chain = full_sandwich(args.x, args.precision)
     first, second = chain[:5], chain[5:]
-    ordered = all(a[1] < b[1] for a, b in zip(first, first[1:])) and all(
-        a[1] < b[1] for a, b in zip(second, second[1:])
-    )
-    if cfg.format == "json":
-        payload = {
-            "x": str(point),
-            "chain": [{"label": lab, "value": _decimal(val)} for lab, val in chain],
-            "ordered": ordered,
-        }
-        stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        stdout.write(f"sandwich chains at x = {point}\n")
-        for lab, val in first:
-            stdout.write(f"  {lab:<14} {_decimal(val)}\n")
-        stdout.write("\n")
-        for lab, val in second:
-            stdout.write(f"  {lab:<14} {_decimal(val)}\n")
-        stdout.write(f"strict ordering: {ordered}\n")
+    ordered = all(a[1] < b[1] for c in (first, second) for a, b in zip(c, c[1:]))
+    payload = {
+        "x": str(args.x),
+        "chain": [{"label": lab, "value": _decimal(val)} for lab, val in chain],
+        "ordered": ordered,
+    }
+    lines = [f"sandwich chains at x = {args.x}\n"]
+    lines += [f"  {lab:<14} {_decimal(val)}\n" for lab, val in first]
+    lines.append("\n")
+    lines += [f"  {lab:<14} {_decimal(val)}\n" for lab, val in second]
+    lines.append(f"strict ordering: {ordered}\n")
+    emit(payload, "".join(lines))
     return EXIT_OK if ordered else EXIT_VERIFY_FAILED
 
 
-def cmd_sweep(cfg: RunConfig, stdout) -> int:
-    out_path = cfg.output_path or "sweep.csv"
-    try:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(proof.CSV_HEADER_LINE)
-            result = proof.sweep_theorem(
-                cfg.grid_n, dps=cfg.precision_digits, row_sink=fh.write
-            )
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+def cmd_sweep(args, emit) -> int:
+    out_path = args.out or "sweep.csv"
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(proof.CSV_HEADER_LINE)
+        result = proof.sweep_theorem(args.grid, dps=args.precision, row_sink=fh.write)
     summary = {
         "grid_n": result.grid_n,
         "rows": result.rows_written,
@@ -289,25 +198,19 @@ def cmd_sweep(cfg: RunConfig, stdout) -> int:
         "hp_agrees": result.hp_agrees,
         "csv": out_path,
     }
-    if cfg.format == "json":
-        stdout.write(json.dumps(summary, indent=2) + "\n")
-    else:
-        stdout.write(
-            f"grid {result.grid_n}x{result.grid_n}: min new-bound margin "
-            f"{result.min_margin_new:.6e} at {result.argmin_new}\n"
-        )
-        stdout.write(
-            f"min ivady margin {result.min_margin_ivady:.6e}; "
-            f"min alzer margin {result.min_margin_alzer:.6e} "
-            f"(interior cells; alpha = {summary['alpha']})\n"
-        )
-        stdout.write(
-            f"classical bounds equal beta exactly on x = 1 and y = 1: "
-            f"{result.classical_edges_exact}; "
-            f"high-precision check of worst cell: {result.hp_min_margin} "
-            f"(agrees={result.hp_agrees})\n"
-        )
-        stdout.write(f"csv written to {out_path}\n")
+    text = (
+        f"grid {result.grid_n}x{result.grid_n}: min new-bound margin "
+        f"{result.min_margin_new:.6e} at {result.argmin_new}\n"
+        f"min ivady margin {result.min_margin_ivady:.6e}; "
+        f"min alzer margin {result.min_margin_alzer:.6e} "
+        f"(interior cells; alpha = {summary['alpha']})\n"
+        f"classical bounds equal beta exactly on x = 1 and y = 1: "
+        f"{result.classical_edges_exact}; "
+        f"high-precision check of worst cell: {result.hp_min_margin} "
+        f"(agrees={result.hp_agrees})\n"
+        f"csv written to {out_path}\n"
+    )
+    emit(summary, text)
     if result.min_margin_new <= 0 or not result.hp_agrees:
         print("sweep found a nonpositive margin", file=sys.stderr)
         return EXIT_VERIFY_FAILED
@@ -319,67 +222,122 @@ def cmd_sweep(cfg: RunConfig, stdout) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--precision", type=int, default=None,
-                        help="working precision in decimal digits "
-                        f"(>= 30, default {DEFAULT_DPS})")
-    common.add_argument("--grid", type=int, default=None,
-                        help="sweep grid size per axis (default 1000)")
-    common.add_argument("--width", default=None,
-                        help="root enclosure width, e.g. 1e-6 or 1/1000000")
-    common.add_argument("--out", default=None, help="output path for report/CSV")
-    common.add_argument("--format", default=None, choices=("json", "text"),
-                        help="stdout format (default text)")
+def _checked(parse, ok, message: str):
+    """An argparse ``type``: parse the text, then require ``ok(value)``."""
 
-    parser = argparse.ArgumentParser(
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"bad option value: {exc}") from exc
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return convert
+
+
+def _parse_point(text: str):
+    if "/" in text:
+        return Fraction(text)
+    return context(60).mpf(text)
+
+
+# add_argument keywords of each option; the BETABOUND_ variable of an option
+# with a default replaces that default (argparse converts a str default with
+# the option's type, so the variable is checked where the flag is)
+OPTIONS = {
+    "precision": dict(
+        type=_checked(int, lambda d: d >= 30, "precision must be >= 30 digits"),
+        default=DEFAULT_DPS,
+        help=f"working precision in decimal digits (>= 30, default {DEFAULT_DPS})",
+    ),
+    "grid": dict(
+        type=_checked(int, lambda n: n >= 2, "grid must be >= 2"),
+        default=1000,
+        help="sweep grid size per axis (>= 2, default 1000)",
+    ),
+    "width": dict(
+        type=_checked(Fraction, lambda w: w > 0, "enclosure width must be positive"),
+        default=signs.DEFAULT_WIDTH,
+        help="root enclosure width, e.g. 1e-6 or 1/1000000",
+    ),
+    "out": dict(default=None, help="output path for report/CSV"),
+    "format": dict(
+        type=_checked(str, lambda fmt: fmt in ("json", "text"),
+                      "format must be one of json, text"),
+        default="text",
+        metavar="{json,text}",
+        help="stdout format (default text)",
+    ),
+    "x": dict(
+        type=_checked(_parse_point, lambda p: p > 0 and context(60).isfinite(p),
+                      "--x must be a positive finite number"),
+        required=True,
+        help="evaluation point (> 0), rational like 1/2 or decimal",
+    ),
+}
+
+# name -> (runner, help, the options it reads)
+COMMANDS = {
+    "replay": (cmd_replay, "replay every proof step and write the JSON report",
+               ("precision", "width", "out", "format")),
+    "roots": (cmd_roots, "enclose the five q-polynomial roots", ("width", "format")),
+    "constants": (cmd_constants, "print the named constants with reference digits",
+                  ("precision", "format")),
+    "bounds": (cmd_bounds, "print the sandwich chains at a point",
+               ("precision", "format", "x")),
+    "sweep": (cmd_sweep, "grid audit of the bound; writes CSV",
+              ("precision", "grid", "out", "format")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ConfigError`` where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def build_parser(environ) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="betabound",
         description="Certify the rational lower bound for Euler's beta "
         "function on (0,1]^2 step by step.",
-        epilog="Each flag falls back to an environment variable with the "
-        "BETABOUND_ prefix (PRECISION, GRID, WIDTH, OUT, FORMAT); "
-        "explicit flags win.",
+        epilog="An option falls back to its environment variable with the "
+        "BETABOUND_ prefix (PRECISION, GRID, WIDTH, OUT, FORMAT) in the "
+        "subcommands that take it; explicit flags win.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("replay", parents=[common],
-                   help="replay every proof step and write the JSON report")
-    sub.add_parser("roots", parents=[common],
-                   help="enclose the five q-polynomial roots")
-    sub.add_parser("constants", parents=[common],
-                   help="print the named constants with reference digits")
-    bounds = sub.add_parser("bounds", parents=[common],
-                            help="print the sandwich chains at a point")
-    bounds.add_argument("--x", required=True, help="evaluation point (> 0)")
-    sub.add_parser("sweep", parents=[common],
-                   help="grid audit of the bound; writes CSV")
+    for name, (run, help_text, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option in options:
+            spec = OPTIONS[option]
+            if "default" in spec:
+                default = environ.get(ENV_PREFIX + option.upper(), spec["default"])
+                spec = dict(spec, default=default)
+            command.add_argument("--" + option, **spec)
+        command.set_defaults(run=run)
     return parser
 
 
 def main(argv=None, environ=None, stdout=None) -> int:
-    import os
-
     environ = os.environ if environ is None else environ
     stdout = sys.stdout if stdout is None else stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = config_from_args(args, environ)
+        args = build_parser(environ).parse_args(argv)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.command == "replay":
-        return cmd_replay(cfg, stdout)
-    if args.command == "roots":
-        return cmd_roots(cfg, stdout)
-    if args.command == "constants":
-        return cmd_constants(cfg, stdout)
-    if args.command == "bounds":
-        return cmd_bounds(cfg, args.x, stdout)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, stdout)
-    parser.error(f"unknown command {args.command}")
-    return EXIT_CONFIG
+    def emit(payload, text: str) -> None:
+        stdout.write(_json(payload) if args.format == "json" else text)
+
+    try:
+        return args.run(args, emit)
+    except OSError as exc:
+        print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

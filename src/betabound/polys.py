@@ -155,14 +155,12 @@ class _Sparse:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = self.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if n < 2:
+            return self if n == 1 else self.const(1)
+        # (p**(n//2))**2, times p for odd n: never a product with the constant 1
+        square = self ** (n // 2)
+        square = square * square
+        return square * self if n & 1 else square
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

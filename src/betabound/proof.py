@@ -483,6 +483,11 @@ def _q_sign_vectors(enclosures, right: Fraction) -> tuple[list[str], dict]:
     return vectors, dict(patterns)
 
 
+def q_root_enclosures(width) -> list[signs.Enclosure]:
+    """Enclosures of the crossing roots of q1..q5 in [0, 1/2], bisected to ``width``."""
+    return [signs.isolate_crossing(q, 0, HALF, width) for q in load_catalogue().q[1:]]
+
+
 class _Strip(_Phase):
     STEPS: list = []
 
@@ -490,9 +495,7 @@ class _Strip(_Phase):
         super().__init__(dps)
         self.cat = load_catalogue()
         self.width = width
-        self.enclosures = [
-            signs.isolate_crossing(q, 0, HALF, width) for q in self.cat.q[1:]
-        ]
+        self.enclosures = q_root_enclosures(width)
         # the inner factor of Q(x, 1 - x)
         self.inner = 7137 + (1 - _T) * (24365 + 375 * _T**2) + 5300 * _T**2
 

@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from betabound.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
-    RunConfig,
+    build_parser,
     main,
 )
 from betabound.proof import (
@@ -36,24 +38,76 @@ def run(argv, env=None):
     return code, out.getvalue()
 
 
+# the options each subcommand takes; every other flag is a configuration error
+OPTIONS_TAKEN = {
+    "replay": {"--precision", "--width", "--out", "--format"},
+    "roots": {"--width", "--format"},
+    "constants": {"--precision", "--format"},
+    "bounds": {"--precision", "--format", "--x"},
+    "sweep": {"--grid", "--precision", "--out", "--format"},
+}
+VALID_VALUE = {"--precision": "50", "--grid": "5", "--width": "1e-6",
+               "--out": "unused.out", "--format": "text", "--x": "1/2"}
+# each flag a subcommand does not take, with a value valid where it is taken
+UNREAD_FLAG_ARGVS = [
+    [command, flag, VALID_VALUE[flag], *(["--x", "1"] if command == "bounds" else [])]
+    for command, taken in OPTIONS_TAKEN.items()
+    for flag in sorted(set(VALID_VALUE) - taken)
+]
+
+
 class TestConfig:
     def test_defaults(self):
-        cfg = RunConfig()
-        cfg.validate()
-        assert cfg.precision_digits == 50
-        assert cfg.grid_n == 1000
+        parser = build_parser({})
+        sweep = parser.parse_args(["sweep"])
+        assert (sweep.precision, sweep.grid, sweep.format) == (50, 1000, "text")
+        assert parser.parse_args(["roots"]).width == Fraction(1, 10**6)
 
-    def test_precision_floor(self):
-        with pytest.raises(ValueError, match="precision"):
-            RunConfig(precision_digits=10).validate()
+    @pytest.mark.parametrize("command, flag, value", [
+        ("constants", "--precision", "10"),
+        ("sweep", "--grid", "1"),
+        ("roots", "--width", "0"),
+        ("roots", "--format", "yaml"),
+    ], ids=["precision", "grid", "width", "format"])
+    def test_bad_value_same_message_from_flag_and_env(self, command, flag, value, capsys):
+        assert run([command, flag, value]) == (EXIT_CONFIG, "")
+        from_flag = capsys.readouterr().err
+        env = {"BETABOUND_" + flag[2:].upper(): value}
+        assert run([command], env=env) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == from_flag
+        assert from_flag.startswith(f"configuration error: argument {flag}: ")
 
-    def test_grid_floor(self):
-        with pytest.raises(ValueError, match="grid_n"):
-            RunConfig(grid_n=1).validate()
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["bounds"], ["roots", "--bogus"], ["sweep", "--grid"],
+        ["sweep", "--grid", "abc"], ["roots", "--width", "1/0"], *UNREAD_FLAG_ARGVS,
+    ])
+    def test_bad_invocation_returns_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, env", [
+        (["constants"], {"BETABOUND_GRID": "1"}),
+        (["roots"], {"BETABOUND_PRECISION": "10"}),
+        (["sweep", "--grid", "5"], {"BETABOUND_WIDTH": "0"}),
+    ])
+    def test_unread_variable_ignored(self, command, env, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(command, env=env)[0] == EXIT_OK
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS_TAKEN))
+    def test_help_lists_only_the_options_taken(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"], environ={}, stdout=io.StringIO())
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"}
+        assert listed == OPTIONS_TAKEN[command]
 
     def test_bad_width(self):
-        code, _ = run(["sweep", "--width", "0"])
-        assert code == EXIT_CONFIG
+        for command in ("roots", "replay"):
+            code, _ = run([command, "--width", "0"])
+            assert code == EXIT_CONFIG
 
     def test_grid_one_exits_2(self):
         code, _ = run(["sweep", "--grid", "1"])
@@ -305,9 +359,8 @@ class TestSweepCommand:
 
 def test_unknown_format_rejected():
     for fmt in ("yaml", "csv"):
-        with pytest.raises(SystemExit) as exc:  # argparse choice error
-            main(["replay", "--format", fmt], environ={}, stdout=io.StringIO())
-        assert exc.value.code == EXIT_CONFIG
+        code, _ = run(["replay", "--format", fmt])
+        assert code == EXIT_CONFIG
 
 
 def test_env_format_validated():

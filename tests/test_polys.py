@@ -301,3 +301,21 @@ def test_traced_methods_are_own_class_entries():
     assert "__call__" in vars(Poly) and "__mul__" in vars(Poly)
     assert "__mul__" in vars(BiPoly)
     assert "equivalent" in vars(RationalFn)
+
+
+def test_power_takes_square_and_multiply_products(monkeypatch):
+    # (x + 1)**k needs one square per bit below the highest set bit and one
+    # product per other set bit: 0, 0, 1, 2, 2, 3 for k = 0..5
+    products = []
+    multiply = Poly.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for k, expected in enumerate((0, 0, 1, 2, 2, 3)):
+        products.clear()
+        power = (X + 1) ** k
+        assert len(products) == expected
+        assert power == Poly([math.comb(k, i) for i in range(k + 1)])
