@@ -31,13 +31,9 @@ from .psibounds import alzer_psi_diff_lower, sandwich_check, verify_closed_forms
 from .signs import (
     Enclosure,
     PatternKind,
-    SignPattern,
-    SignReport,
     classify,
     isolate_crossing,
-    negative_above,
     negative_below,
-    positive_above,
     positive_below,
     verify_root_ordering,
 )
@@ -55,8 +51,6 @@ __all__ = [
     "ProofReport",
     "ProofStep",
     "RationalFn",
-    "SignPattern",
-    "SignReport",
     "alzer_psi_diff_lower",
     "beta",
     "big_F",
@@ -68,9 +62,7 @@ __all__ = [
     "isolate_crossing",
     "load_catalogue",
     "log_gamma",
-    "negative_above",
     "negative_below",
-    "positive_above",
     "positive_below",
     "psi",
     "psi1",

@@ -31,6 +31,9 @@ from .specials import (
     to_mpf,
 )
 
+# bracket width at which solve_a3 stops bisecting; fixed, whatever the precision
+A3_TOL = "1e-15"
+
 REFERENCE_DIGITS = {
     "alpha": "2.57973",
     "a1": "0.79003",
@@ -72,8 +75,8 @@ def a2(dps: int = DEFAULT_DPS):
     return evaluate(raw, dps)
 
 
-def solve_a3(dps: int = DEFAULT_DPS, tol: str = "1e-15"):
-    """The unique solution of L_xx(0, a) = psi''(1), by bisection.
+def solve_a3(dps: int = DEFAULT_DPS):
+    """The unique solution of L_xx(0, a) = psi''(1), by bisection to ``A3_TOL``.
 
     a -> L_xx(0, a) is increasing on (1/15, oo), so the root in (1/15, 2)
     is unique and plain bisection on the sign of the difference converges.
@@ -92,8 +95,8 @@ def solve_a3(dps: int = DEFAULT_DPS, tol: str = "1e-15"):
             raise RuntimeError(
                 "no sign change on the a3 bracket (indicates an implementation bug)"
             )
-        tol_m = work.mpf(tol)
-        while hi - lo > tol_m:
+        tol = work.mpf(A3_TOL)
+        while hi - lo > tol:
             mid = (lo + hi) / 2
             if gap(mid) < 0:
                 lo = mid
@@ -156,6 +159,7 @@ def full_sandwich(x, dps: int = DEFAULT_DPS) -> list[tuple[str, object]]:
 
 
 __all__ = [
+    "A3_TOL",
     "REFERENCE_DIGITS",
     "NamedConstants",
     "a1",

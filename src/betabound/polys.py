@@ -50,9 +50,7 @@ def as_fraction(value) -> Fraction:
 
 
 def _horner(coeffs: Sequence, x):
-    """sum(coeffs[k] * x**k) by Horner's rule; a str `x` is read as a Fraction."""
-    if isinstance(x, str):
-        x = Fraction(x)
+    """sum(coeffs[k] * x**k) by Horner's rule."""
     acc = None
     for c in reversed(coeffs):
         acc = c if acc is None else acc * x + c
@@ -240,9 +238,6 @@ class Poly(_Sparse):
 
     # -- serialization --------------------------------------------------
 
-    def to_json(self, var: str = "x") -> dict:
-        return {"var": var, "coeffs": [str(c) for c in self.coeffs]}
-
     @staticmethod
     def from_json(obj: Mapping) -> "Poly":
         return Poly(Fraction(c) for c in obj["coeffs"])
@@ -286,10 +281,6 @@ class BiPoly(_Sparse):
     # -- structure --------------------------------------------------------
 
     @property
-    def degree_x(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
-
-    @property
     def degree_y(self) -> int:
         return max((j for _, j in self.terms), default=-1)
 
@@ -325,12 +316,6 @@ class BiPoly(_Sparse):
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> dict:
-        terms = [
-            [i, j, str(c)] for (i, j), c in sorted(self.terms.items())
-        ]
-        return {"terms": terms}
-
     @staticmethod
     def from_json(obj: Mapping) -> "BiPoly":
         return BiPoly({(i, j): Fraction(c) for i, j, c in obj["terms"]})
@@ -356,10 +341,6 @@ class RationalFn:
             raise ZeroDivisionError("rational function with zero denominator")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def from_ring(elem) -> "RationalFn":
-        return RationalFn(elem, 1)
 
     def __repr__(self):
         return f"RationalFn({self.num!r}, {self.den!r})"

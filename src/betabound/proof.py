@@ -56,7 +56,7 @@ from .specials import (
     to_mpf,
     work_context,
 )
-from . import signs
+from . import constants, signs
 
 # ---------------------------------------------------------------------------
 # formulas, written once as plain arithmetic: floats, mpfs and Fractions give
@@ -149,11 +149,6 @@ def dF_dx(x, y, dps: int = DEFAULT_DPS):
         psi(x + 1, w.dps) - psi(x + y + 1, w.dps) + dFdx_rational(x, y)
     )
     return evaluate(_on_unit_square(raw, allow_zero=True), dps, x, y)
-
-
-def dF_dy(x, y, dps: int = DEFAULT_DPS):
-    """psi(y+1) - psi(x+y+1) + 2x(1+x)/((1+x+y)(1+x+y-2xy))."""
-    return dF_dx(y, x, dps)
 
 
 def big_G(x, y, dps: int = DEFAULT_DPS):
@@ -340,11 +335,11 @@ def _pn_certificate(identities: dict, p: Poly, point, key: str, guard=True, **ev
 
     The evidence lists the identities, the certificate value under `key`,
     then `evidence`; `guard` is a further condition of the step.
-    ``signs.report_positive_below`` raises ValueError when p is not PN.
+    ``signs.positive_below`` raises ValueError when p is not PN.
     """
-    value = signs.report_positive_below(p, point).certificate[1]
-    ok = all(identities.values()) and value > 0 and guard
-    return _status(ok), {**identities, key: value, **evidence}
+    positive = signs.positive_below(p, point)
+    ok = all(identities.values()) and positive and guard
+    return _status(ok), {**identities, key: p(point), **evidence}
 
 
 def _unit_square_min(bp: BiPoly) -> Fraction:
@@ -479,7 +474,7 @@ def _q_sign_vectors(enclosures, right: Fraction) -> tuple[list[str], dict]:
         for choice in itertools.product("+-", repeat=vector.count("?")):
             filled = vector.replace("?", "{}").format(*choice)
             coeffs = [1 if c == "+" else -1 for c in filled]
-            patterns[signs.classify(Poly(coeffs)).kind.value] += 1
+            patterns[signs.classify(Poly(coeffs)).value] += 1
     return vectors, dict(patterns)
 
 
@@ -546,9 +541,9 @@ class _Strip(_Phase):
            "intervals between enclosures, and PN inside each enclosure for "
            "either sign of the one undetermined q_k.")
     def pn_sign_vectors(self):
-        q_kinds = [signs.classify(q).kind for q in self.cat.q[1:]]
+        q_kinds = [signs.classify(q) for q in self.cat.q[1:]]
         top = Poly((-1, 2))  # 2x - 1: NP with top(1/2) = 0, so <= 0 on (0, 1/2]
-        top_ok = signs.classify(top).kind is signs.PatternKind.NP and top(HALF) <= 0
+        top_ok = signs.classify(top) is signs.PatternKind.NP and top(HALF) <= 0
         vectors, patterns = _q_sign_vectors(self.enclosures, HALF)
         ok = (
             self.q_chain_ok()
@@ -783,7 +778,7 @@ class _Trapezoid(_Phase):
         return _status(sub_ok and identity and bracket_pos and guard_ok), {
             "substitution_identity": sub_ok,
             "identity": identity,
-            "bracket_pattern": signs.classify(bracket).kind.value,
+            "bracket_pattern": signs.classify(bracket).value,
             "bracket_at_1": bracket(Fraction(1)),
             "depends_on": "trapezoid.A.mixed-partial",
         }
@@ -1026,7 +1021,7 @@ def sweep_theorem(
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     lgamma = math.lgamma
-    al = 2 * math.pi**2 / 3 - 4
+    al = float(constants.alpha(dps))
     n = grid_n
     best = (math.inf, (0.0, 0.0))
     best_iv = (math.inf, (0.0, 0.0))

@@ -86,13 +86,19 @@ def yang_lxx(x, a):
 
 
 def derive_lx(a) -> RationalFn:
-    """First x-derivative of L(., a) as an exact rational function."""
-    return yang_lx(_X, as_fraction(a))
+    """L_x(., a) derived from L itself: w u'/u summed over the two log terms.
+
+    Independent of the hand-written ``yang_lx``: only the log arguments and
+    ``Poly.derivative`` enter.
+    """
+    w1, w2, c1, c2 = log_arguments(as_fraction(a))
+    u1, u2 = _X * _X + _X + c1, _X * _X + _X + c2
+    return w1 * u1.derivative() / u1 + w2 * u2.derivative() / u2
 
 
 def derive_lxx(a) -> RationalFn:
-    """Second x-derivative of L(., a) as an exact rational function."""
-    return yang_lxx(_X, as_fraction(a))
+    """L_xx(., a) as the quotient-rule derivative of ``derive_lx(a)``."""
+    return derive_lx(a).derivative()
 
 
 def closed_form_mismatches() -> list[str]:

@@ -27,8 +27,8 @@ would cost as much memory again for a smaller share of the call.
 Convergence
 -----------
 Each integral halves its step until two successive trapezoid estimates
-agree to 10^-(dps+5).  If ``max_level`` halvings pass without agreement the
-estimate is not trusted: ``ValueError("inconclusive: ...")`` is raised
+agree to 10^-(dps+5).  If ``MAX_LEVEL`` (12) halvings pass without agreement
+the estimate is not trusted: ``ValueError("inconclusive: ...")`` is raised
 instead of returning it.  On (1/250, 1]^2 ``beta_integral`` converges by
 the fifth level at 30 and 50 digits; near the axes it does not.
 """
@@ -43,16 +43,18 @@ from .specials import DEFAULT_DPS, evaluate
 # entries in the node cache; 1,200 beta_integral calls on (1/250, 1]^2 at 30
 # and 50 digits reach 604 distinct (context, |u|) pairs
 NODE_CACHE_SIZE = 1024
+# step halvings before an integral is declared inconclusive
+MAX_LEVEL = 12
 
 
-def _de_sum(work, node: Callable, dps: int, u_max: float, max_level: int) -> object:
+def _de_sum(work, node: Callable, dps: int, u_max: float) -> object:
     """Halving trapezoid sums of node(u) + node(-u) over the real line.
 
     Each row adds the odd multiples of the new step; a row stops once its
     terms fall below 10^-(dps+5) relative to its running total, or once u
     passes `u_max`, beyond which the transformed integrand is negligible.
     Levels stop when two successive estimates agree to the same target;
-    if `max_level` levels pass without agreement, ValueError is raised.
+    if ``MAX_LEVEL`` levels pass without agreement, ValueError is raised.
     `node` computes in `work`, the working context of a `dps`-digit result.
     """
     target = work.mpf(10) ** (-(dps + 5))
@@ -75,7 +77,7 @@ def _de_sum(work, node: Callable, dps: int, u_max: float, max_level: int) -> obj
     h = work.mpf(1)
     total = row(h, only_odd=False)
     estimate = h * total
-    for _ in range(max_level):
+    for _ in range(MAX_LEVEL):
         h /= 2
         total += row(h, only_odd=True)
         new = h * total
@@ -83,7 +85,7 @@ def _de_sum(work, node: Callable, dps: int, u_max: float, max_level: int) -> obj
             return new
         estimate = new
     raise ValueError(
-        f"inconclusive: quadrature did not converge in {max_level} levels")
+        f"inconclusive: quadrature did not converge in {MAX_LEVEL} levels")
 
 
 @lru_cache(maxsize=NODE_CACHE_SIZE)
@@ -96,7 +98,7 @@ def _unit_node(work, u):
     return t_small, t_big, work.pi * work.cosh(u)
 
 
-def tanh_sinh_unit(f: Callable, dps: int = DEFAULT_DPS, max_level: int = 12) -> object:
+def tanh_sinh_unit(f: Callable, dps: int = DEFAULT_DPS) -> object:
     """Integrate f(t, 1-t) over (0, 1) with tanh-sinh node placement.
 
     `f` must accept the node and its complement: near t = 1 the complement
@@ -110,7 +112,7 @@ def tanh_sinh_unit(f: Callable, dps: int = DEFAULT_DPS, max_level: int = 12) -> 
             return pi_cosh * t * tc * f(t, tc)
 
         # beyond u = 10 tanh is saturated far beyond working precision
-        return _de_sum(work, node, dps, 10, max_level)
+        return _de_sum(work, node, dps, 10)
 
     return evaluate(integral, dps)
 
@@ -130,7 +132,7 @@ def beta_integral(x, y, dps: int = DEFAULT_DPS) -> object:
     return evaluate(integral, dps, x, y)
 
 
-def gamma_integral(x, dps: int = DEFAULT_DPS, max_level: int = 12) -> object:
+def gamma_integral(x, dps: int = DEFAULT_DPS) -> object:
     """Quadrature value of the Euler integral of the second kind.
 
     Uses the substitution t = exp(u - exp(-u)) mapping the whole real line
@@ -150,6 +152,6 @@ def gamma_integral(x, dps: int = DEFAULT_DPS, max_level: int = 12) -> object:
             jac = t * (1 + exp_minus_u)
             return work.exp(-t + (x - 1) * log_t) * jac
 
-        return _de_sum(work, node, dps, 12, max_level)
+        return _de_sum(work, node, dps, 12)
 
     return evaluate(integral, dps, x)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .polys import Poly, as_fraction
 
@@ -30,35 +30,14 @@ class PatternKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SignPattern:
-    kind: PatternKind
-    split_index: Optional[int] = None  # last index carrying the leading sign
-
-
-@dataclass(frozen=True)
 class Enclosure:
     """Interval [lo, hi] with exactly opposite signs at the endpoints."""
 
     lo: Fraction
     hi: Fraction
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
-    def contains(self, value) -> bool:
-        v = as_fraction(value)
-        return self.lo <= v <= self.hi
-
-
-@dataclass(frozen=True)
-class SignReport:
-    pattern: SignPattern
-    certificate: Optional[tuple[Fraction, Fraction]] = None  # (point, value)
-    note: str = ""
-
-
-def classify(p: Poly) -> SignPattern:
+def classify(p: Poly) -> PatternKind:
     """Classify the coefficient sign pattern of a nonzero polynomial.
 
     Zero coefficients may sit inside either block.  More than one sign
@@ -72,62 +51,37 @@ def classify(p: Poly) -> SignPattern:
         1 for (_, a), (_, b) in zip(signs, signs[1:]) if a != b
     )
     if changes == 0:
-        kind = PatternKind.ALL_NONNEG if lead > 0 else PatternKind.ALL_NONPOS
-        return SignPattern(kind, None)
+        return PatternKind.ALL_NONNEG if lead > 0 else PatternKind.ALL_NONPOS
     if changes > 1:
-        return SignPattern(PatternKind.OTHER, None)
-    split = max(k for k, s in signs if s == lead)
-    kind = PatternKind.PN if lead > 0 else PatternKind.NP
-    return SignPattern(kind, split)
+        return PatternKind.OTHER
+    return PatternKind.PN if lead > 0 else PatternKind.NP
 
 
-def _require(p: Poly, *kinds: PatternKind) -> SignPattern:
-    """The pattern of `p`, which must be one of `kinds`."""
-    pattern = classify(p)
-    if pattern.kind not in kinds:
-        expected = " or ".join(kind.value for kind in kinds)
+def _require(p: Poly, *kinds: PatternKind) -> None:
+    """Raise unless the pattern of `p` is one of `kinds`."""
+    kind = classify(p)
+    if kind not in kinds:
+        expected = " or ".join(k.value for k in kinds)
         raise ValueError(
             f"criterion inapplicable: expected {expected} pattern, "
-            f"got {pattern.kind.value}"
+            f"got {kind.value}"
         )
-    return pattern
 
 
 def positive_below(p: Poly, x1) -> bool:
     """For a PN polynomial: p(x1) > 0 certifies p > 0 on (0, x1].
 
-    An exact zero at x1 returns False (the conclusion only holds strictly
-    below the crossing root); see ``report_positive_below`` for the flag.
+    An exact zero at x1 returns False: the conclusion only holds strictly
+    below the crossing root.
     """
     _require(p, PatternKind.PN)
     return p(as_fraction(x1)) > 0
-
-
-def negative_above(p: Poly, x2) -> bool:
-    """For a PN polynomial: p(x2) < 0 certifies p < 0 on [x2, oo)."""
-    _require(p, PatternKind.PN)
-    return p(as_fraction(x2)) < 0
 
 
 def negative_below(p: Poly, x1) -> bool:
     """For an NP polynomial: p(x1) < 0 certifies p < 0 on (0, x1]."""
     _require(p, PatternKind.NP)
     return p(as_fraction(x1)) < 0
-
-
-def positive_above(p: Poly, x2) -> bool:
-    """For an NP polynomial: p(x2) > 0 certifies p > 0 on [x2, oo)."""
-    _require(p, PatternKind.NP)
-    return p(as_fraction(x2)) > 0
-
-
-def report_positive_below(p: Poly, x1) -> SignReport:
-    """positive_below with the exact evaluation recorded as a certificate."""
-    pattern = _require(p, PatternKind.PN)
-    point = as_fraction(x1)
-    value = p(point)
-    note = "boundary root" if value == 0 else ""
-    return SignReport(pattern, certificate=(point, value), note=note)
 
 
 def isolate_crossing(p: Poly, lo, hi, width=DEFAULT_WIDTH) -> Enclosure:
@@ -187,7 +141,6 @@ class RootDigits:
     enclosure: Enclosure
     certified: bool      # every point of the enclosure truncates to prefix
     consistent: bool     # enclosure meets [prefix, prefix + 1 ulp]
-    note: str = ""
 
 
 def truncate_decimal(value: Fraction, places: int) -> str:
@@ -209,5 +162,4 @@ def check_printed_digits(enclosure: Enclosure, prefix: str) -> RootDigits:
         and truncate_decimal(enclosure.hi, places) == prefix
     )
     consistent = not (enclosure.hi < t or enclosure.lo > t + ulp)
-    note = "" if certified else "width too large to certify the printed digits"
-    return RootDigits(prefix, enclosure, certified, consistent, note)
+    return RootDigits(prefix, enclosure, certified, consistent)

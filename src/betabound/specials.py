@@ -33,7 +33,8 @@ cache through the kernels.
 to B_42) put the first omitted series term below 1e-46 of the result for
 every function here (worst case psi''), far inside the 1e-30 error
 budget.  Being fixed, they cap the accuracy at about 1e-53 absolute
-whatever ``dps`` asks for.
+whatever ``dps`` asks for.  ``locate_delta_max`` derives its search
+tolerance from ``dps`` alone (half the working digits).
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ class DeltaMax(NamedTuple):
     value: object   # maximum of delta (mpf)
 
 
-def _delta_max_raw(work: MPContext, xtol: str) -> dict:
+def _delta_max_raw(work: MPContext) -> dict:
     f = partial(_delta_raw, work)
     grid = [1 + work.mpf(k) / 10 for k in range(0, 21)]  # 1.0, 1.1, ..., 3.0
     values = [f(t) for t in grid]
@@ -244,9 +245,7 @@ def _delta_max_raw(work: MPContext, xtol: str) -> dict:
         raise RuntimeError("delta maximum did not bracket inside the scan")
     lo, hi = grid[best - 1], grid[best + 1]
 
-    # a few ulps near the bracket: below that the golden-section points stop
-    # moving, so a smaller caller-given xtol would never be reached
-    tol = max(work.mpf(xtol), 8 * hi * work.eps)
+    tol = work.mpf(f"1e-{work.dps // 2}")
     invphi = (work.sqrt(5) - 1) / 2
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -265,19 +264,16 @@ def _delta_max_raw(work: MPContext, xtol: str) -> dict:
     return {"x": xstar, "value": f(xstar)}
 
 
-def locate_delta_max(dps: int = DEFAULT_DPS, xtol: str | None = None) -> DeltaMax:
+def locate_delta_max(dps: int = DEFAULT_DPS) -> DeltaMax:
     """Maximize delta over x >= 1: coarse scan, then golden-section.
 
     The maximum is interior and the function is unimodal on the scanned
-    bracket, so a 0.1-step scan over [1, 3] followed by golden-section to
-    `xtol` encloses it.  The default `xtol` is 10^-floor((dps + GUARD_DIGITS)
-    / 2): delta is flat at its maximum, so near it delta(x) moves by about
-    (x - x*)^2 and comparisons in the working context resolve x only to
-    about the square root of its epsilon.  The value is then correct to
-    `dps` digits and the location to about half as many; at 30 digits the
-    default is 1e-22, which keeps all 20 digits that ``betabound
-    constants`` prints correct.
+    bracket, so a 0.1-step scan over [1, 3] followed by golden-section
+    encloses it, to 10^-floor((dps + GUARD_DIGITS) / 2): delta is flat at
+    its maximum, so near it delta(x) moves by about (x - x*)^2 and
+    comparisons in the working context resolve x only to about the square
+    root of its epsilon.  The value is then correct to `dps` digits and the
+    location to about half as many; at 30 digits the search goes to 1e-22,
+    which keeps all 20 digits that ``betabound constants`` prints correct.
     """
-    if xtol is None:
-        xtol = f"1e-{(dps + GUARD_DIGITS) // 2}"
-    return DeltaMax(**evaluate(lambda work: _delta_max_raw(work, xtol), dps))
+    return DeltaMax(**evaluate(_delta_max_raw, dps))

@@ -82,7 +82,7 @@ def test_criterion_2_root_enclosures():
         prefixes = ("0.03733", "0.2114", "0.3085", "0.3822", "0.4439")
         enclosures = [signs.isolate_crossing(p, 0, F(1, 2), width) for p in CAT.q[1:]]
         for enc, prefix in zip(enclosures, prefixes):
-            assert enc.width <= width
+            assert enc.hi - enc.lo <= width
             check = signs.check_printed_digits(enc, prefix)
             assert check.certified, f"{prefix} not certified by {enc}"
         assert signs.verify_root_ordering(enclosures)

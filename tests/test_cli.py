@@ -227,7 +227,8 @@ class TestRootsCommand:
 
 @pytest.fixture(scope="module")
 def reference_maximizer():
-    return locate_delta_max(100, "1e-40").x
+    # searched to 1e-82, far below the 1e-22 .. 1e-57 of the runs it checks
+    return locate_delta_max(150).x
 
 
 class TestConstantsCommand:

@@ -76,11 +76,9 @@ class TestPolyBasics:
         assert p == 1 + 3 * X + 3 * X**2 + X**3
 
     def test_json_roundtrip(self):
+        # the catalogue's form: coefficient strings from degree 0 upward
         p = Poly((F(1, 3), -2, 0, F(7, 5)))
-        assert Poly.from_json(p.to_json()) == p
-        obj = p.to_json()
-        assert obj["var"] == "x"
-        assert obj["coeffs"][0] == "1/3"
+        assert Poly.from_json({"var": "x", "coeffs": ["1/3", "-2", "0", "7/5"]}) == p
 
 
 class TestBiPolyBasics:
@@ -117,7 +115,7 @@ class TestBiPolyBasics:
 
     def test_json_roundtrip(self):
         q = BiPoly({(0, 0): F(1, 3), (2, 5): -7})
-        assert BiPoly.from_json(q.to_json()) == q
+        assert BiPoly.from_json({"terms": [[0, 0, "1/3"], [2, 5, "-7"]]}) == q
 
     def test_no_zero_terms_stored(self):
         q = BiPoly({(1, 1): 1}) - BiPoly({(1, 1): 1})
@@ -130,7 +128,7 @@ class TestRationalFn:
             RationalFn(X, Poly(()))
 
     def test_cancellation(self):
-        assert RationalFn(X, X).equivalent(RationalFn.from_ring(Poly((1,))))
+        assert RationalFn(X, X).equivalent(RationalFn(Poly((1,)), 1))
 
     def test_bound_difference_identity(self):
         # x + y - xy - [1 - (5/2)(1-x)(1-y)/((1+x)(1+y))]
@@ -253,7 +251,6 @@ def test_poly_product_matches_fraction_schoolbook(p, q):
     for left, right in ((p, q), (p + q, p - q)):
         product, expected = left * right, schoolbook_poly(left, right)
         assert product.coeffs == expected.coeffs
-        assert product.to_json() == expected.to_json()
         assert not product.coeffs or product.coeffs[-1] != 0
         for c in product.coeffs:
             assert_reduced(c)
@@ -265,7 +262,6 @@ def test_bipoly_product_matches_fraction_schoolbook(p, q):
     for left, right in ((p, q), (p + q, p - q)):
         product, expected = left * right, schoolbook_bipoly(left, right)
         assert product.terms == expected.terms
-        assert product.to_json() == expected.to_json()
         for c in product.terms.values():
             assert c != 0
             assert_reduced(c)

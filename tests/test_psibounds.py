@@ -59,6 +59,13 @@ class TestPrintedForms:
             assert abs(hp - to_mpf(HP, exact)) < HP.mpf("1e-45")
 
 
+def yang_matches_derivation(a) -> bool:
+    """Both psibounds.yang_* forms equal the derived L_x and L_xx at `a`."""
+    x = Poly.x()
+    return (psibounds.yang_lx(x, a).equivalent(derive_lx(a))
+            and psibounds.yang_lxx(x, a).equivalent(derive_lxx(a)))
+
+
 class TestClosedFormDerivation:
     def test_all_four_match(self):
         assert verify_closed_forms()
@@ -74,6 +81,25 @@ class TestClosedFormDerivation:
         x = F(2, 7)
         assert derive_lx(A_LARGE)(x) == PRINTED_LX[A_LARGE](x)
         assert derive_lxx(A_SMALL)(x) == PRINTED_LXX[A_SMALL](x)
+
+    @pytest.mark.parametrize("a", [A_SMALL, A_LARGE, F(1, 2), F(7, 10)])
+    def test_yang_forms_equal_the_derived_ones(self, a):
+        # the hand-written derivatives that lx_general, lxx_general, solve_a3
+        # and sandwich_margins evaluate, against L differentiated from its logs
+        assert yang_matches_derivation(a)
+
+    def test_wrong_yang_lxx_is_caught(self, monkeypatch):
+        # drop the factor 2 of 2 u - (2x + 1)^2 in the second log term
+        def wrong(x, a):
+            w1, w2, c1, c2 = log_arguments(a)
+            u1, u2 = x * x + x + c1, x * x + x + c2
+            sq = (2 * x + 1) ** 2
+            return w1 * (2 * u1 - sq) / (u1 * u1) + w2 * (u2 - sq) / (u2 * u2)
+
+        monkeypatch.setattr(psibounds, "yang_lxx", wrong)
+        assert closed_form_mismatches() == []  # the derivation does not use it
+        for a in (A_SMALL, A_LARGE, F(1, 2), F(7, 10)):
+            assert not yang_matches_derivation(a)
 
     @pytest.mark.parametrize("formula", [yang_lx, yang_lxx])
     def test_one_formula_for_every_number_type(self, formula):
