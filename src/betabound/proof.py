@@ -48,6 +48,7 @@ from .psibounds import (
 )
 from .specials import (
     DEFAULT_DPS,
+    GUARD_DIGITS,
     beta,
     evaluate,
     log_gamma,
@@ -128,8 +129,19 @@ def _on_unit_square(raw, allow_zero: bool = False):
 
 
 def theorem_margin(x, y, dps: int = DEFAULT_DPS):
-    """B(x, y) minus the certified lower bound; positive on (0,1]^2."""
-    raw = lambda w, x, y: beta(x, y, w.dps) - new_bound(x, y)
+    """B(x, y) minus the certified lower bound; positive on (0,1]^2.
+
+    Near the axes the subtraction cancels leading digits; where it cancels
+    more than GUARD_DIGITS, fewer than `dps` would be right, so it raises.
+    """
+
+    def raw(work, x, y):
+        b = beta(x, y, work.dps)
+        margin = b - new_bound(x, y)
+        if abs(margin) * 10**GUARD_DIGITS <= abs(b):
+            raise ValueError("inconclusive: B(x, y) - bound cancels the guard digits")
+        return margin
+
     return evaluate(_on_unit_square(raw), dps, x, y)
 
 

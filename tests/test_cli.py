@@ -120,7 +120,7 @@ REPORT_SHA256 = {
     "30": "a8b0eda313ddeae0ffa9ce136571b5b2f8a7dcce4637b2ad180bf38a98cb529d",
 }
 # replays at each precision in turn in one process, writing DIR/<k>.json; the
-# last line is the total kernel cache misses after each replay
+# last line is the kernel cache misses after each replay
 REPLAY_SEQUENCE = """
 import sys
 from betabound import cli, specials
@@ -128,8 +128,7 @@ out_dir, *precisions = sys.argv[1:]
 misses = []
 for k, precision in enumerate(precisions):
     cli.main(["replay", "--precision", precision, "--out", f"{out_dir}/{k}.json"])
-    kernels = (specials._log_gamma_raw, specials._psi_raw)
-    misses.append(sum(kernel.cache_info().misses for kernel in kernels))
+    misses.append(specials._stirling_raw.cache_info().misses)
 print(*misses)
 """
 
@@ -175,8 +174,7 @@ class TestReplayCommand:
         assert misses[2] == misses[1]  # the warm replay computed nothing new
 
     def test_kernel_caches_are_bounded(self):
-        for kernel in (specials._log_gamma_raw, specials._psi_raw):
-            assert kernel.cache_info().maxsize == specials.KERNEL_CACHE_SIZE
+        assert specials._stirling_raw.cache_info().maxsize == specials.KERNEL_CACHE_SIZE
 
     def test_coarse_width_gives_inconclusive_step(self, tmp_path, capsys):
         # at width 1/10 the q-root enclosures overlap and cannot be ordered

@@ -68,6 +68,22 @@ class TestTheoremMargin:
             for j in range(i, 11):
                 assert theorem_margin(F(i, 10), F(j, 10)) > 0
 
+    @pytest.mark.parametrize(
+        "x, y", [("1e-30", "1e-30"), ("1e-20", "1e-20"), ("1e-30", "0.5")]
+    )
+    def test_cancelled_guard_digits_are_inconclusive(self, x, y):
+        # B / margin is about 3e60, 3e40 and 2e30 here: the subtraction leaves
+        # fewer than 30 of the 45 working digits, so no 30-digit margin exists
+        with pytest.raises(ValueError, match="inconclusive"):
+            theorem_margin(x, y, 30)
+
+    def test_margin_near_the_axes_keeps_its_digits(self):
+        with mpmath.workdps(150):
+            x = mpmath.mpf("1e-6")
+            exact = mpmath.beta(x, x) - new_bound(x, x)
+        margin = theorem_margin("1e-6", "1e-6", 30)
+        assert abs(to_mpf(HP, margin) - exact) <= abs(exact) * HP.mpf("1e-30")
+
 
 class TestCoreFunctionIdentities:
     def test_F_symmetric(self):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from betabound import constants, proof, psibounds
+from betabound import constants, proof, psibounds, specials
 from betabound.quadrature import beta_integral, gamma_integral, tanh_sinh_unit
 from betabound.specials import (
     beta,
@@ -20,6 +20,7 @@ from betabound.specials import (
     psi1,
     psi2,
     to_mpf,
+    work_context,
 )
 
 HP = context(60)
@@ -224,3 +225,78 @@ class TestDelta:
         result = locate_delta_max()
         assert 2.3 < result.x < 2.34
         assert close(delta(result.x), result.value, "1e-22")
+
+
+class TestStirlingKernel:
+    @pytest.mark.parametrize("order", [-1, 0, 1, 2])
+    def test_coefficients_equal_the_per_order_tables(self, order):
+        # the tables of log Gamma, psi, psi' and psi'', which the series adds,
+        # subtracts, adds and subtracts
+        bern = specials.bernoulli_even(specials.STIRLING_TERMS)
+        tables = {
+            -1: [b / (2 * k * (2 * k - 1)) for k, b in enumerate(bern, 1)],
+            0: [-b / (2 * k) for k, b in enumerate(bern, 1)],
+            1: list(bern),
+            2: [-(2 * k + 1) * b for k, b in enumerate(bern, 1)],
+        }
+        assert list(specials._stirling_coeffs(order)) == tables[order]
+
+    @pytest.mark.parametrize("dps", [30, 50])
+    @pytest.mark.parametrize("x", ["1e-6", "39.5", "40", "40.5"])
+    def test_each_order_matches_mpmath(self, x, dps):
+        # 39.5 is shifted once, 40 and 40.5 not at all, 1e-6 forty times
+        budget = to_mpf(HP, psibounds.error_budget(dps))
+        with mpmath.workdps(dps + 30):
+            xm = mpmath.mpf(x)
+            references = [mpmath.loggamma(xm), mpmath.digamma(xm),
+                          mpmath.psi(1, xm), mpmath.psi(2, xm)]
+        for fn, reference in zip((log_gamma, psi, psi1, psi2), references):
+            error = abs(to_mpf(HP, fn(x, dps)) - reference)
+            assert error <= budget * max(1, abs(reference)), fn.__name__
+
+
+@pytest.fixture(scope="module")
+def maximizer_reference():
+    # the root of Delta' built from mpmath's own gamma and digamma
+    with mpmath.workdps(120):
+        r = lambda x: mpmath.gamma(x) ** 2 / mpmath.gamma(2 * x)
+        u = lambda x: 2 * mpmath.digamma(x) - 2 * mpmath.digamma(2 * x)
+        return mpmath.findroot(lambda x: -2 / x**3 - r(x) * u(x), mpmath.mpf("2.3"))
+
+
+class TestDeltaMaximizer:
+    @pytest.mark.parametrize("x", ["1.5", "2.3", "2.9"])
+    def test_derivatives_match_central_differences(self, x):
+        work = work_context(60)
+        d1, d2 = specials._delta_derivatives(work, to_mpf(work, x))
+        xm, h = HP.mpf(x), HP.mpf("1e-12")
+        up, mid, down = delta(xm + h, 60), delta(xm, 60), delta(xm - h, 60)
+        assert abs(d1 - (up - down) / (2 * h)) < HP.mpf("1e-20")
+        assert abs(d2 - (up - 2 * mid + down) / h**2) < HP.mpf("1e-20")
+
+    @pytest.mark.parametrize("dps", [30, 50])
+    def test_location_to_working_precision(self, dps, maximizer_reference):
+        x = locate_delta_max(dps).x
+        with mpmath.workdps(120):
+            error = abs(mpmath.mpf(x._mpf_) - maximizer_reference)
+            assert error <= mpmath.mpf(10) ** (1 - dps) * maximizer_reference
+
+    @pytest.mark.parametrize("dps", [30, 31, 100, 200])
+    def test_newton_loop_ends(self, dps, maximizer_reference, monkeypatch):
+        # a loop that kept stepping would fail here instead of hanging
+        calls = []
+        derivatives = specials._delta_derivatives
+
+        def counted(ctx, x):
+            calls.append(x)
+            if len(calls) > 40:
+                raise AssertionError("Newton loop did not stop")
+            return derivatives(ctx, x)
+
+        monkeypatch.setattr(specials, "_delta_derivatives", counted)
+        x = locate_delta_max(dps).x
+        assert 1 < len(calls) <= 40
+        with mpmath.workdps(120):
+            # the fixed series caps 100 and 200 digits near 1e-53
+            tol = mpmath.mpf(10) ** (1 - min(dps, 51)) * maximizer_reference
+            assert abs(mpmath.mpf(x._mpf_) - maximizer_reference) <= tol
