@@ -22,7 +22,6 @@ from .proof import (
     ProofStep,
     big_F,
     big_G,
-    remark_sandwich,
     replay_all,
     sweep_theorem,
     theorem_margin,
@@ -67,7 +66,6 @@ __all__ = [
     "psi",
     "psi1",
     "psi2",
-    "remark_sandwich",
     "replay_all",
     "sandwich_check",
     "solve_a3",

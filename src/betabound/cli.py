@@ -67,7 +67,7 @@ def _json(payload) -> str:
 
 
 def cmd_replay(args, emit) -> int:
-    report = proof.replay_all(dps=args.precision, width=args.width)
+    report = proof.replay_all(dps=args.precision)
     payload = report.to_json_obj()
     out_path = args.out or "replay_report.json"
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -281,7 +281,7 @@ OPTIONS = {
 # name -> (runner, help, the options it reads)
 COMMANDS = {
     "replay": (cmd_replay, "replay every proof step and write the JSON report",
-               ("precision", "width", "out", "format")),
+               ("precision", "out", "format")),
     "roots": (cmd_roots, "enclose the five q-polynomial roots", ("width", "format")),
     "constants": (cmd_constants, "print the named constants with reference digits",
                   ("precision", "format")),

@@ -128,30 +128,44 @@ def _on_unit_square(raw, allow_zero: bool = False):
     return checked
 
 
+def _guarded(value, scale, what: str):
+    """`value`, a difference of terms as large as `scale`, if it kept its digits.
+
+    Where |value| <= |scale| 10^-GUARD_DIGITS the subtraction has cancelled
+    every guard digit, so fewer than `dps` digits would be right: it raises.
+    """
+    if abs(value) * 10**GUARD_DIGITS <= abs(scale):
+        raise ValueError(f"inconclusive: {what} cancels the guard digits")
+    return value
+
+
 def theorem_margin(x, y, dps: int = DEFAULT_DPS):
     """B(x, y) minus the certified lower bound; positive on (0,1]^2.
 
     Near the axes the subtraction cancels leading digits; where it cancels
-    more than GUARD_DIGITS, fewer than `dps` would be right, so it raises.
+    more than GUARD_DIGITS, it raises ``inconclusive``.
     """
 
     def raw(work, x, y):
         b = beta(x, y, work.dps)
-        margin = b - new_bound(x, y)
-        if abs(margin) * 10**GUARD_DIGITS <= abs(b):
-            raise ValueError("inconclusive: B(x, y) - bound cancels the guard digits")
-        return margin
+        return _guarded(b - new_bound(x, y), b, "B(x, y) - bound")
 
     return evaluate(_on_unit_square(raw), dps, x, y)
 
 
 def _log_margin(work, x, y):
+    # log Gamma on [1, 3] is a difference of values near log Gamma(41) = 110.3,
+    # so its error is absolute: the guard's scale is the largest term, and >= 1
     lg = lambda t: log_gamma(t, work.dps)
-    return lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, work.ln)
+    terms = (lg(x + 1), lg(y + 1), lg(x + y + 1), log_correction(x, y, work.ln))
+    value = terms[0] + terms[1] - terms[2] - terms[3]
+    return _guarded(value, max(1, *map(abs, terms)), "F(x, y)")
 
 
 def big_F(x, y, dps: int = DEFAULT_DPS):
-    """The log-scale margin; zero exactly on the x = 0 and y = 0 edges."""
+    """The log-scale margin F(x, y); like `theorem_margin`, it raises
+    ``inconclusive`` where its subtraction cancels the guard digits: near
+    the axes, and on them, where F = 0 (``trapezoid.boundary.left-edge``)."""
     return evaluate(_on_unit_square(_log_margin, allow_zero=True), dps, x, y)
 
 
@@ -197,45 +211,6 @@ def edge_slope(x, dps: int = DEFAULT_DPS):
     step ``trapezoid.A.edge-slope-identity`` certifies that rational part.
     """
     return evaluate(lambda w, x: dG_dx(x, x + to_mpf(w, EDGE_OFFSET), dps), dps, x)
-
-
-@dataclass(frozen=True)
-class RemarkOrdering:
-    """Three-way comparison of B, the classical polynomial bound and ours."""
-
-    x: object
-    y: object
-    regime: str                  # "x+y>=1" or "x+y<=1"
-    beta: object
-    new_bound: object
-    ivady_bound: object
-    ok: bool
-    equalities: tuple[str, ...]
-
-
-def remark_sandwich(x, y, dps: int = DEFAULT_DPS) -> RemarkOrdering:
-    """Verify the bound ordering on either side of the line x + y = 1.
-
-    For x + y >= 1:  B >= (x+y-xy)/(xy) >= new bound (the classical bound
-    is at least as strong); for x + y <= 1 the second comparison reverses
-    and the new bound is the stronger one.
-    """
-
-    def compare(work, x, y):
-        b = beta(x, y, work.dps)
-        new = new_bound(x, y)
-        iv = ivady_lower_bound(x, y)
-        if x + y >= 1:
-            regime, first, second = "x+y>=1", b - iv, iv - new
-        else:
-            regime, first, second = "x+y<=1", b - new, new - iv
-        sgn = certified_sign(first, dps), certified_sign(second, dps)
-        labels = ("beta == stronger bound", "bounds coincide")
-        equalities = tuple(k for k, v in zip(labels, sgn) if v == 0)
-        return dict(x=x, y=y, regime=regime, beta=b, new_bound=new, ivady_bound=iv,
-                    ok=min(sgn) >= 0, equalities=equalities)
-
-    return RemarkOrdering(**evaluate(_on_unit_square(compare), dps, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +294,17 @@ def _combine(statuses) -> str:
     return VERIFIED
 
 
-def _hp_status(margin, dps: int) -> str:
-    sign = certified_sign(margin, dps)
-    return INCONCLUSIVE if sign == 0 else _status(sign > 0)
+def _sample(fn, points, dps: int, key=None):
+    """fn(*point, dps) at each point, each value required to be positive.
 
-
-def _vanishes(value, dps: int) -> str:
-    """The rule for values that are exactly 0: inside the certification band."""
-    return _status(certified_sign(value, dps) == 0)
-
-
-def _sample(fn, points, dps: int, key=None, rule=_hp_status):
-    """fn(*point, dps) at each point, each value judged by `rule`.
-
-    Returns the values, their combined status and the samples
-    ``[(label, str(value))]`` that the evidence records; a point's label is
-    ``key.format(*point)``, or the tuple of its coordinates' ``str``.
+    Returns the values, their combined status (by ``certified_sign``: a value
+    inside its band is inconclusive) and the samples ``[(label, str(value))]``
+    that the evidence records; a point's label is ``key.format(*point)``, or
+    the tuple of its coordinates' ``str``.
     """
     values = [fn(*point, dps) for point in points]
-    status = _combine(rule(value, dps) for value in values)
+    sgn = [certified_sign(value, dps) for value in values]
+    status = _combine(INCONCLUSIVE if s == 0 else _status(s > 0) for s in sgn)
     labels = [tuple(map(str, pt)) if key is None else key.format(*pt) for pt in points]
     return values, status, list(zip(labels, map(str, values)))
 
@@ -498,11 +465,10 @@ def q_root_enclosures(width) -> list[signs.Enclosure]:
 class _Strip(_Phase):
     STEPS: list = []
 
-    def __init__(self, dps: int, width: Fraction):
+    def __init__(self, dps: int):
         super().__init__(dps)
         self.cat = load_catalogue()
-        self.width = width
-        self.enclosures = q_root_enclosures(width)
+        self.enclosures = q_root_enclosures(signs.DEFAULT_WIDTH)
         # the inner factor of Q(x, 1 - x)
         self.inner = 7137 + (1 - _T) * (24365 + 375 * _T**2) + 5300 * _T**2
 
@@ -542,7 +508,7 @@ class _Strip(_Phase):
     def root_ordering(self):
         return _status(self.q_chain_ok()), {
             "enclosures": [(str(e.lo), str(e.hi)) for e in self.enclosures],
-            "width": self.width,
+            "width": signs.DEFAULT_WIDTH,
         }
 
     @_step(STEPS, "strip.pn-sign-vectors", METHOD_SIGN_ENGINE,
@@ -610,24 +576,20 @@ class _Strip(_Phase):
         values, f_status, _ = _sample(diag_gap, [(x,) for x in xs], self.dps)
         f = dict(zip(xs, values))
         gap = lambda x, y, dps: big_F(x, y, dps) - f[x]
-        points = [(x, y) for x in xs for y in (x, HALF, 1 - x)]
-        # F(x, x) - f(x) is exactly 0, so the gaps need only be nonnegative
-        nonnegative = lambda value, dps: _status(certified_sign(value, dps) >= 0)
-        _, status, samples = _sample(gap, points, self.dps, rule=nonnegative)
+        points = [(x, y) for x in xs for y in (HALF, 1 - x)]
+        _, status, samples = _sample(gap, points, self.dps)
         evidence = {"samples": samples, "depends_on": "diagonal.*, strip.*"}
         return _combine([f_status, status]), evidence
 
 
-def replay_strip(
-    dps: int = DEFAULT_DPS, width: Fraction = signs.DEFAULT_WIDTH
-) -> list[ProofStep]:
+def replay_strip(dps: int = DEFAULT_DPS) -> list[ProofStep]:
     """Certify F(x, y) >= f(x) > 0 on the strip via dF/dy > 0.
 
     The digamma-difference lower bound (n = 3) turns dF/dy into
     x Q(x, y) / [positive factors]; Q is a one-sign-change polynomial in y
     whose positivity on x <= y <= 1 - x follows from Q(x, 1-x) > 0.
     """
-    return _Strip(dps, width).run()
+    return _Strip(dps).run()
 
 
 # ---------------------------------------------------------------------------
@@ -741,13 +703,18 @@ class _Trapezoid(_Phase):
         identities = {"second_derivative_identity": second_ok, "identity": identity}
         return _pn_certificate(identities, p2, Fraction(1), "p2_at_1")
 
-    @_step(STEPS, "trapezoid.A.left-edge-endpoints", METHOD_HIGH_PRECISION,
+    @_step(STEPS, "trapezoid.A.left-edge-endpoints", METHOD_EXACT_IDENTITY,
            "G(0,0) = 0 and G(0,1) = psi(1) - psi(2) + 1 = 0, so concavity "
            "makes G(0, y) nonnegative on [0, 1].")
     def left_edge_endpoints(self):
-        points = [(0, 0), (0, 1)]
-        _, status, samples = _sample(big_G, points, self.dps, "G({},{})", _vanishes)
-        return status, dict(samples)
+        # G(0, y) = psi(1) - psi(y+1) + G_rational(0, y): the psi terms cancel
+        # at y = 0, and at y = 1 they are -1 by the recurrence
+        at_0, at_1 = (G_rational(Fraction(0), Fraction(y)) for y in (0, 1))
+        return _status(at_0 == 0 and at_1 == 1), {
+            "G_rational(0,0)": at_0,
+            "G_rational(0,1)": at_1,
+            "recurrence": "psi(2) = psi(1) + 1 (DLMF 5.5.2)",
+        }
 
     @_step(STEPS, "trapezoid.A.conclusion", METHOD_HIGH_PRECISION,
            "dG/dx > 0 on 0 < x < 1/5 and G(0, y) >= 0 give G > 0 for "
@@ -881,28 +848,26 @@ class _Trapezoid(_Phase):
         xs = (Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(19, 100))
         points = [(x, 1 - x) for x in xs]
         _, status, samples = _sample(big_F, points, self.dps, "{0}")
-        ordered = all(remark_sandwich(x, y, self.dps).ok for x, y in points)
         evidence = {"bounds_coincide_identity": coincide, "F_samples": samples}
-        return _combine([status, _status(coincide and ordered)]), evidence
+        return _combine([status, _status(coincide)]), evidence
 
-    @_step(STEPS, "trapezoid.boundary.left-edge", METHOD_HIGH_PRECISION,
+    @_step(STEPS, "trapezoid.boundary.left-edge", METHOD_EXACT_IDENTITY,
            "F(0, y) vanishes identically (the log arguments collapse to 1).")
     def boundary_left_edge(self):
-        points = [(0, y) for y in (Fraction(1, 4), HALF, Fraction(9, 10), Fraction(1))]
-        _, status, samples = _sample(big_F, points, self.dps, rule=_vanishes)
-        return status, {"values": [value for _, value in samples]}
+        # F(0, y) = log Gamma(1) + log Gamma(y+1) - log Gamma(y+1) - log(argument):
+        # log Gamma(1) = 0 as Gamma(1) = 1, and the argument is 1 for every y
+        argument_is_1 = log_correction(Fraction(0), _T, lambda arg: arg).equivalent(1)
+        return _status(argument_is_1), {
+            "log_argument_is_1": argument_is_1,
+            "log_gamma(1)": "0 (Gamma(1) = 1)",
+        }
 
     @_step(STEPS, "trapezoid.boundary.diagonal", METHOD_HIGH_PRECISION,
            "F(x, x) = f(x) > 0 on the fold diagonal.")
     def boundary_diagonal(self):
         xs = (Fraction(1, 100), Fraction(1, 10), Fraction(19, 100))
-        points = [(x, x) for x in xs]
-        values, status, samples = _sample(big_F, points, self.dps, "{0}")
-        # F(x, x) and f(x) = diag_gap(x) are one formula
-        f = [diag_gap(x, self.dps) for x in xs]
-        same = [_vanishes(v - fx, self.dps) for v, fx in zip(values, f)]
-        evidence = {"samples": samples, "depends_on": "diagonal.*"}
-        return _combine([status] + same), evidence
+        _, status, samples = _sample(big_F, [(x, x) for x in xs], self.dps, "{0}")
+        return status, {"samples": samples, "depends_on": "diagonal.*"}
 
     @_step(STEPS, "trapezoid.boundary.right-edge", METHOD_HIGH_PRECISION,
            "F(1/5, y) > 0 for y in [1/5, 4/5] (covered by the strip "
@@ -961,11 +926,9 @@ class ProofReport:
         }
 
 
-def replay_all(
-    dps: int = DEFAULT_DPS, width: Fraction = signs.DEFAULT_WIDTH
-) -> ProofReport:
+def replay_all(dps: int = DEFAULT_DPS) -> ProofReport:
     """Run every step of the proof replay and collect the report."""
-    steps = replay_diagonal(dps) + replay_strip(dps, width) + replay_trapezoid(dps)
+    steps = replay_diagonal(dps) + replay_strip(dps) + replay_trapezoid(dps)
     return ProofReport(dps=dps, steps=steps)
 
 

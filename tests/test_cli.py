@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import betabound
-from betabound import specials
+from betabound import proof, specials
 from betabound.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -40,7 +40,7 @@ def run(argv, env=None):
 
 # the options each subcommand takes; every other flag is a configuration error
 OPTIONS_TAKEN = {
-    "replay": {"--precision", "--width", "--out", "--format"},
+    "replay": {"--precision", "--out", "--format"},
     "roots": {"--width", "--format"},
     "constants": {"--precision", "--format"},
     "bounds": {"--precision", "--format", "--x"},
@@ -91,6 +91,7 @@ class TestConfig:
         (["constants"], {"BETABOUND_GRID": "1"}),
         (["roots"], {"BETABOUND_PRECISION": "10"}),
         (["sweep", "--grid", "5"], {"BETABOUND_WIDTH": "0"}),
+        (["replay", "--precision", "30"], {"BETABOUND_WIDTH": "0.1"}),
     ])
     def test_unread_variable_ignored(self, command, env, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -105,9 +106,9 @@ class TestConfig:
         assert listed == OPTIONS_TAKEN[command]
 
     def test_bad_width(self):
-        for command in ("roots", "replay"):
-            code, _ = run([command, "--width", "0"])
-            assert code == EXIT_CONFIG
+        assert run(["roots", "--width", "0"])[0] == EXIT_CONFIG
+        # replay encloses the roots at the default width and takes no --width
+        assert run(["replay", "--width", "0.1"])[0] == EXIT_CONFIG
 
     def test_grid_one_exits_2(self):
         code, _ = run(["sweep", "--grid", "1"])
@@ -116,8 +117,8 @@ class TestConfig:
 
 # sha256 of the replay report at each precision
 REPORT_SHA256 = {
-    "50": "9326e9ff8e527df69353a3973358fb03f7b026202473ae7748237b19cdbd1342",
-    "30": "a8b0eda313ddeae0ffa9ce136571b5b2f8a7dcce4637b2ad180bf38a98cb529d",
+    "50": "69350329c0fac181ae4f0dc17eb2aa6f0e3bb69c0d89ebc1396f601942eef5be",
+    "30": "ef1c6546a5524c9984ae48e8c57acbdca9e7a4b23a80e0381383ed10845de59b",
 }
 # replays at each precision in turn in one process, writing DIR/<k>.json; the
 # last line is the kernel cache misses after each replay
@@ -176,19 +177,18 @@ class TestReplayCommand:
     def test_kernel_caches_are_bounded(self):
         assert specials._stirling_raw.cache_info().maxsize == specials.KERNEL_CACHE_SIZE
 
-    def test_coarse_width_gives_inconclusive_step(self, tmp_path, capsys):
-        # at width 1/10 the q-root enclosures overlap and cannot be ordered
-        out_path = tmp_path / "coarse.json"
-        code, _ = run(["replay", "--precision", "30", "--width", "0.1",
-                       "--out", str(out_path)])
+    def test_failed_step_exits_1(self, tmp_path, monkeypatch, capsys):
+        # G_rational(0, 0) = 1/10^6 instead of 0: the exact left-edge step fails
+        G = proof.G_rational
+        mutant = lambda x, y: G(x, y) + Fraction(1, 10**6)
+        monkeypatch.setattr(proof, "G_rational", mutant)
+        out_path = tmp_path / "mutant.json"
+        code, _ = run(["replay", "--precision", "30", "--out", str(out_path)])
         assert code == EXIT_VERIFY_FAILED
         steps = {s["id"]: s for s in json.loads(out_path.read_text())["steps"]}
         assert len(steps) == 31
-        assert steps["strip.q-root-ordering"]["status"] == "inconclusive"
-        assert steps["strip.q-root-ordering"]["evidence"] == {
-            "error": "refine width: enclosures overlap at requested width"
-        }
-        assert "strip.q-root-ordering" in capsys.readouterr().err
+        assert steps["trapezoid.A.left-edge-endpoints"]["status"] == "failed"
+        assert "trapezoid.A.left-edge-endpoints" in capsys.readouterr().err
 
     def test_json_format_prints_report(self, tmp_path):
         out_path = tmp_path / "r.json"

@@ -26,7 +26,6 @@ from betabound.proof import (
     ivady_upper_bound,
     log_correction,
     new_bound,
-    remark_sandwich,
     replay_all,
     replay_diagonal,
     replay_strip,
@@ -36,7 +35,7 @@ from betabound.proof import (
 )
 from betabound.catalogue import load_catalogue
 from betabound.constants import agrees_with_printed
-from betabound.specials import context, to_mpf
+from betabound.specials import beta, context, to_mpf
 
 HP = context(60)
 mpmath.mp.dps = 60
@@ -72,10 +71,14 @@ class TestTheoremMargin:
         "x, y", [("1e-30", "1e-30"), ("1e-20", "1e-20"), ("1e-30", "0.5")]
     )
     def test_cancelled_guard_digits_are_inconclusive(self, x, y):
-        # B / margin is about 3e60, 3e40 and 2e30 here: the subtraction leaves
-        # fewer than 30 of the 45 working digits, so no 30-digit margin exists
+        # B / margin is about 3e60, 3e40 and 2e30 here, and F is about 3.6e-61,
+        # 3.6e-41 and 5.3e-32 against log terms carrying an absolute error: each
+        # subtraction leaves fewer than 30 of the 45 working digits
+        for margin in (theorem_margin, big_F):
+            with pytest.raises(ValueError, match="inconclusive"):
+                margin(x, y, 30)
         with pytest.raises(ValueError, match="inconclusive"):
-            theorem_margin(x, y, 30)
+            diag_gap(x, 30)
 
     def test_margin_near_the_axes_keeps_its_digits(self):
         with mpmath.workdps(150):
@@ -102,8 +105,11 @@ class TestCoreFunctionIdentities:
         assert big_G(F(3, 10), F(3, 10)) == 0
 
     def test_F_vanishes_on_left_edge(self):
+        # F(0, y) = 0 exactly (the step trapezoid.boundary.left-edge), so a
+        # value is all rounding noise
         for y in (F(1, 4), F(1, 2), F(9, 10), F(1)):
-            assert abs(big_F(0, y)) < HP.mpf("1e-25")
+            with pytest.raises(ValueError, match="inconclusive"):
+                big_F(0, y)
 
     def test_diagonal_restriction_matches_gap(self):
         for x in (F(1, 10), F(1, 3), F(3, 5)):
@@ -204,24 +210,27 @@ class TestSharedFormulas:
 
 
 class TestRemarkOrdering:
+    # the remark of the paper: Ivady's bound is the stronger one for x + y >= 1,
+    # ours for x + y <= 1, since new - Ivady = -(x + y - 1)/(x + y + 1)
     def test_equality_at_corner(self):
-        rep = remark_sandwich(1, 1)
-        assert rep.ok and rep.regime == "x+y>=1"
-        assert "beta == stronger bound" in rep.equalities
-        assert abs(rep.ivady_bound - 1) < HP.mpf("1e-45")
+        assert ivady_lower_bound(F(1), F(1)) == 1
+        assert abs(beta(1, 1) - 1) < HP.mpf("1e-45")
 
     def test_strict_above_line(self):
-        rep = remark_sandwich(F(3, 4), F(3, 4))
-        assert rep.ok and rep.equalities == ()
+        x = y = F(3, 4)
+        assert ivady_lower_bound(x, y) - new_bound(x, y) == F(1, 5)
+        assert beta(x, y) - ivady_lower_bound(x, y) > HP.mpf("0.01")
 
     def test_reversed_below_line(self):
-        rep = remark_sandwich(F(1, 4), F(1, 4))
-        assert rep.ok and rep.regime == "x+y<=1"
-        assert rep.new_bound > rep.ivady_bound
+        x = y = F(1, 4)
+        assert new_bound(x, y) - ivady_lower_bound(x, y) == F(1, 3)
 
     def test_bounds_coincide_on_the_line(self):
-        rep = remark_sandwich(F(1, 4), F(3, 4))
-        assert rep.ok and "bounds coincide" in rep.equalities
+        x, y = BiPoly.x(), BiPoly.y()
+        gap = new_bound(x, y) - ivady_lower_bound(x, y)
+        assert gap.equivalent(-(x + y - 1) / (x + y + 1))
+        t = Poly.x()
+        assert new_bound(t, 1 - t).equivalent(ivady_lower_bound(t, 1 - t))
 
 
 class TestBounds:
@@ -263,7 +272,8 @@ PINNED_STEPS = [
      ("g(1/5)", "printed", "interval_cover")),
     ("trapezoid.A.left-edge-concavity", "sign-engine",
      ("second_derivative_identity", "identity", "p2_at_1")),
-    ("trapezoid.A.left-edge-endpoints", "high-precision", ("G(0,0)", "G(0,1)")),
+    ("trapezoid.A.left-edge-endpoints", "exact-identity",
+     ("G_rational(0,0)", "G_rational(0,1)", "recurrence")),
     ("trapezoid.A.conclusion", "high-precision", ("samples",)),
     ("trapezoid.B.slope-positive", "sign-engine",
      ("substitution_identity", "identity", "bracket_pattern", "bracket_at_1",
@@ -278,7 +288,8 @@ PINNED_STEPS = [
     ("trapezoid.C.conclusion", "high-precision", ("samples",)),
     ("trapezoid.boundary.antidiagonal", "high-precision",
      ("bounds_coincide_identity", "F_samples")),
-    ("trapezoid.boundary.left-edge", "high-precision", ("values",)),
+    ("trapezoid.boundary.left-edge", "exact-identity",
+     ("log_argument_is_1", "log_gamma(1)")),
     ("trapezoid.boundary.diagonal", "high-precision", ("samples", "depends_on")),
     ("trapezoid.boundary.right-edge", "high-precision", ("samples", "depends_on")),
     ("trapezoid.no-interior-extremum", "high-precision", ("depends_on",)),
@@ -366,6 +377,18 @@ class TestReplay:
         }
         assert len(steps) == 31
         assert all(s.status == "verified" for k, s in steps.items() if k not in bad)
+
+    @pytest.mark.parametrize("name, mutant, sid", [
+        ("G_rational", lambda G: lambda x, y: G(x, y) + F(1, 10**6),
+         "trapezoid.A.left-edge-endpoints"),
+        ("log_correction",
+         lambda log: lambda x, y, ln: log(x, y, lambda arg: ln(arg + F(1, 10**6))),
+         "trapezoid.boundary.left-edge"),
+    ], ids=["G_rational", "log_correction"])
+    def test_exact_edge_step_fails_on_mutant(self, monkeypatch, name, mutant, sid):
+        monkeypatch.setattr(proof, name, mutant(getattr(proof, name)))
+        by_id = {s.id: s for s in replay_trapezoid(30)}
+        assert by_id[sid].status == "failed"
 
     def test_replay_at_reduced_precision(self):
         report = replay_all(dps=30)

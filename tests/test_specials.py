@@ -118,10 +118,6 @@ HIGH_PRECISION = {
     "dG_dx": lambda d: [proof.dG_dx(X, Y, d)],
     "diag_gap": lambda d: [proof.diag_gap(X, d)],
     "edge_slope": lambda d: [proof.edge_slope(X, d)],
-    "remark_sandwich": lambda d: [
-        getattr(proof.remark_sandwich(X, Y, d), field)
-        for field in ("x", "y", "beta", "new_bound", "ivady_bound")
-    ],
 }
 
 
