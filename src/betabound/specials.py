@@ -1,9 +1,10 @@
 """High-precision gamma/polygamma/beta evaluation on arbitrary-precision floats.
 
 Everything is computed from scratch on top of ``mpmath`` raw floats
-(``mpf``), by one Stirling series with exact Bernoulli-number coefficients.
-mpmath's own gamma/digamma routines are never called, so they remain an
-independent cross-check in the test suite (alongside the quadrature oracles).
+(``mpf``) and Python integers, by one Stirling series with exact
+Bernoulli-number coefficients.  mpmath's own gamma/digamma routines are
+never called, so they remain an independent cross-check in the test suite
+(alongside the quadrature oracles).
 
 Precision contract
 ------------------
@@ -18,21 +19,28 @@ Compositions (F, G, the sandwich margins) call the public functions at
 Stirling kernel
 ---------------
 ``_stirling_raw(ctx, x, order)`` is log Gamma (order -1) or psi^(order)
-(orders 0, 1, 2).  After shifting x up to ``STIRLING_SHIFT`` by the
-recurrences, it sums one series (DLMF 5.11.1 and its derivatives, 5.15.8):
-a head by order, then the terms (-1)^(order+1) B_2k (2k+order-1)!/(2k)!
-x^-(2k+order).  It keeps its last ``KERNEL_CACHE_SIZE`` results in an
-``lru_cache`` keyed by the context (one per precision), the mpf argument
-(immutable, hashed by value) and the order; the result depends on nothing
-else, so a hit returns the very value a recomputation would give.  A
-domain error is raised, not cached.  One replay makes 171 kernel calls,
-63 distinct (64 at 30 digits).
+(orders 0, 1, 2).  The recurrences shift x to z >= ``STIRLING_SHIFT``; one
+series (DLMF 5.11.1 and its derivatives, 5.15.8) sums a head by order and
+the terms (-1)^(order+1) B_2k (2k+order-1)!/(2k)! z^-(2k+order).  ctx mpfs
+hold the head (ln z, powers of 1/z), a shift step below 1 and the log of
+the log Gamma shift product.  The other shift steps and the series (Horner
+in w = 1/z^2, then a product by z^-(order+2)) run on integers scaled by
+2^W, W = ctx.prec + ``GUARD_BITS``, converted once.  Only x < STIRLING_SHIFT
+is made fixed-point, and 1/z comes from ctx: no cost grows with x's exponent.
 
-``STIRLING_SHIFT = 40`` and ``STIRLING_TERMS = 21`` (Bernoulli numbers up
-to B_42) put the first omitted series term below 1e-46 of the result for
-every function here (worst case psi''), far inside the 1e-30 error
-budget.  Being fixed, they cap the accuracy at about 1e-53 absolute
-whatever ``dps`` asks for.
+The integer part errs by under K 2^-W, K = 2 STIRLING_SHIFT: under 1 for
+each of at most STIRLING_SHIFT - 1 floored shift steps (for log Gamma,
+relative to a product >= 1), under |psi^(n+1)(1)| <= 6 zeta(4) < 7 for
+flooring x + 1 when x < 1, and under 3 for the series whatever
+STIRLING_TERMS, as each Horner step floors twice and scales the error
+carried in by w <= 1/1600.  GUARD_BITS, the bit length of K STIRLING_SHIFT^2,
+put that below one unit of ctx.prec on any |psi''| the kernel shifts.
+
+An ``lru_cache`` keeps the last ``KERNEL_CACHE_SIZE`` results, keyed by all a
+result depends on: the context, the mpf argument (hashed by value) and the
+order; a domain error is not cached.  One replay makes 125 kernel calls, 50
+distinct.  The fixed shift and term count (B_2 to B_42) put the first omitted
+term below 1e-46 of the result (worst case psi'') and cap the accuracy near 1e-53.
 """
 
 from __future__ import annotations
@@ -43,12 +51,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import from_man_exp, to_fixed
 
 GUARD_DIGITS = 15
 STIRLING_SHIFT = 40
 STIRLING_TERMS = 21
+GUARD_BITS = (2 * STIRLING_SHIFT**3).bit_length()  # K STIRLING_SHIFT^2, see above
 DEFAULT_DPS = 50
-# entries in the kernel cache; one replay makes 63 distinct kernel calls (of 171)
+# entries in the kernel cache; one replay makes 50 distinct kernel calls (of 125)
 KERNEL_CACHE_SIZE = 256
 
 
@@ -92,16 +102,14 @@ def evaluate(raw, dps: int, *args):
 
 @lru_cache(maxsize=None)
 def bernoulli_even(count: int) -> tuple[Fraction, ...]:
-    """Exact Bernoulli numbers B_2, B_4, ..., B_{2*count} (B_1 = -1/2)."""
-    top = 2 * count
-    b = [Fraction(0)] * (top + 1)
-    b[0] = Fraction(1)
-    for m in range(1, top + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * b[j]
-        b[m] = -acc / (m + 1)
-    return tuple(b[2 * k] for k in range(1, count + 1))
+    """Exact B_2, ..., B_{2*count}, as (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the
+    tangent numbers T_k, which are built on integers (Brent and Harvey 2011)."""
+    t = [0] + [math.factorial(k - 1) for k in range(1, count + 1)]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1))
+                 for k in range(1, count + 1))
 
 
 @lru_cache(maxsize=None)
@@ -115,13 +123,33 @@ def _stirling_coeffs(order: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _series_coeffs(ctx: MPContext, order: int):
-    """ctx mpf copies of ``_stirling_coeffs(order)``."""
-    return tuple(to_mpf(ctx, c) for c in _stirling_coeffs(order))
+def _fixed_coeffs(bits: int, order: int) -> tuple[int, ...]:
+    """``_stirling_coeffs(order)`` times 2^bits, floored, last first."""
+    return tuple((c.numerator << bits) // c.denominator
+                 for c in reversed(_stirling_coeffs(order)))
 
 
-# psi^(n)(x) = psi^(n)(x + 1) + _SHIFT_TERMS[n](x), for n = 0, 1, 2
-_SHIFT_TERMS = (lambda x: -1 / x, lambda x: 1 / (x * x), lambda x: -2 / (x * x * x))
+_SHIFT_NUMERATORS = (-1, 1, -2)  # psi^(n)(x) - psi^(n)(x + 1), times x^(n+1)
+
+
+def _fixed_shift(X: int, bits: int, order: int) -> tuple[int, int]:
+    """Step X = x 2^bits >= 2^bits up to STIRLING_SHIFT: (the X it ends on, the
+    product of the x or the sum of the shift terms, times 2^bits, floored)."""
+    one = 1 << bits
+    acc = one if order < 0 else 0
+    c = _SHIFT_NUMERATORS[order] << (order + 2) * bits if order >= 0 else 0
+    while X < STIRLING_SHIFT * one:
+        acc = acc * X >> bits if order < 0 else acc + c // X ** (order + 1)
+        X += one
+    return X, acc
+
+
+def _fixed_series(inv: int, bits: int, order: int) -> int:
+    """The series at inv = 2^bits / z, times 2^((order+3) bits), by Horner in 1/z^2."""
+    w, s = inv * inv >> bits, 0
+    for c in _fixed_coeffs(bits, order):
+        s = c + (s * w >> bits)
+    return s * inv ** (order + 2)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -132,28 +160,30 @@ def _stirling_raw(ctx: MPContext, x, order: int):
     """
     if not x > 0:
         raise ValueError("domain error: the gamma family requires a positive argument")
-    shift = ctx.mpf(1 if order < 0 else 0)
-    while x < STIRLING_SHIFT:
+    bits = ctx.prec + GUARD_BITS
+    z, result, shift, below = x, ctx.zero, 0, 1
+    if x < STIRLING_SHIFT:
+        X = to_fixed(x._mpf_, bits)
+        if x < 1:
+            below, X = x, X + (1 << bits)
+            if order >= 0:
+                result = _SHIFT_NUMERATORS[order] / x ** (order + 1)
+        X, shift = _fixed_shift(X, bits, order)
+        z = ctx.make_mpf(from_man_exp(X, -bits))
         if order < 0:
-            shift *= x
-        else:
-            shift += _SHIFT_TERMS[order](x)
-        x += 1
-    inv = 1 / x
-    inv2 = inv * inv
+            result, shift = -ctx.ln(below * ctx.make_mpf(from_man_exp(shift, -bits))), 0
+    inv = 1 / z
     if order < 0:
-        result = (x - ctx.mpf(1) / 2) * ctx.ln(x) - x + ctx.ln(2 * ctx.pi) / 2
-        power = inv
+        result += (z - ctx.mpf(1) / 2) * ctx.ln(z) - z + ctx.ln(2 * ctx.pi) / 2
     elif order == 0:
-        result, power = ctx.ln(x) - inv / 2, inv2
+        result += ctx.ln(z) - inv / 2
     elif order == 1:
-        result, power = inv + inv2 / 2, inv2 * inv
+        result += inv + inv * inv / 2
     else:
-        result, power = -inv2 - inv2 * inv, inv2 * inv2
-    for c in _series_coeffs(ctx, order):
-        result += c * power
-        power *= inv2
-    return result - ctx.ln(shift) if order < 0 else result + shift
+        result -= inv * inv * (1 + inv)
+    fixed = _fixed_series(to_fixed(inv._mpf_, bits), bits, order)
+    fixed += shift << (order + 2) * bits
+    return result + ctx.make_mpf(from_man_exp(fixed, -(order + 3) * bits))
 
 
 def _beta_raw(ctx: MPContext, x, y):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import mpmath
@@ -237,18 +238,111 @@ class TestStirlingKernel:
         }
         assert list(specials._stirling_coeffs(order)) == tables[order]
 
-    @pytest.mark.parametrize("dps", [30, 50])
-    @pytest.mark.parametrize("x", ["1e-6", "39.5", "40", "40.5"])
+    @pytest.mark.parametrize("dps", [30, 50, 100])
+    @pytest.mark.parametrize(
+        "x",
+        ["1e-6", "39.5", "40", "40.5", F(1, 5), F(9, 25), F(34, 25), F(1, 3), "1e-30"],
+    )
     def test_each_order_matches_mpmath(self, x, dps):
-        # 39.5 is shifted once, 40 and 40.5 not at all, 1e-6 forty times
+        # 39.5 is shifted once, 40 and 40.5 not at all, 1e-6 forty times; the
+        # Fractions carry a full mantissa into the fixed-point shift
         budget = to_mpf(HP, psibounds.error_budget(dps))
         with mpmath.workdps(dps + 30):
-            xm = mpmath.mpf(x)
+            if isinstance(x, F):
+                xm = mpmath.mpf(x.numerator) / x.denominator
+            else:
+                xm = mpmath.mpf(x)
             references = [mpmath.loggamma(xm), mpmath.digamma(xm),
                           mpmath.psi(1, xm), mpmath.psi(2, xm)]
         for fn, reference in zip((log_gamma, psi, psi1, psi2), references):
             error = abs(to_mpf(HP, fn(x, dps)) - reference)
             assert error <= budget * max(1, abs(reference)), fn.__name__
+
+    @pytest.mark.parametrize("dps", [30, 50])
+    @pytest.mark.parametrize(
+        "x", [F(1, 3), F(9, 25), F(34, 25), F(79, 2), F(1, 10**30), F(123, 2)]
+    )
+    @pytest.mark.parametrize("order", [-1, 0, 1, 2])
+    def test_fixed_point_part_within_its_bound(self, order, x, dps):
+        # the shift and the series redone in Fractions from the integers the
+        # kernel starts from; the bounds are the module docstring's
+        bits = work_context(dps).prec + specials.GUARD_BITS
+        one, unit = 1 << bits, F(1, 1 << bits)
+        X = x.numerator * one // x.denominator + (one if x < 1 else 0)
+        X_end, acc = specials._fixed_shift(X, bits, order)
+        z, shift = F(X, one), F(int(order < 0))
+        while z < specials.STIRLING_SHIFT:
+            if order < 0:
+                shift *= z
+            else:
+                shift += F(specials._SHIFT_NUMERATORS[order]) / z ** (order + 1)
+            z += 1
+        assert z == F(X_end, one)
+        coeffs = enumerate(specials._stirling_coeffs(order), start=1)
+        series = sum(c / z ** (2 * k + order) for k, c in coeffs)
+        fixed = specials._fixed_series(one * one // X_end, bits, order)
+        fixed = F(fixed, one ** (order + 3))
+        assert abs(fixed - series) < 3 * unit
+        if order < 0:  # a relative error r moves the logarithm by under 2 r
+            error = abs(F(acc, one) / shift - 1) * 2
+        else:
+            error = abs(F(acc, one) - shift)
+        assert error < (specials.STIRLING_SHIFT - 1) * unit
+        assert error + abs(fixed - series) < 2 * specials.STIRLING_SHIFT * unit
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_guard_bits_keep_the_working_precision(self, order):
+        # at 30 digits the series cap sits far below a unit of the working
+        # precision, so what is left is the mpf rounding and the fixed-point
+        # part; without GUARD_BITS, psi'' loses thousands of units
+        ctx = work_context(30)
+        rng = random.Random(3)
+        xs = [F(rng.randrange(1, 10**30), 10**30) for _ in range(10)]
+        xs += [F(rng.randrange(10**29, 4 * 10**31), 10**30) for _ in range(10)]
+        for x in xs + [F(1, 3), F(79, 2), F(1, 10**6)]:
+            x = to_mpf(ctx, x)
+            value = specials._stirling_raw.__wrapped__(ctx, x, order)
+            with mpmath.workdps(120):
+                exact = mpmath.psi(order, mpmath.mpf(x._mpf_))
+                scale = abs(exact) if order else max(1, abs(exact))
+                units = abs(mpmath.mpf(value._mpf_) - exact) / scale * 2**ctx.prec
+            assert units < 8, (x, units)
+
+    @pytest.mark.parametrize("x", ["1e-300", "1e300", "1e100000", "1e-100000"])
+    @pytest.mark.parametrize("order", [-1, 0, 1, 2])
+    def test_extreme_arguments_are_finite_and_fast(self, order, x):
+        # nothing may scale with the exponent of x: the fixed-point conversions
+        # see only an x below the shift and the 1/z of the series
+        ctx = work_context(50)
+        xm = to_mpf(ctx, x)
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            value = specials._stirling_raw.__wrapped__(ctx, xm, order)
+            seconds.append(time.perf_counter() - start)
+        assert ctx.isfinite(value)
+        assert min(seconds) < 0.005
+        fn = (log_gamma, psi, psi1, psi2)[order + 1]
+        assert context(50).isfinite(fn(x, 50))
+
+
+class TestBernoulli:
+    @staticmethod
+    def recurrence(count):
+        # the classical recurrence sum_{j <= m} C(m+1, j) B_j = 0, in Fractions
+        b = [F(1)] + [F(0)] * (2 * count)
+        for m in range(1, 2 * count + 1):
+            b[m] = -sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1)
+        return tuple(b[2 * k] for k in range(1, count + 1))
+
+    @pytest.mark.parametrize("count", range(1, 31))
+    def test_tangent_numbers_match_the_recurrence(self, count):
+        assert specials.bernoulli_even(count) == self.recurrence(count)
+
+    def test_first_values(self):
+        assert specials.bernoulli_even(6) == (
+            F(1, 6), F(-1, 30), F(1, 42), F(-1, 30), F(5, 66), F(-691, 2730)
+        )
 
 
 @pytest.fixture(scope="module")
