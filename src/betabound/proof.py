@@ -16,13 +16,15 @@ positive (no interior extremum) and the boundary values pin the minimum.
 
 Each displayed step of that argument becomes a ``ProofStep``: algebraic
 identities are certified by exact cross-multiplication, polynomial sign
-claims by the one-sign-change criterion with exact evaluations, and the
+claims by the one-sign-change criterion with exact evaluations, the
 finitely many transcendental values by high-precision evaluation read
-through the 10x error-budget band of ``certified_sign``.  Each phase is
-a table of (id, claim, method, check) rows that one runner,
-``_Phase.run``, turns into steps; a check has one of three shapes, each
-written once: exact (named booleans through ``_status``), PN certificate
-(``_pn_certificate``) and high-precision sample (``_sample``).
+through the 10x error-budget band of ``certified_sign`` (four steps), and
+the conclusions follow from their parent steps.  Each phase is a table of
+(id, claim, method, check, parents) rows that one runner, ``_Phase.run``,
+turns into steps; a check has one of four shapes, each written once: exact
+(named booleans through ``_status``), PN certificate (``_pn_certificate``),
+high-precision sample (``_sample``) and derived (none: ``replay_all``
+combines the statuses of the step and its parents, ``_derive_statuses``).
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .specials import (
     psi,
     psi1,
     to_mpf,
-    work_context,
 )
 from . import constants, signs
 
@@ -217,6 +218,7 @@ def edge_slope(x, dps: int = DEFAULT_DPS):
 # proof steps
 # ---------------------------------------------------------------------------
 
+METHOD_DERIVED = "derived"
 METHOD_EXACT_POLY = "exact-polynomial"
 METHOD_EXACT_IDENTITY = "exact-identity"
 METHOD_HIGH_PRECISION = "high-precision"
@@ -233,35 +235,40 @@ class ProofStep:
     claim: str
     method: str
     status: str
+    depends_on: list = field(default_factory=list)   # ids of its parent steps
     evidence: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
         return asdict(self)
 
 
-def _step(table: list, sid: str, method: str, claim: str):
-    """Append the decorated check to `table` as the row (id, claim, method, check)."""
+def _step(table: list, sid: str, method: str, claim: str, depends_on=()):
+    """Append the row (id, claim, method, check, parents) of the decorated check."""
 
     def add(check):
-        table.append((sid, claim, method, check))
+        table.append((sid, claim, method, check, tuple(depends_on)))
         return check
 
     return add
 
 
+def _derived(table: list, sid: str, claim: str, depends_on):
+    """Append a conclusion row: no check of its own, its status its parents'."""
+    table.append((sid, claim, METHOD_DERIVED, None, tuple(depends_on)))
+
+
 class _Phase:
     """One phase of the replay: its step table and what its checks share.
 
-    A subclass lists its rows in ``STEPS`` through ``_step``, in proof
-    order; each check is a method returning (status, evidence).  Values
-    that several checks need are computed once, in ``__init__``.
+    A subclass lists its rows in ``STEPS``, in proof order, through ``_step``
+    and ``_derived``; each check is a method returning (status, evidence).
+    Values that several checks need are computed once, in ``__init__``.
     """
 
     STEPS: list
 
     def __init__(self, dps: int):
         self.dps = dps
-        self.steps: list[ProofStep] = []   # the steps run so far
 
     def run(self) -> list[ProofStep]:
         """Run the rows in order; the one place a ProofStep is built.
@@ -269,16 +276,18 @@ class _Phase:
         Evidence values are reported as their ``str``.  A check that raises
         ValueError (a sign criterion that does not apply, root enclosures too
         wide to order) gives an inconclusive step that carries the message,
-        and the later rows still run.
+        and the later rows still run.  A derived row runs no check: it is
+        verified until ``replay_all`` combines its parents' statuses.
         """
-        for sid, claim, method, check in self.STEPS:
+        steps = []
+        for sid, claim, method, check, parents in self.STEPS:
             try:
-                status, evidence = check(self)
+                status, evidence = check(self) if check else (VERIFIED, {})
             except ValueError as exc:
                 status, evidence = INCONCLUSIVE, {"error": str(exc)}
             evidence = {k: str(v) for k, v in evidence.items()}
-            self.steps.append(ProofStep(sid, claim, method, status, evidence))
-        return self.steps
+            steps.append(ProofStep(sid, claim, method, status, list(parents), evidence))
+        return steps
 
 
 def _status(ok: bool) -> str:
@@ -294,19 +303,29 @@ def _combine(statuses) -> str:
     return VERIFIED
 
 
-def _sample(fn, points, dps: int, key=None):
+def _derive_statuses(steps: list[ProofStep]) -> list[ProofStep]:
+    """Give each step, in order, the ``_combine`` of its status and its parents'.
+
+    A parent id that names no earlier step counts as failed: no cycle passes.
+    """
+    done = {}
+    for step in steps:
+        parents = [done.get(sid, FAILED) for sid in step.depends_on]
+        step.status = done[step.id] = _combine([step.status, *parents])
+    return steps
+
+
+def _sample(fn, points, dps: int, key: str):
     """fn(*point, dps) at each point, each value required to be positive.
 
     Returns the values, their combined status (by ``certified_sign``: a value
-    inside its band is inconclusive) and the samples ``[(label, str(value))]``
-    that the evidence records; a point's label is ``key.format(*point)``, or
-    the tuple of its coordinates' ``str``.
+    inside its band is inconclusive) and the samples
+    ``[(key.format(*point), str(value))]`` that the evidence records.
     """
     values = [fn(*point, dps) for point in points]
     sgn = [certified_sign(value, dps) for value in values]
     status = _combine(INCONCLUSIVE if s == 0 else _status(s > 0) for s in sgn)
-    labels = [tuple(map(str, pt)) if key is None else key.format(*pt) for pt in points]
-    return values, status, list(zip(labels, map(str, values)))
+    return values, status, [(key.format(*pt), str(v)) for pt, v in zip(points, values)]
 
 
 def _pn_certificate(identities: dict, p: Poly, point, key: str, guard=True, **evidence):
@@ -409,10 +428,15 @@ class _Diagonal(_Phase):
            "f(1/2) agrees with log(pi/3).")
     def spots(self):
         spots = [(Fraction(1, 10),), (HALF,), (Fraction(1),), (Fraction(13, 10),)]
-        values, status, samples = _sample(diag_gap, spots, self.dps, "{}")
-        work = work_context(self.dps)
-        half_ok = certified_sign(values[1] - work.ln(work.pi / 3), self.dps) == 0
-        evidence = dict(samples) | {"f(1/2)==log(pi/3)": half_ok}
+        _, status, samples = _sample(diag_gap, spots, self.dps, "{}")
+        # f(1/2) = 2 log Gamma(3/2) - log Gamma(2) - log(argument), exactly
+        # log(pi/4) - log(3/4) once the argument is 3/4
+        half_ok = log_correction(HALF, HALF, lambda arg: arg) == Fraction(3, 4)
+        evidence = dict(samples) | {
+            "f(1/2)==log(pi/3)": half_ok,
+            "Gamma(3/2)": "sqrt(pi)/2 (DLMF 5.4.6, 5.5.1)",
+            "Gamma(2)": "1",
+        }
         return _combine([status, _status(half_ok)]), evidence
 
 
@@ -568,18 +592,9 @@ class _Strip(_Phase):
         corner_min = _unit_square_min(_bivariate_pieces()[3])
         return _status(corner_min >= 1), {"corner_min": corner_min}
 
-    @_step(STEPS, "strip.reduce-to-diagonal", METHOD_HIGH_PRECISION,
-           "With dF/dy > 0 on the strip, F(x, y) >= F(x, x) = f(x) > 0; "
-           "numeric spot checks of F(x, y) - f(x) agree.")
-    def reduce_to_diagonal(self):
-        xs = (Fraction(1, 4), Fraction(3, 10), Fraction(9, 20))
-        values, f_status, _ = _sample(diag_gap, [(x,) for x in xs], self.dps)
-        f = dict(zip(xs, values))
-        gap = lambda x, y, dps: big_F(x, y, dps) - f[x]
-        points = [(x, y) for x in xs for y in (HALF, 1 - x)]
-        _, status, samples = _sample(gap, points, self.dps)
-        evidence = {"samples": samples, "depends_on": "diagonal.*, strip.*"}
-        return _combine([f_status, status]), evidence
+    _derived(STEPS, "strip.reduce-to-diagonal",
+             "With dF/dy > 0 on the strip, F(x, y) >= F(x, x) = f(x) > 0.",
+             [row[0] for row in _Diagonal.STEPS + STEPS])
 
 
 def replay_strip(dps: int = DEFAULT_DPS) -> list[ProofStep]:
@@ -587,7 +602,8 @@ def replay_strip(dps: int = DEFAULT_DPS) -> list[ProofStep]:
 
     The digamma-difference lower bound (n = 3) turns dF/dy into
     x Q(x, y) / [positive factors]; Q is a one-sign-change polynomial in y
-    whose positivity on x <= y <= 1 - x follows from Q(x, 1-x) > 0.
+    whose positivity on x <= y <= 1 - x follows from Q(x, 1-x) > 0.  Its
+    derived step takes its parents' statuses only in ``replay_all``.
     """
     return _Strip(dps).run()
 
@@ -716,17 +732,9 @@ class _Trapezoid(_Phase):
             "recurrence": "psi(2) = psi(1) + 1 (DLMF 5.5.2)",
         }
 
-    @_step(STEPS, "trapezoid.A.conclusion", METHOD_HIGH_PRECISION,
-           "dG/dx > 0 on 0 < x < 1/5 and G(0, y) >= 0 give G > 0 for "
-           "y >= x + 9/25; sampled values agree.")
-    def a_conclusion(self):
-        points = []
-        for x in (Fraction(1, 100), Fraction(1, 10), Fraction(19, 100)):
-            base = x + EDGE_OFFSET
-            step = (Fraction(99, 100) - base) / 3
-            points += [(x, base + step * k) for k in range(4)]
-        _, status, samples = _sample(big_G, points, self.dps)
-        return status, {"samples": samples}
+    _derived(STEPS, "trapezoid.A.conclusion",
+             "dG/dx > 0 on 0 < x < 1/5 and G(0, y) >= 0 give G > 0 for "
+             "y >= x + 9/25.", [row[0] for row in STEPS])
 
     # --- subregion B: 9/25 < y < x + 9/25 --------------------------------------
     @_step(STEPS, "trapezoid.B.slope-positive", METHOD_SIGN_ENGINE,
@@ -734,7 +742,8 @@ class _Trapezoid(_Phase):
            "(13+2150y-1250y^2)/(2(8+34y-25y^2)^2); subtracting the upper "
            "psi' bound leaves [5275352 + (25y-9) * bracket]/[positive] "
            "with the bracket positive on (0, 1], so dG/dy > 0 for "
-           "9/25 < y < 1 (using the mixed-partial monotonicity).")
+           "9/25 < y < 1 (using the mixed-partial monotonicity).",
+           ["trapezoid.A.mixed-partial"])
     def b_slope(self):
         # dG/dy(x, y) = -dG/dx(y, x) by antisymmetry; on the edge x = y - 9/25
         t = _T
@@ -759,7 +768,6 @@ class _Trapezoid(_Phase):
             "identity": identity,
             "bracket_pattern": signs.classify(bracket).value,
             "bracket_at_1": bracket(Fraction(1)),
-            "depends_on": "trapezoid.A.mixed-partial",
         }
 
     @_step(STEPS, "trapezoid.B.concavity", METHOD_SIGN_ENGINE,
@@ -793,25 +801,18 @@ class _Trapezoid(_Phase):
         evidence = dict(samples) | {"printed": "0.0554, 0.04015"}
         return _combine([status, _status(left_ok and right_ok)]), evidence
 
-    @_step(STEPS, "trapezoid.B.conclusion", METHOD_HIGH_PRECISION,
-           "G increases in y past 9/25 and G(., 9/25) is concave with "
-           "positive corner values, so G > 0 for 9/25 < y < x + 9/25.")
-    def b_conclusion(self):
-        low = Fraction(9, 25)
-        points = [
-            (x, y)
-            for x in (Fraction(1, 50), Fraction(1, 10), Fraction(9, 50))
-            for y in (Fraction(37, 100), Fraction(2, 5), x + low - Fraction(1, 100))
-            if low < y < x + low
-        ]
-        _, status, samples = _sample(big_G, points, self.dps)
-        return status, {"samples": samples}
+    _derived(STEPS, "trapezoid.B.conclusion",
+             "G increases in y past 9/25 and G(., 9/25) is concave with "
+             "positive corner values, so G > 0 for 9/25 < y < x + 9/25.",
+             ["trapezoid.B.slope-positive", "trapezoid.B.concavity",
+              "trapezoid.B.corner-values"])
 
     # --- subregion C: x < y <= 9/25 --------------------------------------------
     @_step(STEPS, "trapezoid.C.slope-positive", METHOD_SIGN_ENGINE,
            "dG/dy at x = 0 equals 2/(1+y)^2 - psi'(y+1), bounded below by "
            "p4(y)/[positive]; p4(9/25) > 0 certifies p4 > 0 on (0, 9/25], "
-           "so dG/dy > 0 there and G(x, y) > G(x, x) = 0.")
+           "so dG/dy > 0 there and G(x, y) > G(x, x) = 0.",
+           ["trapezoid.A.mixed-partial"])
     def c_slope(self):
         t = _T
         p4 = self.cat.p[4]
@@ -821,22 +822,11 @@ class _Trapezoid(_Phase):
             p4, 2 * (1 + t) ** 2 * (11 + 15 * t + 15 * t**2) * (5 + 18 * t + 18 * t**2)
         )
         identity = (slope - PRINTED_LX[A_SMALL]).equivalent(rhs)
-        return _pn_certificate(
-            {"substitution_identity": sub_ok, "identity": identity},
-            p4, Fraction(9, 25), "p4_at_9_25", depends_on="trapezoid.A.mixed-partial",
-        )
+        identities = {"substitution_identity": sub_ok, "identity": identity}
+        return _pn_certificate(identities, p4, Fraction(9, 25), "p4_at_9_25")
 
-    @_step(STEPS, "trapezoid.C.conclusion", METHOD_HIGH_PRECISION,
-           "G > 0 for x < y <= 9/25; sampled values agree.")
-    def c_conclusion(self):
-        points = [
-            (Fraction(1, 20), Fraction(1, 5)),
-            (Fraction(1, 10), Fraction(3, 10)),
-            (Fraction(3, 20), Fraction(9, 25)),
-            (Fraction(1, 100), Fraction(1, 10)),
-        ]
-        _, status, samples = _sample(big_G, points, self.dps)
-        return status, {"samples": samples}
+    _derived(STEPS, "trapezoid.C.conclusion",
+             "G > 0 for x < y <= 9/25.", ["trapezoid.C.slope-positive"])
 
     # --- boundary of D -----------------------------------------------------------
     @_step(STEPS, "trapezoid.boundary.antidiagonal", METHOD_HIGH_PRECISION,
@@ -862,32 +852,24 @@ class _Trapezoid(_Phase):
             "log_gamma(1)": "0 (Gamma(1) = 1)",
         }
 
-    @_step(STEPS, "trapezoid.boundary.diagonal", METHOD_HIGH_PRECISION,
-           "F(x, x) = f(x) > 0 on the fold diagonal.")
-    def boundary_diagonal(self):
-        xs = (Fraction(1, 100), Fraction(1, 10), Fraction(19, 100))
-        _, status, samples = _sample(big_F, [(x, x) for x in xs], self.dps, "{0}")
-        return status, {"samples": samples, "depends_on": "diagonal.*"}
-
-    @_step(STEPS, "trapezoid.boundary.right-edge", METHOD_HIGH_PRECISION,
-           "F(1/5, y) > 0 for y in [1/5, 4/5] (covered by the strip "
-           "argument).")
-    def boundary_right_edge(self):
-        points = [(Fraction(1, 5), Fraction(k, 5)) for k in range(1, 5)]
-        _, status, samples = _sample(big_F, points, self.dps, "{1}")
-        return status, {"samples": samples, "depends_on": "strip.*"}
-
-    @_step(STEPS, "trapezoid.no-interior-extremum", METHOD_HIGH_PRECISION,
-           "G > 0 throughout D rules out interior critical points of F, "
-           "so F attains its minimum on the boundary, where it is 0 only "
-           "on the x = 0 edge: F(x, y) >= 0 with equality only at x = 0.")
-    def no_interior_extremum(self):
-        return _combine(s.status for s in self.steps), {"depends_on": "trapezoid.*"}
+    _derived(STEPS, "trapezoid.boundary.diagonal",
+             "F(x, x) = f(x) > 0 on the fold diagonal.",
+             [row[0] for row in _Diagonal.STEPS])
+    _derived(STEPS, "trapezoid.boundary.right-edge",
+             "F(1/5, y) > 0 for y in [1/5, 4/5] (covered by the strip "
+             "argument).", ["strip.reduce-to-diagonal"])
+    _derived(STEPS, "trapezoid.no-interior-extremum",
+             "G > 0 throughout D rules out interior critical points of F, "
+             "so F attains its minimum on the boundary, where it is 0 only "
+             "on the x = 0 edge: F(x, y) >= 0 with equality only at x = 0.",
+             [f"trapezoid.{part}.conclusion" for part in "ABC"]
+             + [row[0] for row in STEPS if row[0].startswith("trapezoid.boundary.")])
 
 
 def replay_trapezoid(dps: int = DEFAULT_DPS) -> list[ProofStep]:
     """Certify that G > 0 on D (no interior extremum of F) and that F >= 0
-    on the boundary of D with equality only on the x = 0 edge."""
+    on the boundary of D with equality only on the x = 0 edge.  Its derived
+    steps take their parents' statuses only in ``replay_all``."""
     return _Trapezoid(dps).run()
 
 
@@ -927,9 +909,10 @@ class ProofReport:
 
 
 def replay_all(dps: int = DEFAULT_DPS) -> ProofReport:
-    """Run every step of the proof replay and collect the report."""
+    """Run every step of the proof replay, derive each step's status from its
+    parents' (``_derive_statuses``) and collect the report."""
     steps = replay_diagonal(dps) + replay_strip(dps) + replay_trapezoid(dps)
-    return ProofReport(dps=dps, steps=steps)
+    return ProofReport(dps=dps, steps=_derive_statuses(steps))
 
 
 @dataclass

@@ -117,8 +117,8 @@ class TestConfig:
 
 # sha256 of the replay report at each precision
 REPORT_SHA256 = {
-    "50": "69350329c0fac181ae4f0dc17eb2aa6f0e3bb69c0d89ebc1396f601942eef5be",
-    "30": "ef1c6546a5524c9984ae48e8c57acbdca9e7a4b23a80e0381383ed10845de59b",
+    "50": "f8b928348c2685302c4633c1af41b3d348feedd70a48acce2ff7905e2c0a67b9",
+    "30": "0223719302c9fbfe63b038816159fd92b0be72978f1f0357bdb0a81ee9c52819",
 }
 # replays at each precision in turn in one process, writing DIR/<k>.json; the
 # last line is the kernel cache misses after each replay

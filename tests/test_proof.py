@@ -252,7 +252,7 @@ PINNED_STEPS = [
     ("diagonal.slope-numerator-positive", "exact-polynomial",
      ("degree", "coefficient_signs")),
     ("diagonal.gap-positive-spots", "high-precision",
-     ("1/10", "1/2", "1", "13/10", "f(1/2)==log(pi/3)")),
+     ("1/10", "1/2", "1", "13/10", "f(1/2)==log(pi/3)", "Gamma(3/2)", "Gamma(2)")),
     ("strip.gradient-identities", "exact-identity", ()),
     ("strip.dFdy-reduction-identity", "exact-identity", ()),
     ("strip.q-root-ordering", "sign-engine", ("enclosures", "width")),
@@ -262,7 +262,7 @@ PINNED_STEPS = [
     ("strip.antidiagonal-positive", "exact-polynomial",
      ("inner_min_bound", "edge_lower_bound")),
     ("strip.denominator-positivity", "exact-polynomial", ("corner_min",)),
-    ("strip.reduce-to-diagonal", "high-precision", ("samples", "depends_on")),
+    ("strip.reduce-to-diagonal", "derived", ()),
     ("trapezoid.A.mixed-partial", "exact-identity", ("corner_min",)),
     ("trapezoid.A.edge-slope-identity", "exact-identity", ()),
     ("trapezoid.A.g-lower", "sign-engine", ("identity", "p0_at_3_20", "tail")),
@@ -274,27 +274,49 @@ PINNED_STEPS = [
      ("second_derivative_identity", "identity", "p2_at_1")),
     ("trapezoid.A.left-edge-endpoints", "exact-identity",
      ("G_rational(0,0)", "G_rational(0,1)", "recurrence")),
-    ("trapezoid.A.conclusion", "high-precision", ("samples",)),
+    ("trapezoid.A.conclusion", "derived", ()),
     ("trapezoid.B.slope-positive", "sign-engine",
-     ("substitution_identity", "identity", "bracket_pattern", "bracket_at_1",
-      "depends_on")),
+     ("substitution_identity", "identity", "bracket_pattern", "bracket_at_1")),
     ("trapezoid.B.concavity", "sign-engine",
      ("second_derivative_identity", "identity", "p3_at_1")),
     ("trapezoid.B.corner-values", "high-precision",
      ("G(0,9/25)", "G(1/5,9/25)", "printed")),
-    ("trapezoid.B.conclusion", "high-precision", ("samples",)),
+    ("trapezoid.B.conclusion", "derived", ()),
     ("trapezoid.C.slope-positive", "sign-engine",
-     ("substitution_identity", "identity", "p4_at_9_25", "depends_on")),
-    ("trapezoid.C.conclusion", "high-precision", ("samples",)),
+     ("substitution_identity", "identity", "p4_at_9_25")),
+    ("trapezoid.C.conclusion", "derived", ()),
     ("trapezoid.boundary.antidiagonal", "high-precision",
      ("bounds_coincide_identity", "F_samples")),
     ("trapezoid.boundary.left-edge", "exact-identity",
      ("log_argument_is_1", "log_gamma(1)")),
-    ("trapezoid.boundary.diagonal", "high-precision", ("samples", "depends_on")),
-    ("trapezoid.boundary.right-edge", "high-precision", ("samples", "depends_on")),
-    ("trapezoid.no-interior-extremum", "high-precision", ("depends_on",)),
+    ("trapezoid.boundary.diagonal", "derived", ()),
+    ("trapezoid.boundary.right-edge", "derived", ()),
+    ("trapezoid.no-interior-extremum", "derived", ()),
 ]
-PINNED_CLAIMS_SHA256 = "cf011152039c0d736b42a74cad734e5ec1f0f693be801a0a151e2b73fc75e880"
+_IDS = [sid for sid, _, _ in PINNED_STEPS]
+_DIAGONAL = [sid for sid in _IDS if sid.startswith("diagonal.")]
+_STRIP = [sid for sid in _IDS if sid.startswith("strip.")]
+_A = [sid for sid in _IDS if sid.startswith("trapezoid.A.")]
+# the parents of every step that has any
+PINNED_PARENTS = {
+    "strip.reduce-to-diagonal": _DIAGONAL + _STRIP[:-1],
+    "trapezoid.A.conclusion": _A[:-1],
+    "trapezoid.B.slope-positive": ["trapezoid.A.mixed-partial"],
+    "trapezoid.B.conclusion": [
+        "trapezoid.B.slope-positive", "trapezoid.B.concavity",
+        "trapezoid.B.corner-values",
+    ],
+    "trapezoid.C.slope-positive": ["trapezoid.A.mixed-partial"],
+    "trapezoid.C.conclusion": ["trapezoid.C.slope-positive"],
+    "trapezoid.boundary.diagonal": _DIAGONAL,
+    "trapezoid.boundary.right-edge": ["strip.reduce-to-diagonal"],
+    "trapezoid.no-interior-extremum": [
+        "trapezoid.A.conclusion", "trapezoid.B.conclusion", "trapezoid.C.conclusion",
+        "trapezoid.boundary.antidiagonal", "trapezoid.boundary.left-edge",
+        "trapezoid.boundary.diagonal", "trapezoid.boundary.right-edge",
+    ],
+}
+PINNED_CLAIMS_SHA256 = "f3e2c3345c4af9b78ac99cf5078c5d127192e36ac4a552a8a8edd073822245e6"
 
 
 class TestReplay:
@@ -335,6 +357,7 @@ class TestReplay:
         assert report.counts["inconclusive"] == 0
         methods = {s.method for s in report.steps}
         assert methods == {
+            "derived",
             "exact-identity",
             "exact-polynomial",
             "high-precision",
@@ -342,11 +365,69 @@ class TestReplay:
         }
 
     def test_step_table_is_pinned(self):
-        # ids, order, methods and evidence keys of every step, and the claims
+        # ids, order, methods and evidence keys of every step, the claims and
+        # the parents
         steps = replay_all(30).steps
         assert [(s.id, s.method, tuple(s.evidence)) for s in steps] == PINNED_STEPS
         claims = "\n".join(s.claim for s in steps).encode()
         assert hashlib.sha256(claims).hexdigest() == PINNED_CLAIMS_SHA256
+        assert {s.id: s.depends_on for s in steps if s.depends_on} == PINNED_PARENTS
+
+    def test_derived_steps_have_no_check_of_their_own(self):
+        derived = [s for s in replay_all(30).steps if s.method == "derived"]
+        assert len(derived) == 7
+        assert all(s.evidence == {} and s.depends_on for s in derived)
+        # their table rows carry no check, so they evaluate nothing
+        tables = (proof._Diagonal.STEPS, proof._Strip.STEPS, proof._Trapezoid.STEPS)
+        rows = [row for table in tables for row in table if row[2] == "derived"]
+        assert [row[0] for row in rows] == [s.id for s in derived]
+        assert all(row[3] is None for row in rows)
+
+    def test_parents_are_earlier_steps(self):
+        seen = set()
+        for step in replay_all(30).steps:
+            assert set(step.depends_on) <= seen, step.id
+            seen.add(step.id)
+
+    def test_theorem_step_has_every_other_step_as_ancestor(self):
+        steps = replay_all(30).steps
+        parents = {s.id: s.depends_on for s in steps}
+        ancestors, todo = set(), list(parents["trapezoid.no-interior-extremum"])
+        while todo:
+            sid = todo.pop()
+            if sid not in ancestors:
+                ancestors.add(sid)
+                todo += parents[sid]
+        assert ancestors == {s.id for s in steps[:-1]}
+        assert steps[-1].id == "trapezoid.no-interior-extremum"
+
+    @staticmethod
+    def _derive(own: dict, parents: dict) -> dict:
+        # steps a, b, c, ... in order, each with its own status and parent ids
+        steps = [
+            proof.ProofStep(sid, "", "derived", status, parents.get(sid, []))
+            for sid, status in own.items()
+        ]
+        return {s.id: s.status for s in proof._derive_statuses(steps)}
+
+    @pytest.mark.parametrize("bad", ["failed", "inconclusive"])
+    def test_status_reaches_child_and_grandchild(self, bad):
+        own = {"a": bad, "d": "verified", "b": "verified", "c": "verified"}
+        parents = {"b": ["a"], "c": ["b", "d"]}
+        statuses = self._derive(own, parents)
+        assert statuses == {"a": bad, "b": bad, "c": bad, "d": "verified"}
+
+    def test_failed_parent_outweighs_inconclusive_one(self):
+        own = {"a": "failed", "b": "inconclusive", "c": "verified"}
+        assert self._derive(own, {"c": ["b", "a"]})["c"] == "failed"
+
+    @pytest.mark.parametrize(
+        "parent", ["nowhere", "c", "b"], ids=["unknown", "later", "self"]
+    )
+    def test_parent_that_is_no_earlier_step_fails(self, parent):
+        own = dict.fromkeys("abc", "verified")
+        statuses = self._derive(own, {"b": ["a", parent]})
+        assert statuses == {"a": "verified", "b": "failed", "c": "verified"}
 
     @staticmethod
     def _replay_with_p0(monkeypatch, p0):
@@ -358,7 +439,10 @@ class TestReplay:
         # still PN, so the criterion applies, but p0(3/20) is about -3.37e6
         p0 = CAT.p[0] - 10**9 * Poly.x() ** 3
         steps = self._replay_with_p0(monkeypatch, p0)
-        bad = {"trapezoid.A.g-lower", "trapezoid.no-interior-extremum"}
+        bad = {
+            "trapezoid.A.g-lower", "trapezoid.A.conclusion",
+            "trapezoid.no-interior-extremum",
+        }
         assert {k: s.status for k, s in steps.items() if k in bad} == dict.fromkeys(
             bad, "failed"
         )
@@ -368,7 +452,10 @@ class TestReplay:
     def test_check_that_raises_is_inconclusive(self, monkeypatch):
         # -p0 is NP: the PN criterion does not apply, and the replay goes on
         steps = self._replay_with_p0(monkeypatch, -CAT.p[0])
-        bad = {"trapezoid.A.g-lower", "trapezoid.no-interior-extremum"}
+        bad = {
+            "trapezoid.A.g-lower", "trapezoid.A.conclusion",
+            "trapezoid.no-interior-extremum",
+        }
         assert {k: s.status for k, s in steps.items() if k in bad} == dict.fromkeys(
             bad, "inconclusive"
         )
@@ -378,16 +465,18 @@ class TestReplay:
         assert len(steps) == 31
         assert all(s.status == "verified" for k, s in steps.items() if k not in bad)
 
+    _LOG_MUTANT = lambda log: lambda x, y, ln: log(x, y, lambda a: ln(a + F(1, 10**6)))
+
     @pytest.mark.parametrize("name, mutant, sid", [
         ("G_rational", lambda G: lambda x, y: G(x, y) + F(1, 10**6),
          "trapezoid.A.left-edge-endpoints"),
-        ("log_correction",
-         lambda log: lambda x, y, ln: log(x, y, lambda arg: ln(arg + F(1, 10**6))),
-         "trapezoid.boundary.left-edge"),
-    ], ids=["G_rational", "log_correction"])
+        ("log_correction", _LOG_MUTANT, "trapezoid.boundary.left-edge"),
+        ("log_correction", _LOG_MUTANT, "diagonal.gap-positive-spots"),
+    ], ids=["G_rational", "log_correction", "log_correction-diagonal"])
     def test_exact_edge_step_fails_on_mutant(self, monkeypatch, name, mutant, sid):
+        # f(1/2) = log(pi/3) is exact, from log_correction's argument 3/4
         monkeypatch.setattr(proof, name, mutant(getattr(proof, name)))
-        by_id = {s.id: s for s in replay_trapezoid(30)}
+        by_id = {s.id: s for s in replay_all(30).steps}
         assert by_id[sid].status == "failed"
 
     def test_replay_at_reduced_precision(self):
@@ -398,7 +487,9 @@ class TestReplay:
         obj = replay_all().to_json_obj()
         assert set(obj) == {"precision_digits", "steps", "summary"}
         for step in obj["steps"]:
-            assert set(step) == {"id", "claim", "method", "status", "evidence"}
+            assert set(step) == {
+                "id", "claim", "method", "status", "depends_on", "evidence"
+            }
         assert obj["summary"]["all_verified"] is True
 
 
