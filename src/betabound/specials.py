@@ -130,6 +130,8 @@ def _fixed_coeffs(bits: int, order: int) -> tuple[int, ...]:
 
 
 _SHIFT_NUMERATORS = (-1, 1, -2)  # psi^(n)(x) - psi^(n)(x + 1), times x^(n+1)
+# ln(2 pi) / 2, once a context
+_half_log_2pi = lru_cache(maxsize=None)(lambda ctx: ctx.ln(2 * ctx.pi) / 2)
 
 
 def _fixed_shift(X: int, bits: int, order: int) -> tuple[int, int]:
@@ -174,7 +176,7 @@ def _stirling_raw(ctx: MPContext, x, order: int):
             result, shift = -ctx.ln(below * ctx.make_mpf(from_man_exp(shift, -bits))), 0
     inv = 1 / z
     if order < 0:
-        result += (z - ctx.mpf(1) / 2) * ctx.ln(z) - z + ctx.ln(2 * ctx.pi) / 2
+        result += (z - ctx.mpf(1) / 2) * ctx.ln(z) - z + _half_log_2pi(ctx)
     elif order == 0:
         result += ctx.ln(z) - inv / 2
     elif order == 1:

@@ -1,12 +1,14 @@
-"""Quadrature oracles: the node cache is bit-exact, and non-convergence raises."""
+"""Quadrature oracles: the node table is bit-exact, and non-convergence raises."""
 
+import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from betabound import quadrature
 from betabound.quadrature import beta_integral, gamma_integral, tanh_sinh_unit
-from betabound.specials import context, evaluate
+from betabound.specials import context, work_context
 
 POINTS = [
     (F(1, 250), F(1, 250)),
@@ -19,49 +21,27 @@ POINTS = [
 ]
 
 
-# The uncached node formulas, kept here as the reference the cache must match
-# bit for bit.
-def reference_unit(f, dps):
-    def integral(work):
-        pi_half = work.pi / 2
-
-        def node(u):
-            s = pi_half * work.sinh(u)
-            e2s = work.exp(-2 * abs(s))
-            t_small = e2s / (1 + e2s)
-            t_big = 1 / (1 + e2s)
-            t, tc = (t_small, t_big) if s < 0 else (t_big, t_small)
-            weight = work.pi * work.cosh(u) * t * tc
-            return weight * f(t, tc)
-
-        return quadrature._de_sum(work, node, dps, 10)
-
-    return evaluate(integral, dps)
+def linear(t, tc):
+    # log of t times the weight t (1-t), the integrand of int_0^1 t dt = 1/2
+    return 2 * t[0] + tc[0]
 
 
-def reference_beta(x, y, dps):
-    return evaluate(
-        lambda work, x, y: reference_unit(lambda t, tc: t ** (x - 1) * tc ** (y - 1), dps),
-        dps, x, y)
-
-
-def reference_gamma(x, dps):
-    def integral(work, x):
-        def node(u):
-            log_t = u - work.exp(-u)
-            t = work.exp(log_t)
-            jac = t * (1 + work.exp(-u))
-            return work.exp(-t + (x - 1) * log_t) * jac
-
-        return quadrature._de_sum(work, node, dps, 12)
-
-    return evaluate(integral, dps, x)
+def uncached(call, monkeypatch):
+    """call() with every node computed afresh: no level is cached."""
+    quadrature._unit_node.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "CACHED_LEVELS", -1)
+        value = call()
+    assert quadrature._unit_node.cache_info().currsize == 0
+    return value
 
 
 @pytest.fixture(scope="module")
 def references():
-    return {(x, y, dps): (reference_beta(x, y, dps), reference_gamma(x, dps))
-            for x, y in POINTS for dps in (30, 50)}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return {(x, y, dps): uncached(lambda: (beta_integral(x, y, dps),
+                                               gamma_integral(x, dps)), monkeypatch)
+                for x, y in POINTS for dps in (30, 50)}
 
 
 @pytest.mark.parametrize("order", [(30, 50), (50, 30)])
@@ -76,20 +56,24 @@ def test_cached_nodes_give_the_uncached_values_exactly(order, references):
     assert info.hits > 0
     assert info.maxsize is not None
     assert info.currsize <= info.maxsize
+    work = work_context(order[0])
+    for k, level in [(0, 0), (3, 0), (11, 0), (1, 5), (161, 5)]:
+        assert quadrature._unit_node(work, k, level) == \
+            quadrature._unit_node.__wrapped__(work, k, level)
 
 
 @pytest.mark.parametrize("dps", [30, 50])
-def test_cache_does_not_depend_on_the_integrand(dps):
+def test_cache_does_not_depend_on_the_integrand(dps, monkeypatch):
     x, y = F(2, 7), F(5, 9)
     half = context(dps).mpf(1) / 2
-    linear = reference_unit(lambda t, tc: t, dps)
-    beta_ref = reference_beta(x, y, dps)
+    linear_ref = uncached(lambda: tanh_sinh_unit(linear, dps), monkeypatch)
+    beta_ref = uncached(lambda: beta_integral(x, y, dps), monkeypatch)
     quadrature._unit_node.cache_clear()
     assert beta_integral(x, y, dps) == beta_ref
-    assert tanh_sinh_unit(lambda t, tc: t, dps) == linear
-    assert abs(linear - half) < context(dps).mpf(10) ** -(dps - 2)
+    assert tanh_sinh_unit(linear, dps) == linear_ref
+    assert abs(linear_ref - half) < context(dps).mpf(10) ** -(dps - 2)
     quadrature._unit_node.cache_clear()
-    assert tanh_sinh_unit(lambda t, tc: t, dps) == linear
+    assert tanh_sinh_unit(linear, dps) == linear_ref
     assert beta_integral(x, y, dps) == beta_ref
 
 
@@ -97,11 +81,20 @@ def test_mirrored_nodes_pick_the_complement():
     # t = (1 + tanh(pi/2 sinh u)) / 2 rises with u: after the node at u = 0
     # the nodes come in pairs u, -u, and each pair shares one cache entry
     seen = []
-    tanh_sinh_unit(lambda t, tc: seen.append((t, tc)) or t, 30)
+    tanh_sinh_unit(lambda t, tc: seen.append((t, tc)) or linear(t, tc), 30)
     assert seen[0][0] == seen[0][1]
     for (t, tc), (t_mirror, tc_mirror) in zip(seen[1::2], seen[2::2]):
-        assert t > tc and (t_mirror, tc_mirror) == (tc, t)
-    assert all(abs(t + tc - 1) < context(45).mpf(10) ** -40 for t, tc in seen)
+        assert t[0] > tc[0] and (t_mirror, tc_mirror) == (tc, t)
+    # each pair is (log t, log(-log t)) of complementary coordinates, to a
+    # unit of 2^-W each
+    bits = work_context(30).prec + quadrature.GUARD_BITS
+    unit = mpmath.ldexp(1, -bits)
+    with mpmath.workprec(bits + 40):
+        for t, tc in seen[::7]:
+            (log_t, loglog_t), (log_tc, loglog_tc) = ((v * unit for v in side) for side in (t, tc))
+            assert abs(mpmath.exp(log_t) + mpmath.exp(log_tc) - 1) < 4 * unit
+            for log_v, loglog_v in ((log_t, loglog_t), (log_tc, loglog_tc)):
+                assert abs(mpmath.exp(loglog_v) + log_v) < 2 * unit * (1 - log_v)
 
 
 @pytest.mark.parametrize("levels", [1, 2, 3])
@@ -110,9 +103,63 @@ def test_too_few_levels_is_inconclusive(levels, monkeypatch):
     with pytest.raises(ValueError, match=f"inconclusive: .* in {levels} levels"):
         gamma_integral(F(1, 2), 30)
     with pytest.raises(ValueError, match="inconclusive"):
-        tanh_sinh_unit(lambda t, tc: 1 / (2 * t ** F(1, 2)), 30)
+        tanh_sinh_unit(lambda t, tc: (t[0] >> 1) + tc[0], 30)  # t^(-1/2)
 
 
 def test_default_levels_converge():
     ctx = context(30)
     assert abs(gamma_integral(F(1, 2), 30) - ctx.sqrt(ctx.pi)) < ctx.mpf(10) ** -28
+
+
+def test_a_near_axis_call_does_not_evict_the_bulk_nodes(monkeypatch):
+    # only levels up to CACHED_LEVELS are stored; deeper ones are computed afresh
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", 8)
+    quadrature._unit_node.cache_clear()
+    bulk = beta_integral(F(1, 3), F(3, 4), 50)
+    with pytest.raises(ValueError, match="inconclusive"):
+        beta_integral(F(1, 300), F(9, 10), 50)
+    misses = quadrature._unit_node.cache_info().misses
+    assert beta_integral(F(1, 3), F(3, 4), 50) == bulk
+    assert quadrature._unit_node.cache_info().misses == misses
+
+
+def seeded_points(count):
+    rng = random.Random(2015)
+    low = 1 / 250
+    return [(low + (1 - low) * rng.random(), low + (1 - low) * rng.random())
+            for _ in range(count)] + POINTS[:3]
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+def test_oracles_match_mpmath(dps):
+    with mpmath.workdps(dps + 30):
+        for x, y in seeded_points(12):
+            xm, ym = (mpmath.mpf(F(v).numerator) / F(v).denominator for v in (x, y))
+            for value, reference in ((beta_integral(x, y, dps), mpmath.beta(xm, ym)),
+                                     (gamma_integral(x, dps), mpmath.gamma(xm))):
+                assert abs(mpmath.mpf(value) / reference - 1) < mpmath.mpf(10) ** -dps, (x, y)
+
+
+@pytest.mark.parametrize("oracle", [lambda: beta_integral(F(2, 7), F(5, 9), 30),
+                                    lambda: gamma_integral(F(2, 7), 30)],
+                         ids=["beta_integral", "gamma_integral"])
+def test_each_node_calls_the_integrand_once(oracle, monkeypatch):
+    # the benchmark's node counter wraps tanh_sinh_unit's integrand this way
+    original = quadrature.tanh_sinh_unit
+    calls = 0
+
+    def counting(f, *args, **kwargs):
+        def integrand(t, tc):
+            nonlocal calls
+            calls += 1
+            return f(t, tc)
+
+        return original(integrand, *args, **kwargs)
+
+    expected = oracle()
+    quadrature._unit_node.cache_clear()
+    monkeypatch.setattr(quadrature, "tanh_sinh_unit", counting)
+    assert oracle() == expected
+    info = quadrature._unit_node.cache_info()
+    # u = 0 is one node; every other entry serves u and -u
+    assert calls == 2 * (info.hits + info.misses) - 1 > 0
