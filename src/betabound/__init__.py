@@ -26,7 +26,7 @@ from .proof import (
     sweep_theorem,
     theorem_margin,
 )
-from .psibounds import alzer_psi_diff_lower, sandwich_check, verify_closed_forms
+from .psibounds import alzer_psi_diff_lower, sandwich_check
 from .signs import (
     Enclosure,
     PatternKind,
@@ -71,6 +71,5 @@ __all__ = [
     "solve_a3",
     "sweep_theorem",
     "theorem_margin",
-    "verify_closed_forms",
     "verify_root_ordering",
 ]

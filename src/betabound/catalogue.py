@@ -1,11 +1,10 @@
 """Bundled catalogue of the displayed certificate polynomials.
 
-The five PN-type polynomials p0..p4, the six NP-type polynomials q0..q5
-and the bivariate polynomial Q(x, y) built from the q's are transcribed
-once, in ``data/catalogue.json``, and loaded from there by everything
-else (library, CLI, tests).  A build-time test pins the SHA-256 of each
-entry so any edit to the transcription is caught immediately, and the
-stored Q is cross-checked against its definition
+The five PN-type polynomials p0..p4 and the six NP-type polynomials q0..q5
+are transcribed once, in ``data/catalogue.json``, and loaded from there by
+everything else (library, CLI, tests).  A build-time test pins the SHA-256
+of each entry so any edit to the transcription is caught immediately.  The
+bivariate Q(x, y) is not transcribed: ``Catalogue.Q`` builds it from the q's,
 
     Q(x, y) = -q0(x) + sum_{k=1..5} q_k(x) y^k - (1 - 2x) y^6.
 """
@@ -28,7 +27,10 @@ Q_NAMES = ("q0", "q1", "q2", "q3", "q4", "q5")
 class Catalogue:
     p: tuple[Poly, ...]
     q: tuple[Poly, ...]
-    Q: BiPoly
+
+    @property
+    def Q(self) -> BiPoly:
+        return build_q_bipoly(self.q)
 
 
 def _raw_data() -> dict:
@@ -41,17 +43,14 @@ def load_catalogue() -> Catalogue:
     data = _raw_data()
     p = tuple(Poly.from_json(data["polynomials"][n]) for n in P_NAMES)
     q = tuple(Poly.from_json(data["polynomials"][n]) for n in Q_NAMES)
-    return Catalogue(p=p, q=q, Q=BiPoly.from_json(data["bivariate"]["Q"]))
+    return Catalogue(p=p, q=q)
 
 
 def build_q_bipoly(qs) -> BiPoly:
-    """Assemble Q(x, y) from the six univariate q polynomials."""
-    y = BiPoly.y()
-    acc = -BiPoly.from_x_poly(qs[0])
-    for k in range(1, 6):
-        acc = acc + BiPoly.from_x_poly(qs[k]) * y**k
-    two_x_minus_1 = BiPoly({(1, 0): 2, (0, 0): -1})
-    return acc + two_x_minus_1 * y**6
+    """Q(x, y) from q0..q5: the x^i coefficient of the k-th of -q0, q1..q5,
+    2x - 1 is the coefficient of x^i y^k."""
+    rows = (-qs[0], *qs[1:6], Poly((-1, 2)))
+    return BiPoly({(i, k): c for k, row in enumerate(rows) for i, c in row.terms.items()})
 
 
 def catalogue_hashes() -> dict[str, str]:
@@ -63,6 +62,4 @@ def catalogue_hashes() -> dict[str, str]:
             data["polynomials"][name], sort_keys=True, separators=(",", ":")
         )
         out[name] = hashlib.sha256(canon.encode()).hexdigest()
-    canon = json.dumps(data["bivariate"]["Q"], sort_keys=True, separators=(",", ":"))
-    out["Q"] = hashlib.sha256(canon.encode()).hexdigest()
     return out

@@ -314,12 +314,6 @@ class BiPoly(_Sparse):
         """Replace y by a polynomial in x (Horner in y); the result is in x."""
         return _horner(self.y_coefficients(), p)
 
-    # -- serialization -----------------------------------------------------
-
-    @staticmethod
-    def from_json(obj: Mapping) -> "BiPoly":
-        return BiPoly({(i, j): Fraction(c) for i, j, c in obj["terms"]})
-
 
 class RationalFn:
     """Formal quotient of two polynomials (both Poly, or both BiPoly).

@@ -25,6 +25,9 @@ turns into steps; a check has one of four shapes, each written once: exact
 (named booleans through ``_status``), PN certificate (``_pn_certificate``),
 high-precision sample (``_sample``) and derived (none: ``replay_all``
 combines the statuses of the step and its parents, ``_derive_statuses``).
+
+Each input has one source: the catalogue's polynomials (Q is built from
+q0..q5), and ``derive_lx``/``derive_lxx``, which differentiate Yang's L.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .catalogue import Catalogue, load_catalogue
@@ -43,10 +46,10 @@ from .polys import BiPoly, Poly, RationalFn
 from .psibounds import (
     A_LARGE,
     A_SMALL,
-    PRINTED_LX,
-    PRINTED_LXX,
     alzer_bracket_rf,
     certified_sign,
+    derive_lx,
+    derive_lxx,
 )
 from .specials import (
     DEFAULT_DPS,
@@ -262,13 +265,19 @@ class _Phase:
 
     A subclass lists its rows in ``STEPS``, in proof order, through ``_step``
     and ``_derived``; each check is a method returning (status, evidence).
-    Values that several checks need are computed once, in ``__init__``.
+    All work runs inside the checks: a value that several checks share is a
+    ``cached_property``, so if it raises, each check that reads it is
+    inconclusive and the replay goes on.
     """
 
     STEPS: list
 
     def __init__(self, dps: int):
         self.dps = dps
+
+    @cached_property
+    def cat(self) -> Catalogue:
+        return load_catalogue()
 
     def run(self) -> list[ProofStep]:
         """Run the rows in order; the one place a ProofStep is built.
@@ -395,9 +404,9 @@ class _Diagonal(_Phase):
            "displayed degree-12 quotient after clearing denominators.")
     def slope_lower(self):
         t = _T
-        small = PRINTED_LX[A_SMALL]
+        small = derive_lx(A_SMALL)
         lower = (
-            PRINTED_LX[A_LARGE]
+            derive_lx(A_LARGE)
             - 2 * RationalFn(small.num.compose(2 * t), small.den.compose(2 * t))
             + (2 * (1 + 2 * t + 2 * t**2 + 8 * t**3 + 4 * t**4))
             / ((1 + 2 * t) ** 2 * (1 + 2 * t - 2 * t**2) ** 2)
@@ -488,13 +497,12 @@ def q_root_enclosures(width) -> list[signs.Enclosure]:
 
 class _Strip(_Phase):
     STEPS: list = []
+    # the inner factor of Q(x, 1 - x)
+    INNER = 7137 + (1 - _T) * (24365 + 375 * _T**2) + 5300 * _T**2
 
-    def __init__(self, dps: int):
-        super().__init__(dps)
-        self.cat = load_catalogue()
-        self.enclosures = q_root_enclosures(signs.DEFAULT_WIDTH)
-        # the inner factor of Q(x, 1 - x)
-        self.inner = 7137 + (1 - _T) * (24365 + 375 * _T**2) + 5300 * _T**2
+    @cached_property
+    def enclosures(self) -> list[signs.Enclosure]:
+        return q_root_enclosures(signs.DEFAULT_WIDTH)
 
     def q_chain_ok(self) -> bool:
         """q0 < 0 on (0, 1/2]; the q1..q5 enclosures increase (raises on overlap)."""
@@ -564,7 +572,7 @@ class _Strip(_Phase):
            "coefficient.")
     def antidiagonal_identity(self):
         t = _T
-        factored = Fraction(4, 625) * (1 - t) * (252 + (5 * t - 1) * self.inner)
+        factored = Fraction(4, 625) * (1 - t) * (252 + (5 * t - 1) * self.INNER)
         substituted = self.cat.Q.substitute_y(Poly((1, -1)))  # y := 1 - x
         return _status(substituted == factored), {"leading_constant": Fraction(4, 625)}
 
@@ -575,7 +583,7 @@ class _Strip(_Phase):
     def antidiagonal_positive(self):
         # each monomial c x^k is monotone for x >= 0, so it is smallest at an
         # endpoint of [1/5, 1/2]; the sum of those minima bounds the inner factor
-        coeffs = enumerate(self.inner.coeffs)
+        coeffs = enumerate(self.INNER.coeffs)
         inner_min = sum(min(c * Fraction(1, 5) ** k, c * HALF**k) for k, c in coeffs)
         # (5x - 1) >= 0 and (1 - x) >= 1/2 on [1/5, 1/2], so the bracket >= 252
         edge_lower = Fraction(4, 625) * (1 - HALF) * 252
@@ -616,11 +624,10 @@ def replay_strip(dps: int = DEFAULT_DPS) -> list[ProofStep]:
 class _Trapezoid(_Phase):
     STEPS: list = []
 
-    def __init__(self, dps: int):
-        super().__init__(dps)
-        self.cat = load_catalogue()
-        # 17 + 16x - 25x^2 > 0 on (0, 1/5], a denominator of g and g'
-        self.guard_ok = signs.positive_below(Poly((17, 16, -25)), Fraction(1, 5))
+    @cached_property
+    def guard_ok(self) -> bool:
+        """17 + 16x - 25x^2 > 0 on (0, 1/5], a denominator of g and g'."""
+        return signs.positive_below(Poly((17, 16, -25)), Fraction(1, 5))
 
     # --- subregion A: y >= x + 9/25 --------------------------------------
     @_step(STEPS, "trapezoid.A.mixed-partial", METHOD_EXACT_IDENTITY,
@@ -656,7 +663,7 @@ class _Trapezoid(_Phase):
             * (17 + 16 * t - 25 * t**2) ** 2
             * (11 + 36 * t + 36 * t**2),
         )
-        identity = (PRINTED_LX[A_LARGE] - EDGE_SLOPE_QUOTIENT).equivalent(rhs)
+        identity = (derive_lx(A_LARGE) - EDGE_SLOPE_QUOTIENT).equivalent(rhs)
         return _pn_certificate(
             {"identity": identity}, p0, Fraction(3, 20), "p0_at_3_20", self.guard_ok,
             tail="307230 x^5 + 823500 x^6 + 675000 x^7 (nonnegative)",
@@ -680,7 +687,7 @@ class _Trapezoid(_Phase):
             * (17 + 16 * t - 25 * t**2) ** 3
             * (11 + 36 * t + 36 * t**2) ** 2,
         )
-        identity = (PRINTED_LXX[A_LARGE] + deriv_quotient).equivalent(rhs)
+        identity = (derive_lxx(A_LARGE) + deriv_quotient).equivalent(rhs)
         identities = {"derivative_identity": deriv_ok, "identity": identity}
         return _pn_certificate(
             identities, p1, Fraction(1, 5), "p1_at_1_5", self.guard_ok
@@ -715,7 +722,7 @@ class _Trapezoid(_Phase):
             * (11 + 15 * t + 15 * t**2) ** 2
             * (5 + 18 * t + 18 * t**2) ** 2,
         )
-        identity = (quotient - PRINTED_LXX[A_SMALL]).equivalent(rhs)
+        identity = (quotient - derive_lxx(A_SMALL)).equivalent(rhs)
         identities = {"second_derivative_identity": second_ok, "identity": identity}
         return _pn_certificate(identities, p2, Fraction(1), "p2_at_1")
 
@@ -760,7 +767,7 @@ class _Trapezoid(_Phase):
             * (5 + 18 * t + 18 * t**2)
             * (8 + 34 * t - 25 * t**2) ** 2,
         )
-        identity = (quotient - PRINTED_LX[A_SMALL]).equivalent(rhs)
+        identity = (quotient - derive_lx(A_SMALL)).equivalent(rhs)
         bracket_pos = signs.positive_below(bracket, Fraction(1))
         guard_ok = signs.positive_below(Poly((8, 34, -25)), Fraction(1))
         return _status(sub_ok and identity and bracket_pos and guard_ok), {
@@ -786,7 +793,7 @@ class _Trapezoid(_Phase):
             * (17 + 15 * t + 15 * t**2) ** 2
             * (11 + 36 * t + 36 * t**2) ** 2,
         )
-        identity = (PRINTED_LXX[A_LARGE] + quotient).equivalent(rhs)
+        identity = (derive_lxx(A_LARGE) + quotient).equivalent(rhs)
         identities = {"second_derivative_identity": second_ok, "identity": identity}
         return _pn_certificate(identities, p3, Fraction(1), "p3_at_1")
 
@@ -821,7 +828,7 @@ class _Trapezoid(_Phase):
         rhs = RationalFn(
             p4, 2 * (1 + t) ** 2 * (11 + 15 * t + 15 * t**2) * (5 + 18 * t + 18 * t**2)
         )
-        identity = (slope - PRINTED_LX[A_SMALL]).equivalent(rhs)
+        identity = (slope - derive_lx(A_SMALL)).equivalent(rhs)
         identities = {"substitution_identity": sub_ok, "identity": identity}
         return _pn_certificate(identities, p4, Fraction(9, 25), "p4_at_9_25")
 

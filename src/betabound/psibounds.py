@@ -7,10 +7,11 @@ Yang's function
 
 has x-derivatives that sandwich psi'(x+1) and psi''(x+1) for the parameter
 choices used here (a = 2/5 and a = 4/5 on the outside, the best-possible
-constants a1, a2, a3 inside).  The closed forms of L_x and L_xx at a = 2/5
-and 4/5 are hard-coded below exactly as displayed in the source material
-and independently re-derived by symbolic differentiation, so a
-transcription error on either side is caught by ``verify_closed_forms``.
+constants a1, a2, a3 inside).  The proof replay reads L_x and L_xx at
+a = 2/5 and 4/5 from ``derive_lx`` and ``derive_lxx``, which differentiate
+L's log terms exactly.  The closed forms as displayed in the source
+material are kept below as ``PRINTED_LX`` and ``PRINTED_LXX``, and
+``closed_form_mismatches`` compares them with the derivation.
 
 Also here: Alzer's lower bound for the digamma difference
 psi(x+1) - psi(x+s), implemented for general truncation order n.
@@ -85,6 +86,7 @@ def yang_lxx(x, a):
     return w1 * (2 * u1 - sq) / (u1 * u1) + w2 * (2 * u2 - sq) / (u2 * u2)
 
 
+@lru_cache(maxsize=None)
 def derive_lx(a) -> RationalFn:
     """L_x(., a) derived from L itself: w u'/u summed over the two log terms.
 
@@ -96,6 +98,7 @@ def derive_lx(a) -> RationalFn:
     return w1 * u1.derivative() / u1 + w2 * u2.derivative() / u2
 
 
+@lru_cache(maxsize=None)
 def derive_lxx(a) -> RationalFn:
     """L_xx(., a) as the quotient-rule derivative of ``derive_lx(a)``."""
     return derive_lx(a).derivative()
@@ -110,11 +113,6 @@ def closed_form_mismatches() -> list[str]:
         if not derive_lxx(a).equivalent(PRINTED_LXX[a]):
             bad.append(f"Lxx(., {label})")
     return bad
-
-
-def verify_closed_forms() -> bool:
-    """True iff all four printed derivative forms match the symbolic ones."""
-    return not closed_form_mismatches()
 
 
 def _nonnegative(x):

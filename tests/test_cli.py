@@ -1,6 +1,7 @@
 """CLI: exit codes, report determinism, CSV contract, env overrides."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ from betabound.cli import (
     build_parser,
     main,
 )
+from betabound.polys import Poly
 from betabound.proof import (
     CSV_HEADER,
     alzer_lower_bound,
@@ -189,6 +191,19 @@ class TestReplayCommand:
         assert len(steps) == 31
         assert steps["trapezoid.A.left-edge-endpoints"]["status"] == "failed"
         assert "trapezoid.A.left-edge-endpoints" in capsys.readouterr().err
+
+    def test_malformed_catalogue_writes_report_and_exits_1(self, tmp_path, monkeypatch):
+        # q3 with all coefficients nonnegative has no root to isolate
+        cat = proof.load_catalogue()
+        q3 = Poly(abs(c) for c in cat.q[3].coeffs)
+        mutated = dataclasses.replace(cat, q=cat.q[:3] + (q3,) + cat.q[4:])
+        monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
+        out_path = tmp_path / "malformed.json"
+        code, _ = run(["replay", "--precision", "30", "--out", str(out_path)])
+        assert code == EXIT_VERIFY_FAILED
+        steps = {s["id"]: s for s in json.loads(out_path.read_text())["steps"]}
+        assert len(steps) == 31
+        assert steps["strip.q-root-ordering"]["status"] == "inconclusive"
 
     def test_json_format_prints_report(self, tmp_path):
         out_path = tmp_path / "r.json"

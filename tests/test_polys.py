@@ -113,10 +113,6 @@ class TestBiPolyBasics:
         p = x**2 * y + 3 * y**2
         assert p.partial_y() == x**2 + 6 * y
 
-    def test_json_roundtrip(self):
-        q = BiPoly({(0, 0): F(1, 3), (2, 5): -7})
-        assert BiPoly.from_json({"terms": [[0, 0, "1/3"], [2, 5, "-7"]]}) == q
-
     def test_no_zero_terms_stored(self):
         q = BiPoly({(1, 1): 1}) - BiPoly({(1, 1): 1})
         assert q.is_zero and q.terms == {}

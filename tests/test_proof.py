@@ -9,8 +9,8 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from betabound import proof
-from betabound.polys import BiPoly, Poly
+from betabound import proof, psibounds
+from betabound.polys import BiPoly, Poly, RationalFn
 from betabound.proof import (
     G_rational,
     alzer_lower_bound,
@@ -345,6 +345,40 @@ class TestReplay:
         by_id = {s.id: s for s in replay_strip(30)}
         assert by_id["strip.pn-sign-vectors"].status == "failed"
 
+    @staticmethod
+    def _replay_with_q(monkeypatch, k, qk):
+        q = CAT.q[:k] + (qk,) + CAT.q[k + 1:]
+        mutated = dataclasses.replace(CAT, q=q)
+        monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
+        return {s.id: s.status for s in replay_all(30).steps}
+
+    def test_q1_edit_fails_the_steps_that_read_Q(self, monkeypatch):
+        # q1's constant -5 -> -5.05: q1 keeps its root ordering and sign
+        # pattern, but Q, built from the q's, no longer meets its identities
+        statuses = self._replay_with_q(monkeypatch, 1, CAT.q[1] - F(1, 20))
+        bad = {
+            "strip.dFdy-reduction-identity", "strip.antidiagonal-identity",
+            "strip.reduce-to-diagonal", "trapezoid.boundary.right-edge",
+            "trapezoid.no-interior-extremum",
+        }
+        assert {k for k, status in statuses.items() if status != "verified"} == bad
+        assert all(statuses[k] == "failed" for k in bad)
+        assert len(statuses) == 31
+
+    def test_q_without_a_sign_change_is_inconclusive(self, monkeypatch):
+        # all coefficients of q3 nonnegative: no root to isolate, and the
+        # replay still gives every step
+        q3 = Poly(abs(c) for c in CAT.q[3].coeffs)
+        statuses = self._replay_with_q(monkeypatch, 3, q3)
+        assert len(statuses) == 31
+        inconclusive = {k for k, status in statuses.items() if status == "inconclusive"}
+        assert inconclusive == {"strip.q-root-ordering", "strip.pn-sign-vectors"}
+
+    def test_phases_do_no_work_outside_their_checks(self):
+        phases = (proof._Diagonal, proof._Strip, proof._Trapezoid)
+        assert all("__init__" not in vars(phase) for phase in phases)
+        assert not hasattr(proof, "PRINTED_LX") and not hasattr(proof, "PRINTED_LXX")
+
     def test_trapezoid_phase(self):
         steps = replay_trapezoid()
         assert all(s.status == "verified" for s in steps)
@@ -464,6 +498,43 @@ class TestReplay:
         }
         assert len(steps) == 31
         assert all(s.status == "verified" for k, s in steps.items() if k not in bad)
+
+    @pytest.mark.parametrize("name, readers", [
+        ("derive_lx", {
+            "diagonal.slope-lower-identity", "trapezoid.A.g-lower",
+            "trapezoid.B.slope-positive", "trapezoid.C.slope-positive",
+        }),
+        ("derive_lxx", {
+            "trapezoid.A.g-decreasing", "trapezoid.A.left-edge-concavity",
+            "trapezoid.B.concavity",
+        }),
+    ])
+    def test_derived_closed_form_edit_fails_its_readers(self, monkeypatch, name, readers):
+        derive = getattr(proof, name)
+        monkeypatch.setattr(proof, name, lambda a: derive(a) + F(1, 10**6))
+        steps = replay_all(30).steps
+        expected = set(readers)
+        for step in steps:   # parents come first, so one pass finds descendants
+            if expected & set(step.depends_on):
+                expected.add(step.id)
+        assert {s.id for s in steps if s.status != "verified"} == expected
+        assert all(s.status == "failed" for s in steps if s.id in expected)
+
+    @pytest.mark.parametrize("table, a, label", [
+        ("PRINTED_LX", psibounds.A_SMALL, "Lx(., 2/5)"),
+        ("PRINTED_LX", psibounds.A_LARGE, "Lx(., 4/5)"),
+        ("PRINTED_LXX", psibounds.A_SMALL, "Lxx(., 2/5)"),
+        ("PRINTED_LXX", psibounds.A_LARGE, "Lxx(., 4/5)"),
+    ])
+    def test_printed_closed_forms_are_not_replay_inputs(self, monkeypatch, table, a, label):
+        # one coefficient of the displayed numerator + 1: the comparison with
+        # the derivation fails, and the replay, which reads the derivation,
+        # does not change
+        printed = getattr(psibounds, table)
+        edited = RationalFn(printed[a].num + 1, printed[a].den)
+        monkeypatch.setitem(printed, a, edited)
+        assert psibounds.closed_form_mismatches() == [label]
+        assert replay_all(30).all_verified
 
     _LOG_MUTANT = lambda log: lambda x, y, ln: log(x, y, lambda a: ln(a + F(1, 10**6)))
 
