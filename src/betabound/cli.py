@@ -87,7 +87,11 @@ def cmd_replay(args, emit) -> int:
 
 
 def cmd_roots(args, emit) -> int:
-    enclosures = proof.q_root_enclosures(args.width)
+    try:
+        enclosures = proof.q_root_enclosures(args.width)
+    except ValueError as exc:   # a q_k with no sign change has no root to enclose
+        print(f"root isolation failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     checks = [
         signs.check_printed_digits(enc, ref)
         for enc, ref in zip(enclosures, ROOT_REFERENCE_DIGITS)

@@ -21,10 +21,11 @@ finitely many transcendental values by high-precision evaluation read
 through the 10x error-budget band of ``certified_sign`` (four steps), and
 the conclusions follow from their parent steps.  Each phase is a table of
 (id, claim, method, check, parents) rows that one runner, ``_Phase.run``,
-turns into steps; a check has one of four shapes, each written once: exact
-(named booleans through ``_status``), PN certificate (``_pn_certificate``),
-high-precision sample (``_sample``) and derived (none: ``replay_all``
-combines the statuses of the step and its parents, ``_derive_statuses``).
+turns into steps, giving each the combined status of its check and its
+parents; a check has one of four shapes, each written once: exact (named
+booleans through ``_status``), PN certificate (``_pn_certificate``),
+high-precision sample (``_sample``) and derived (none: the status is the
+parents').
 
 Each input has one source: the catalogue's polynomials (Q is built from
 q0..q5), and ``derive_lx``/``derive_lxx``, which differentiate Yang's L.
@@ -38,7 +39,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .catalogue import Catalogue, load_catalogue
 from .constants import agrees_with_printed
@@ -114,7 +115,7 @@ def dGdx_rational(x, y):
 
 
 # ---------------------------------------------------------------------------
-# high-precision wrappers: F, its partials, G, the diagonal and edge functions
+# high-precision wrappers: F, G, the diagonal and edge functions
 # ---------------------------------------------------------------------------
 
 EDGE_OFFSET = Fraction(9, 25)   # the upper trapezoid subregion is y >= x + 9/25
@@ -173,23 +174,9 @@ def big_F(x, y, dps: int = DEFAULT_DPS):
     return evaluate(_on_unit_square(_log_margin, allow_zero=True), dps, x, y)
 
 
-def dF_dx(x, y, dps: int = DEFAULT_DPS):
-    """psi(x+1) - psi(x+y+1) + 2y(1+y)/((1+x+y)(1+x+y-2xy))."""
-    raw = lambda w, x, y: (
-        psi(x + 1, w.dps) - psi(x + y + 1, w.dps) + dFdx_rational(x, y)
-    )
-    return evaluate(_on_unit_square(raw, allow_zero=True), dps, x, y)
-
-
 def big_G(x, y, dps: int = DEFAULT_DPS):
     """dF/dx - dF/dy = psi(x+1) - psi(y+1) - 2(x-y)/(1+x+y-2xy)."""
     raw = lambda w, x, y: psi(x + 1, w.dps) - psi(y + 1, w.dps) + G_rational(x, y)
-    return evaluate(_on_unit_square(raw, allow_zero=True), dps, x, y)
-
-
-def dG_dx(x, y, dps: int = DEFAULT_DPS):
-    """psi'(x+1) - 2(1+2y-2y^2)/(1+x+y-2xy)^2."""
-    raw = lambda w, x, y: psi1(x + 1, w.dps) + dGdx_rational(x, y)
     return evaluate(_on_unit_square(raw, allow_zero=True), dps, x, y)
 
 
@@ -214,7 +201,9 @@ def edge_slope(x, dps: int = DEFAULT_DPS):
     Equals psi'(x+1) - (913+350x-1250x^2)/(2(17+16x-25x^2)^2); the replay
     step ``trapezoid.A.edge-slope-identity`` certifies that rational part.
     """
-    return evaluate(lambda w, x: dG_dx(x, x + to_mpf(w, EDGE_OFFSET), dps), dps, x)
+    raw = lambda w, x, y: psi1(x + 1, w.dps) + dGdx_rational(x, y)
+    dG_dx = _on_unit_square(raw, allow_zero=True)
+    return evaluate(lambda w, x: dG_dx(w, x, x + to_mpf(w, EDGE_OFFSET)), dps, x)
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +268,32 @@ class _Phase:
     def cat(self) -> Catalogue:
         return load_catalogue()
 
-    def run(self) -> list[ProofStep]:
+    def run(self, earlier: Sequence[ProofStep] = ()) -> list[ProofStep]:
         """Run the rows in order; the one place a ProofStep is built.
 
-        Evidence values are reported as their ``str``.  A check that raises
-        ValueError (a sign criterion that does not apply, root enclosures too
-        wide to order) gives an inconclusive step that carries the message,
-        and the later rows still run.  A derived row runs no check: it is
-        verified until ``replay_all`` combines its parents' statuses.
+        A step's status is the ``_combine`` of its check's and its parents'
+        statuses; a derived row runs no check.  A parent is looked up among
+        the `earlier` steps and the rows before it; one found in neither
+        (unknown, later, the step itself) counts as failed, so no cycle
+        passes.  Evidence values are reported as their ``str``.  A check that
+        raises ValueError (a sign criterion that does not apply, root
+        enclosures too wide to order) gives an inconclusive step that carries
+        the message, and the later rows still run.
         """
+        known = {step.id: step.status for step in earlier}
         steps = []
         for sid, claim, method, check, parents in self.STEPS:
-            try:
-                status, evidence = check(self) if check else (VERIFIED, {})
-            except ValueError as exc:
-                status, evidence = INCONCLUSIVE, {"error": str(exc)}
+            statuses, evidence = [known.get(p, FAILED) for p in parents], {}
+            if check:
+                try:
+                    own, evidence = check(self)
+                except ValueError as exc:
+                    own, evidence = INCONCLUSIVE, {"error": str(exc)}
+                statuses.append(own)
+            known[sid] = _combine(statuses)
             evidence = {k: str(v) for k, v in evidence.items()}
-            steps.append(ProofStep(sid, claim, method, status, list(parents), evidence))
+            step = ProofStep(sid, claim, method, known[sid], list(parents), evidence)
+            steps.append(step)
         return steps
 
 
@@ -310,18 +308,6 @@ def _combine(statuses) -> str:
     if any(s == INCONCLUSIVE for s in statuses):
         return INCONCLUSIVE
     return VERIFIED
-
-
-def _derive_statuses(steps: list[ProofStep]) -> list[ProofStep]:
-    """Give each step, in order, the ``_combine`` of its status and its parents'.
-
-    A parent id that names no earlier step counts as failed: no cycle passes.
-    """
-    done = {}
-    for step in steps:
-        parents = [done.get(sid, FAILED) for sid in step.depends_on]
-        step.status = done[step.id] = _combine([step.status, *parents])
-    return steps
 
 
 def _sample(fn, points, dps: int, key: str):
@@ -370,9 +356,11 @@ DIAG_SLOPE_NUMERATOR = Poly(
     )
 )
 
-EDGE_SLOPE_QUOTIENT = (913 + 350 * _T - 1250 * _T**2) / (
-    2 * (17 + 16 * _T - 25 * _T**2) ** 2
-)
+# 17 + 16x - 25x^2 = (25/2)(1 + x + y - 2xy) on the edge y = x + 9/25: the
+# denominator of g and g', positive on (0, 1/5] (``_Trapezoid.guard_ok``)
+EDGE_GUARD = 17 + 16 * _T - 25 * _T**2
+
+EDGE_SLOPE_QUOTIENT = (913 + 350 * _T - 1250 * _T**2) / (2 * EDGE_GUARD**2)
 
 
 @lru_cache(maxsize=1)
@@ -408,8 +396,7 @@ class _Diagonal(_Phase):
         lower = (
             derive_lx(A_LARGE)
             - 2 * RationalFn(small.num.compose(2 * t), small.den.compose(2 * t))
-            + (2 * (1 + 2 * t + 2 * t**2 + 8 * t**3 + 4 * t**4))
-            / ((1 + 2 * t) ** 2 * (1 + 2 * t - 2 * t**2) ** 2)
+            + dFdx_rational(t, t).derivative()
         )
         den = (
             2 * (1 + 2 * t) ** 2 * (1 + 2 * t - 2 * t**2) ** 2
@@ -449,7 +436,7 @@ class _Diagonal(_Phase):
         return _combine([status, _status(half_ok)]), evidence
 
 
-def replay_diagonal(dps: int = DEFAULT_DPS) -> list[ProofStep]:
+def replay_diagonal(dps: int = DEFAULT_DPS, earlier=()) -> list[ProofStep]:
     """Certify f(x) = F(x, x) > 0 on the diagonal.
 
     (a) the rational part of f' matches 2 * 2x(1+x)/((1+2x)(1+2x-2x^2));
@@ -458,7 +445,7 @@ def replay_diagonal(dps: int = DEFAULT_DPS) -> list[ProofStep]:
         half-slope is increasing from its zero at x = 0;
     (c) high-precision spot checks of f itself.
     """
-    return _Diagonal(dps).run()
+    return _Diagonal(dps).run(earlier)
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +592,16 @@ class _Strip(_Phase):
              [row[0] for row in _Diagonal.STEPS + STEPS])
 
 
-def replay_strip(dps: int = DEFAULT_DPS) -> list[ProofStep]:
+def replay_strip(dps: int = DEFAULT_DPS, earlier=()) -> list[ProofStep]:
     """Certify F(x, y) >= f(x) > 0 on the strip via dF/dy > 0.
 
     The digamma-difference lower bound (n = 3) turns dF/dy into
     x Q(x, y) / [positive factors]; Q is a one-sign-change polynomial in y
     whose positivity on x <= y <= 1 - x follows from Q(x, 1-x) > 0.  Its
-    derived step takes its parents' statuses only in ``replay_all``.
+    derived step reads the diagonal steps among the `earlier` steps, and
+    fails without them.
     """
-    return _Strip(dps).run()
+    return _Strip(dps).run(earlier)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +615,7 @@ class _Trapezoid(_Phase):
     @cached_property
     def guard_ok(self) -> bool:
         """17 + 16x - 25x^2 > 0 on (0, 1/5], a denominator of g and g'."""
-        return signs.positive_below(Poly((17, 16, -25)), Fraction(1, 5))
+        return signs.positive_below(EDGE_GUARD, Fraction(1, 5))
 
     # --- subregion A: y >= x + 9/25 --------------------------------------
     @_step(STEPS, "trapezoid.A.mixed-partial", METHOD_EXACT_IDENTITY,
@@ -659,9 +647,7 @@ class _Trapezoid(_Phase):
         tail = 307230 * t**5 + 823500 * t**6 + 675000 * t**7
         rhs = RationalFn(
             p0 + tail,
-            2 * (17 + 15 * t + 15 * t**2)
-            * (17 + 16 * t - 25 * t**2) ** 2
-            * (11 + 36 * t + 36 * t**2),
+            2 * (17 + 15 * t + 15 * t**2) * EDGE_GUARD**2 * (11 + 36 * t + 36 * t**2),
         )
         identity = (derive_lx(A_LARGE) - EDGE_SLOPE_QUOTIENT).equivalent(rhs)
         return _pn_certificate(
@@ -677,14 +663,13 @@ class _Trapezoid(_Phase):
     def g_decreasing(self):
         t = _T
         p1 = self.cat.p[1]
-        deriv_quotient = (11633 - 21600 * t - 13125 * t**2 + 31250 * t**3) / (
-            (17 + 16 * t - 25 * t**2) ** 3
-        )
+        deriv_num = 11633 - 21600 * t - 13125 * t**2 + 31250 * t**3
+        deriv_quotient = deriv_num / EDGE_GUARD**3
         deriv_ok = (-EDGE_SLOPE_QUOTIENT).derivative().equivalent(deriv_quotient)
         rhs = RationalFn(
             -(127679911 * (10 * t - 1) + t * p1),
             2 * (17 + 15 * t + 15 * t**2) ** 2
-            * (17 + 16 * t - 25 * t**2) ** 3
+            * EDGE_GUARD**3
             * (11 + 36 * t + 36 * t**2) ** 2,
         )
         identity = (derive_lxx(A_LARGE) + deriv_quotient).equivalent(rhs)
@@ -714,7 +699,7 @@ class _Trapezoid(_Phase):
         t = _T
         p2 = self.cat.p[2]
         quotient = RationalFn(Poly((-4,)), (1 + t) ** 3)
-        second = RationalFn(2 * t, 1 + t).derivative().derivative()
+        second = G_rational(0, t).derivative().derivative()
         second_ok = second.equivalent(quotient)
         rhs = RationalFn(
             -p2,
@@ -754,7 +739,8 @@ class _Trapezoid(_Phase):
     def b_slope(self):
         # dG/dy(x, y) = -dG/dx(y, x) by antisymmetry; on the edge x = y - 9/25
         t = _T
-        quotient = (13 + 2150 * t - 1250 * t**2) / (2 * (8 + 34 * t - 25 * t**2) ** 2)
+        guard = 8 + 34 * t - 25 * t**2   # (25/2)(1 + x + y - 2xy) on the edge
+        quotient = (13 + 2150 * t - 1250 * t**2) / (2 * guard**2)
         sub_ok = dGdx_rational(t, t - EDGE_OFFSET).equivalent(-quotient)
         # the bracket multiplying (25y - 9) in the slope bound
         bracket = (
@@ -763,13 +749,11 @@ class _Trapezoid(_Phase):
         )
         rhs = RationalFn(
             5275352 + (25 * t - 9) * bracket,
-            6250 * (11 + 15 * t + 15 * t**2)
-            * (5 + 18 * t + 18 * t**2)
-            * (8 + 34 * t - 25 * t**2) ** 2,
+            6250 * (11 + 15 * t + 15 * t**2) * (5 + 18 * t + 18 * t**2) * guard**2,
         )
         identity = (quotient - derive_lx(A_SMALL)).equivalent(rhs)
         bracket_pos = signs.positive_below(bracket, Fraction(1))
-        guard_ok = signs.positive_below(Poly((8, 34, -25)), Fraction(1))
+        guard_ok = signs.positive_below(guard, Fraction(1))
         return _status(sub_ok and identity and bracket_pos and guard_ok), {
             "substitution_identity": sub_ok,
             "identity": identity,
@@ -785,7 +769,7 @@ class _Trapezoid(_Phase):
         t = _T
         p3 = self.cat.p[3]
         quotient = RationalFn(Poly((25564,)), (34 + 7 * t) ** 3)
-        second = RationalFn(-(50 * t - 18), 34 + 7 * t).derivative().derivative()
+        second = G_rational(t, EDGE_OFFSET).derivative().derivative()
         second_ok = second.equivalent(quotient)
         rhs = RationalFn(
             -(p3 + 200037600 * t**9),
@@ -873,11 +857,12 @@ class _Trapezoid(_Phase):
              + [row[0] for row in STEPS if row[0].startswith("trapezoid.boundary.")])
 
 
-def replay_trapezoid(dps: int = DEFAULT_DPS) -> list[ProofStep]:
+def replay_trapezoid(dps: int = DEFAULT_DPS, earlier=()) -> list[ProofStep]:
     """Certify that G > 0 on D (no interior extremum of F) and that F >= 0
-    on the boundary of D with equality only on the x = 0 edge.  Its derived
-    steps take their parents' statuses only in ``replay_all``."""
-    return _Trapezoid(dps).run()
+    on the boundary of D with equality only on the x = 0 edge.  Its boundary
+    steps read the diagonal and strip steps among the `earlier` steps, and
+    fail without them."""
+    return _Trapezoid(dps).run(earlier)
 
 
 # ---------------------------------------------------------------------------
@@ -916,10 +901,12 @@ class ProofReport:
 
 
 def replay_all(dps: int = DEFAULT_DPS) -> ProofReport:
-    """Run every step of the proof replay, derive each step's status from its
-    parents' (``_derive_statuses``) and collect the report."""
-    steps = replay_diagonal(dps) + replay_strip(dps) + replay_trapezoid(dps)
-    return ProofReport(dps=dps, steps=_derive_statuses(steps))
+    """Run the three phases in order, each given the steps before it, and
+    collect the report."""
+    steps = replay_diagonal(dps)
+    steps += replay_strip(dps, steps)
+    steps += replay_trapezoid(dps, steps)
+    return ProofReport(dps=dps, steps=steps)
 
 
 @dataclass

@@ -192,18 +192,33 @@ class TestReplayCommand:
         assert steps["trapezoid.A.left-edge-endpoints"]["status"] == "failed"
         assert "trapezoid.A.left-edge-endpoints" in capsys.readouterr().err
 
-    def test_malformed_catalogue_writes_report_and_exits_1(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _use_malformed_q3(monkeypatch):
         # q3 with all coefficients nonnegative has no root to isolate
         cat = proof.load_catalogue()
         q3 = Poly(abs(c) for c in cat.q[3].coeffs)
         mutated = dataclasses.replace(cat, q=cat.q[:3] + (q3,) + cat.q[4:])
         monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
+
+    def test_malformed_catalogue_writes_report_and_exits_1(self, tmp_path, monkeypatch):
+        self._use_malformed_q3(monkeypatch)
         out_path = tmp_path / "malformed.json"
         code, _ = run(["replay", "--precision", "30", "--out", str(out_path)])
         assert code == EXIT_VERIFY_FAILED
         steps = {s["id"]: s for s in json.loads(out_path.read_text())["steps"]}
         assert len(steps) == 31
         assert steps["strip.q-root-ordering"]["status"] == "inconclusive"
+
+    def test_roots_on_malformed_catalogue_exits_1(self, monkeypatch, capsys):
+        # roots says why on stderr and exits 1, as replay does
+        self._use_malformed_q3(monkeypatch)
+        code, text = run(["roots"])
+        assert code == EXIT_VERIFY_FAILED
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "root isolation failed: criterion inapplicable: "
+            "expected PN or NP pattern, got AllNonneg\n"
+        )
 
     def test_json_format_prints_report(self, tmp_path):
         out_path = tmp_path / "r.json"

@@ -16,9 +16,7 @@ from betabound.proof import (
     alzer_lower_bound,
     big_F,
     big_G,
-    dF_dx,
     dFdx_rational,
-    dG_dx,
     dGdx_rational,
     diag_gap,
     edge_slope,
@@ -35,11 +33,21 @@ from betabound.proof import (
 )
 from betabound.catalogue import load_catalogue
 from betabound.constants import agrees_with_printed
-from betabound.specials import beta, context, to_mpf
+from betabound.specials import beta, context, psi, psi1, to_mpf
 
 HP = context(60)
 mpmath.mp.dps = 60
 CAT = load_catalogue()
+
+
+def dF_dx(x, y):
+    """psi(x+1) - psi(x+y+1) + dFdx_rational(x, y) at 60 digits."""
+    return psi(x + 1, HP.dps) - psi(x + y + 1, HP.dps) + dFdx_rational(x, y)
+
+
+def dG_dx(x, y):
+    """psi'(x+1) + dGdx_rational(x, y) at 60 digits."""
+    return psi1(x + 1, HP.dps) + dGdx_rational(x, y)
 
 
 class TestTheoremMargin:
@@ -205,7 +213,8 @@ class TestSharedFormulas:
     def test_wrappers_evaluate_the_shared_formulas(self):
         x, y = F(2, 5), F(3, 4)
         assert new_bound(x, y) == F(713, 258)
-        assert abs(edge_slope(F(1, 5)) - dG_dx(F(1, 5), F(14, 25))) < HP.mpf("1e-45")
+        g = dG_dx(to_mpf(HP, F(1, 5)), to_mpf(HP, F(14, 25)))
+        assert abs(edge_slope(F(1, 5)) - g) < HP.mpf("1e-45")
         assert abs(diag_gap(F(3, 10)) - big_F(F(3, 10), F(3, 10))) < HP.mpf("1e-45")
 
 
@@ -325,11 +334,15 @@ class TestReplay:
         assert all(s.status == "verified" for s in steps)
 
     def test_strip_phase(self):
-        steps = replay_strip()
+        # given the diagonal steps every strip step is verified; alone, the
+        # derived step with parents among them fails
+        steps = replay_strip(50, replay_diagonal())
         assert all(s.status == "verified" for s in steps)
         by_id = {s.id: s for s in steps}
         assert "strip.dFdy-reduction-identity" in by_id
         assert by_id["strip.pn-sign-vectors"].evidence["patterns"] == "{'PN': 16}"
+        alone = [s.id for s in replay_strip() if s.status != "verified"]
+        assert alone == ["strip.reduce-to-diagonal"]
 
     @pytest.mark.parametrize(
         "mutate",
@@ -380,8 +393,14 @@ class TestReplay:
         assert not hasattr(proof, "PRINTED_LX") and not hasattr(proof, "PRINTED_LXX")
 
     def test_trapezoid_phase(self):
-        steps = replay_trapezoid()
-        assert all(s.status == "verified" for s in steps)
+        earlier = replay_diagonal()
+        earlier += replay_strip(50, earlier)
+        assert all(s.status == "verified" for s in replay_trapezoid(50, earlier))
+        alone = {s.id: s.status for s in replay_trapezoid() if s.status != "verified"}
+        assert alone == dict.fromkeys([
+            "trapezoid.boundary.diagonal", "trapezoid.boundary.right-edge",
+            "trapezoid.no-interior-extremum",
+        ], "failed")
 
     def test_full_replay_counts(self):
         report = replay_all()
@@ -437,12 +456,14 @@ class TestReplay:
 
     @staticmethod
     def _derive(own: dict, parents: dict) -> dict:
-        # steps a, b, c, ... in order, each with its own status and parent ids
-        steps = [
-            proof.ProofStep(sid, "", "derived", status, parents.get(sid, []))
-            for sid, status in own.items()
+        # rows a, b, c, ... in order, each a check giving its own status, and
+        # their parent ids, through the phase runner
+        phase = proof._Phase(30)
+        phase.STEPS = [
+            (sid, "", "exact-identity", lambda _, s=s: (s, {}), parents.get(sid, ()))
+            for sid, s in own.items()
         ]
-        return {s.id: s.status for s in proof._derive_statuses(steps)}
+        return {s.id: s.status for s in phase.run()}
 
     @pytest.mark.parametrize("bad", ["failed", "inconclusive"])
     def test_status_reaches_child_and_grandchild(self, bad):
@@ -537,13 +558,20 @@ class TestReplay:
         assert replay_all(30).all_verified
 
     _LOG_MUTANT = lambda log: lambda x, y, ln: log(x, y, lambda a: ln(a + F(1, 10**6)))
+    _SCALED = lambda f: lambda x, y: f(x, y) * (1 + F(1, 10**6))
 
     @pytest.mark.parametrize("name, mutant, sid", [
         ("G_rational", lambda G: lambda x, y: G(x, y) + F(1, 10**6),
          "trapezoid.A.left-edge-endpoints"),
         ("log_correction", _LOG_MUTANT, "trapezoid.boundary.left-edge"),
         ("log_correction", _LOG_MUTANT, "diagonal.gap-positive-spots"),
-    ], ids=["G_rational", "log_correction", "log_correction-diagonal"])
+        # the step bodies differentiate the shared formulas, not copies of them
+        ("G_rational", _SCALED, "trapezoid.A.left-edge-concavity"),
+        ("G_rational", _SCALED, "trapezoid.B.concavity"),
+        ("dFdx_rational", _SCALED, "diagonal.slope-lower-identity"),
+    ], ids=["G_rational", "log_correction", "log_correction-diagonal",
+            "G_rational-scaled-left-edge", "G_rational-scaled-B",
+            "dFdx_rational-scaled"])
     def test_exact_edge_step_fails_on_mutant(self, monkeypatch, name, mutant, sid):
         # f(1/2) = log(pi/3) is exact, from log_correction's argument 3/4
         monkeypatch.setattr(proof, name, mutant(getattr(proof, name)))

@@ -114,9 +114,7 @@ HIGH_PRECISION = {
     "full_sandwich": lambda d: [v for _, v in constants.full_sandwich(X, d)],
     "theorem_margin": lambda d: [proof.theorem_margin(X, Y, d)],
     "big_F": lambda d: [proof.big_F(X, Y, d)],
-    "dF_dx": lambda d: [proof.dF_dx(X, Y, d)],
     "big_G": lambda d: [proof.big_G(X, Y, d)],
-    "dG_dx": lambda d: [proof.dG_dx(X, Y, d)],
     "diag_gap": lambda d: [proof.diag_gap(X, d)],
     "edge_slope": lambda d: [proof.edge_slope(X, d)],
 }
