@@ -1,28 +1,27 @@
 """Exact polynomial algebra over arbitrary-precision rationals.
 
-The rational scalar type is ``fractions.Fraction`` (always canonical:
-positive denominator, gcd-reduced).  On top of it this module provides
-immutable univariate polynomials (``Poly``), bivariate polynomials
-(``BiPoly``) and formal quotients (``RationalFn``).  Everything is exact;
-no floating point enters any operation here.
+The rational scalar type is ``fractions.Fraction``.  On top of it this module
+provides immutable univariate polynomials (``Poly``), bivariate polynomials
+(``BiPoly``) and formal quotients (``RationalFn``).  Everything is exact; no
+floating point enters any operation here.
 
-Both polynomial types are stored one way, sparsely: ``terms`` maps each
-exponent to its coefficient, a nonzero canonical Fraction, and the zero
-polynomial has no terms.  The exponent is an ``int`` for ``Poly`` and an
-``(i, j)`` pair for ``BiPoly``.  The ring operations (``+``, ``-``, ``*``,
+Both polynomial types are stored one way, as integer numerators over one
+common denominator: ``nums`` maps each exponent (an ``int`` for ``Poly``, an
+``(i, j)`` pair for ``BiPoly``) to a nonzero ``int``, and ``den`` is a
+positive ``int`` with gcd(den, *nums) = 1; the zero polynomial has no
+numerators and ``den == 1``.  So each value has exactly one representation,
+``==`` and hashing compare (den, nums), and ``terms`` (exponent to
+``Fraction``) is a read-only view.  The ring operations (``+``, ``-``, ``*``,
 ``**``, division by a scalar, ``==`` and hashing) are written once, in the
 private base ``_Sparse``, which needs from each type only how its exponents
-add.  The two rings never mix: ``Poly + BiPoly`` raises ``TypeError``, and
-``RationalFn`` lifts a ``Poly`` into the bivariate ring where it must.
+add.  A sum rescales both sides to the lcm of the two denominators; a product
+convolves the numerators as Python ints and divides out one gcd.  The two
+rings never mix: ``Poly + BiPoly`` raises ``TypeError``, and ``RationalFn``
+lifts a ``Poly`` into the bivariate ring where it must.
 
 Equality of rational functions is decided by cross-multiplication and
 expansion, never by sampling, so a ``True`` from ``RationalFn.equivalent`` is
 a certificate.  Polynomial division/GCD is deliberately not implemented.
-
-Products run over integers: each operand is scaled once to integer
-numerators over the lcm of its denominators, the numerators are convolved
-as Python ints, and each output coefficient is one ``Fraction(n, D1 * D2)``
-(zeros dropped), so the stored coefficients stay canonical Fractions.
 """
 
 from __future__ import annotations
@@ -31,13 +30,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Collection, Iterable, Mapping, Sequence
-
-
-def _scaled(values: Collection[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of `values` over the lcm of their denominators."""
-    den = math.lcm(*(c.denominator for c in values))
-    return [c.numerator * (den // c.denominator) for c in values], den
+from typing import Iterable, Mapping, Sequence
 
 
 def as_fraction(value) -> Fraction:
@@ -73,38 +66,62 @@ def _coerced(op):
 class _Sparse:
     """Ring arithmetic shared by ``Poly`` and ``BiPoly``.
 
-    ``terms`` maps exponents to nonzero canonical Fractions.  A subclass sets
-    ``ONE`` (the exponent of the constant term), ``_add`` (which adds two
-    exponents) and ``__mul__ = __rmul__``.  Instances are immutable values.
+    ``nums`` maps exponents to nonzero ints over the positive int ``den``,
+    with gcd(den, *nums) = 1.  A subclass sets ``ONE`` (the exponent of the
+    constant term), ``_add`` (which adds two exponents) and
+    ``__mul__ = __rmul__``.  Instances are immutable values.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _store(self, nums: dict, den: int) -> None:
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def _store_terms(self, terms: Mapping) -> None:
+        """Store `terms` (exponent to Fraction, zeros allowed) over the lcm
+        of their denominators, which leaves gcd(den, *nums) = 1."""
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        self._store({k: c.numerator * (den // c.denominator)
+                     for k, c in terms.items() if c}, den)
+
     @classmethod
-    def _wrap(cls, terms: dict):
-        """An instance over `terms` as is: nonzero canonical Fractions."""
+    def _wrap(cls, nums: dict, den: int):
+        """An instance over `nums` and `den` as is: already canonical."""
         p = object.__new__(cls)
-        object.__setattr__(p, "terms", terms)
+        p._store(nums, den)
         return p
+
+    @classmethod
+    def _reduced(cls, nums: dict, den: int):
+        """An instance over `nums` / `den` (den > 0) with zeros and the common
+        factor of den and the numerators removed."""
+        g = math.gcd(den, *nums.values())
+        return cls._wrap({k: n // g for k, n in nums.items() if n}, den // g)
 
     @classmethod
     def const(cls, c):
         c = as_fraction(c)
-        return cls._wrap({cls.ONE: c} if c else {})
+        return cls._wrap({cls.ONE: c.numerator} if c else {}, c.denominator)
+
+    @property
+    def terms(self) -> dict:
+        """Exponent to coefficient, a nonzero Fraction (a fresh dict)."""
+        return {k: Fraction(n, self.den) for k, n in self.nums.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @_coerced
     def __eq__(self, other) -> bool:
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((type(self).__name__, frozenset(self.terms.items())))
+        return hash((type(self).__name__, self.den, frozenset(self.nums.items())))
 
     # -- ring operations ----------------------------------------------
 
@@ -118,17 +135,18 @@ class _Sparse:
 
     @_coerced
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            total = out.pop(key, 0) + c
-            if total:
-                out[key] = total
-        return self._wrap(out)
+        den = math.lcm(self.den, other.den)
+        scale = den // other.den
+        out = {k: n * scale for k, n in other.nums.items()}
+        scale = den // self.den
+        for key, n in self.nums.items():
+            out[key] = out.get(key, 0) + n * scale
+        return self._reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap({key: -c for key, c in self.terms.items()})
+        return self._wrap({key: -n for key, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -139,16 +157,13 @@ class _Sparse:
     @_coerced
     def __mul__(self, other):
         add = self._add
-        left, left_den = _scaled(self.terms.values())
-        right, right_den = _scaled(other.terms.values())
-        right = list(zip(other.terms, right))
+        right = list(other.nums.items())
         out: dict = {}
-        for e1, a in zip(self.terms, left):
+        for e1, a in self.nums.items():
             for e2, b in right:
                 key = add(e1, e2)
                 out[key] = out.get(key, 0) + a * b
-        den = left_den * right_den
-        return self._wrap({key: Fraction(n, den) for key, n in out.items() if n})
+        return self._reduced(out, self.den * other.den)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -162,8 +177,9 @@ class _Sparse:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            inv = Fraction(1) / as_fraction(other)
-            return self._wrap({key: c * inv for key, c in self.terms.items()})
+            inv = 1 / as_fraction(other)
+            nums = {key: n * inv.numerator for key, n in self.nums.items()}
+            return self._reduced(nums, self.den * inv.denominator)
         if isinstance(other, type(self)):
             return RationalFn(self, other)
         return NotImplemented
@@ -174,7 +190,7 @@ class _Sparse:
 
 
 class Poly(_Sparse):
-    """Univariate polynomial; ``terms`` maps the power of x to its coefficient.
+    """Univariate polynomial; the exponent is the power of x.
 
     ``coeffs`` is a read-only dense view: ``coeffs[k]`` is the degree-k
     coefficient, and the last entry is nonzero (the zero polynomial gives
@@ -189,8 +205,7 @@ class Poly(_Sparse):
     __mul__ = __rmul__ = _Sparse.__mul__
 
     def __init__(self, coeffs: Iterable = ()):
-        terms = {k: c for k, c in enumerate(map(as_fraction, coeffs)) if c}
-        object.__setattr__(self, "terms", terms)
+        self._store_terms(dict(enumerate(map(as_fraction, coeffs))))
 
     @staticmethod
     def x() -> "Poly":
@@ -198,39 +213,45 @@ class Poly(_Sparse):
 
     @property
     def coeffs(self) -> tuple:
-        zero = Fraction(0)
-        return tuple([self.terms.get(k, zero) for k in range(self.degree + 1)])
+        return tuple([self.coefficient(k) for k in range(self.degree + 1)])
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return max(self.terms, default=-1)
+        return max(self.nums, default=-1)
 
     def coefficient(self, k: int) -> Fraction:
-        return self.terms.get(k, Fraction(0))
+        return Fraction(self.nums.get(k, 0), self.den)
 
     def __repr__(self):
-        if self.is_zero:
-            return "Poly(0)"
-        parts = []
-        for k, c in sorted(self.terms.items()):
-            if k == 0:
-                parts.append(f"{c}")
-            elif k == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{k}")
-        return "Poly(" + " + ".join(parts) + ")"
+        powers = {0: "", 1: "*x"}
+        parts = [f"{c}{powers.get(k, f'*x^{k}')}" for k, c in sorted(self.terms.items())]
+        return "Poly(" + (" + ".join(parts) or "0") + ")"
 
     # -- evaluation and calculus ---------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int arguments."""
-        return _horner(self.coeffs, x)
+        """Horner evaluation; exact for int and Fraction arguments.
+
+        At x = a/b, Horner's rule runs on integers, forms the sum of
+        n_k a^k b^(d-k) and divides it once by den b^d.  Any other argument
+        (an mpf, a polynomial) runs Horner over the Fraction coefficients.
+        """
+        if not isinstance(x, (int, Fraction)):
+            return _horner(self.coeffs, x)
+        nums, d = self.nums, self.degree
+        if d < 0:
+            return Fraction(0)
+        a, b = x.numerator, x.denominator
+        acc, scale = nums[d], 1
+        for k in range(d - 1, -1, -1):
+            scale *= b
+            acc = acc * a + nums.get(k, 0) * scale
+        return Fraction(acc, self.den * scale)
 
     def derivative(self) -> "Poly":
         """Formal derivative with exact coefficients."""
-        return Poly._wrap({k - 1: k * c for k, c in self.terms.items() if k})
+        return Poly._reduced({k - 1: k * n for k, n in self.nums.items() if k}, self.den)
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)), expanded exactly (Horner over the polynomial ring)."""
@@ -244,7 +265,7 @@ class Poly(_Sparse):
 
 
 class BiPoly(_Sparse):
-    """Bivariate polynomial; ``terms`` maps (x-degree, y-degree) to its coefficient.
+    """Bivariate polynomial; exponents are (x-degree, y-degree) pairs.
 
     Degrees in this library stay small (well under 30 per variable), so
     sparsity is the only tuning needed.
@@ -262,9 +283,11 @@ class BiPoly(_Sparse):
         clean: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for (i, j), c in items:
-            key = (int(i), int(j))
+            key = (operator.index(i), operator.index(j))
+            if min(key) < 0:
+                raise ValueError(f"negative exponent in {key}")
             clean[key] = clean.get(key, 0) + as_fraction(c)
-        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c})
+        self._store_terms(clean)
 
     @staticmethod
     def x() -> "BiPoly":
@@ -276,38 +299,34 @@ class BiPoly(_Sparse):
 
     @staticmethod
     def from_x_poly(p: Poly) -> "BiPoly":
-        return BiPoly._wrap({(k, 0): c for k, c in p.terms.items()})
+        return BiPoly._wrap({(k, 0): n for k, n in p.nums.items()}, p.den)
 
     # -- structure --------------------------------------------------------
 
     @property
     def degree_y(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
+        return max((j for _, j in self.nums), default=-1)
 
     def __repr__(self):
-        if self.is_zero:
-            return "BiPoly(0)"
-        bits = [
-            f"{c}*x^{i}*y^{j}" for (i, j), c in sorted(self.terms.items())
-        ]
-        return "BiPoly(" + " + ".join(bits) + ")"
+        bits = [f"{c}*x^{i}*y^{j}" for (i, j), c in sorted(self.terms.items())]
+        return "BiPoly(" + (" + ".join(bits) or "0") + ")"
 
     # -- evaluation and calculus ---------------------------------------------
 
     def y_coefficients(self) -> list[Poly]:
         """Coefficient polynomials in x, indexed by the power of y."""
         rows: list[dict] = [{} for _ in range(self.degree_y + 1)]
-        for (i, j), c in self.terms.items():
-            rows[j][i] = c
-        return [Poly._wrap(row) for row in rows]
+        for (i, j), n in self.nums.items():
+            rows[j][i] = n
+        return [Poly._reduced(row, self.den) for row in rows]
 
     def __call__(self, x, y):
         """Evaluate via Horner in y over the x-coefficient polynomials."""
         return _horner([p(x) for p in self.y_coefficients()], y)
 
     def partial_y(self) -> "BiPoly":
-        return BiPoly._wrap(
-            {(i, j - 1): j * c for (i, j), c in self.terms.items() if j}
+        return BiPoly._reduced(
+            {(i, j - 1): j * n for (i, j), n in self.nums.items() if j}, self.den
         )
 
     def substitute_y(self, p: Poly) -> Poly:
@@ -319,7 +338,7 @@ class RationalFn:
     """Formal quotient of two polynomials (both Poly, or both BiPoly).
 
     Denominators must be nonzero polynomials.  No common-factor reduction
-    is performed; equivalence is the cross-multiplied zero test.
+    is performed; equivalence compares the two cross products.
     """
 
     __slots__ = ("num", "den")
@@ -376,11 +395,11 @@ class RationalFn:
     # -- equivalence and evaluation -----------------------------------------
 
     def equivalent(self, other) -> bool:
-        """True iff num1*den2 - num2*den1 expands to the zero polynomial."""
+        """True iff num1*den2 and num2*den1 expand to the same polynomial."""
         other = self._coerce(other)
         if other is None:
             raise TypeError("cannot compare RationalFn with this operand")
-        return (self.num * other.den - other.num * self.den).is_zero
+        return self.num * other.den == other.num * self.den
 
     def __eq__(self, other):
         try:

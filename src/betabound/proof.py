@@ -337,7 +337,7 @@ def _pn_certificate(identities: dict, p: Poly, point, key: str, guard=True, **ev
 
 def _unit_square_min(bp: BiPoly) -> Fraction:
     """Exact minimum over [0, 1]^2 of a polynomial of degree <= 1 per variable."""
-    if any(i > 1 or j > 1 for (i, j) in bp.terms):
+    if any(i > 1 or j > 1 for (i, j) in bp.nums):
         raise ValueError("corner minimization needs degree <= 1 per variable")
     return min(bp(Fraction(cx), Fraction(cy)) for cx in (0, 1) for cy in (0, 1))
 

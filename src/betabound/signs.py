@@ -45,16 +45,15 @@ def classify(p: Poly) -> PatternKind:
     """
     if p.is_zero:
         raise ValueError("degenerate input: zero polynomial")
-    signs = [(k, 1 if c > 0 else -1) for k, c in enumerate(p.coeffs) if c != 0]
-    lead = signs[0][1]
-    changes = sum(
-        1 for (_, a), (_, b) in zip(signs, signs[1:]) if a != b
-    )
+    # the denominator is positive, so the numerators carry the signs
+    signs = [n > 0 for _, n in sorted(p.nums.items())]
+    lead = signs[0]
+    changes = sum(a != b for a, b in zip(signs, signs[1:]))
     if changes == 0:
-        return PatternKind.ALL_NONNEG if lead > 0 else PatternKind.ALL_NONPOS
+        return PatternKind.ALL_NONNEG if lead else PatternKind.ALL_NONPOS
     if changes > 1:
         return PatternKind.OTHER
-    return PatternKind.PN if lead > 0 else PatternKind.NP
+    return PatternKind.PN if lead else PatternKind.NP
 
 
 def _require(p: Poly, *kinds: PatternKind) -> None:

@@ -311,3 +311,147 @@ def test_power_takes_square_and_multiply_products(monkeypatch):
         power = (X + 1) ** k
         assert len(products) == expected
         assert power == Poly([math.comb(k, i) for i in range(k + 1)])
+
+
+# -- storage: integer numerators over one denominator ------------------------
+
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n != 0 for n in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert p.den == 1 or not p.is_zero
+
+
+def reference_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, F(0)) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_horner(coeffs, x):
+    acc = F(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+scalars = st.one_of(
+    st.integers(-50, 50).filter(bool),
+    st.fractions(min_value=-20, max_value=20, max_denominator=40).filter(bool),
+)
+
+
+@settings(deadline=None)
+@given(polys_mixed, polys_mixed, bipolys_mixed, bipolys_mixed, scalars)
+def test_ring_results_are_canonical_and_match_fraction_reference(p, q, a, b, c):
+    for left, right, schoolbook in ((p, q, schoolbook_poly), (a, b, schoolbook_bipoly)):
+        lt, rt = left.terms, right.terms
+        cases = {
+            "add": (left + right, reference_add(lt, rt)),
+            "sub": (left - right, reference_add(lt, {k: -v for k, v in rt.items()})),
+            "neg": (-left, {k: -v for k, v in lt.items()}),
+            "mul": (left * right, schoolbook(left, right).terms),
+            "square": (left**2, schoolbook(left, left).terms),
+            "scalar-mul": (c * left, {k: c * v for k, v in lt.items()}),
+            "scalar-div": (left / c, {k: v / c for k, v in lt.items()}),
+            "const": (type(left).const(c), {left.ONE: F(c)}),
+        }
+        for name, (result, expected) in cases.items():
+            assert_canonical(result)
+            assert result.terms == expected, name
+    calculus = {
+        "derivative": (p.derivative(), {k - 1: k * v for k, v in p.terms.items() if k}),
+        "partial_y": (
+            a.partial_y(),
+            {(i, j - 1): j * v for (i, j), v in a.terms.items() if j},
+        ),
+        "from_x_poly": (BiPoly.from_x_poly(p), {(k, 0): v for k, v in p.terms.items()}),
+    }
+    for name, (result, expected) in calculus.items():
+        assert_canonical(result)
+        assert result.terms == expected, name
+    rows = a.y_coefficients()
+    for j, row in enumerate(rows):
+        assert_canonical(row)
+        assert row.terms == {i: v for (i, jj), v in a.terms.items() if jj == j}
+    assert_canonical(a.substitute_y(p))
+    assert_canonical(p.compose(q))
+
+
+def test_zero_results_have_denominator_one():
+    half = Poly((F(1, 2), F(1, 3)))
+    zeros = (half - half, half * Poly(), Poly() / 7, -Poly(), half.derivative().derivative())
+    for zero in zeros:
+        assert zero.is_zero and zero.den == 1 and zero.nums == {}
+    x = BiPoly({(0, 0): F(1, 6), (0, 1): F(5, 4)})
+    assert (x - x).den == 1 and x.partial_y().partial_y().den == 1
+    assert [row.den for row in BiPoly({(1, 2): F(1, 6)}).y_coefficients()] == [1, 1, 6]
+
+
+dyadic_points = st.builds(
+    lambda n, e: F(n, 2**e), st.integers(-(2**61), 2**61), st.integers(0, 60)
+)
+rational_points = st.one_of(
+    st.integers(-1000, 1000),
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
+    dyadic_points,
+)
+
+
+@settings(deadline=None)
+@given(polys_mixed, rational_points, bipolys_mixed, rational_points)
+def test_evaluation_matches_fraction_horner(p, x, a, y):
+    value = p(x)
+    assert type(value) is F
+    assert value == reference_horner(p.coeffs, x)
+    direct = sum((c * F(x) ** i * F(y) ** j for (i, j), c in a.terms.items()), F(0))
+    assert a(x, y) == direct
+
+
+def test_evaluation_at_bisection_midpoints():
+    # 60 bisection steps toward 1/sqrt(2): numerators near 0.7 * 2**60
+    lo, hi = F(0), F(1)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        for p in CAT.p + CAT.q:
+            assert p(mid) == reference_horner(p.coeffs, mid)
+        lo, hi = (mid, hi) if 2 * mid * mid < 1 else (lo, mid)
+    assert mid.denominator == 2**60 and mid.numerator > 2**59
+
+
+def test_equal_values_by_different_routes_compare_and_hash_equal():
+    third = Poly((F(1, 3), F(2, 3)))
+    routes = (
+        Poly((F(1, 3), F(2, 3))),
+        Poly(("1/3", "2/3", 0)),
+        (1 + 2 * X) / 3,
+        Poly((1, 2)) * F(1, 3),
+        Poly((2, 4)) / 6,
+        (Poly((1, 2)) * Poly((1, 1)) - Poly((0, 1, 2))) / 3,
+        Poly.const(F(1, 3)) + Poly.const(F(2, 3)) * X,
+    )
+    for route in routes:
+        assert route == third and hash(route) == hash(third)
+        assert (route.den, route.nums) == (3, {0: 1, 1: 2})
+    assert Poly.const(F(4, 2)) == Poly((2,)) == Poly((F(6, 3),)) == 2
+    xy = BiPoly({(1, 1): F(1, 2)})
+    for route in (BiPoly.x() * BiPoly.y() / 2, BiPoly({(1, 1): 1, (0, 0): 0}) * F(1, 2)):
+        assert route == xy and hash(route) == hash(xy)
+
+
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        ({(1.5, 0): 1}, TypeError),
+        ({("2", 0): 2}, TypeError),
+        ({(0, 1.0): 1}, TypeError),
+        ({(0, -1): 1}, ValueError),
+        ({(-2, 0): 1}, ValueError),
+    ],
+    ids=["float", "string", "float-y", "negative-y", "negative-x"],
+)
+def test_bipoly_rejects_bad_exponents(terms, error):
+    with pytest.raises(error):
+        BiPoly(terms)
