@@ -3,7 +3,8 @@
 The rational scalar type is ``fractions.Fraction``.  On top of it this module
 provides immutable univariate polynomials (``Poly``), bivariate polynomials
 (``BiPoly``) and formal quotients (``RationalFn``).  Everything is exact; no
-floating point enters any operation here.
+floating point enters any operation here, and a ``Poly`` evaluates only at
+``int`` and ``Fraction`` arguments.
 
 Both polynomial types are stored one way, as integer numerators over one
 common denominator: ``nums`` maps each exponent (an ``int`` for ``Poly``, an
@@ -231,14 +232,13 @@ class Poly(_Sparse):
     # -- evaluation and calculus ---------------------------------------
 
     def __call__(self, x):
-        """Horner evaluation; exact for int and Fraction arguments.
+        """The exact value at an int or a Fraction x; any other x raises TypeError.
 
         At x = a/b, Horner's rule runs on integers, forms the sum of
-        n_k a^k b^(d-k) and divides it once by den b^d.  Any other argument
-        (an mpf, a polynomial) runs Horner over the Fraction coefficients.
+        n_k a^k b^(d-k) and divides it once by den b^d.
         """
         if not isinstance(x, (int, Fraction)):
-            return _horner(self.coeffs, x)
+            raise TypeError(f"Poly evaluates at an int or a Fraction, not {x!r}")
         nums, d = self.nums, self.degree
         if d < 0:
             return Fraction(0)

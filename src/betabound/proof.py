@@ -28,7 +28,10 @@ high-precision sample (``_sample``) and derived (none: the status is the
 parents').
 
 Each input has one source: the catalogue's polynomials (Q is built from
-q0..q5), and ``derive_lx``/``derive_lxx``, which differentiate Yang's L.
+q0..q5); ``derive_lx``/``derive_lxx``, which differentiate Yang's L; Yang's
+log arguments (``psibounds.log_arguments``), which the certificate
+denominators clear; and F's log term (``log_correction``), whose argument
+gives the rational parts of dF/dx and dF/dy.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .catalogue import Catalogue, load_catalogue
@@ -51,6 +54,7 @@ from .psibounds import (
     certified_sign,
     derive_lx,
     derive_lxx,
+    log_arguments,
 )
 from .specials import (
     DEFAULT_DPS,
@@ -256,7 +260,8 @@ class _Phase:
     and ``_derived``; each check is a method returning (status, evidence).
     All work runs inside the checks: a value that several checks share is a
     ``cached_property``, so if it raises, each check that reads it is
-    inconclusive and the replay goes on.
+    inconclusive and the replay goes on.  Every phase has one such value:
+    ``log_argument``, the argument of F's log term over ``BiPoly``s.
     """
 
     STEPS: list
@@ -267,6 +272,11 @@ class _Phase:
     @cached_property
     def cat(self) -> Catalogue:
         return load_catalogue()
+
+    @cached_property
+    def log_argument(self) -> RationalFn:
+        """v/u, v = 1 + x + y - 2xy and u = x + y + 1, read from ``log_correction``."""
+        return _log_argument(BiPoly.x(), BiPoly.y())
 
     def run(self, earlier: Sequence[ProofStep] = ()) -> list[ProofStep]:
         """Run the rows in order; the one place a ProofStep is built.
@@ -363,12 +373,17 @@ EDGE_GUARD = 17 + 16 * _T - 25 * _T**2
 EDGE_SLOPE_QUOTIENT = (913 + 350 * _T - 1250 * _T**2) / (2 * EDGE_GUARD**2)
 
 
-@lru_cache(maxsize=1)
-def _bivariate_pieces():
-    x, y = BiPoly.x(), BiPoly.y()
-    u = x + y + 1
-    v = 1 + x + y - 2 * x * y
-    return x, y, u, v
+def _log_argument(x, y):
+    """1 - 2xy/(x+y+1), the argument of F's log term, from ``log_correction``."""
+    return log_correction(x, y, lambda arg: arg)
+
+
+# Yang's two log arguments at a, each cleared to c.denominator (x^2 + x + c)
+# and multiplied: the factor that L_x(., a) leaves in a denominator
+YANG_ARGS = {
+    a: math.prod(c.denominator * (_T**2 + _T + c) for c in log_arguments(a)[2:])
+    for a in (A_SMALL, A_LARGE)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +399,8 @@ class _Diagonal(_Phase):
            "exactly.")
     def slope_rational(self):
         t = _T
-        lhs = RationalFn(Poly((2,)), 1 + 2 * t) - (2 - 4 * t) / (1 + 2 * t - 2 * t**2)
-        return _status(lhs.equivalent(2 * dFdx_rational(t, t))), {}
+        arg = _log_argument(t, t)   # f' carries -d/dx log arg(x, x) = -arg'/arg
+        return _status((-arg.derivative() / arg).equivalent(2 * dFdx_rational(t, t))), {}
 
     @_step(STEPS, "diagonal.slope-lower-identity", METHOD_EXACT_IDENTITY,
            "The sandwich lower bound for the half-slope derivative equals the "
@@ -399,9 +414,8 @@ class _Diagonal(_Phase):
             + dFdx_rational(t, t).derivative()
         )
         den = (
-            2 * (1 + 2 * t) ** 2 * (1 + 2 * t - 2 * t**2) ** 2
-            * (17 + 15 * t + 15 * t**2) * (11 + 36 * t + 36 * t**2)
-            * (11 + 30 * t + 60 * t**2) * (5 + 36 * t + 72 * t**2)
+            2 * dFdx_rational(t, t).den ** 2
+            * YANG_ARGS[A_LARGE] * YANG_ARGS[A_SMALL].compose(2 * t)
         )
         return _status(lower.equivalent(RationalFn(DIAG_SLOPE_NUMERATOR, den))), {
             "numerator_constant": DIAG_SLOPE_NUMERATOR.coefficient(0),
@@ -427,7 +441,7 @@ class _Diagonal(_Phase):
         _, status, samples = _sample(diag_gap, spots, self.dps, "{}")
         # f(1/2) = 2 log Gamma(3/2) - log Gamma(2) - log(argument), exactly
         # log(pi/4) - log(3/4) once the argument is 3/4
-        half_ok = log_correction(HALF, HALF, lambda arg: arg) == Fraction(3, 4)
+        half_ok = _log_argument(HALF, HALF) == Fraction(3, 4)
         evidence = dict(samples) | {
             "f(1/2)==log(pi/3)": half_ok,
             "Gamma(3/2)": "sqrt(pi)/2 (DLMF 5.4.6, 5.5.1)",
@@ -500,18 +514,20 @@ class _Strip(_Phase):
            "The rational parts of dF/dx, dF/dy and of G = dF/dx - dF/dy match "
            "their displayed closed forms exactly.")
     def gradients(self):
-        x, y, u, v = _bivariate_pieces()
-        id_dx = (1 / u - (1 - 2 * y) / v).equivalent(dFdx_rational(x, y))
-        id_dy = (1 / u - (1 - 2 * x) / v).equivalent(dFdx_rational(y, x))
+        # dF/dy carries -d/dy log of F's log argument; the argument is
+        # symmetric in x and y, so dF/dx carries the same with x, y swapped
+        x, y, arg = BiPoly.x(), BiPoly.y(), self.log_argument
+        symmetric = arg.equivalent(_log_argument(y, x))
+        id_dy = (-arg.partial_y() / arg).equivalent(dFdx_rational(y, x))
         id_g = (dFdx_rational(x, y) - dFdx_rational(y, x)).equivalent(G_rational(x, y))
-        return _status(id_dx and id_dy and id_g), {}
+        return _status(symmetric and id_dy and id_g), {}
 
     @_step(STEPS, "strip.dFdy-reduction-identity", METHOD_EXACT_IDENTITY,
            "The three-term digamma-difference lower bound for dF/dy minus "
            "1/(x+y) plus the rational term equals x Q(x,y) over the product "
            "of the shifted linear factors, as rational functions.")
     def reduction(self):
-        x, y, u, v = _bivariate_pieces()
+        x, y, v = BiPoly.x(), BiPoly.y(), self.log_argument.num
         lhs = (
             alzer_bracket_rf(3)
             - RationalFn(BiPoly.const(1), x + y)
@@ -584,7 +600,7 @@ class _Strip(_Phase):
            "minimum is at a corner); the remaining cleared factors have "
            "positive coefficients.")
     def denominators(self):
-        corner_min = _unit_square_min(_bivariate_pieces()[3])
+        corner_min = _unit_square_min(self.log_argument.num)
         return _status(corner_min >= 1), {"corner_min": corner_min}
 
     _derived(STEPS, "strip.reduce-to-diagonal",
@@ -623,11 +639,13 @@ class _Trapezoid(_Phase):
            "is at least 1 on the unit square, so dG/dx increases in y "
            "(and dG/dy in x) above the diagonal.")
     def mixed_partial(self):
-        x, y, u, v = _bivariate_pieces()
+        x, y, v = BiPoly.x(), BiPoly.y(), self.log_argument.num
+        # dG/dx(y, x) is the y-derivative of G(y, x): ties dGdx_rational to G
+        tied = G_rational(y, x).partial_y().equivalent(dGdx_rational(y, x))
         mixed = dGdx_rational(x, y).partial_y()
         mixed_ok = mixed.equivalent((12 * (y - x)) / (v * v * v))
         corner_min = _unit_square_min(v)
-        return _status(mixed_ok and corner_min >= 1), {"corner_min": corner_min}
+        return _status(tied and mixed_ok and corner_min >= 1), {"corner_min": corner_min}
 
     @_step(STEPS, "trapezoid.A.edge-slope-identity", METHOD_EXACT_IDENTITY,
            "Substituting y = x + 9/25 into the rational part of dG/dx "
@@ -645,10 +663,7 @@ class _Trapezoid(_Phase):
         t = _T
         p0 = self.cat.p[0]
         tail = 307230 * t**5 + 823500 * t**6 + 675000 * t**7
-        rhs = RationalFn(
-            p0 + tail,
-            2 * (17 + 15 * t + 15 * t**2) * EDGE_GUARD**2 * (11 + 36 * t + 36 * t**2),
-        )
+        rhs = RationalFn(p0 + tail, 2 * YANG_ARGS[A_LARGE] * EDGE_GUARD**2)
         identity = (derive_lx(A_LARGE) - EDGE_SLOPE_QUOTIENT).equivalent(rhs)
         return _pn_certificate(
             {"identity": identity}, p0, Fraction(3, 20), "p0_at_3_20", self.guard_ok,
@@ -666,12 +681,8 @@ class _Trapezoid(_Phase):
         deriv_num = 11633 - 21600 * t - 13125 * t**2 + 31250 * t**3
         deriv_quotient = deriv_num / EDGE_GUARD**3
         deriv_ok = (-EDGE_SLOPE_QUOTIENT).derivative().equivalent(deriv_quotient)
-        rhs = RationalFn(
-            -(127679911 * (10 * t - 1) + t * p1),
-            2 * (17 + 15 * t + 15 * t**2) ** 2
-            * EDGE_GUARD**3
-            * (11 + 36 * t + 36 * t**2) ** 2,
-        )
+        den = 2 * YANG_ARGS[A_LARGE] ** 2 * EDGE_GUARD**3
+        rhs = RationalFn(-(127679911 * (10 * t - 1) + t * p1), den)
         identity = (derive_lxx(A_LARGE) + deriv_quotient).equivalent(rhs)
         identities = {"derivative_identity": deriv_ok, "identity": identity}
         return _pn_certificate(
@@ -701,12 +712,7 @@ class _Trapezoid(_Phase):
         quotient = RationalFn(Poly((-4,)), (1 + t) ** 3)
         second = G_rational(0, t).derivative().derivative()
         second_ok = second.equivalent(quotient)
-        rhs = RationalFn(
-            -p2,
-            2 * (1 + t) ** 3
-            * (11 + 15 * t + 15 * t**2) ** 2
-            * (5 + 18 * t + 18 * t**2) ** 2,
-        )
+        rhs = RationalFn(-p2, 2 * (1 + t) ** 3 * YANG_ARGS[A_SMALL] ** 2)
         identity = (quotient - derive_lxx(A_SMALL)).equivalent(rhs)
         identities = {"second_derivative_identity": second_ok, "identity": identity}
         return _pn_certificate(identities, p2, Fraction(1), "p2_at_1")
@@ -747,10 +753,8 @@ class _Trapezoid(_Phase):
             4404553 + 18643550 * t + 55576875 * t**2 + 88996875 * t**3
             + 9375000 * t**4 + 843750 * t**4 * (1 - t) * (57 + 50 * t)
         )
-        rhs = RationalFn(
-            5275352 + (25 * t - 9) * bracket,
-            6250 * (11 + 15 * t + 15 * t**2) * (5 + 18 * t + 18 * t**2) * guard**2,
-        )
+        den = 6250 * YANG_ARGS[A_SMALL] * guard**2
+        rhs = RationalFn(5275352 + (25 * t - 9) * bracket, den)
         identity = (quotient - derive_lx(A_SMALL)).equivalent(rhs)
         bracket_pos = signs.positive_below(bracket, Fraction(1))
         guard_ok = signs.positive_below(guard, Fraction(1))
@@ -771,12 +775,8 @@ class _Trapezoid(_Phase):
         quotient = RationalFn(Poly((25564,)), (34 + 7 * t) ** 3)
         second = G_rational(t, EDGE_OFFSET).derivative().derivative()
         second_ok = second.equivalent(quotient)
-        rhs = RationalFn(
-            -(p3 + 200037600 * t**9),
-            2 * (34 + 7 * t) ** 3
-            * (17 + 15 * t + 15 * t**2) ** 2
-            * (11 + 36 * t + 36 * t**2) ** 2,
-        )
+        den = 2 * (34 + 7 * t) ** 3 * YANG_ARGS[A_LARGE] ** 2
+        rhs = RationalFn(-(p3 + 200037600 * t**9), den)
         identity = (derive_lxx(A_LARGE) + quotient).equivalent(rhs)
         identities = {"second_derivative_identity": second_ok, "identity": identity}
         return _pn_certificate(identities, p3, Fraction(1), "p3_at_1")
@@ -809,9 +809,7 @@ class _Trapezoid(_Phase):
         p4 = self.cat.p[4]
         slope = RationalFn(Poly((2,)), (1 + t) ** 2)
         sub_ok = dGdx_rational(t, 0).equivalent(-slope)
-        rhs = RationalFn(
-            p4, 2 * (1 + t) ** 2 * (11 + 15 * t + 15 * t**2) * (5 + 18 * t + 18 * t**2)
-        )
+        rhs = RationalFn(p4, 2 * (1 + t) ** 2 * YANG_ARGS[A_SMALL])
         identity = (slope - derive_lx(A_SMALL)).equivalent(rhs)
         identities = {"substitution_identity": sub_ok, "identity": identity}
         return _pn_certificate(identities, p4, Fraction(9, 25), "p4_at_9_25")
@@ -837,7 +835,7 @@ class _Trapezoid(_Phase):
     def boundary_left_edge(self):
         # F(0, y) = log Gamma(1) + log Gamma(y+1) - log Gamma(y+1) - log(argument):
         # log Gamma(1) = 0 as Gamma(1) = 1, and the argument is 1 for every y
-        argument_is_1 = log_correction(Fraction(0), _T, lambda arg: arg).equivalent(1)
+        argument_is_1 = _log_argument(Fraction(0), _T).equivalent(1)
         return _status(argument_is_1), {
             "log_argument_is_1": argument_is_1,
             "log_gamma(1)": "0 (Gamma(1) = 1)",

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,6 +279,12 @@ def test_rings_do_not_mix():
     with pytest.raises(TypeError):
         BiPoly.x() + Poly((1, 2))
     assert Poly((1,)) != BiPoly.const(1)
+
+
+@pytest.mark.parametrize("x", [0.5, mpmath.mpf("0.5")], ids=["float", "mpf"])
+def test_poly_evaluates_only_at_exact_arguments(x):
+    with pytest.raises(TypeError):
+        Poly((1, 2))(x)
 
 
 def test_equal_values_hash_equal():

@@ -559,6 +559,9 @@ class TestReplay:
 
     _LOG_MUTANT = lambda log: lambda x, y, ln: log(x, y, lambda a: ln(a + F(1, 10**6)))
     _SCALED = lambda f: lambda x, y: f(x, y) * (1 + F(1, 10**6))
+    # 2xy scaled by 1 + 10^-6 inside F's log term
+    _LOG_2XY = lambda log: lambda x, y, ln: ln(
+        1 - 2 * x * y * (1 + F(1, 10**6)) / (x + y + 1))
 
     @pytest.mark.parametrize("name, mutant, sid", [
         ("G_rational", lambda G: lambda x, y: G(x, y) + F(1, 10**6),
@@ -569,9 +572,15 @@ class TestReplay:
         ("G_rational", _SCALED, "trapezoid.A.left-edge-concavity"),
         ("G_rational", _SCALED, "trapezoid.B.concavity"),
         ("dFdx_rational", _SCALED, "diagonal.slope-lower-identity"),
+        # the gradient identities differentiate log_correction's argument, and
+        # the mixed partial differentiates G_rational
+        ("log_correction", _LOG_2XY, "strip.gradient-identities"),
+        ("log_correction", _LOG_2XY, "diagonal.slope-rational-identity"),
+        ("G_rational", _SCALED, "trapezoid.A.mixed-partial"),
     ], ids=["G_rational", "log_correction", "log_correction-diagonal",
             "G_rational-scaled-left-edge", "G_rational-scaled-B",
-            "dFdx_rational-scaled"])
+            "dFdx_rational-scaled", "log_correction-2xy-gradients",
+            "log_correction-2xy-diagonal-slope", "G_rational-scaled-mixed-partial"])
     def test_exact_edge_step_fails_on_mutant(self, monkeypatch, name, mutant, sid):
         # f(1/2) = log(pi/3) is exact, from log_correction's argument 3/4
         monkeypatch.setattr(proof, name, mutant(getattr(proof, name)))
