@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .psibounds import lx_general, lxx_general
+from .psibounds import A_LARGE, A_SMALL, lx_general, lxx_general
 from .specials import (
     DEFAULT_DPS,
     context,
@@ -143,16 +143,16 @@ def full_sandwich(x, dps: int = DEFAULT_DPS) -> list[tuple[str, object]]:
     def chain(work, x):
         c1, c2, c3 = a1(dps), a2(dps), solve_a3(dps)
         return {
-            "Lx(x, 4/5)": lx_general(x, Fraction(4, 5), dps),
+            "Lx(x, 4/5)": lx_general(x, A_LARGE, dps),
             "Lx(x, a1)": lx_general(x, c1, dps),
             "psi'(x+1)": psi1(x + 1, dps),
             "Lx(x, a2)": lx_general(x, c2, dps),
-            "Lx(x, 2/5)": lx_general(x, Fraction(2, 5), dps),
-            "Lxx(x, 2/5)": lxx_general(x, Fraction(2, 5), dps),
+            "Lx(x, 2/5)": lx_general(x, A_SMALL, dps),
+            "Lxx(x, 2/5)": lxx_general(x, A_SMALL, dps),
             "Lxx(x, a3)": lxx_general(x, c3, dps),
             "psi''(x+1)": psi2(x + 1, dps),
             "Lxx(x, a1)": lxx_general(x, c1, dps),
-            "Lxx(x, 4/5)": lxx_general(x, Fraction(4, 5), dps),
+            "Lxx(x, 4/5)": lxx_general(x, A_LARGE, dps),
         }
 
     return list(evaluate(chain, dps, x).items())

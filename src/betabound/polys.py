@@ -3,8 +3,8 @@
 The rational scalar type is ``fractions.Fraction``.  On top of it this module
 provides immutable univariate polynomials (``Poly``), bivariate polynomials
 (``BiPoly``) and formal quotients (``RationalFn``).  Everything is exact; no
-floating point enters any operation here, and a ``Poly`` evaluates only at
-``int`` and ``Fraction`` arguments.
+floating point enters any operation here, and a ``Poly`` or ``BiPoly``
+evaluates only at ``int`` and ``Fraction`` arguments.
 
 Both polynomial types are stored one way, as integer numerators over one
 common denominator: ``nums`` maps each exponent (an ``int`` for ``Poly``, an
@@ -44,13 +44,8 @@ def as_fraction(value) -> Fraction:
 
 
 def _horner(coeffs: Sequence, x):
-    """sum(coeffs[k] * x**k) by Horner's rule."""
-    acc = None
-    for c in reversed(coeffs):
-        acc = c if acc is None else acc * x + c
-    if acc is None:
-        return Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
-    return acc
+    """sum(coeffs[k] * x**k) by Horner's rule, for a polynomial x."""
+    return functools.reduce(lambda acc, c: acc * x + c, reversed(coeffs), 0 * x)
 
 
 def _coerced(op):
@@ -255,7 +250,7 @@ class Poly(_Sparse):
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)), expanded exactly (Horner over the polynomial ring)."""
-        return _horner([Poly.const(c) for c in self.coeffs], inner)
+        return _horner(self.coeffs, inner)
 
     # -- serialization --------------------------------------------------
 
@@ -321,8 +316,9 @@ class BiPoly(_Sparse):
         return [Poly._reduced(row, self.den) for row in rows]
 
     def __call__(self, x, y):
-        """Evaluate via Horner in y over the x-coefficient polynomials."""
-        return _horner([p(x) for p in self.y_coefficients()], y)
+        """The exact value at int or Fraction x and y, by ``Poly.__call__`` on the
+        x-coefficient polynomials and then in y; any other argument raises TypeError."""
+        return Poly([p(x) for p in self.y_coefficients()])(y)
 
     def partial_y(self) -> "BiPoly":
         return BiPoly._reduced(

@@ -28,10 +28,10 @@ high-precision sample (``_sample``) and derived (none: the status is the
 parents').
 
 Each input has one source: the catalogue's polynomials (Q is built from
-q0..q5); ``derive_lx``/``derive_lxx``, which differentiate Yang's L; Yang's
-log arguments (``psibounds.log_arguments``), which the certificate
-denominators clear; and F's log term (``log_correction``), whose argument
-gives the rational parts of dF/dx and dF/dy.
+q0..q5); ``derive_lx``/``derive_lxx``, which differentiate Yang's L; L's log
+terms (``psibounds.log_terms``), whose arguments the certificate denominators
+clear; ``A_SMALL``, ``A_LARGE`` and ``EDGE_OFFSET``; and F's log term
+(``log_correction``), whose argument gives the rational parts of dF/dx, dF/dy.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .psibounds import (
     certified_sign,
     derive_lx,
     derive_lxx,
-    log_arguments,
+    log_terms,
 )
 from .specials import (
     DEFAULT_DPS,
@@ -378,11 +378,10 @@ def _log_argument(x, y):
     return log_correction(x, y, lambda arg: arg)
 
 
-# Yang's two log arguments at a, each cleared to c.denominator (x^2 + x + c)
-# and multiplied: the factor that L_x(., a) leaves in a denominator
+# Yang's two log arguments at a, each cleared of its denominator and
+# multiplied: the factor that L_x(., a) leaves in a denominator
 YANG_ARGS = {
-    a: math.prod(c.denominator * (_T**2 + _T + c) for c in log_arguments(a)[2:])
-    for a in (A_SMALL, A_LARGE)
+    a: math.prod(u.den * u for _, u in log_terms(_T, a)) for a in (A_SMALL, A_LARGE)
 }
 
 
@@ -555,7 +554,7 @@ class _Strip(_Phase):
            "either sign of the one undetermined q_k.")
     def pn_sign_vectors(self):
         q_kinds = [signs.classify(q) for q in self.cat.q[1:]]
-        top = Poly((-1, 2))  # 2x - 1: NP with top(1/2) = 0, so <= 0 on (0, 1/2]
+        top = self.cat.Q.y_coefficients()[-1]  # 2x - 1: NP, top(1/2) = 0, so <= 0
         top_ok = signs.classify(top) is signs.PatternKind.NP and top(HALF) <= 0
         vectors, patterns = _q_sign_vectors(self.enclosures, HALF)
         ok = (
@@ -785,7 +784,7 @@ class _Trapezoid(_Phase):
            "G(0, 9/25) = 0.0554... and G(1/5, 9/25) = 0.04015... are both "
            "positive; concavity pins G(x, 9/25) above their minimum.")
     def b_corners(self):
-        corners = [(0, Fraction(9, 25)), (Fraction(1, 5), Fraction(9, 25))]
+        corners = [(0, EDGE_OFFSET), (Fraction(1, 5), EDGE_OFFSET)]
         (left, right), status, samples = _sample(big_G, corners, self.dps, "G({},{})")
         left_ok = agrees_with_printed(left, "0.0554")
         right_ok = agrees_with_printed(right, "0.04015")
@@ -812,7 +811,7 @@ class _Trapezoid(_Phase):
         rhs = RationalFn(p4, 2 * (1 + t) ** 2 * YANG_ARGS[A_SMALL])
         identity = (slope - derive_lx(A_SMALL)).equivalent(rhs)
         identities = {"substitution_identity": sub_ok, "identity": identity}
-        return _pn_certificate(identities, p4, Fraction(9, 25), "p4_at_9_25")
+        return _pn_certificate(identities, p4, EDGE_OFFSET, "p4_at_9_25")
 
     _derived(STEPS, "trapezoid.C.conclusion",
              "G > 0 for x < y <= 9/25.", ["trapezoid.C.slope-positive"])

@@ -1,15 +1,12 @@
 """Rational sandwich bounds for psi' and psi'' from Yang's two-log function.
 
-Yang's function
-
-    L(x, a) = log(x^2 + x + (3a+1)/3) / (90 a^2 + 2)
-            + 45 a^2 log(x^2 + x + (15a-1)/(45a)) / (90 a^2 + 2)
-
-has x-derivatives that sandwich psi'(x+1) and psi''(x+1) for the parameter
-choices used here (a = 2/5 and a = 4/5 on the outside, the best-possible
-constants a1, a2, a3 inside).  The proof replay reads L_x and L_xx at
+Yang's function L(x, a), a weighted sum of two logs of quadratics in x
+(written once, in ``log_terms``), has x-derivatives that sandwich psi'(x+1)
+and psi''(x+1) for the parameter choices used here (a = 2/5 and a = 4/5 on
+the outside, the best-possible constants a1, a2, a3 inside).  L, L_x and
+L_xx are sums over its log terms, and the proof replay reads L_x and L_xx at
 a = 2/5 and 4/5 from ``derive_lx`` and ``derive_lxx``, which differentiate
-L's log terms exactly.  The closed forms as displayed in the source
+those terms exactly.  The closed forms as displayed in the source
 material are kept below as ``PRINTED_LX`` and ``PRINTED_LXX``, and
 ``closed_form_mismatches`` compares them with the derivation.
 
@@ -54,48 +51,45 @@ PRINTED_LXX = {
 }
 
 
-def log_arguments(a):
-    """Weights and quadratic constants (w1, w2, c1, c2) of the two log terms.
+def log_terms(x, a):
+    """L's two log terms at x as (weight, argument) pairs:
 
-    Plain arithmetic: exact for a ``Fraction``, mpf for an mpf.  Requires
-    a > 1/15 so that both log arguments stay positive for x >= 0.
+        L(x, a) = log(x^2 + x + (3a+1)/3) / (90 a^2 + 2)
+                + 45 a^2 log(x^2 + x + (15a-1)/(45a)) / (90 a^2 + 2).
+
+    Plain arithmetic over an mpf, ``Fraction`` or ``Poly`` x and a number a.
+    Requires a > 1/15 so that both arguments stay positive for x >= 0.
     """
     if not a * 15 > 1:
         raise ValueError("domain error: parameter a must exceed 1/15")
     denom = 90 * a * a + 2
-    w1 = 1 / denom
-    w2 = 45 * a * a / denom
-    c1 = (3 * a + 1) / 3
-    c2 = (15 * a - 1) / (45 * a)
-    return w1, w2, c1, c2
+    base = x * x + x
+    return (
+        (1 / denom, base + (3 * a + 1) / 3),
+        (45 * a * a / denom, base + (15 * a - 1) / (45 * a)),
+    )
 
 
 def yang_lx(x, a):
     """L_x(x, a) as plain arithmetic: a ``RationalFn`` for ``Poly`` x, else a number."""
-    w1, w2, c1, c2 = log_arguments(a)
     two_x1 = 2 * x + 1
-    return w1 * two_x1 / (x * x + x + c1) + w2 * two_x1 / (x * x + x + c2)
+    return sum(w * two_x1 / u for w, u in log_terms(x, a))
 
 
 def yang_lxx(x, a):
     """L_xx(x, a) as plain arithmetic, like ``yang_lx``."""
-    w1, w2, c1, c2 = log_arguments(a)
-    u1 = x * x + x + c1
-    u2 = x * x + x + c2
     sq = (2 * x + 1) ** 2
-    return w1 * (2 * u1 - sq) / (u1 * u1) + w2 * (2 * u2 - sq) / (u2 * u2)
+    return sum(w * (2 * u - sq) / (u * u) for w, u in log_terms(x, a))
 
 
 @lru_cache(maxsize=None)
 def derive_lx(a) -> RationalFn:
     """L_x(., a) derived from L itself: w u'/u summed over the two log terms.
 
-    Independent of the hand-written ``yang_lx``: only the log arguments and
+    Independent of the hand-written ``yang_lx``: only the log terms and
     ``Poly.derivative`` enter.
     """
-    w1, w2, c1, c2 = log_arguments(as_fraction(a))
-    u1, u2 = _X * _X + _X + c1, _X * _X + _X + c2
-    return w1 * u1.derivative() / u1 + w2 * u2.derivative() / u2
+    return sum(w * u.derivative() / u for w, u in log_terms(_X, as_fraction(a)))
 
 
 @lru_cache(maxsize=None)
@@ -123,9 +117,7 @@ def _nonnegative(x):
 
 
 def _l_raw(work, x, a):
-    x = _nonnegative(x)
-    w1, w2, c1, c2 = log_arguments(a)
-    return w1 * work.ln(x * x + x + c1) + w2 * work.ln(x * x + x + c2)
+    return sum(w * work.ln(u) for w, u in log_terms(_nonnegative(x), a))
 
 
 def l_value(x, a, dps: int = DEFAULT_DPS):

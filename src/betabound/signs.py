@@ -88,6 +88,7 @@ def isolate_crossing(p: Poly, lo, hi, width=DEFAULT_WIDTH) -> Enclosure:
 
     Endpoint signs must already be strictly opposite; every returned
     enclosure keeps that property, so it certifiably brackets the root.
+    The bracket is integers a, b over one denominator, doubled per halving.
     """
     lo, hi, width = as_fraction(lo), as_fraction(hi), as_fraction(width)
     if width <= 0:
@@ -96,22 +97,24 @@ def isolate_crossing(p: Poly, lo, hi, width=DEFAULT_WIDTH) -> Enclosure:
     flo, fhi = p(lo), p(hi)
     if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
         raise ValueError("no bracket: endpoint signs are not strictly opposite")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = p(mid)
+    den = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    while (b - a) * width.denominator > width.numerator * den:
+        m, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        fm = p(Fraction(m, den))
         if fm == 0:
             # Exact hit: the crossing is strict on both sides, so nudge
             # within the current bracket to restore opposite endpoint signs.
-            step = min(width / 2, (hi - lo) / 4)
+            mid, step = Fraction(m, den), min(width / 2, Fraction(b - a, 4 * den))
             lo2, hi2 = mid - step, mid + step
             if (p(lo2) > 0) != (p(hi2) > 0):
                 return Enclosure(lo2, hi2)
             raise ValueError("no bracket: flat region around exact root")
         if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+            a = m
         else:
-            hi, fhi = mid, fm
-    return Enclosure(lo, hi)
+            b = m
+    return Enclosure(Fraction(a, den), Fraction(b, den))
 
 
 def verify_root_ordering(enclosures: Sequence[Enclosure]) -> bool:

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from betabound import proof, psibounds
+from betabound import catalogue, proof, psibounds
 from betabound.polys import BiPoly, Poly, RationalFn
 from betabound.proof import (
     G_rational,
@@ -378,6 +378,20 @@ class TestReplay:
         assert all(statuses[k] == "failed" for k in bad)
         assert len(statuses) == 31
 
+    def test_q_top_row_edit_fails_the_sign_vectors(self, monkeypatch):
+        # Q's top y-coefficient 2x - 1 -> 3x - 1: the sign-vector step reads it
+        # from Q, so it fails beside the identities that read Q
+        mutated = CAT.Q + BiPoly.x() * BiPoly.y() ** 6
+        monkeypatch.setattr(catalogue.Catalogue, "Q", property(lambda self: mutated))
+        statuses = {s.id: s.status for s in replay_all(30).steps}
+        bad = {
+            "strip.dFdy-reduction-identity", "strip.pn-sign-vectors",
+            "strip.antidiagonal-identity", "strip.reduce-to-diagonal",
+            "trapezoid.boundary.right-edge", "trapezoid.no-interior-extremum",
+        }
+        assert {k for k, status in statuses.items() if status != "verified"} == bad
+        assert all(statuses[k] == "failed" for k in bad)
+
     def test_q_without_a_sign_change_is_inconclusive(self, monkeypatch):
         # all coefficients of q3 nonnegative: no root to isolate, and the
         # replay still gives every step
@@ -540,6 +554,48 @@ class TestReplay:
                 expected.add(step.id)
         assert {s.id for s in steps if s.status != "verified"} == expected
         assert all(s.status == "failed" for s in steps if s.id in expected)
+
+    @pytest.fixture
+    def shifted_log_terms(self, monkeypatch):
+        """psibounds.log_terms with 10^-6 added to L's second log argument."""
+        terms = psibounds.log_terms
+
+        def shifted(x, a):
+            first, (w, u) = terms(x, a)
+            return first, (w, u + F(1, 10**6))
+
+        caches = (psibounds.derive_lx, psibounds.derive_lxx)
+        monkeypatch.setattr(psibounds, "log_terms", shifted)
+        for cache in caches:
+            cache.cache_clear()
+        yield
+        monkeypatch.undo()
+        for cache in caches:
+            cache.cache_clear()
+
+    def test_log_terms_edit_reaches_every_reader(self, shifted_log_terms):
+        # the derivation, the printed-form comparison and lx_general all read
+        # log_terms: the steps that read derive_lx/derive_lxx fail with their
+        # descendants
+        steps = replay_all(30).steps
+        bad = {
+            "diagonal.slope-lower-identity", "strip.reduce-to-diagonal",
+            "trapezoid.A.g-lower", "trapezoid.A.g-decreasing",
+            "trapezoid.A.left-edge-concavity", "trapezoid.A.conclusion",
+            "trapezoid.B.slope-positive", "trapezoid.B.concavity",
+            "trapezoid.B.conclusion", "trapezoid.C.slope-positive",
+            "trapezoid.C.conclusion", "trapezoid.boundary.diagonal",
+            "trapezoid.boundary.right-edge", "trapezoid.no-interior-extremum",
+        }
+        assert {s.id for s in steps if s.status != "verified"} == bad
+        assert all(s.status == "failed" for s in steps if s.id in bad)
+        assert psibounds.closed_form_mismatches() == [
+            "Lx(., 2/5)", "Lxx(., 2/5)", "Lx(., 4/5)", "Lxx(., 4/5)"
+        ]
+        quarter = F(1, 4)
+        printed = to_mpf(HP, psibounds.PRINTED_LX[psibounds.A_SMALL](quarter))
+        moved = abs(psibounds.lx_general(quarter, psibounds.A_SMALL, 60) - printed)
+        assert HP.mpf("1e-6") < moved < HP.mpf("3e-6")
 
     @pytest.mark.parametrize("table, a, label", [
         ("PRINTED_LX", psibounds.A_SMALL, "Lx(., 2/5)"),

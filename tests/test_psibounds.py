@@ -22,7 +22,7 @@ from betabound.psibounds import (
     derive_lxx,
     error_budget,
     l_value,
-    log_arguments,
+    log_terms,
     lx_general,
     lxx_general,
     sandwich_check,
@@ -89,8 +89,7 @@ class TestClosedFormDerivation:
     def test_wrong_yang_lxx_is_caught(self, monkeypatch):
         # drop the factor 2 of 2 u - (2x + 1)^2 in the second log term
         def wrong(x, a):
-            w1, w2, c1, c2 = log_arguments(a)
-            u1, u2 = x * x + x + c1, x * x + x + c2
+            (w1, u1), (w2, u2) = log_terms(x, a)
             sq = (2 * x + 1) ** 2
             return w1 * (2 * u1 - sq) / (u1 * u1) + w2 * (u2 - sq) / (u2 * u2)
 
@@ -128,7 +127,7 @@ class TestClosedFormDerivation:
 
     def test_parameter_domain_guard(self):
         with pytest.raises(ValueError, match="domain error"):
-            log_arguments(F(1, 15))
+            log_terms(F(1, 2), F(1, 15))
         for bad in (math.inf, math.nan):
             for fn in (l_value, lx_general, lxx_general):
                 with pytest.raises(ValueError, match="domain error"):

@@ -97,6 +97,36 @@ class TestIsolateCrossing:
         assert (X - 1)(enc.lo) * (X - 1)(enc.hi) < 0
 
 
+def fraction_bisection(p, lo, hi, width):
+    """Reference: bisection of [lo, hi] on Fractions, midpoint (lo + hi) / 2."""
+    flo, _ = p(lo), p(hi)   # both endpoints, as isolate_crossing evaluates them
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fm = p(mid)
+        assert fm != 0
+        if (fm > 0) == (flo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return signs.Enclosure(lo, hi)
+
+
+@pytest.mark.parametrize("k, lo, hi, width", [
+    *[(k, F(0), F(1, 2), w) for k in range(1, 6) for w in (F(1, 10**4), F(1, 10**6))],
+    (1, F(1, 100), F(1, 7), F(1, 10**4)),
+    (1, F(1, 100), F(1, 7), F(1, 10**6)),
+])
+def test_integer_bracket_matches_fraction_bisection(monkeypatch, k, lo, hi, width):
+    # the same enclosure from the same evaluations, in the same order
+    seen = []
+    call = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda p, x: seen.append(x) or call(p, x))
+    enc = signs.isolate_crossing(CAT.q[k], lo, hi, width)
+    evaluated, seen[:] = list(seen), []
+    assert enc == fraction_bisection(CAT.q[k], lo, hi, width)
+    assert evaluated == seen and len(evaluated) > 2
+
+
 def enclose(polys, width=signs.DEFAULT_WIDTH):
     return [signs.isolate_crossing(p, 0, F(1, 2), width) for p in polys]
 
