@@ -26,7 +26,6 @@ from .proof import (
     sweep_theorem,
     theorem_margin,
 )
-from .psibounds import alzer_psi_diff_lower, sandwich_check
 from .signs import (
     Enclosure,
     PatternKind,
@@ -50,7 +49,6 @@ __all__ = [
     "ProofReport",
     "ProofStep",
     "RationalFn",
-    "alzer_psi_diff_lower",
     "beta",
     "big_F",
     "big_G",
@@ -67,7 +65,6 @@ __all__ = [
     "psi1",
     "psi2",
     "replay_all",
-    "sandwich_check",
     "solve_a3",
     "sweep_theorem",
     "theorem_margin",

@@ -318,7 +318,7 @@ class BiPoly(_Sparse):
     def __call__(self, x, y):
         """The exact value at int or Fraction x and y, by ``Poly.__call__`` on the
         x-coefficient polynomials and then in y; any other argument raises TypeError."""
-        return Poly([p(x) for p in self.y_coefficients()])(y)
+        return Poly([p(x) for p in self.y_coefficients() or [Poly()]])(y)
 
     def partial_y(self) -> "BiPoly":
         return BiPoly._reduced(

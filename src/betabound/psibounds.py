@@ -10,8 +10,8 @@ those terms exactly.  The closed forms as displayed in the source
 material are kept below as ``PRINTED_LX`` and ``PRINTED_LXX``, and
 ``closed_form_mismatches`` compares them with the derivation.
 
-Also here: Alzer's lower bound for the digamma difference
-psi(x+1) - psi(x+s), implemented for general truncation order n.
+Also here: Alzer's lower bound for psi(x+1) - psi(x+s) at truncation order n,
+as the rational function ``alzer_bracket_rf(n)`` that the replay reads.
 """
 
 from __future__ import annotations
@@ -116,15 +116,6 @@ def _nonnegative(x):
     return x
 
 
-def _l_raw(work, x, a):
-    return sum(w * work.ln(u) for w, u in log_terms(_nonnegative(x), a))
-
-
-def l_value(x, a, dps: int = DEFAULT_DPS):
-    """Yang's L(x, a) itself (high precision), for x >= 0 and a > 1/15."""
-    return evaluate(_l_raw, dps, x, a)
-
-
 def lx_general(x, a, dps: int = DEFAULT_DPS):
     """L_x(x, a) for x >= 0 and any a > 1/15 (high precision)."""
     return evaluate(lambda work, x, a: yang_lx(_nonnegative(x), a), dps, x, a)
@@ -178,48 +169,12 @@ def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
     return evaluate(_sandwich_raw, dps, x)
 
 
-def sandwich_check(x, dps: int = DEFAULT_DPS) -> bool:
-    """True iff both sandwiches hold at x with margin over 10x the budget.
-
-    Margins inside the budget band are neither certifiable nor refutable
-    and raise instead of guessing.
-    """
-    signs = [certified_sign(m, dps) for m in sandwich_margins(x, dps).values()]
-    if all(sign == 1 for sign in signs):
-        return True
-    if -1 in signs:
-        return False
-    raise ValueError("inconclusive: sandwich margin within the error budget")
-
-
 def _alzer_sum(x, s, n: int):
     """(1-s) [1/(x+s+n) + sum_{i<n} 1/((x+i+1)(x+i+s))] as plain arithmetic."""
     acc = 1 / (x + s + n)
     for i in range(n):
         acc += 1 / ((x + i + 1) * (x + i + s))
     return (1 - s) * acc
-
-
-def alzer_psi_diff_lower(x, s, n: int, dps: int = DEFAULT_DPS):
-    """Alzer's lower bound for psi(x+1) - psi(x+s).
-
-    Value of (1-s) [ 1/(x+s+n) + sum_{i=0}^{n-1} 1/((x+i+1)(x+i+s)) ]
-    for x > 0, s in (0, 1), integer n >= 0.  Exact Fraction on rational
-    input, mpf otherwise.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("domain error: n must be a nonnegative integer")
-
-    def checked(work, x, s):
-        if not 0 < s < 1:
-            raise ValueError("domain error: s must lie in (0, 1)")
-        if not x > 0:
-            raise ValueError("domain error: x must be positive")
-        return _alzer_sum(x, s, n)
-
-    if isinstance(x, (int, Fraction)) and isinstance(s, (int, Fraction)):
-        return checked(None, as_fraction(x), as_fraction(s))
-    return evaluate(checked, dps, x, s)
 
 
 @lru_cache(maxsize=None)

@@ -28,7 +28,7 @@ from betabound.proof import (
     replay_all,
     sweep_theorem,
 )
-from betabound.psibounds import closed_form_mismatches, sandwich_check
+from betabound.psibounds import certified_sign, closed_form_mismatches, sandwich_margins
 from betabound.specials import beta, context, psi, psi1
 
 HP = context(60)
@@ -125,7 +125,8 @@ def test_criterion_6_sandwich_property():
         lo_ln, hi_ln = HP.ln(HP.mpf("1e-4")), HP.ln(HP.mpf(100))
         for k in range(1000):
             x = HP.exp(lo_ln + (hi_ln - lo_ln) * k / 999)
-            assert sandwich_check(x)
+            margins = sandwich_margins(x, 50).values()
+            assert all(certified_sign(m, 50) == 1 for m in margins), x
 
 
 def test_criterion_7_theorem_desk_audit():

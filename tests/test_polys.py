@@ -285,10 +285,11 @@ def test_rings_do_not_mix():
 def test_poly_evaluates_only_at_exact_arguments(x):
     with pytest.raises(TypeError):
         Poly((1, 2))(x)
-    # a BiPoly checks both of its arguments
-    for args in ((x, F(1, 2)), (F(1, 2), x)):
-        with pytest.raises(TypeError):
-            (BiPoly.x() + BiPoly.y())(*args)
+    # a BiPoly checks both of its arguments, the zero BiPoly too
+    for bipoly in (BiPoly.x() + BiPoly.y(), BiPoly()):
+        for args in ((x, F(1, 2)), (F(1, 2), x)):
+            with pytest.raises(TypeError):
+                bipoly(*args)
 
 
 def test_equal_values_hash_equal():

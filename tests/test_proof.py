@@ -416,6 +416,16 @@ class TestReplay:
             "trapezoid.no-interior-extremum",
         ], "failed")
 
+    def test_trapezoid_phase_alone_fails_on_p0_negative_at_its_point(self, monkeypatch):
+        # run without replay_all, the phase derives trapezoid.A.conclusion
+        # from its own g-lower check, which fails at p0(3/20) < 0
+        p0 = CAT.p[0] - 10**9 * Poly.x() ** 3
+        mutated = dataclasses.replace(CAT, p=(p0,) + tuple(CAT.p[1:]))
+        monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
+        statuses = {s.id: s.status for s in replay_trapezoid(30)}
+        assert statuses["trapezoid.A.g-lower"] == "failed"
+        assert statuses["trapezoid.A.conclusion"] == "failed"
+
     def test_full_replay_counts(self):
         report = replay_all()
         assert report.all_verified

@@ -15,17 +15,14 @@ from betabound.psibounds import (
     PRINTED_LX,
     PRINTED_LXX,
     alzer_bracket_rf,
-    alzer_psi_diff_lower,
     certified_sign,
     closed_form_mismatches,
     derive_lx,
     derive_lxx,
     error_budget,
-    l_value,
     log_terms,
     lx_general,
     lxx_general,
-    sandwich_check,
     sandwich_margins,
     yang_lx,
     yang_lxx,
@@ -111,7 +108,7 @@ class TestClosedFormDerivation:
                 as_mpf = formula(to_mpf(HP, x), to_mpf(HP, a))
                 assert abs(as_mpf - to_mpf(HP, exact)) < HP.mpf("1e-55")
 
-    @pytest.mark.parametrize("fn", [l_value, lx_general, lxx_general])
+    @pytest.mark.parametrize("fn", [lx_general, lxx_general])
     def test_domain_boundaries(self, fn):
         for x in (-1, F(-1, 2), "-1e-40"):
             with pytest.raises(ValueError, match="domain error"):
@@ -129,14 +126,13 @@ class TestClosedFormDerivation:
         with pytest.raises(ValueError, match="domain error"):
             log_terms(F(1, 2), F(1, 15))
         for bad in (math.inf, math.nan):
-            for fn in (l_value, lx_general, lxx_general):
+            for fn in (lx_general, lxx_general):
                 with pytest.raises(ValueError, match="domain error"):
                     fn(bad, F(1, 2))
                 with pytest.raises(ValueError, match="domain error"):
                     fn(F(1, 2), bad)
-            for fn in (sandwich_margins, sandwich_check):
-                with pytest.raises(ValueError, match="domain error"):
-                    fn(bad)
+            with pytest.raises(ValueError, match="domain error"):
+                sandwich_margins(bad)
 
     def test_general_parameter_path(self):
         # derivative formulas at a = 2/5 agree with the printed forms
@@ -144,13 +140,6 @@ class TestClosedFormDerivation:
         assert abs(hp - to_mpf(HP, PRINTED_LX[A_SMALL](F(1, 4)))) < HP.mpf("1e-45")
         hp2 = lxx_general(HP.mpf(1) / 4, A_SMALL)
         assert abs(hp2 - to_mpf(HP, PRINTED_LXX[A_SMALL](F(1, 4)))) < HP.mpf("1e-45")
-
-    def test_l_value_derivative_numerically(self):
-        # centred difference of L(., 2/5) matches L_x to O(h^2)
-        h = HP.mpf("1e-8")
-        x = HP.mpf("0.6")
-        fd = (l_value(x + h, A_SMALL) - l_value(x - h, A_SMALL)) / (2 * h)
-        assert abs(fd - lx_general(x, A_SMALL)) < HP.mpf("1e-15")
 
 
 class TestSandwich:
@@ -160,20 +149,13 @@ class TestSandwich:
         assert abs(value - (mpmath.mp.pi**2 / 6 - 1)) < HP.mpf("1e-45")
 
     def test_sandwich_at_spot_points(self):
-        assert sandwich_check(1)
-        assert sandwich_check("0.001")
-        assert sandwich_check(50)
+        for x in (1, "0.001", 50):
+            margins = sandwich_margins(x, 50).values()
+            assert all(certified_sign(m, 50) == 1 for m in margins), x
 
     def test_sandwich_margins_positive(self):
         margins = sandwich_margins(F(1, 2))
         assert all(m > 0 for m in margins.values())
-
-    def test_log_spaced_grid(self):
-        # 10^3 log-spaced points across [1e-4, 1e2]
-        lo, hi = HP.ln(HP.mpf("1e-4")), HP.ln(HP.mpf(100))
-        for k in range(1000):
-            x = HP.exp(lo + (hi - lo) * k / 999)
-            assert sandwich_check(x)
 
     def test_monotone_in_parameter(self):
         # a -> L_x(x, a) decreasing, a -> L_xx(x, a) increasing on (1/15, 1)
@@ -194,55 +176,64 @@ class TestCertificationBand:
         assert certified_sign(9 * budget, dps) == 0
         assert certified_sign(-9 * budget, dps) == 0
 
-    def test_sandwich_check_raises_on_a_margin_inside_the_band(self, monkeypatch):
-        budget = error_budget(50)
-        margins = {"certified": 11 * budget, "in_band": 9 * budget}
-        monkeypatch.setattr(psibounds, "sandwich_margins", lambda x, dps: margins)
-        with pytest.raises(ValueError, match="inconclusive"):
-            sandwich_check(1, 50)
-        margins["in_band"] = -11 * budget
-        assert sandwich_check(1, 50) is False
+
+def alzer_sum(x, s, n):
+    """Alzer's n-term bound for psi(x+1) - psi(x+s), summed term by term."""
+    terms = [1 / ((x + i + 1) * (x + i + s)) for i in range(n)]
+    return (1 - s) * (1 / (x + s + n) + sum(terms))
+
+
+def alzer_violations(points):
+    """The (x, s, n) at which the replay's alzer_bracket_rf(n)(s, x) is not
+    below psi(x+1) - psi(x+s), for n in {0, 1, 3, 7}."""
+    bad = []
+    for x, s in points:
+        gap = psi(x + 1) - psi(x + s)
+        for n in (0, 1, 3, 7):
+            if not gap > to_mpf(HP, alzer_bracket_rf(n)(s, x)):
+                bad.append((x, s, n))
+    return bad
+
+
+def seeded_alzer_points():
+    """1000 seeded (x, s) in (0.05, 6) x (0.02, 0.98), as exact Fractions."""
+    rng = random.Random(11)
+    return [(F(rng.uniform(0.05, 6.0)), F(rng.uniform(0.02, 0.98))) for _ in range(1000)]
 
 
 class TestAlzerLowerBound:
     def test_empty_sum_reduces(self):
-        assert alzer_psi_diff_lower(F(2), F(1, 3), 0) == (1 - F(1, 3)) / (2 + F(1, 3))
+        assert alzer_bracket_rf(0)(F(1, 3), F(2)) == (1 - F(1, 3)) / (2 + F(1, 3))
 
     def test_exact_rational_value(self):
         # (1/2) [1/4 + 1/((3/2)(1)) + 1/((5/2)(2)) + 1/((7/2)(3))]
-        value = alzer_psi_diff_lower(F(1, 2), F(1, 2), 3)
+        value = alzer_bracket_rf(3)(F(1, 2), F(1, 2))
         assert value == F(509, 840)
         gap = psi(F(3, 2)) - psi(F(1))
         assert gap > to_mpf(HP, value)
 
     def test_bound_below_difference_randomized(self):
-        rng = random.Random(11)
-        for _ in range(1000):
-            x = HP.mpf(rng.uniform(0.05, 6.0))
-            s = HP.mpf(rng.uniform(0.02, 0.98))
-            gap = psi(x + 1) - psi(x + s)
-            for n in (0, 1, 3, 7):
-                assert gap > alzer_psi_diff_lower(x, s, n)
+        assert alzer_violations(seeded_alzer_points()) == []
+
+    def test_inflated_bound_is_caught(self, monkeypatch):
+        # the smallest relative margin over the seeded points is about 2.2e-4
+        original = psibounds._alzer_sum
+        monkeypatch.setattr(psibounds, "_alzer_sum",
+                            lambda x, s, n: original(x, s, n) * (1 + F(1, 1000)))
+        alzer_bracket_rf.cache_clear()
+        try:
+            assert alzer_violations(seeded_alzer_points())
+        finally:
+            monkeypatch.undo()
+            alzer_bracket_rf.cache_clear()
 
     def test_increasing_in_n(self):
         for x, s in ((F(1, 2), F(1, 5)), (F(3), F(4, 5)), (F(1, 10), F(1, 2))):
-            values = [alzer_psi_diff_lower(x, s, n) for n in range(8)]
+            values = [alzer_bracket_rf(n)(s, x) for n in range(8)]
             assert all(u < v for u, v in zip(values, values[1:]))
+            assert values == [alzer_sum(x, s, n) for n in range(8)]
 
     def test_bracket_rational_fn_matches_sum(self):
         bracket = alzer_bracket_rf(3)
         for s, arg in ((F(1, 3), F(2, 7)), (F(2, 5), F(5, 3)), (F(9, 10), F(6))):
-            assert bracket(s, arg) == alzer_psi_diff_lower(arg, s, 3)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="domain error"):
-            alzer_psi_diff_lower(F(1), F(3, 2), 1)
-        with pytest.raises(ValueError, match="domain error"):
-            alzer_psi_diff_lower(F(-1), F(1, 2), 1)
-        with pytest.raises(ValueError, match="domain error"):
-            alzer_psi_diff_lower(F(1), F(1, 2), -2)
-        for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="domain error"):
-                alzer_psi_diff_lower(bad, F(1, 2), 3)
-            with pytest.raises(ValueError, match="domain error"):
-                alzer_psi_diff_lower(F(1), bad, 3)
+            assert bracket(s, arg) == alzer_sum(arg, s, 3)

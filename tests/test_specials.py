@@ -102,11 +102,9 @@ HIGH_PRECISION = {
     "tanh_sinh_unit": lambda d: [tanh_sinh_unit(lambda t, tc: 2 * t[0] + tc[0], d)],
     "beta_integral": lambda d: [beta_integral(X, Y, d)],
     "gamma_integral": lambda d: [gamma_integral(X, d)],
-    "l_value": lambda d: [psibounds.l_value(X, Y, d)],
     "lx_general": lambda d: [psibounds.lx_general(X, Y, d)],
     "lxx_general": lambda d: [psibounds.lxx_general(X, Y, d)],
     "sandwich_margins": lambda d: list(psibounds.sandwich_margins(X, d).values()),
-    "alzer_psi_diff_lower": lambda d: [psibounds.alzer_psi_diff_lower("0.3", Y, 3, d)],
     "alpha": lambda d: [constants.alpha(d)],
     "a1": lambda d: [constants.a1(d)],
     "a2": lambda d: [constants.a2(d)],
