@@ -215,8 +215,12 @@ def cmd_sweep(args, emit) -> int:
         f"csv written to {out_path}\n"
     )
     emit(summary, text)
-    if result.min_margin_new <= 0 or not result.hp_agrees:
+    if result.min_margin_new <= 0:
         print("sweep found a nonpositive margin", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    if not result.hp_agrees:
+        print("the high-precision re-check of the worst cell disagrees "
+              "with its double-precision margin", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 

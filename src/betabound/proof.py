@@ -922,7 +922,7 @@ class SweepResult:
     hp_agrees: bool
 
 
-CSV_HEADER = "x,y,beta,new_bound,ivady_lower,alzer_lower,margin_new,margin_ivady"
+CSV_HEADER = "x,y,beta,margin_new"
 CSV_HEADER_LINE = CSV_HEADER + "\r\n"   # CRLF ends every line, as in the rows
 
 
@@ -965,7 +965,9 @@ def sweep_theorem(
     `row_sink`, when given, is called once per grid line x = i/n with the
     CSV text of its n cells (columns as in `CSV_HEADER`, shortest
     round-trip ``repr`` of each double, CRLF line ends); a file's
-    ``write`` fits.  Without it no cell is formatted.
+    ``write`` fits.  Without it no cell is formatted.  The bounds are left
+    out of the rows: the shared formulas recompute each of them from x, y
+    and alpha bit for bit.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
@@ -983,23 +985,18 @@ def sweep_theorem(
         cells = []
         for yv, lg_y, r_y in y_axis:
             b = math.exp(lg_x + lg_y - lgamma(xv + yv))
-            new = new_bound(xv, yv)
-            iv = ivady_lower_bound(xv, yv)
-            az = alzer_lower_bound(xv, yv, al)
-            m_new = b - new
-            m_iv = b - iv
+            m_new = b - new_bound(xv, yv)
             if m_new < best[0]:
                 best = (m_new, (xv, yv))
             if xv < 1 and yv < 1:
+                m_iv = b - ivady_lower_bound(xv, yv)
                 if m_iv < best_iv[0]:
                     best_iv = (m_iv, (xv, yv))
-                m_az = b - az
+                m_az = b - alzer_lower_bound(xv, yv, al)
                 if m_az < best_az[0]:
                     best_az = (m_az, (xv, yv))
             if row_sink is not None:
-                cells.append(
-                    f"{head}{r_y},{b!r},{new!r},{iv!r},{az!r},{m_new!r},{m_iv!r}\r\n"
-                )
+                cells.append(f"{head}{r_y},{b!r},{m_new!r}\r\n")
         if row_sink is not None:
             row_sink("".join(cells))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import betabound
-from betabound import proof, specials
+from betabound import constants, proof, specials
 from betabound.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -306,6 +306,15 @@ class TestBoundsCommand:
         assert "--x must be a positive finite number" in capsys.readouterr().err
 
 
+# sha256 of `sweep --grid 150`'s CSV, and of the eight-column CSV (x, y,
+# beta, new_bound, ivady_lower, alzer_lower, margin_new, margin_ivady) that
+# `sweep` wrote before the bound columns were dropped
+SWEEP150_SHA256 = "e550ed7a219882d756bc48c3db1d37b947482cf3575723e7bca66a1ad307b391"
+EIGHT_COLUMN_SWEEP150_SHA256 = (
+    "924aa8c5d47f69fe00741d45650918306bd4b93a84910febf941f73bd030c698"
+)
+
+
 class TestSweepCommand:
     def test_small_sweep_csv(self, tmp_path):
         out_path = tmp_path / "sweep.csv"
@@ -317,7 +326,7 @@ class TestSweepCommand:
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0 and float(last[1]) == 1.0
         assert abs(float(last[2]) - 1.0) < 1e-12          # beta(1,1)
-        assert abs(float(last[6]) - 1 / 3) < 1e-12        # margin_new
+        assert abs(float(last[3]) - 1 / 3) < 1e-12        # margin_new
         assert "alpha = 2.5797362" in text
 
     def test_csv_bytes_match_reference(self, tmp_path):
@@ -326,7 +335,6 @@ class TestSweepCommand:
         out_path = tmp_path / "sweep7.csv"
         code, _ = run(["sweep", "--grid", str(n), "--out", str(out_path)])
         assert code == EXIT_OK
-        alpha = 2 * math.pi**2 / 3 - 4
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(CSV_HEADER.split(","))
@@ -334,12 +342,44 @@ class TestSweepCommand:
             for j in range(1, n + 1):
                 x, y = i / n, j / n
                 b = math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
-                new = new_bound(x, y)
-                iv = ivady_lower_bound(x, y)
-                az = alzer_lower_bound(x, y, alpha)
-                row = (x, y, b, new, iv, az, b - new, b - iv)
-                writer.writerow([repr(v) for v in row])
+                writer.writerow([repr(v) for v in (x, y, b, b - new_bound(x, y))])
         assert out_path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_dropped_columns_rebuild_from_the_formulas(self, tmp_path):
+        # the four bound columns of the earlier eight-column file are the
+        # shared formulas of x, y, beta and alpha: rebuilt from this file they
+        # give that file's bytes, so writing only data loses nothing
+        out_path = tmp_path / "sweep150.csv"
+        code, _ = run(["sweep", "--grid", "150", "--out", str(out_path)])
+        assert code == EXIT_OK
+        data = out_path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == SWEEP150_SHA256
+        alpha = float(constants.alpha(50))
+        rebuilt = ["x,y,beta,new_bound,ivady_lower,alzer_lower,margin_new,margin_ivady"]
+        for line in data.decode("utf-8").split("\r\n")[1:-1]:
+            x_text, y_text, b_text, m_new_text = line.split(",")
+            x, y, b = float(x_text), float(y_text), float(b_text)
+            new = new_bound(x, y)
+            assert repr(b - new) == m_new_text
+            iv = ivady_lower_bound(x, y)
+            az = alzer_lower_bound(x, y, alpha)
+            rebuilt.append(
+                f"{x_text},{y_text},{b_text},{new!r},{iv!r},{az!r},{m_new_text},{b - iv!r}"
+            )
+        rebuilt_bytes = ("\r\n".join(rebuilt) + "\r\n").encode("utf-8")
+        assert hashlib.sha256(rebuilt_bytes).hexdigest() == EIGHT_COLUMN_SWEEP150_SHA256
+
+    def test_recheck_disagreement_has_its_own_message(self, tmp_path, monkeypatch, capsys):
+        # every grid margin is positive; only the high-precision re-check fails
+        monkeypatch.setattr(proof, "theorem_margin", lambda x, y, dps: Fraction(1))
+        code, text = run(["sweep", "--grid", "5", "--out", str(tmp_path / "s.csv"),
+                          "--format", "json"])
+        assert code == EXIT_VERIFY_FAILED
+        summary = json.loads(text)
+        assert summary["min_margin_new"] > 0 and summary["hp_agrees"] is False
+        err = capsys.readouterr().err
+        assert "high-precision re-check of the worst cell disagrees" in err
+        assert "nonpositive margin" not in err
 
     def test_summary_has_no_negative_classical_margin(self, tmp_path):
         out_path = tmp_path / "sweep20.csv"
@@ -361,7 +401,7 @@ class TestSweepCommand:
             assert ",".join(header) == CSV_HEADER
             rows = list(reader)
         assert len(rows) == 100 * 100
-        assert all(float(row[6]) > 0 for row in rows)  # margin_new column
+        assert all(float(row[3]) > 0 for row in rows)  # margin_new column
 
     def test_env_overrides(self, tmp_path):
         out_path = tmp_path / "env.csv"

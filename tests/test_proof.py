@@ -688,7 +688,7 @@ class TestSweep:
         # in y order (the file bytes are pinned in test_cli)
         n = 3
         lines = []
-        sweep_theorem(n, row_sink=lines.append)
+        result = sweep_theorem(n, row_sink=lines.append)
         assert len(lines) == n
         for i, line in enumerate(lines, start=1):
             rows = line.split("\r\n")
@@ -696,11 +696,12 @@ class TestSweep:
             cells = [tuple(map(float, row.split(",")[:2])) for row in rows[:-1]]
             assert cells == [(i / n, j / n) for j in range(1, n + 1)]
         last_row = lines[-1].split("\r\n")[-2]
-        x, y, b, new, iv, az, m_new, m_iv = map(float, last_row.split(","))
+        x, y, b, m_new = map(float, last_row.split(","))
         assert (x, y) == (1.0, 1.0)
         assert abs(b - 1.0) < 1e-12
         assert abs(m_new - 1 / 3) < 1e-12
-        assert abs(m_iv) < 1e-12
+        # both classical bounds equal B at (1, 1), as on the whole two edges
+        assert result.classical_edges_exact
 
     def test_sink_does_not_change_the_result(self):
         assert sweep_theorem(6, row_sink=len) == sweep_theorem(6)
