@@ -924,6 +924,7 @@ class SweepResult:
 
 CSV_HEADER = "x,y,beta,margin_new"
 CSV_HEADER_LINE = CSV_HEADER + "\r\n"   # CRLF ends every line, as in the rows
+MIRROR_BLOCK = 1000   # rows that keep mirrored cell text for one another
 
 
 def classical_edges_exact() -> bool:
@@ -962,6 +963,15 @@ def sweep_theorem(
     double-precision margin is rounding noise of either sign, so their
     minima are taken over the interior cells i, j < n.
 
+    B's double expression, `new_bound` and `ivady_lower_bound` are symmetric
+    bit for bit, so a cell (i, j) below the diagonal repeats the beta and
+    margin_new of its twin (j, i), met earlier in row j: the twin already
+    decided the new and Ivady minima (strict ``<``), and row j kept its
+    text with x and y swapped.  `alzer_lower_bound` is not symmetric in the
+    last bit, so every interior cell recomputes beta and the Alzer margin,
+    in scan order.  Text is kept only within a block of `MIRROR_BLOCK` rows,
+    so at most one block's text is held; other cells are computed whole.
+
     `row_sink`, when given, is called once per grid line x = i/n with the
     CSV text of its n cells (columns as in `CSV_HEADER`, shortest
     round-trip ``repr`` of each double, CRLF line ends); a file's
@@ -971,20 +981,27 @@ def sweep_theorem(
     """
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    lgamma = math.lgamma
+    exp, lgamma = math.exp, math.lgamma
     al = float(constants.alpha(dps))
     n = grid_n
     best = (math.inf, (0.0, 0.0))
     best_iv = (math.inf, (0.0, 0.0))
     best_az = (math.inf, (0.0, 0.0))
-    y_axis = [(yv, lgamma(yv), repr(yv)) for yv in (j / n for j in range(1, n + 1))]
-    for i in range(1, n + 1):
-        xv = i / n
-        lg_x = lgamma(xv)
-        head = repr(xv) + ","
+    axis = [(v, lgamma(v), repr(v) + ",") for v in (k / n for k in range(1, n + 1))]
+    kept = [[] for _ in axis]   # kept[j]: row j's text of the cells it mirrors
+    for i, (xv, lg_x, head) in enumerate(axis):
+        start = i - i % MIRROR_BLOCK   # first row, and column, of this row's block
+        stop = min(n, start + MIRROR_BLOCK)
         cells = []
-        for yv, lg_y, r_y in y_axis:
-            b = math.exp(lg_x + lg_y - lgamma(xv + yv))
+        for j, (yv, lg_y, r_y) in enumerate(axis):
+            if start <= j < i:   # the twin (j, i) came first
+                if xv < 1:
+                    b = exp(lg_x + lg_y - lgamma(xv + yv))
+                    m_az = b - alzer_lower_bound(xv, yv, al)
+                    if m_az < best_az[0]:
+                        best_az = (m_az, (xv, yv))
+                continue
+            b = exp(lg_x + lg_y - lgamma(xv + yv))
             m_new = b - new_bound(xv, yv)
             if m_new < best[0]:
                 best = (m_new, (xv, yv))
@@ -996,8 +1013,16 @@ def sweep_theorem(
                 if m_az < best_az[0]:
                     best_az = (m_az, (xv, yv))
             if row_sink is not None:
-                cells.append(f"{head}{r_y},{b!r},{m_new!r}\r\n")
+                tail = f"{b!r},{m_new!r}\r\n"
+                cells.append(f"{head}{r_y}{tail}")
+                if i < j < stop:
+                    mirror = kept[j]
+                    mirror.append(f"{r_y}{head}{tail}")
+                    if len(mirror) == 64:   # joined, kept text costs about its bytes
+                        kept[j] = ["".join(mirror)]
         if row_sink is not None:
+            cells[start:start] = kept[i]
+            kept[i] = None
             row_sink("".join(cells))
 
     xa, ya = best[1]

@@ -1,15 +1,17 @@
 """Proof-engine: margins, symmetry, derivative validation, full replay."""
 
 import dataclasses
+import functools
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
 import pytest
 
-from betabound import catalogue, proof, psibounds
+from betabound import catalogue, constants, proof, psibounds
 from betabound.polys import BiPoly, Poly, RationalFn
 from betabound.proof import (
     G_rational,
@@ -667,6 +669,37 @@ class TestReplay:
         assert obj["summary"]["all_verified"] is True
 
 
+@functools.lru_cache(maxsize=None)
+def reference_sweep(n):
+    """The sweep with every cell computed, compared and formatted on its own,
+    the reference for the mirrored one.  Returns the grid lines and the
+    three (minimum, argmin) pairs."""
+    al = float(constants.alpha(proof.DEFAULT_DPS))
+    best = best_iv = best_az = (math.inf, (0.0, 0.0))
+    y_axis = [(yv, math.lgamma(yv), repr(yv)) for yv in (j / n for j in range(1, n + 1))]
+    lines = []
+    for i in range(1, n + 1):
+        xv = i / n
+        lg_x = math.lgamma(xv)
+        head = repr(xv) + ","
+        cells = []
+        for yv, lg_y, r_y in y_axis:
+            b = math.exp(lg_x + lg_y - math.lgamma(xv + yv))
+            m_new = b - new_bound(xv, yv)
+            if m_new < best[0]:
+                best = (m_new, (xv, yv))
+            if xv < 1 and yv < 1:
+                m_iv = b - ivady_lower_bound(xv, yv)
+                if m_iv < best_iv[0]:
+                    best_iv = (m_iv, (xv, yv))
+                m_az = b - alzer_lower_bound(xv, yv, al)
+                if m_az < best_az[0]:
+                    best_az = (m_az, (xv, yv))
+            cells.append(f"{head}{r_y},{b!r},{m_new!r}\r\n")
+        lines.append("".join(cells))
+    return lines, best, best_iv, best_az
+
+
 class TestSweep:
     def test_small_grid(self):
         result = sweep_theorem(4)
@@ -705,6 +738,49 @@ class TestSweep:
 
     def test_sink_does_not_change_the_result(self):
         assert sweep_theorem(6, row_sink=len) == sweep_theorem(6)
+
+    @pytest.mark.parametrize("block", [proof.MIRROR_BLOCK, 1, 2, 7])
+    def test_mirrored_cells_match_the_per_cell_loop(self, monkeypatch, block):
+        # small blocks put block edges inside small grids: cells across an
+        # edge are computed whole, cells within a block reuse their twin's text
+        monkeypatch.setattr(proof, "MIRROR_BLOCK", block)
+        for n in [*range(2, 41), 97, 199]:
+            lines, best, best_iv, best_az = reference_sweep(n)
+            streamed = []
+            result = sweep_theorem(n, row_sink=streamed.append)
+            assert streamed == lines, n
+            assert (result.min_margin_new, result.argmin_new) == best, n
+            assert (result.min_margin_ivady, result.argmin_ivady) == best_iv, n
+            assert (result.min_margin_alzer, result.argmin_alzer) == best_az, n
+            assert sweep_theorem(n) == result, n
+
+    def test_mirroring_rests_on_bitwise_symmetry(self):
+        # the sweep reuses a twin's beta, margin_new and Ivady margin, so B's
+        # double expression and both bounds must not see the swap; Alzer's
+        # bound does, which is why every interior cell recomputes it
+        n = 150
+        al = float(constants.alpha(proof.DEFAULT_DPS))
+        axis = [(v, math.lgamma(v)) for v in (k / n for k in range(1, n + 1))]
+        alzer_differs = 0
+        for x, lg_x in axis:
+            for y, lg_y in axis:
+                b = math.exp(lg_x + lg_y - math.lgamma(x + y)).hex()
+                assert b == math.exp(lg_y + lg_x - math.lgamma(y + x)).hex()
+                assert new_bound(x, y).hex() == new_bound(y, x).hex()
+                assert ivady_lower_bound(x, y).hex() == ivady_lower_bound(y, x).hex()
+                alzer_differs += alzer_lower_bound(x, y, al) != alzer_lower_bound(y, x, al)
+        assert alzer_differs > 0
+
+    def test_no_text_is_kept_without_a_sink(self):
+        # kept mirror text would take about 1 MB at n = 300
+        sweep_theorem(2)   # fills alpha's and the re-check's caches
+        tracemalloc.start()
+        try:
+            sweep_theorem(300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_classical_edges_check_catches_a_wrong_formula(self, monkeypatch):
         # (x + y)/(xy) is 1 + 1/y at x = 1, not B(1, y) = 1/y
