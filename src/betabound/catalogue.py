@@ -11,11 +11,10 @@ bivariate Q(x, y) is not transcribed: ``Catalogue.Q`` builds it from the q's,
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
+import os
 from functools import lru_cache
-from importlib import resources
+from typing import NamedTuple
 
 from .polys import BiPoly, Poly
 
@@ -23,8 +22,7 @@ P_NAMES = ("p0", "p1", "p2", "p3", "p4")
 Q_NAMES = ("q0", "q1", "q2", "q3", "q4", "q5")
 
 
-@dataclass(frozen=True)
-class Catalogue:
+class Catalogue(NamedTuple):
     p: tuple[Poly, ...]
     q: tuple[Poly, ...]
 
@@ -34,8 +32,9 @@ class Catalogue:
 
 
 def _raw_data() -> dict:
-    path = resources.files("betabound").joinpath("data/catalogue.json")
-    return json.loads(path.read_text(encoding="utf-8"))
+    path = os.path.join(os.path.dirname(__file__), "data", "catalogue.json")
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
 
 
 @lru_cache(maxsize=1)
@@ -55,6 +54,8 @@ def build_q_bipoly(qs) -> BiPoly:
 
 def catalogue_hashes() -> dict[str, str]:
     """SHA-256 of the canonical JSON of every catalogue entry."""
+    import hashlib  # here, not at the top: it loads OpenSSL, which no command needs
+
     data = _raw_data()
     out = {}
     for name in P_NAMES + Q_NAMES:

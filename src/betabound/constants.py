@@ -17,19 +17,11 @@ within one ulp" acceptance rule used across the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .psibounds import A_LARGE, A_SMALL, lx_general, lxx_general
-from .specials import (
-    DEFAULT_DPS,
-    context,
-    evaluate,
-    locate_delta_max,
-    psi1,
-    psi2,
-    to_mpf,
-)
+from .specials import DEFAULT_DPS, evaluate, locate_delta_max, psi1, psi2
 
 # bracket width at which solve_a3 stops bisecting; fixed, whatever the precision
 A3_TOL = "1e-15"
@@ -44,13 +36,16 @@ REFERENCE_DIGITS = {
 
 
 def agrees_with_printed(value, printed: str) -> bool:
-    """|value - printed prefix| <= one unit in the prefix's last place."""
+    """|value - printed prefix| <= one unit in the prefix's last place, compared
+    exactly; `value` is an int, a Fraction or an mpf, and a non-finite mpf
+    never agrees."""
     places = len(printed.split(".")[1]) if "." in printed else 0
-    tol = Fraction(1, 10**places)
-    ref = Fraction(printed)
-    work = context(60)
-    diff = abs(to_mpf(work, value) - to_mpf(work, ref))
-    return diff <= to_mpf(work, tol)
+    if hasattr(value, "man_exp"):  # a finite mpf is man * 2^exp exactly
+        if not value.context.isfinite(value):
+            return False
+        man, exp = value.man_exp
+        value = man * Fraction(2) ** exp
+    return abs(Fraction(value) - Fraction(printed)) <= Fraction(1, 10**places)
 
 
 def alpha(dps: int = DEFAULT_DPS):
@@ -107,8 +102,7 @@ def solve_a3(dps: int = DEFAULT_DPS):
     return evaluate(bisect, dps)
 
 
-@dataclass(frozen=True)
-class NamedConstants:
+class NamedConstants(NamedTuple):
     alpha: object
     beta_const: Fraction
     a1: object

@@ -316,9 +316,18 @@ class BiPoly(_Sparse):
         return [Poly._reduced(row, self.den) for row in rows]
 
     def __call__(self, x, y):
-        """The exact value at int or Fraction x and y, by ``Poly.__call__`` on the
-        x-coefficient polynomials and then in y; any other argument raises TypeError."""
-        return Poly([p(x) for p in self.y_coefficients() or [Poly()]])(y)
+        """The exact value at int or Fraction x = a/b and y = c/d (any other argument
+        raises TypeError): the integer sum of n_ij a^i b^(DX-i) c^j d^(DY-j), DX and
+        DY the degrees in x and y, divided once by den b^DX d^DY."""
+        for v in (x, y):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"BiPoly evaluates at ints or Fractions, not {v!r}")
+        dx = max((i for i, _ in self.nums), default=0)
+        dy = max((j for _, j in self.nums), default=0)
+        xs = [x.numerator**i * x.denominator ** (dx - i) for i in range(dx + 1)]
+        ys = [y.numerator**j * y.denominator ** (dy - j) for j in range(dy + 1)]
+        total = sum(n * xs[i] * ys[j] for (i, j), n in self.nums.items())
+        return Fraction(total, self.den * x.denominator**dx * y.denominator**dy)
 
     def partial_y(self) -> "BiPoly":
         return BiPoly._reduced(

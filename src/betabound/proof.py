@@ -39,10 +39,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .catalogue import Catalogue, load_catalogue
 from .constants import agrees_with_printed
@@ -225,17 +224,16 @@ FAILED = "failed"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class ProofStep:
+class ProofStep(NamedTuple):
     id: str
     claim: str
     method: str
     status: str
-    depends_on: list = field(default_factory=list)   # ids of its parent steps
-    evidence: dict = field(default_factory=dict)
+    depends_on: list   # ids of its parent steps
+    evidence: dict
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _step(table: list, sid: str, method: str, claim: str, depends_on=()):
@@ -867,8 +865,7 @@ def replay_trapezoid(dps: int = DEFAULT_DPS, earlier=()) -> list[ProofStep]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProofReport:
+class ProofReport(NamedTuple):
     dps: int
     steps: list[ProofStep]
 
@@ -906,8 +903,7 @@ def replay_all(dps: int = DEFAULT_DPS) -> ProofReport:
     return ProofReport(dps=dps, steps=steps)
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     grid_n: int
     rows_written: int
     min_margin_new: float

@@ -12,9 +12,8 @@ encloses the crossing root by bisection on exact sign evaluations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polys import Poly, as_fraction
 
@@ -29,8 +28,7 @@ class PatternKind(enum.Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(NamedTuple):
     """Interval [lo, hi] with exactly opposite signs at the endpoints."""
 
     lo: Fraction
@@ -135,8 +133,7 @@ def verify_root_ordering(enclosures: Sequence[Enclosure]) -> bool:
     return ordered
 
 
-@dataclass(frozen=True)
-class RootDigits:
+class RootDigits(NamedTuple):
     """Outcome of checking printed decimal digits against an enclosure."""
 
     prefix: str

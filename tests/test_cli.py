@@ -1,7 +1,6 @@
 """CLI: exit codes, report determinism, CSV contract, env overrides."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -197,7 +196,7 @@ class TestReplayCommand:
         # q3 with all coefficients nonnegative has no root to isolate
         cat = proof.load_catalogue()
         q3 = Poly(abs(c) for c in cat.q[3].coeffs)
-        mutated = dataclasses.replace(cat, q=cat.q[:3] + (q3,) + cat.q[4:])
+        mutated = cat._replace(q=cat.q[:3] + (q3,) + cat.q[4:])
         monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
 
     def test_malformed_catalogue_writes_report_and_exits_1(self, tmp_path, monkeypatch):

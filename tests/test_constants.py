@@ -67,6 +67,17 @@ def test_printed_digit_rule():
     assert not agrees_with_printed(HP.mpf("0.43220001"), "0.43218")
 
 
+def test_printed_digit_rule_is_exact():
+    # one unit in the last place agrees; 1e-80 past it does not, at any
+    # precision of the value; a non-finite value never agrees
+    edge = Fraction("0.43219")
+    assert agrees_with_printed(edge, "0.43218")
+    for past in (edge + Fraction(1, 10**80), to_mpf(context(100), edge + Fraction(1, 10**80))):
+        assert not agrees_with_printed(past, "0.43218")
+    assert not agrees_with_printed(HP.inf, "0.43218")
+    assert not agrees_with_printed(HP.nan, "0.43218")
+
+
 def test_full_sandwich_strictly_ordered():
     for x in ("0.25", "1", "10"):
         chain = full_sandwich(HP.mpf(x))

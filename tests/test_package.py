@@ -1,10 +1,16 @@
 """Package surface: every exported name exists, and README's example runs."""
 
 import ast
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import betabound
+from betabound.proof import SweepResult
+from betabound.signs import RootDigits
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +42,37 @@ def test_readme_library_example_runs():
     assert f"{float(log_margin):.1e}" == "5.4e-08"
     assert positive is True
     assert F("0.03733") <= enclosure.lo < enclosure.hi < F("0.03734")
+
+
+# Under -S no site hook preloads anything, so whatever is in sys.modules after
+# the import, the package loaded. hashlib loads OpenSSL, dataclasses loads
+# inspect, and importlib.resources is heavier than the one file it would read.
+COLD_IMPORT = """
+import site, sys
+sys.path[:0] = [{src!r}, *site.getsitepackages()]
+import betabound, betabound.cli
+unused = ["hashlib", "_hashlib", "dataclasses", "inspect", "importlib.resources"]
+print(" ".join(name for name in unused if name in sys.modules))
+"""
+
+
+def test_cold_import_loads_no_unused_stdlib_package():
+    src = str(Path(betabound.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT.format(src=src)],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
+
+
+RECORDS = [betabound.Catalogue, betabound.NamedConstants, betabound.Enclosure,
+           RootDigits, betabound.ProofStep, betabound.ProofReport, SweepResult]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+def test_records_are_immutable_and_replace_gives_a_new_one(record):
+    first = record._fields[0]
+    old = record._make(range(len(record._fields)))
+    with pytest.raises(AttributeError):
+        setattr(old, first, -1)
+    new = old._replace(**{first: -1})
+    assert type(new) is record and getattr(new, first) == -1
+    assert getattr(old, first) == 0 and new[1:] == old[1:]

@@ -422,6 +422,21 @@ def test_evaluation_matches_fraction_horner(p, x, a, y):
     assert a(x, y) == direct
 
 
+bipolys_wide = st.dictionaries(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)), coeffs_mixed, max_size=12
+).map(BiPoly)
+
+
+@settings(deadline=None)
+@given(st.one_of(bipolys_wide, st.just(CAT.Q)), rational_points, rational_points)
+def test_bipoly_evaluation_matches_fraction_reference(a, x, y):
+    # one division by den b^DX d^DY at the end, DX and DY the degrees, gives
+    # the reduced value of the term-by-term Fraction sum
+    value = a(x, y)
+    assert_reduced(value)
+    assert value == sum((c * F(x) ** i * F(y) ** j for (i, j), c in a.terms.items()), F(0))
+
+
 def test_evaluation_at_bisection_midpoints():
     # 60 bisection steps toward 1/sqrt(2): numerators near 0.7 * 2**60
     lo, hi = F(0), F(1)

@@ -1,6 +1,5 @@
 """Proof-engine: margins, symmetry, derivative validation, full replay."""
 
-import dataclasses
 import functools
 import hashlib
 import math
@@ -355,7 +354,7 @@ class TestReplay:
         ids=["swap-q2-q3", "negate-q1"],
     )
     def test_exact_strip_step_rejects_mutated_catalogue(self, monkeypatch, mutate):
-        mutated = dataclasses.replace(CAT, q=mutate(CAT.q))
+        mutated = CAT._replace(q=mutate(CAT.q))
         monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
         by_id = {s.id: s for s in replay_strip(30)}
         assert by_id["strip.pn-sign-vectors"].status == "failed"
@@ -363,7 +362,7 @@ class TestReplay:
     @staticmethod
     def _replay_with_q(monkeypatch, k, qk):
         q = CAT.q[:k] + (qk,) + CAT.q[k + 1:]
-        mutated = dataclasses.replace(CAT, q=q)
+        mutated = CAT._replace(q=q)
         monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
         return {s.id: s.status for s in replay_all(30).steps}
 
@@ -422,7 +421,7 @@ class TestReplay:
         # run without replay_all, the phase derives trapezoid.A.conclusion
         # from its own g-lower check, which fails at p0(3/20) < 0
         p0 = CAT.p[0] - 10**9 * Poly.x() ** 3
-        mutated = dataclasses.replace(CAT, p=(p0,) + tuple(CAT.p[1:]))
+        mutated = CAT._replace(p=(p0,) + tuple(CAT.p[1:]))
         monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
         statuses = {s.id: s.status for s in replay_trapezoid(30)}
         assert statuses["trapezoid.A.g-lower"] == "failed"
@@ -512,7 +511,7 @@ class TestReplay:
 
     @staticmethod
     def _replay_with_p0(monkeypatch, p0):
-        mutated = dataclasses.replace(CAT, p=(p0,) + tuple(CAT.p[1:]))
+        mutated = CAT._replace(p=(p0,) + tuple(CAT.p[1:]))
         monkeypatch.setattr(proof, "load_catalogue", lambda: mutated)
         return {s.id: s for s in replay_all(30).steps}
 
