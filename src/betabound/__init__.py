@@ -5,7 +5,8 @@ Layers, bottom up:
 
 * ``polys``      exact rational/polynomial algebra (identity certificates)
 * ``signs``      one-sign-change criterion and bisection root enclosures
-* ``specials``   50-digit gamma/polygamma/beta evaluation (Stirling series)
+* ``specials``   50-digit gamma/polygamma/beta evaluation (Stirling series),
+                 and the same series as integer enclosures for the replay
 * ``quadrature`` independent tanh-sinh integral oracles
 * ``psibounds``  rational sandwich bounds for psi' and psi''
 * ``constants``  the named constants and their reference digits

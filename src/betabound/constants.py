@@ -40,11 +40,11 @@ def agrees_with_printed(value, printed: str) -> bool:
     exactly; `value` is an int, a Fraction or an mpf, and a non-finite mpf
     never agrees."""
     places = len(printed.split(".")[1]) if "." in printed else 0
-    if hasattr(value, "man_exp"):  # a finite mpf is man * 2^exp exactly
+    if hasattr(value, "man_exp"):  # a finite mpf is (-1)^sign man 2^exp exactly
         if not value.context.isfinite(value):
             return False
-        man, exp = value.man_exp
-        value = man * Fraction(2) ** exp
+        sign, man, exp, _ = value._mpf_
+        value = (-1) ** sign * man * Fraction(2) ** exp
     return abs(Fraction(value) - Fraction(printed)) <= Fraction(1, 10**places)
 
 

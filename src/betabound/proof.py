@@ -17,15 +17,15 @@ positive (no interior extremum) and the boundary values pin the minimum.
 Each displayed step of that argument becomes a ``ProofStep``: algebraic
 identities are certified by exact cross-multiplication, polynomial sign
 claims by the one-sign-change criterion with exact evaluations, the
-finitely many transcendental values by high-precision evaluation read
-through the 10x error-budget band of ``certified_sign`` (four steps), and
-the conclusions follow from their parent steps.  Each phase is a table of
-(id, claim, method, check, parents) rows that one runner, ``_Phase.run``,
-turns into steps, giving each the combined status of its check and its
-parents; a check has one of four shapes, each written once: exact (named
-booleans through ``_status``), PN certificate (``_pn_certificate``),
-high-precision sample (``_sample``) and derived (none: the status is the
-parents').
+eleven transcendental values (four steps) by rigorous enclosures on
+integers (``specials.stirling_enclosure`` and ``ln_enclosure``) whose
+lower ends must be positive, and the conclusions follow from their parent
+steps.  Each phase is a table of (id, claim, method, check, parents) rows
+that one runner, ``_Phase.run``, turns into steps, giving each the
+combined status of its check and its parents; a check has one of four
+shapes, each written once: exact (named booleans through ``_status``), PN
+certificate (``_pn_certificate``), positive enclosures (``_positive``) and
+derived (none: the status is the parents').
 
 Each input has one source: the catalogue's polynomials (Q is built from
 q0..q5); ``derive_lx``/``derive_lxx``, which differentiate Yang's L; L's log
@@ -50,7 +50,6 @@ from .psibounds import (
     A_LARGE,
     A_SMALL,
     alzer_bracket_rf,
-    certified_sign,
     derive_lx,
     derive_lxx,
     log_terms,
@@ -58,12 +57,13 @@ from .psibounds import (
 from .specials import (
     DEFAULT_DPS,
     GUARD_DIGITS,
+    Interval,
     beta,
     evaluate,
+    ln_enclosure,
     log_gamma,
     psi,
-    psi1,
-    to_mpf,
+    stirling_enclosure,
 )
 from . import constants, signs
 
@@ -118,7 +118,7 @@ def dGdx_rational(x, y):
 
 
 # ---------------------------------------------------------------------------
-# high-precision wrappers: F, G, the diagonal and edge functions
+# F and G: high-precision wrappers, and F's enclosure for the replay
 # ---------------------------------------------------------------------------
 
 EDGE_OFFSET = Fraction(9, 25)   # the upper trapezoid subregion is y >= x + 9/25
@@ -183,30 +183,11 @@ def big_G(x, y, dps: int = DEFAULT_DPS):
     return evaluate(_on_unit_square(raw, allow_zero=True), dps, x, y)
 
 
-def _diag_gap(work, x):
-    if not (x > 0 and 1 + 2 * x - 2 * x * x > 0):
-        raise ValueError("domain error: diag_gap requires x > 0 and 1 + 2x - 2x^2 > 0")
-    return _log_margin(work, x, x)
-
-
-def diag_gap(x, dps: int = DEFAULT_DPS):
-    """f(x) = F(x, x): log[Gamma(x+1)^2/Gamma(2x+1)] - log(1 - 2x^2/(1+2x)).
-
-    Defined while 1 + 2x - 2x^2 > 0, i.e. up to x = (sqrt(3)+1)/2; the
-    denominator positivity is checked explicitly before evaluating.
-    """
-    return evaluate(_diag_gap, dps, x)
-
-
-def edge_slope(x, dps: int = DEFAULT_DPS):
-    """g(x) = dG/dx(x, x + 9/25), the slope along the binding edge y = x + 9/25.
-
-    Equals psi'(x+1) - (913+350x-1250x^2)/(2(17+16x-25x^2)^2); the replay
-    step ``trapezoid.A.edge-slope-identity`` certifies that rational part.
-    """
-    raw = lambda w, x, y: psi1(x + 1, w.dps) + dGdx_rational(x, y)
-    dG_dx = _on_unit_square(raw, allow_zero=True)
-    return evaluate(lambda w, x: dG_dx(w, x, x + to_mpf(w, EDGE_OFFSET)), dps, x)
+def _enclosed_F(x: Fraction, y: Fraction, dps: int) -> Interval:
+    """F(x, y) at rationals, `big_F`'s formula on the enclosures of ``specials``."""
+    lg = lambda t: stirling_enclosure(t, -1, dps)
+    ln = lambda arg: ln_enclosure(arg, dps)
+    return lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +197,7 @@ def edge_slope(x, dps: int = DEFAULT_DPS):
 METHOD_DERIVED = "derived"
 METHOD_EXACT_POLY = "exact-polynomial"
 METHOD_EXACT_IDENTITY = "exact-identity"
-METHOD_HIGH_PRECISION = "high-precision"
+METHOD_EXACT_ENCLOSURE = "exact-enclosure"
 METHOD_SIGN_ENGINE = "sign-engine"
 
 VERIFIED = "verified"
@@ -318,17 +299,16 @@ def _combine(statuses) -> str:
     return VERIFIED
 
 
-def _sample(fn, points, dps: int, key: str):
-    """fn(*point, dps) at each point, each value required to be positive.
-
-    Returns the values, their combined status (by ``certified_sign``: a value
-    inside its band is inconclusive) and the samples
-    ``[(key.format(*point), str(value))]`` that the evidence records.
-    """
-    values = [fn(*point, dps) for point in points]
-    sgn = [certified_sign(value, dps) for value in values]
-    status = _combine(INCONCLUSIVE if s == 0 else _status(s > 0) for s in sgn)
-    return values, status, [(key.format(*pt), str(v)) for pt, v in zip(points, values)]
+def _positive(values: dict, dps: int) -> tuple[str, dict]:
+    """Enclosures of values claimed positive: verified when every lower end is
+    positive, failed when an upper end is not, else inconclusive; failed too
+    unless both ends of each value that ``PRINTED`` names agree with the
+    paper's prefix.  The evidence is each Interval's ``digits(dps)``."""
+    statuses = [VERIFIED if v.lo > 0 else FAILED if v.hi <= 0 else INCONCLUSIVE
+                for v in values.values()]
+    printed = [(end, PRINTED[k]) for k, v in values.items() if k in PRINTED for end in v]
+    statuses.append(_status(all(agrees_with_printed(*pair) for pair in printed)))
+    return _combine(statuses), {k: v.digits(dps) for k, v in values.items()}
 
 
 def _pn_certificate(identities: dict, p: Poly, point, key: str, guard=True, **evidence):
@@ -369,6 +349,9 @@ DIAG_SLOPE_NUMERATOR = Poly(
 EDGE_GUARD = 17 + 16 * _T - 25 * _T**2
 
 EDGE_SLOPE_QUOTIENT = (913 + 350 * _T - 1250 * _T**2) / (2 * EDGE_GUARD**2)
+
+# the prefixes that the paper prints of g(1/5) and of the two corner values of G
+PRINTED = {"g(1/5)": "0.001914", "G(0,9/25)": "0.0554", "G(1/5,9/25)": "0.04015"}
 
 
 def _log_argument(x, y):
@@ -430,16 +413,16 @@ class _Diagonal(_Phase):
             "coefficient_signs": "all positive" if ok else "mixed",
         }
 
-    @_step(STEPS, "diagonal.gap-positive-spots", METHOD_HIGH_PRECISION,
+    @_step(STEPS, "diagonal.gap-positive-spots", METHOD_EXACT_ENCLOSURE,
            "f is strictly positive at the sampled diagonal points, and "
            "f(1/2) agrees with log(pi/3).")
     def spots(self):
-        spots = [(Fraction(1, 10),), (HALF,), (Fraction(1),), (Fraction(13, 10),)]
-        _, status, samples = _sample(diag_gap, spots, self.dps, "{}")
+        xs = (Fraction(1, 10), HALF, Fraction(1), Fraction(13, 10))
+        status, evidence = _positive({str(x): _enclosed_F(x, x, self.dps) for x in xs}, self.dps)
         # f(1/2) = 2 log Gamma(3/2) - log Gamma(2) - log(argument), exactly
         # log(pi/4) - log(3/4) once the argument is 3/4
         half_ok = _log_argument(HALF, HALF) == Fraction(3, 4)
-        evidence = dict(samples) | {
+        evidence |= {
             "f(1/2)==log(pi/3)": half_ok,
             "Gamma(3/2)": "sqrt(pi)/2 (DLMF 5.4.6, 5.5.1)",
             "Gamma(2)": "1",
@@ -454,7 +437,7 @@ def replay_diagonal(dps: int = DEFAULT_DPS, earlier=()) -> list[ProofStep]:
     (b) the half-slope derivative dominates an explicit quotient whose
         degree-12 numerator has positive coefficients only, so the
         half-slope is increasing from its zero at x = 0;
-    (c) high-precision spot checks of f itself.
+    (c) enclosures of f itself at four spots.
     """
     return _Diagonal(dps).run(earlier)
 
@@ -648,7 +631,7 @@ class _Trapezoid(_Phase):
            "Substituting y = x + 9/25 into the rational part of dG/dx "
            "gives (913+350x-1250x^2)/(2(17+16x-25x^2)^2) exactly.")
     def edge_slope_identity(self):
-        # dG/dx on the edge y = x + 9/25: the formula edge_slope evaluates
+        # dG/dx on the edge y = x + 9/25: the g that A.g-at-right-edge encloses
         ok = dGdx_rational(_T, _T + EDGE_OFFSET).equivalent(-EDGE_SLOPE_QUOTIENT)
         return _status(ok), {}
 
@@ -686,18 +669,19 @@ class _Trapezoid(_Phase):
             identities, p1, Fraction(1, 5), "p1_at_1_5", self.guard_ok
         )
 
-    @_step(STEPS, "trapezoid.A.g-at-right-edge", METHOD_HIGH_PRECISION,
+    @_step(STEPS, "trapezoid.A.g-at-right-edge", METHOD_EXACT_ENCLOSURE,
            "g(1/5) = 0.001914... > 0; with g decreasing on (1/10, 1/5) and "
            "positive on (0, 3/20], the intervals overlap (1/10 < 3/20) and "
            "cover (0, 1/5), so dG/dx > 0 on the whole subregion.")
     def g_at_right_edge(self):
-        fifth = [(Fraction(1, 5),)]
-        (g,), status, samples = _sample(edge_slope, fifth, self.dps, "g({})")
-        evidence = dict(samples) | {
-            "printed": "0.001914",
+        # g(x) = psi'(x+1) - EDGE_SLOPE_QUOTIENT(x), by A.edge-slope-identity
+        x = Fraction(1, 5)
+        g = stirling_enclosure(x + 1, 1, self.dps) - EDGE_SLOPE_QUOTIENT(x)
+        status, evidence = _positive({"g(1/5)": g}, self.dps)
+        return status, evidence | {
+            "printed": PRINTED["g(1/5)"],
             "interval_cover": "(0,3/20] union (1/10,1/5) covers (0,1/5)",
         }
-        return _combine([status, _status(agrees_with_printed(g, "0.001914"))]), evidence
 
     @_step(STEPS, "trapezoid.A.left-edge-concavity", METHOD_SIGN_ENGINE,
            "d2/dy2 G(0, y) = -4/(1+y)^3 - psi''(1+y) is bounded above by "
@@ -778,16 +762,17 @@ class _Trapezoid(_Phase):
         identities = {"second_derivative_identity": second_ok, "identity": identity}
         return _pn_certificate(identities, p3, Fraction(1), "p3_at_1")
 
-    @_step(STEPS, "trapezoid.B.corner-values", METHOD_HIGH_PRECISION,
+    @_step(STEPS, "trapezoid.B.corner-values", METHOD_EXACT_ENCLOSURE,
            "G(0, 9/25) = 0.0554... and G(1/5, 9/25) = 0.04015... are both "
            "positive; concavity pins G(x, 9/25) above their minimum.")
     def b_corners(self):
-        corners = [(0, EDGE_OFFSET), (Fraction(1, 5), EDGE_OFFSET)]
-        (left, right), status, samples = _sample(big_G, corners, self.dps, "G({},{})")
-        left_ok = agrees_with_printed(left, "0.0554")
-        right_ok = agrees_with_printed(right, "0.04015")
-        evidence = dict(samples) | {"printed": "0.0554, 0.04015"}
-        return _combine([status, _status(left_ok and right_ok)]), evidence
+        # G = psi(x+1) - psi(y+1) + G_rational(x, y), as in big_G
+        psi_ = lambda t: stirling_enclosure(t, 0, self.dps)
+        y = EDGE_OFFSET
+        values = {f"G({x},{y})": psi_(x + 1) - psi_(y + 1) + G_rational(x, y)
+                  for x in (Fraction(0), Fraction(1, 5))}
+        status, evidence = _positive(values, self.dps)
+        return status, evidence | {"printed": ", ".join(PRINTED[k] for k in values)}
 
     _derived(STEPS, "trapezoid.B.conclusion",
              "G increases in y past 9/25 and G(., 9/25) is concave with "
@@ -815,16 +800,16 @@ class _Trapezoid(_Phase):
              "G > 0 for x < y <= 9/25.", ["trapezoid.C.slope-positive"])
 
     # --- boundary of D -----------------------------------------------------------
-    @_step(STEPS, "trapezoid.boundary.antidiagonal", METHOD_HIGH_PRECISION,
+    @_step(STEPS, "trapezoid.boundary.antidiagonal", METHOD_EXACT_ENCLOSURE,
            "On x + y = 1 the two lower bounds coincide exactly and "
            "B stays strictly above them, so F(x, 1-x) > 0.")
     def boundary_antidiagonal(self):
         t = _T
         coincide = new_bound(t, 1 - t).equivalent(ivady_lower_bound(t, 1 - t))
         xs = (Fraction(1, 100), Fraction(1, 20), Fraction(1, 10), Fraction(19, 100))
-        points = [(x, 1 - x) for x in xs]
-        _, status, samples = _sample(big_F, points, self.dps, "{0}")
-        evidence = {"bounds_coincide_identity": coincide, "F_samples": samples}
+        values = {f"F({x},{1 - x})": _enclosed_F(x, 1 - x, self.dps) for x in xs}
+        status, samples = _positive(values, self.dps)
+        evidence = {"bounds_coincide_identity": coincide} | samples
         return _combine([status, _status(coincide)]), evidence
 
     @_step(STEPS, "trapezoid.boundary.left-edge", METHOD_EXACT_IDENTITY,

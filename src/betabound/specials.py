@@ -38,9 +38,17 @@ put that below one unit of ctx.prec on any |psi''| the kernel shifts.
 
 An ``lru_cache`` keeps the last ``KERNEL_CACHE_SIZE`` results, keyed by all a
 result depends on: the context, the mpf argument (hashed by value) and the
-order; a domain error is not cached.  One replay makes 29 kernel calls, 18
-distinct.  The fixed shift and term count (B_2 to B_42) put the first omitted
-term below 1e-46 of the result (worst case psi'') and cap the accuracy near 1e-53.
+order; a domain error is not cached.  The fixed shift and term count (B_2 to
+B_42) put the first omitted term below 1e-46 of the result (worst case psi'')
+and cap the accuracy near 1e-53.
+
+Enclosures
+----------
+``stirling_enclosure(x, order, dps)`` and ``ln_enclosure(r, dps)`` run the same
+series on integers at a positive rational argument, with no mpf and no
+context, and return an ``Interval`` that holds the value: the shift is exact,
+and every floor and the series remainder enter as a radius, derived in the
+docstrings below.  The proof replay reads its transcendental values from them.
 """
 
 from __future__ import annotations
@@ -51,14 +59,14 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
 
 GUARD_DIGITS = 15
 STIRLING_SHIFT = 40
 STIRLING_TERMS = 21
 GUARD_BITS = (2 * STIRLING_SHIFT**3).bit_length()  # K STIRLING_SHIFT^2, see above
 DEFAULT_DPS = 50
-# entries in the kernel cache; one replay makes 18 distinct kernel calls (of 29)
+# entries in the kernel cache (the replay reads enclosures and makes no kernel call)
 KERNEL_CACHE_SIZE = 256
 
 
@@ -113,13 +121,17 @@ def bernoulli_even(count: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _stirling_coeffs(order: int) -> tuple[Fraction, ...]:
-    """(-1)^(order+1) B_2k (2k+order-1)!/(2k)!, k = 1..STIRLING_TERMS, exactly."""
+def _stirling_coeff(order: int, k: int) -> Fraction:
+    """(-1)^(order+1) B_2k (2k+order-1)!/(2k)!, exactly, for k <= STIRLING_TERMS + 1."""
+    b = bernoulli_even(STIRLING_TERMS + 1)[k - 1]
     sign = (-1) ** (order + 1)
-    return tuple(
-        sign * b * Fraction(math.factorial(2 * k + order - 1), math.factorial(2 * k))
-        for k, b in enumerate(bernoulli_even(STIRLING_TERMS), start=1)
-    )
+    return sign * b * Fraction(math.factorial(2 * k + order - 1), math.factorial(2 * k))
+
+
+@lru_cache(maxsize=None)
+def _stirling_coeffs(order: int) -> tuple[Fraction, ...]:
+    """The coefficients of the series, k = 1..STIRLING_TERMS."""
+    return tuple(_stirling_coeff(order, k) for k in range(1, STIRLING_TERMS + 1))
 
 
 @lru_cache(maxsize=None)
@@ -186,6 +198,195 @@ def _stirling_raw(ctx: MPContext, x, order: int):
     fixed = _fixed_series(to_fixed(inv._mpf_, bits), bits, order)
     fixed += shift << (order + 2) * bits
     return result + ctx.make_mpf(from_man_exp(fixed, -(order + 3) * bits))
+
+
+# ---------------------------------------------------------------------------
+# enclosures on integers: the kernel's series at rational arguments, with radii
+# ---------------------------------------------------------------------------
+
+
+class Interval(NamedTuple):
+    """The closed interval [lo, hi] of two Fractions; adding or subtracting
+    an Interval, an int or a Fraction is exact."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __add__(self, other):
+        lo, hi = other if isinstance(other, Interval) else (other, other)
+        return Interval(self.lo + lo, self.hi + hi)
+
+    def __neg__(self):
+        return Interval(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def digits(self, dps: int) -> str:
+        """"[lo, hi]", lo rounded down and hi up to `dps` significant digits."""
+        return f"[{_decimal(self.lo, dps, math.floor)}, {_decimal(self.hi, dps, math.ceil)}]"
+
+
+def _decimal(v: Fraction, dps: int, rounding) -> str:
+    """v rounded by `rounding` (math.floor or math.ceil) to `dps` significant digits."""
+    if v == 0:
+        return "0"
+    size = abs(v)   # 10^e <= size < 10^(e+1)
+    e = math.floor(math.log10(size.numerator) - math.log10(size.denominator))
+    e += (size >= Fraction(10) ** (e + 1)) - (size < Fraction(10) ** e)
+    places = dps - 1 - e
+    n = rounding(v * Fraction(10) ** places)
+    if places <= 0:
+        return str(n * 10**-places)
+    digits = str(abs(n)).rjust(places + 1, "0")
+    return f"{'-' * (n < 0)}{digits[:-places]}.{digits[-places:]}"
+
+
+# Below, an enclosure is a pair (lo, hi) of ints: lo 2^-bits <= value <= hi 2^-bits.
+
+
+def _rounded(num: int, den: int, bits: int) -> tuple[int, int]:
+    """num/den times 2^bits, floored and ceiled (den > 0)."""
+    lo, rem = divmod(num << bits, den)
+    return lo, lo + (rem > 0)
+
+
+def _atanh(p: int, q: int, bits: int) -> tuple[int, int]:
+    """atanh(t) for t = p/q in [0, 1/3].
+
+    T = floor(t 2^bits) and T2 = floor(T^2 / 2^bits) fall short of t 2^bits
+    and t^2 2^bits by under 1 and under 2t + 1.  So P_0 = T and P_j =
+    floor(P_(j-1) T2 / 2^bits) fall short of t^(2j+1) 2^bits by e < (1 + (2t
+    + 1) t)/(1 - t^2) <= 7/4: each step loses under 1 and the short T2 under
+    (2t + 1) t^(2j-1) <= (2t + 1) t, and t^2 scales what was lost before.
+    The sum s of floor(P_j / (2j+1)) stops at the first P_J = 0, where
+    t^(2J+1) 2^bits < e: term 0 loses under 1, each term 0 < j < J under
+    1 + e/3 < 2, and term J with the tail past it under e (1/3 + t^2/(1 -
+    t^2)) < 1.  Every loss is a shortfall, so atanh(t) 2^bits lies in
+    [s, s + 2(J + 1)].
+    """
+    P = (p << bits) // q
+    s, j, T2 = P, 0, P * P >> bits
+    while P:
+        P = P * T2 >> bits
+        j += 1
+        s += P // (2 * j + 1)
+    return s, s + 2 * (j + 1)
+
+
+@lru_cache(maxsize=None)
+def _ln2(bits: int) -> tuple[int, int]:
+    lo, hi = _atanh(1, 3, bits)   # 2 = (1 + 1/3)/(1 - 1/3)
+    return 2 * lo, 2 * hi
+
+
+def _ln(num: int, den: int, bits: int) -> tuple[int, int]:
+    """ln(num/den) for positive ints: num/den = 2^k m with m in [2/3, 4/3],
+    and ln m = 2 atanh(t), t = (m - 1)/(m + 1), |t| <= 1/5."""
+    k = num.bit_length() - den.bit_length()
+    n, d = (num, den << k) if k >= 0 else (num << -k, den)   # n/d in (1/2, 2)
+    if 3 * n > 4 * d:
+        d, k = d << 1, k + 1
+    elif 3 * n < 2 * d:
+        n, k = n << 1, k - 1
+    lo, hi = _atanh(abs(n - d), n + d, bits)
+    if n < d:
+        lo, hi = -hi, -lo
+    l2 = sorted(k * v for v in _ln2(bits))
+    return 2 * lo + l2[0], 2 * hi + l2[1]
+
+
+def _stirling_formula(p: int, q: int, order: int, bits: int) -> tuple[int, int]:
+    """Stirling's formula for order -1, 0 or 1 at z = p/q >= STIRLING_SHIFT,
+    without log Gamma's constant ln(2 pi)/2: the head, the series and the
+    remainder past it.
+
+    The series is ``_fixed_series`` at I = floor(2^bits/z), shifted down to
+    2^bits.  Horner's w = floor(I^2/2^bits) is within 1 + 2/z of 2^bits/z^2;
+    each step floors twice (the coefficient and the product) and scales the
+    error carried in by w <= 1/1600, and w's own error reaches the sum through
+    the partial sums c_(k+1) + c_(k+2) w + ..., whose sizes weighted by
+    w^(k-1) add up to under 1/5 (about |c_2|).  So s errs by under 5/2; the
+    factor I^(order+2)/2^((order+2) bits) <= 1/40 and I's own error add under
+    1/5, and the shift floors once more, so the result lies within 2 units of
+    the sum of the K = STIRLING_TERMS terms.  The remainder past them lies
+    between 0 and the first omitted term c_(K+1) z^-(2K+2+order): DLMF
+    5.11(ii) for log Gamma; for psi and psi', Alzer (Math. Comp. 66, 1997)
+    shows that the remainders of psi, times (-1)^K, are completely monotonic,
+    so those of psi and psi' alternate in sign with K, and each lies between
+    0 and the next term.
+    """
+    if order < 0:   # (z - 1/2) ln z - z = ((2p - q) ln z - 2p) / (2q)
+        a, b = _ln(p, q, bits)
+        c, u = 2 * p - q, 2 * p << bits
+        lo, hi = (c * a - u) // (2 * q), -((u - c * b) // (2 * q))
+    elif order == 0:   # ln z - 1/(2z)
+        a, b = _ln(p, q, bits)
+        c, d = _rounded(q, 2 * p, bits)
+        lo, hi = a - d, b - c
+    else:   # 1/z + 1/(2z^2)
+        lo, hi = _rounded(q * (2 * p + q), 2 * p * p, bits)
+    series = _fixed_series((q << bits) // p, bits, order) >> (order + 2) * bits
+    omitted, e = _stirling_coeff(order, STIRLING_TERMS + 1), 2 * STIRLING_TERMS + 2 + order
+    r_lo, r_hi = _rounded(omitted.numerator * q**e, omitted.denominator * p**e, bits)
+    return lo + series - 2 + min(0, r_lo), hi + series + 2 + max(0, r_hi)
+
+
+@lru_cache(maxsize=None)
+def _half_log_2pi_fixed(bits: int) -> tuple[int, int]:
+    """ln(2 pi)/2: log Gamma(N) = ln (N-1)! exactly at N = STIRLING_SHIFT, so it
+    is ln (N-1)! less the rest of Stirling's formula at N."""
+    n = STIRLING_SHIFT
+    a, b = _ln(math.factorial(n - 1), 1, bits)
+    c, d = _stirling_formula(n, 1, -1, bits)
+    return a - d, b - c
+
+
+def _bits(dps: int) -> int:
+    """The kernel's working bits at `dps` digits, as on the mpf path, with no context."""
+    return dps_to_prec(dps + GUARD_DIGITS) + GUARD_BITS
+
+
+def _interval(pair: tuple[int, int], bits: int) -> Interval:
+    return Interval(Fraction(pair[0], 1 << bits), Fraction(pair[1], 1 << bits))
+
+
+def ln_enclosure(r, dps: int = DEFAULT_DPS) -> Interval:
+    """An Interval holding ln r for a positive rational r (int or Fraction)."""
+    r = Fraction(r)
+    if not r > 0:
+        raise ValueError("domain error: ln requires a positive argument")
+    bits = _bits(dps)
+    return _interval(_ln(r.numerator, r.denominator, bits), bits)
+
+
+def stirling_enclosure(x, order: int, dps: int = DEFAULT_DPS) -> Interval:
+    """An Interval holding log Gamma (order -1), psi (0) or psi' (1) at a
+    positive rational x, on integers scaled by 2^bits, bits as on the mpf path.
+
+    The recurrences shift x exactly to z = x + n >= STIRLING_SHIFT, where
+    ``_stirling_formula`` applies.  log Gamma subtracts the log of the exact
+    product x (x+1) ... (x+n-1); psi^(order) adds c sum 1/(x+k)^(order+1),
+    c from ``_SHIFT_NUMERATORS``, whose n terms, each floored, fall under 1
+    short apiece.  Past about 50 digits the width is the remainder, about
+    3e-53 at z = 40, whatever `dps`; below, the radii of the floors.
+    """
+    x = Fraction(x)
+    if not x > 0:
+        raise ValueError("domain error: the gamma family requires a positive argument")
+    if order not in (-1, 0, 1):
+        raise ValueError("order must be -1, 0 or 1")
+    bits, p, q = _bits(dps), x.numerator, x.denominator
+    n = max(0, -((p - STIRLING_SHIFT * q) // q))   # ceil(STIRLING_SHIFT - x)
+    lo, hi = _stirling_formula(p + n * q, q, order, bits)
+    if order < 0:
+        a, b = _ln(math.prod(range(p, p + n * q, q)), q**n, bits)
+        c, d = _half_log_2pi_fixed(bits)
+        return _interval((lo + c - b, hi + d - a), bits)
+    e = order + 1
+    s = sum((q**e << bits) // (p + k * q) ** e for k in range(n))
+    shift = sorted(_SHIFT_NUMERATORS[order] * v for v in (s, s + n))
+    return _interval((lo + shift[0], hi + shift[1]), bits)
 
 
 def _beta_raw(ctx: MPContext, x, y):

@@ -19,17 +19,17 @@ from betabound.constants import (
     compute_constants,
 )
 from betabound.proof import (
+    EDGE_SLOPE_QUOTIENT,
     big_F,
     big_G,
     dFdx_rational,
-    edge_slope,
     ivady_lower_bound,
     ivady_upper_bound,
     replay_all,
     sweep_theorem,
 )
 from betabound.psibounds import certified_sign, closed_form_mismatches, sandwich_margins
-from betabound.specials import beta, context, psi, psi1
+from betabound.specials import beta, context, psi, psi1, stirling_enclosure
 
 HP = context(60)
 mpmath.mp.dps = 60
@@ -99,7 +99,9 @@ def test_criterion_3_constants_printed_digits():
 
 def test_criterion_4_transcendental_proof_constants():
     with Budget("4 (proof constants)", 5.0):
-        assert agrees_with_printed(edge_slope(F(1, 5)), "0.001914")
+        # g(1/5) = psi'(6/5) - EDGE_SLOPE_QUOTIENT(1/5), enclosed as the replay does
+        g = stirling_enclosure(F(6, 5), 1) - EDGE_SLOPE_QUOTIENT(F(1, 5))
+        assert all(agrees_with_printed(end, "0.001914") for end in g)
         assert agrees_with_printed(big_G(0, F(9, 25)), "0.0554")
         assert agrees_with_printed(big_G(F(1, 5), F(9, 25)), "0.04015")
 

@@ -76,6 +76,9 @@ def test_printed_digit_rule_is_exact():
         assert not agrees_with_printed(past, "0.43218")
     assert not agrees_with_printed(HP.inf, "0.43218")
     assert not agrees_with_printed(HP.nan, "0.43218")
+    # an mpf's sign counts (man_exp alone drops it)
+    assert not agrees_with_printed(-HP.mpf("0.43218"), "0.43218")
+    assert agrees_with_printed(-HP.mpf("0.43218"), "-0.43218")
 
 
 def test_full_sandwich_strictly_ordered():

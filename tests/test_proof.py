@@ -19,8 +19,6 @@ from betabound.proof import (
     big_G,
     dFdx_rational,
     dGdx_rational,
-    diag_gap,
-    edge_slope,
     ivady_lower_bound,
     ivady_upper_bound,
     log_correction,
@@ -34,7 +32,7 @@ from betabound.proof import (
 )
 from betabound.catalogue import load_catalogue
 from betabound.constants import agrees_with_printed
-from betabound.specials import beta, context, psi, psi1, to_mpf
+from betabound.specials import beta, context, psi, psi1, stirling_enclosure, to_mpf
 
 HP = context(60)
 mpmath.mp.dps = 60
@@ -49,6 +47,45 @@ def dF_dx(x, y):
 def dG_dx(x, y):
     """psi'(x+1) + dGdx_rational(x, y) at 60 digits."""
     return psi1(x + 1, HP.dps) + dGdx_rational(x, y)
+
+
+def exact(value) -> F:
+    """A finite mpf as the Fraction (-1)^sign man 2^exp it is."""
+    sign, man, exp, _ = value._mpf_
+    return (-1) ** sign * man * F(2) ** exp
+
+
+def holds(enclosure, value, slack="0") -> bool:
+    """lo - slack <= value <= hi + slack, for an mpf value, compared exactly."""
+    pad = F(slack)
+    return enclosure.lo - pad <= exact(value) <= enclosure.hi + pad
+
+
+def edge_slope_enclosure(dps=50):
+    """g(1/5) = psi'(6/5) - EDGE_SLOPE_QUOTIENT(1/5), as A.g-at-right-edge reads it."""
+    return stirling_enclosure(F(6, 5), 1, dps) - proof.EDGE_SLOPE_QUOTIENT(F(1, 5))
+
+
+def enclosed_values_by_mpmath() -> dict:
+    """The eleven values of the four enclosure steps, by mpmath at its current
+    precision, keyed by (step id, evidence key)."""
+    mp = lambda v: mpmath.mpf(v.numerator) / v.denominator
+
+    def big_F_mp(x, y):
+        lg, s, p = mpmath.loggamma, mp(x + y), mp(x * y)
+        return lg(mp(x) + 1) + lg(mp(y) + 1) - lg(s + 1) - mpmath.log(1 - 2 * p / (s + 1))
+
+    spots = (F(1, 10), F(1, 2), F(1), F(13, 10))
+    values = {("diagonal.gap-positive-spots", str(x)): big_F_mp(x, x) for x in spots}
+    for x in (F(1, 100), F(1, 20), F(1, 10), F(19, 100)):
+        values["trapezoid.boundary.antidiagonal", f"F({x},{1 - x})"] = big_F_mp(x, 1 - x)
+    y = F(9, 25)
+    for x in (F(0), F(1, 5)):
+        values["trapezoid.B.corner-values", f"G({x},{y})"] = (
+            mpmath.digamma(mp(x + 1)) - mpmath.digamma(mp(y + 1)) + mp(G_rational(x, y)))
+    values["trapezoid.A.g-at-right-edge", "g(1/5)"] = (
+        mpmath.psi(1, mp(F(6, 5))) + mp(dGdx_rational(F(1, 5), F(14, 25))))
+    return values
 
 
 class TestTheoremMargin:
@@ -86,8 +123,6 @@ class TestTheoremMargin:
         for margin in (theorem_margin, big_F):
             with pytest.raises(ValueError, match="inconclusive"):
                 margin(x, y, 30)
-        with pytest.raises(ValueError, match="inconclusive"):
-            diag_gap(x, 30)
 
     def test_margin_near_the_axes_keeps_its_digits(self):
         with mpmath.workdps(150):
@@ -121,17 +156,18 @@ class TestCoreFunctionIdentities:
                 big_F(0, y)
 
     def test_diagonal_restriction_matches_gap(self):
+        # big_F on the diagonal lies in the replay's enclosure of f, up to
+        # big_F's own rounding
         for x in (F(1, 10), F(1, 3), F(3, 5)):
-            assert abs(big_F(x, x) - diag_gap(x)) < HP.mpf("1e-25")
+            assert holds(proof._enclosed_F(x, x, 50), big_F(x, x), "1e-45")
 
     def test_diag_gap_at_half_is_log_pi_thirds(self):
-        assert abs(diag_gap(F(1, 2)) - mpmath.mp.log(mpmath.mp.pi / 3)) < HP.mpf(
-            "1e-40"
-        )
+        assert holds(proof._enclosed_F(F(1, 2), F(1, 2), 50), mpmath.mp.log(mpmath.mp.pi / 3))
 
     def test_diag_gap_domain_guard(self):
-        with pytest.raises(ValueError, match="1 \\+ 2x - 2x\\^2"):
-            diag_gap(F(3, 2))
+        # past x = (sqrt(3)+1)/2, 1 + 2x - 2x^2 < 0 and F's log argument with it
+        with pytest.raises(ValueError, match="ln requires a positive argument"):
+            proof._enclosed_F(F(3, 2), F(3, 2), 30)
 
     def test_dFdx_matches_finite_differences(self):
         # displayed partial against centred differences of F itself,
@@ -165,11 +201,11 @@ class TestCoreFunctionIdentities:
         # f'(x)/2 = dF/dx(x, x) by the symmetry of F
         h = HP.mpf("1e-8")
         x = HP.mpf("0.4")
-        fd = (diag_gap(x + h) - diag_gap(x - h)) / (2 * h)
+        fd = (big_F(x + h, x + h) - big_F(x - h, x - h)) / (2 * h)
         assert abs(fd - 2 * dF_dx(x, x)) < HP.mpf("1e-13")
 
     def test_edge_slope_printed_value(self):
-        assert agrees_with_printed(edge_slope(F(1, 5)), "0.001914")
+        assert all(agrees_with_printed(end, "0.001914") for end in edge_slope_enclosure())
 
 
 ALZER_ALPHA = F(5, 2)
@@ -214,9 +250,12 @@ class TestSharedFormulas:
     def test_wrappers_evaluate_the_shared_formulas(self):
         x, y = F(2, 5), F(3, 4)
         assert new_bound(x, y) == F(713, 258)
+        # the replay's g reads EDGE_SLOPE_QUOTIENT, which A.edge-slope-identity
+        # ties to dGdx_rational
         g = dG_dx(to_mpf(HP, F(1, 5)), to_mpf(HP, F(14, 25)))
-        assert abs(edge_slope(F(1, 5)) - g) < HP.mpf("1e-45")
-        assert abs(diag_gap(F(3, 10)) - big_F(F(3, 10), F(3, 10))) < HP.mpf("1e-45")
+        assert holds(edge_slope_enclosure(), g, "1e-55")
+        x = F(3, 10)
+        assert holds(proof._enclosed_F(x, x, 50), big_F(x, x), "1e-45")
 
 
 class TestRemarkOrdering:
@@ -261,7 +300,7 @@ PINNED_STEPS = [
      ("numerator_constant", "numerator_leading")),
     ("diagonal.slope-numerator-positive", "exact-polynomial",
      ("degree", "coefficient_signs")),
-    ("diagonal.gap-positive-spots", "high-precision",
+    ("diagonal.gap-positive-spots", "exact-enclosure",
      ("1/10", "1/2", "1", "13/10", "f(1/2)==log(pi/3)", "Gamma(3/2)", "Gamma(2)")),
     ("strip.gradient-identities", "exact-identity", ()),
     ("strip.dFdy-reduction-identity", "exact-identity", ()),
@@ -278,7 +317,7 @@ PINNED_STEPS = [
     ("trapezoid.A.g-lower", "sign-engine", ("identity", "p0_at_3_20", "tail")),
     ("trapezoid.A.g-decreasing", "sign-engine",
      ("derivative_identity", "identity", "p1_at_1_5")),
-    ("trapezoid.A.g-at-right-edge", "high-precision",
+    ("trapezoid.A.g-at-right-edge", "exact-enclosure",
      ("g(1/5)", "printed", "interval_cover")),
     ("trapezoid.A.left-edge-concavity", "sign-engine",
      ("second_derivative_identity", "identity", "p2_at_1")),
@@ -289,14 +328,15 @@ PINNED_STEPS = [
      ("substitution_identity", "identity", "bracket_pattern", "bracket_at_1")),
     ("trapezoid.B.concavity", "sign-engine",
      ("second_derivative_identity", "identity", "p3_at_1")),
-    ("trapezoid.B.corner-values", "high-precision",
+    ("trapezoid.B.corner-values", "exact-enclosure",
      ("G(0,9/25)", "G(1/5,9/25)", "printed")),
     ("trapezoid.B.conclusion", "derived", ()),
     ("trapezoid.C.slope-positive", "sign-engine",
      ("substitution_identity", "identity", "p4_at_9_25")),
     ("trapezoid.C.conclusion", "derived", ()),
-    ("trapezoid.boundary.antidiagonal", "high-precision",
-     ("bounds_coincide_identity", "F_samples")),
+    ("trapezoid.boundary.antidiagonal", "exact-enclosure",
+     ("bounds_coincide_identity", "F(1/100,99/100)", "F(1/20,19/20)",
+      "F(1/10,9/10)", "F(19/100,81/100)")),
     ("trapezoid.boundary.left-edge", "exact-identity",
      ("log_argument_is_1", "log_gamma(1)")),
     ("trapezoid.boundary.diagonal", "derived", ()),
@@ -436,9 +476,9 @@ class TestReplay:
         methods = {s.method for s in report.steps}
         assert methods == {
             "derived",
+            "exact-enclosure",
             "exact-identity",
             "exact-polynomial",
-            "high-precision",
             "sign-engine",
         }
 
@@ -629,6 +669,12 @@ class TestReplay:
     # 2xy scaled by 1 + 10^-6 inside F's log term
     _LOG_2XY = lambda log: lambda x, y, ln: ln(
         1 - 2 * x * y * (1 + F(1, 10**6)) / (x + y + 1))
+    # ln 2 added to F's log term: F, below 1/2 at every point but x = 13/10,
+    # turns negative there
+    _LOG_DOUBLED = lambda log: lambda x, y, ln: log(x, y, lambda a: ln(2 * a))
+    # 913 -> 915 moves g(1/5) = 0.0019 by -2/737 to below 0
+    _EDGE_MOVED = lambda _: (915 + 350 * Poly.x() - 1250 * Poly.x() ** 2) / (
+        2 * proof.EDGE_GUARD**2)
 
     @pytest.mark.parametrize("name, mutant, sid", [
         ("G_rational", lambda G: lambda x, y: G(x, y) + F(1, 10**6),
@@ -644,15 +690,37 @@ class TestReplay:
         ("log_correction", _LOG_2XY, "strip.gradient-identities"),
         ("log_correction", _LOG_2XY, "diagonal.slope-rational-identity"),
         ("G_rational", _SCALED, "trapezoid.A.mixed-partial"),
+        # the enclosure steps: F negative at sampled points, g(1/5) < 0, and a
+        # corner value that does not agree with its printed prefix
+        ("log_correction", _LOG_DOUBLED, "diagonal.gap-positive-spots"),
+        ("log_correction", _LOG_DOUBLED, "trapezoid.boundary.antidiagonal"),
+        ("EDGE_SLOPE_QUOTIENT", _EDGE_MOVED, "trapezoid.A.g-at-right-edge"),
+        ("PRINTED", lambda p: p | {"G(0,9/25)": "0.0556"}, "trapezoid.B.corner-values"),
     ], ids=["G_rational", "log_correction", "log_correction-diagonal",
             "G_rational-scaled-left-edge", "G_rational-scaled-B",
             "dFdx_rational-scaled", "log_correction-2xy-gradients",
-            "log_correction-2xy-diagonal-slope", "G_rational-scaled-mixed-partial"])
+            "log_correction-2xy-diagonal-slope", "G_rational-scaled-mixed-partial",
+            "log_correction-doubled-spots", "log_correction-doubled-antidiagonal",
+            "edge-slope-constant-moved", "corner-printed-prefix"])
     def test_exact_edge_step_fails_on_mutant(self, monkeypatch, name, mutant, sid):
         # f(1/2) = log(pi/3) is exact, from log_correction's argument 3/4
         monkeypatch.setattr(proof, name, mutant(getattr(proof, name)))
         by_id = {s.id: s for s in replay_all(30).steps}
         assert by_id[sid].status == "failed"
+
+    @pytest.mark.parametrize("dps", [30, 50, 100])
+    def test_enclosure_evidence_holds_mpmath_values(self, dps):
+        # each of the eleven values is printed as [lo, hi] with dps significant
+        # digits, rounded outward, around mpmath's value at dps + 40 digits: at
+        # 100 digits the ends part past the series cap near 1e-53
+        by_id = {s.id: s for s in replay_all(dps).steps}
+        with mpmath.workdps(dps + 40):
+            references = enclosed_values_by_mpmath()
+        assert len(references) == 11
+        for (sid, key), reference in references.items():
+            lo, hi = by_id[sid].evidence[key].removeprefix("[").removesuffix("]").split(", ")
+            assert F(lo) <= exact(reference) <= F(hi), (sid, key)
+            assert [len(end.lstrip("0.").replace(".", "")) for end in (lo, hi)] == [dps] * 2
 
     def test_replay_at_reduced_precision(self):
         report = replay_all(dps=30)

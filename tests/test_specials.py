@@ -113,8 +113,6 @@ HIGH_PRECISION = {
     "theorem_margin": lambda d: [proof.theorem_margin(X, Y, d)],
     "big_F": lambda d: [proof.big_F(X, Y, d)],
     "big_G": lambda d: [proof.big_G(X, Y, d)],
-    "diag_gap": lambda d: [proof.diag_gap(X, d)],
-    "edge_slope": lambda d: [proof.edge_slope(X, d)],
 }
 
 
@@ -341,6 +339,89 @@ class TestBernoulli:
         assert specials.bernoulli_even(6) == (
             F(1, 6), F(-1, 30), F(1, 42), F(-1, 30), F(5, 66), F(-691, 2730)
         )
+
+
+def exact(value) -> F:
+    """A finite mpf as the Fraction (-1)^sign man 2^exp it is."""
+    sign, man, exp, _ = value._mpf_
+    return (-1) ** sign * man * F(2) ** exp
+
+
+# the arguments of the replay's eleven values: log Gamma at x + 1, y + 1 and
+# x + y + 1 of the eight F points, ln of their log arguments, psi at 1, 6/5
+# and 34/25, psi' at 6/5
+REPLAY_ARGUMENTS = [
+    F(11, 10), F(6, 5), F(3, 2), F(2), F(3), F(23, 10), F(18, 5), F(101, 100),
+    F(199, 100), F(21, 20), F(39, 20), F(119, 100), F(181, 100), F(1),
+    F(34, 25), F(59, 60), F(3, 4), F(1, 3), F(11, 180), F(9901, 10000),
+]
+
+
+def seeded_rationals(seed: int, count: int = 120) -> list[F]:
+    """Positive rationals below 1, on either side of STIRLING_SHIFT and far above."""
+    rng = random.Random(seed)
+    shift = specials.STIRLING_SHIFT
+    kinds = [
+        lambda: F(rng.randrange(1, 10**6), rng.randrange(10**6, 10**9)),
+        lambda: F(rng.randrange(1, 999), rng.randrange(1, 999)),
+        lambda: shift - F(1, rng.randrange(2, 10**12)),
+        lambda: shift + F(rng.randrange(0, 10**6), rng.randrange(10**6, 10**8)),
+        lambda: F(rng.randrange(10**3, 10**9), rng.randrange(1, 10**3)),
+    ]
+    return [kinds[k % len(kinds)]() for k in range(count)]
+
+
+class TestIntegerEnclosures:
+    @pytest.mark.parametrize("dps", [30, 50, 100])
+    def test_enclosures_hold_mpmath_values(self, dps):
+        # ln, log Gamma, psi and psi' at 120 seeded rationals and at the
+        # replay's arguments, each holding mpmath's value at dps + 40 digits
+        cases = []
+        for x in seeded_rationals(dps) + REPLAY_ARGUMENTS:
+            cases += [(specials.ln_enclosure, (x, dps), mpmath.log)]
+            cases += [(specials.stirling_enclosure, (x, order, dps), ref)
+                      for order, ref in ((-1, mpmath.loggamma), (0, mpmath.digamma),
+                                         (1, lambda t: mpmath.psi(1, t)))]
+        assert len(cases) >= 4 * 100
+        with mpmath.workdps(dps + 40):
+            for fn, args, ref in cases:
+                x = args[0]
+                reference = exact(ref(mpmath.mpf(x.numerator) / x.denominator))
+                enclosure = fn(*args)
+                assert enclosure.lo <= reference <= enclosure.hi, (fn.__name__, args)
+                # the series cap near 1e-53 widens them, not the requested digits
+                width = (enclosure.hi - enclosure.lo) / max(1, abs(reference))
+                assert width < F(1, 10 ** (44 if dps == 30 else 51))
+
+    @pytest.mark.parametrize("dps", [30, 50, 100])
+    def test_half_log_2pi(self, dps):
+        bits = specials._bits(dps)
+        lo, hi = specials._half_log_2pi_fixed(bits)
+        with mpmath.workdps(dps + 40):
+            reference = exact(mpmath.log(2 * mpmath.pi) / 2)
+        assert F(lo, 2**bits) <= reference <= F(hi, 2**bits)
+
+    def test_working_bits_match_the_mpf_path(self):
+        for dps in (30, 50, 100):
+            assert specials._bits(dps) == work_context(dps).prec + specials.GUARD_BITS
+
+    @pytest.mark.parametrize("call", [
+        lambda: specials.ln_enclosure(0),
+        lambda: specials.ln_enclosure(F(-1, 3)),
+        lambda: specials.stirling_enclosure(0, -1),
+        lambda: specials.stirling_enclosure(F(-1, 2), 0),
+    ])
+    def test_domain_errors(self, call):
+        with pytest.raises(ValueError, match="domain error"):
+            call()
+
+    def test_digits_round_outward(self):
+        third = specials.Interval(F(1, 3), F(2, 3))
+        assert third.digits(3) == "[0.333, 0.667]"
+        assert (-third).digits(2) == "[-0.67, -0.33]"
+        assert specials.Interval(F(0), F(12345, 100)).digits(3) == "[0, 124]"
+        assert specials.Interval(F(-1, 10**5), F(1, 7 * 10**5)).digits(2) == (
+            "[-0.000010, 0.0000015]")
 
 
 @pytest.fixture(scope="module")
