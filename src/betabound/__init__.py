@@ -5,8 +5,10 @@ Layers, bottom up:
 
 * ``polys``      exact rational/polynomial algebra (identity certificates)
 * ``signs``      one-sign-change criterion and bisection root enclosures
-* ``specials``   50-digit gamma/polygamma/beta evaluation (Stirling series),
-                 and the same series as integer enclosures for the replay
+* ``specials``   50-digit gamma/polygamma/beta evaluation (Stirling series)
+                 on mpmath floats, which alone import mpmath, and the same
+                 series, ln and exp as integer enclosures for the replay and
+                 the sweep's re-check; mpmath's nstr on exact rationals
 * ``quadrature`` independent tanh-sinh integral oracles
 * ``psibounds``  rational sandwich bounds for psi' and psi''
 * ``constants``  the named constants and their reference digits

@@ -37,7 +37,7 @@ from .constants import (
     compute_constants,
     full_sandwich,
 )
-from .specials import DEFAULT_DPS, context, to_mpf
+from .specials import DEFAULT_DPS, context, exact, nstr
 
 ENV_PREFIX = "BETABOUND_"
 EXIT_OK = 0
@@ -53,8 +53,8 @@ class ConfigError(ValueError):
 
 
 def _decimal(value, digits: int = 20) -> str:
-    ctx = context(digits + 5)
-    return ctx.nstr(to_mpf(ctx, value), digits)
+    """`value` (int, float, Fraction or mpf) as mpmath's nstr prints it."""
+    return nstr(exact(value), digits)
 
 
 def _json(payload) -> str:
@@ -307,7 +307,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser(environ) -> argparse.ArgumentParser:
+def build_parser(environ, command=None) -> argparse.ArgumentParser:
+    """The top parser with the subparser of `command` alone when it names one
+    (most of the cost of building a parser is per subparser), else with all,
+    as ``--help`` and the message for an unknown or missing command list them."""
     parser = _Parser(
         prog="betabound",
         description="Certify the rational lower bound for Euler's beta "
@@ -317,23 +320,25 @@ def build_parser(environ) -> argparse.ArgumentParser:
         "subcommands that take it; explicit flags win.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (run, help_text, options) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
+    for name in [command] if command in COMMANDS else COMMANDS:
+        run, help_text, options = COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
         for option in options:
             spec = OPTIONS[option]
             if "default" in spec:
                 default = environ.get(ENV_PREFIX + option.upper(), spec["default"])
                 spec = dict(spec, default=default)
-            command.add_argument("--" + option, **spec)
-        command.set_defaults(run=run)
+            subparser.add_argument("--" + option, **spec)
+        subparser.set_defaults(run=run)
     return parser
 
 
 def main(argv=None, environ=None, stdout=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     environ = os.environ if environ is None else environ
     stdout = sys.stdout if stdout is None else stdout
     try:
-        args = build_parser(environ).parse_args(argv)
+        args = build_parser(environ, argv[0] if argv else None).parse_args(argv)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

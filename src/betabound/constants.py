@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .psibounds import A_LARGE, A_SMALL, lx_general, lxx_general
-from .specials import DEFAULT_DPS, evaluate, locate_delta_max, psi1, psi2
+from .specials import DEFAULT_DPS, evaluate, exact, locate_delta_max, psi1, psi2
 
 # bracket width at which solve_a3 stops bisecting; fixed, whatever the precision
 A3_TOL = "1e-15"
@@ -40,17 +40,22 @@ def agrees_with_printed(value, printed: str) -> bool:
     exactly; `value` is an int, a Fraction or an mpf, and a non-finite mpf
     never agrees."""
     places = len(printed.split(".")[1]) if "." in printed else 0
-    if hasattr(value, "man_exp"):  # a finite mpf is (-1)^sign man 2^exp exactly
-        if not value.context.isfinite(value):
-            return False
-        sign, man, exp, _ = value._mpf_
-        value = (-1) ** sign * man * Fraction(2) ** exp
-    return abs(Fraction(value) - Fraction(printed)) <= Fraction(1, 10**places)
+    try:
+        value = exact(value)
+    except ValueError:
+        return False
+    return abs(value - Fraction(printed)) <= Fraction(1, 10**places)
+
+
+def alpha_of(pi):
+    """2 pi^2 / 3 - 4 as plain arithmetic on pi: a float from ``math.pi``, an
+    mpf from a context's pi."""
+    return 2 * pi**2 / 3 - 4
 
 
 def alpha(dps: int = DEFAULT_DPS):
-    """2 pi^2 / 3 - 4 = 2.57973..."""
-    return evaluate(lambda work: 2 * work.pi**2 / 3 - 4, dps)
+    """alpha_of(pi) = 2.57973..."""
+    return evaluate(lambda work: alpha_of(work.pi), dps)
 
 
 def a1(dps: int = DEFAULT_DPS):
@@ -160,6 +165,7 @@ __all__ = [
     "a2",
     "agrees_with_printed",
     "alpha",
+    "alpha_of",
     "compute_constants",
     "full_sandwich",
     "solve_a3",

@@ -60,6 +60,7 @@ from .specials import (
     Interval,
     beta,
     evaluate,
+    exp_enclosure,
     ln_enclosure,
     log_gamma,
     psi,
@@ -188,6 +189,13 @@ def _enclosed_F(x: Fraction, y: Fraction, dps: int) -> Interval:
     lg = lambda t: stirling_enclosure(t, -1, dps)
     ln = lambda arg: ln_enclosure(arg, dps)
     return lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
+
+
+def _enclosed_margin(x: Fraction, y: Fraction, dps: int) -> Interval:
+    """`theorem_margin` at rationals: B(x, y) as exp of log Gamma's enclosures,
+    less the bound, exactly."""
+    lg = lambda t: stirling_enclosure(t, -1, dps)
+    return exp_enclosure(lg(x) + lg(y) - lg(x + y), dps) - new_bound(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +907,7 @@ class SweepResult(NamedTuple):
     argmin_alzer: tuple[float, float]
     alpha_used: float
     classical_edges_exact: bool      # both classical bounds = B on x = 1 and y = 1
-    hp_min_margin: str               # argmin margin recomputed at full precision
+    hp_min_margin: str               # argmin margin's digits, enclosed at full precision
     hp_agrees: bool
 
 
@@ -936,13 +944,16 @@ def sweep_theorem(
     """Audit the bound on the grid {(i/n, j/n)}, i, j = 1..n.
 
     Grid cells are evaluated in double precision through the shared
-    formulas.  The margin on the edge y = 1 is x/(x+2), so the grid minimum
-    is 1/(2n+1) at (1/n, 1), far above double rounding at desk grid sizes;
-    the worst cell is then re-evaluated at full working precision and the
-    two values are required to agree.  Both classical bounds equal B
-    exactly on the edges x = 1 and y = 1 (`classical_edges_exact`), where a
-    double-precision margin is rounding noise of either sign, so their
-    minima are taken over the interior cells i, j < n.
+    formulas.  The margin on the edge y = 1 is x/(x+2), so from n = 10 on
+    the grid minimum is 1/(2n+1) at (1/n, 1) (below, at (1/n, 1/n)), far
+    above double rounding at desk grid sizes; the worst cell's margin is
+    then enclosed on integers at `dps` digits (`_enclosed_margin`), and both
+    ends of the enclosure must agree with the double margin to 1e-9
+    relative.  ``hp_min_margin`` prints the digits, up to `dps`, to which
+    both ends round alike (``Interval.rounded``).  Both classical bounds
+    equal B exactly on the edges x = 1 and y = 1 (`classical_edges_exact`),
+    where a double-precision margin is rounding noise of either sign, so
+    their minima are taken over the interior cells i, j < n.
 
     B's double expression, `new_bound` and `ivady_lower_bound` are symmetric
     bit for bit, so a cell (i, j) below the diagonal repeats the beta and
@@ -963,7 +974,7 @@ def sweep_theorem(
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
     exp, lgamma = math.exp, math.lgamma
-    al = float(constants.alpha(dps))
+    al = constants.alpha_of(math.pi)
     n = grid_n
     best = (math.inf, (0.0, 0.0))
     best_iv = (math.inf, (0.0, 0.0))
@@ -1007,10 +1018,9 @@ def sweep_theorem(
             row_sink("".join(cells))
 
     xa, ya = best[1]
-    hp = theorem_margin(
-        Fraction(round(xa * n), n), Fraction(round(ya * n), n), dps
-    )
-    hp_agrees = abs(float(hp) - best[0]) <= 1e-9 * max(1.0, abs(best[0]))
+    hp = _enclosed_margin(Fraction(round(xa * n), n), Fraction(round(ya * n), n), dps)
+    tolerance = 1e-9 * max(1.0, abs(best[0]))
+    hp_agrees = all(abs(float(end) - best[0]) <= tolerance for end in hp)
     return SweepResult(
         grid_n=n,
         rows_written=n * n,
@@ -1022,6 +1032,6 @@ def sweep_theorem(
         argmin_alzer=best_az[1],
         alpha_used=al,
         classical_edges_exact=classical_edges_exact(),
-        hp_min_margin=str(hp),
+        hp_min_margin=hp.rounded(dps),
         hp_agrees=hp_agrees,
     )

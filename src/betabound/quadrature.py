@@ -51,9 +51,6 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
-from mpmath.libmp import from_man_exp, to_fixed
-from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
-
 from .specials import DEFAULT_DPS, evaluate, work_context
 
 NODE_CACHE_SIZE = 1024  # entries; the cached levels hold 327 nodes a precision
@@ -67,6 +64,8 @@ GUARD_BITS = 7  # the bit length of the 64-unit bound above
 def _unit_node(work, k: int, level: int):
     """((log m, log(-log m)), (log M, log(-log M)), log(pi cosh u)) times 2^W
     at u = k 2^-level >= 0, for m and M the smaller and larger of t and 1 - t."""
+    from mpmath.libmp import to_fixed
+
     ctx, bits = work_context(work.dps), work.prec + GUARD_BITS
     u = ctx.ldexp(k, -level)
     two_s = ctx.pi * ctx.sinh(u)
@@ -86,6 +85,9 @@ def _de_sum(work, f: Callable, dps: int) -> object:
     levels pass without agreement, ValueError is raised.  The sum at level L,
     times 2^-(W+L), is converted once.
     """
+    from mpmath.libmp import from_man_exp
+    from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
+
     bits = work.prec + GUARD_BITS
     one, scale, ln2 = 1 << bits, 10 ** (dps + 5), ln2_fixed(bits)
     cutoff = -bits * ln2

@@ -1,10 +1,12 @@
-"""High-precision gamma/polygamma/beta evaluation on arbitrary-precision floats.
+"""High-precision gamma/polygamma/beta evaluation, as mpfs and as enclosures.
 
-Everything is computed from scratch on top of ``mpmath`` raw floats
-(``mpf``) and Python integers, by one Stirling series with exact
-Bernoulli-number coefficients.  mpmath's own gamma/digamma routines are
-never called, so they remain an independent cross-check in the test suite
-(alongside the quadrature oracles).
+Two routes share one Stirling series with exact Bernoulli-number
+coefficients: public functions that return ``mpmath`` floats (``mpf``), and
+``Interval`` enclosures computed on Python integers alone.  Only the mpf
+route imports mpmath, when it first runs (``context`` and ``_stirling_raw``),
+so a command that reads enclosures never loads it.  mpmath's own
+gamma/digamma routines are never called, so they remain an independent
+cross-check in the test suite (alongside the quadrature oracles).
 
 Precision contract
 ------------------
@@ -48,7 +50,10 @@ Enclosures
 series on integers at a positive rational argument, with no mpf and no
 context, and return an ``Interval`` that holds the value: the shift is exact,
 and every floor and the series remainder enter as a radius, derived in the
-docstrings below.  The proof replay reads its transcendental values from them.
+docstrings below.  ``exp_enclosure(v, dps)`` maps an Interval through exp the
+same way.  The proof replay and the sweep's re-check read their
+transcendental values from them, and ``nstr`` prints an exact rational as
+mpmath's ``nstr`` prints an mpf, so the CLI prints without mpmath too.
 """
 
 from __future__ import annotations
@@ -56,10 +61,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import dps_to_prec, from_man_exp, to_fixed
+if TYPE_CHECKING:
+    from mpmath.ctx_mp import MPContext
 
 GUARD_DIGITS = 15
 STIRLING_SHIFT = 40
@@ -73,6 +78,8 @@ KERNEL_CACHE_SIZE = 256
 @lru_cache(maxsize=None)
 def context(dps: int) -> MPContext:
     """A dedicated mpmath context at `dps` digits (never mutated afterwards)."""
+    from mpmath.ctx_mp import MPContext
+
     ctx = MPContext()
     ctx.dps = dps
     return ctx
@@ -172,6 +179,8 @@ def _stirling_raw(ctx: MPContext, x, order: int):
 
     The shifts of log Gamma(x) = log Gamma(x + 1) - ln x share one logarithm.
     """
+    from mpmath.libmp import from_man_exp, to_fixed
+
     if not x > 0:
         raise ValueError("domain error: the gamma family requires a positive argument")
     bits = ctx.prec + GUARD_BITS
@@ -226,20 +235,74 @@ class Interval(NamedTuple):
         """"[lo, hi]", lo rounded down and hi up to `dps` significant digits."""
         return f"[{_decimal(self.lo, dps, math.floor)}, {_decimal(self.hi, dps, math.ceil)}]"
 
+    def rounded(self, dps: int) -> str:
+        """The value rounded to the most significant digits, up to `dps`, at
+        which both ends round alike (``nstr``); rounding is monotone, so every
+        point between them rounds so too.  "[lo, hi]" if not even one does."""
+        for places in range(dps, 0, -1):
+            text = nstr(self.lo, places)
+            if text == nstr(self.hi, places):
+                return text
+        return self.digits(dps)
+
+
+def exact(value) -> Fraction:
+    """An int, float, Fraction or finite mpf as the Fraction it equals."""
+    if hasattr(value, "_mpf_"):   # a finite mpf is (-1)^sign man 2^exp exactly
+        if not value.context.isfinite(value):
+            raise ValueError("a non-finite mpf has no exact value")
+        sign, man, exp, _ = value._mpf_
+        return (-1) ** sign * man * Fraction(2) ** exp
+    return Fraction(value)
+
+
+def _scaled(v: Fraction, dps: int, rounding) -> tuple[int, int]:
+    """(rounding(v 10^(dps-1-e)), e) for v != 0 and the e with 10^e <= |v| < 10^(e+1)."""
+    size = abs(v)
+    e = math.floor(math.log10(size.numerator) - math.log10(size.denominator))
+    e += (size >= Fraction(10) ** (e + 1)) - (size < Fraction(10) ** e)
+    return rounding(v * Fraction(10) ** (dps - 1 - e)), e
+
 
 def _decimal(v: Fraction, dps: int, rounding) -> str:
     """v rounded by `rounding` (math.floor or math.ceil) to `dps` significant digits."""
     if v == 0:
         return "0"
-    size = abs(v)   # 10^e <= size < 10^(e+1)
-    e = math.floor(math.log10(size.numerator) - math.log10(size.denominator))
-    e += (size >= Fraction(10) ** (e + 1)) - (size < Fraction(10) ** e)
+    n, e = _scaled(v, dps, rounding)
     places = dps - 1 - e
-    n = rounding(v * Fraction(10) ** places)
     if places <= 0:
         return str(n * 10**-places)
     digits = str(abs(n)).rjust(places + 1, "0")
     return f"{'-' * (n < 0)}{digits[:-places]}.{digits[-places:]}"
+
+
+def _half_up(t: Fraction) -> int:
+    """t rounded to the nearest int, ties away from zero."""
+    n = math.floor(abs(t) + Fraction(1, 2))
+    return n if t >= 0 else -n
+
+
+def nstr(v: Fraction, dps: int) -> str:
+    """v as mpmath's ``nstr`` prints an mpf equal to it, on integers.
+
+    v is rounded half away from zero to `dps` significant digits, written
+    positionally when its leading digit's exponent e has min(-(dps//3), -5)
+    < e < dps and as d.ddd e+E otherwise, and stripped of trailing zeros.
+    """
+    if v == 0:
+        return "0.0"
+    n, e = _scaled(v, dps, _half_up)
+    if abs(n) == 10**dps:   # rounded up to the next power of ten
+        n, e = n // 10, e + 1
+    digits, split, suffix = str(abs(n)), 1, f"e{e:+d}"
+    if min(-(dps // 3), -5) < e < dps:   # positional
+        suffix = ""
+        if e < 0:
+            digits = "0" * -e + digits
+        else:
+            split = e + 1
+    text = f"{digits[:split]}.{digits[split:]}".rstrip("0")
+    return f"{'-' * (n < 0)}{text}{'0' * text.endswith('.')}{suffix}"
 
 
 # Below, an enclosure is a pair (lo, hi) of ints: lo 2^-bits <= value <= hi 2^-bits.
@@ -296,6 +359,38 @@ def _ln(num: int, den: int, bits: int) -> tuple[int, int]:
     return 2 * lo + l2[0], 2 * hi + l2[1]
 
 
+def _exp(T: int, bits: int, up: bool) -> int:
+    """exp(t) 2^bits for t = T 2^-bits in [0, 1), rounded down, or up with `up`.
+
+    The terms P_0 = 2^bits and P_j = P_(j-1) T / (j 2^bits) are floored
+    (ceiled), and T >= 0, so each is a lower (upper) bound of t^j/j! 2^bits.
+    Down, the sum stops at the first P_J = 0 and drops a positive tail.  Up,
+    it stops at the first P_J <= 1 and adds 1 for the tail past term J, which
+    is under term J times (t/(J+1)) / (1 - t/(J+1)) < 1.
+    """
+    last = int(up)   # the P_J that stops the sum
+    s = P = 1 << bits
+    j = 0
+    while P > last:
+        j += 1
+        P = -(-P * T // (j << bits)) if up else P * T // (j << bits)
+        s += P
+    return s + last
+
+
+def _exp_end(r: Fraction, bits: int, up: bool) -> Fraction:
+    """exp r rounded down, or up with `up`: see ``exp_enclosure``."""
+    a, b = _ln2(bits)
+    R, q = r.numerator << bits, r.denominator
+    k = R // (q * (b if R >= 0 else a))
+    if up:
+        T = -((q * min(k * a, k * b) - R) // q)
+    else:
+        T = (R - q * max(k * a, k * b)) // q
+    s = _exp(T, bits, up)
+    return Fraction(s << k, 1 << bits) if k >= 0 else Fraction(s, 1 << (bits - k))
+
+
 def _stirling_formula(p: int, q: int, order: int, bits: int) -> tuple[int, int]:
     """Stirling's formula for order -1, 0 or 1 at z = p/q >= STIRLING_SHIFT,
     without log Gamma's constant ln(2 pi)/2: the head, the series and the
@@ -343,8 +438,9 @@ def _half_log_2pi_fixed(bits: int) -> tuple[int, int]:
 
 
 def _bits(dps: int) -> int:
-    """The kernel's working bits at `dps` digits, as on the mpf path, with no context."""
-    return dps_to_prec(dps + GUARD_DIGITS) + GUARD_BITS
+    """The kernel's working bits at `dps` digits, as on the mpf path, with no
+    context: mpmath's ``dps_to_prec(dps + GUARD_DIGITS) + GUARD_BITS``."""
+    return max(1, round((dps + GUARD_DIGITS + 1) * 3.3219280948873626)) + GUARD_BITS
 
 
 def _interval(pair: tuple[int, int], bits: int) -> Interval:
@@ -358,6 +454,31 @@ def ln_enclosure(r, dps: int = DEFAULT_DPS) -> Interval:
         raise ValueError("domain error: ln requires a positive argument")
     bits = _bits(dps)
     return _interval(_ln(r.numerator, r.denominator, bits), bits)
+
+
+def exp_enclosure(v: Interval, dps: int = DEFAULT_DPS) -> Interval:
+    """An Interval holding exp of every point of `v`, on integers scaled by
+    2^bits, bits as on the mpf path.
+
+    exp is increasing, so the lower end bounds exp(v.lo) from below and the
+    upper end exp(v.hi) from above.  An end r is reduced to t = r - k ln 2
+    with ``_ln2``'s bracket [a, b] 2^-bits: k = floor(r 2^bits / b) for r >= 0
+    and floor(r 2^bits / a) below make r 2^bits - k a and r 2^bits - k b
+    both nonnegative, so t >= 0, and t < 0.7.  T, t 2^bits floored (ceiled)
+    with k ln 2 at the end of its bracket that makes t smaller (larger), errs
+    by under 1 + |k| (b - a) units.  ``_exp`` sums the Taylor series at T,
+    and the sum times 2^k is exact.
+
+    Width.  In ``_exp``'s down sum each floor loses under 1 and scales the
+    shortfall carried in by t/j < 1, so every P_j falls under 2 short; the
+    tail it drops at P_J = 0 is under P_J's shortfall, 2.  So the down sum
+    lies within 2J + 2 units below exp(t) 2^bits, and the up sum, likewise,
+    within 2J + 1 above, J the terms summed.  exp' < 3 on t < 1 triples T's
+    error.  Each end thus lies within 2J + 5 + 3 |k| (b - a) units of
+    2^(k - bits) of exp at that end of `v`.
+    """
+    bits = _bits(dps)
+    return Interval(_exp_end(v.lo, bits, False), _exp_end(v.hi, bits, True))
 
 
 def stirling_enclosure(x, order: int, dps: int = DEFAULT_DPS) -> Interval:

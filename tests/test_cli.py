@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import betabound
-from betabound import constants, proof, specials
+from betabound import cli, constants, proof, specials
 from betabound.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
@@ -30,7 +32,7 @@ from betabound.proof import (
     ivady_lower_bound,
     new_bound,
 )
-from betabound.specials import context, locate_delta_max
+from betabound.specials import Interval, context, locate_delta_max, to_mpf
 
 
 def run(argv, env=None):
@@ -105,6 +107,41 @@ class TestConfig:
         assert exc.value.code == 0
         listed = set(re.findall(r"--\w+", capsys.readouterr().out)) - {"--help"}
         assert listed == OPTIONS_TAKEN[command]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], *[[command, "--help"] for command in COMMANDS],
+        [], ["nope"], ["--precision", "30"], ["roots", "--bogus"],
+        ["sweep", "--grid", "abc"], ["bounds"],
+    ])
+    def test_one_subparser_prints_what_all_six_print(self, argv, monkeypatch, capsys):
+        # main builds only argv[0]'s subparser when it names a command; the
+        # help texts, messages and exit codes are those of the full parser
+        def outcome():
+            try:
+                code = main(argv, environ={}, stdout=io.StringIO())
+            except SystemExit as exc:
+                code = exc.code
+            return code, capsys.readouterr()
+
+        monkeypatch.setenv("COLUMNS", "80")
+        lazy = outcome()
+        monkeypatch.setattr(cli, "build_parser", lambda environ, command=None:
+                            build_parser(environ))
+        assert lazy == outcome()
+        assert lazy[0] == (0 if "--help" in argv or "-h" in argv else EXIT_CONFIG)
+
+    def test_error_messages(self, capsys):
+        assert run(["nope"]) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == (
+            "configuration error: argument command: invalid choice: 'nope' "
+            "(choose from 'replay', 'roots', 'constants', 'bounds', 'sweep')\n")
+        assert run(["roots", "--bogus"]) == (EXIT_CONFIG, "")
+        assert capsys.readouterr().err == (
+            "configuration error: unrecognized arguments: --bogus\n")
+
+    def test_parser_of_one_command_knows_no_other(self):
+        with pytest.raises(cli.ConfigError, match="invalid choice: 'replay'"):
+            build_parser({}, "roots").parse_args(["replay"])
 
     def test_bad_width(self):
         assert run(["roots", "--width", "0"])[0] == EXIT_CONFIG
@@ -367,9 +404,16 @@ class TestSweepCommand:
         rebuilt_bytes = ("\r\n".join(rebuilt) + "\r\n").encode("utf-8")
         assert hashlib.sha256(rebuilt_bytes).hexdigest() == EIGHT_COLUMN_SWEEP150_SHA256
 
+    def test_alpha_field(self, tmp_path):
+        code, text = run(["sweep", "--grid", "5", "--out", str(tmp_path / "s.csv"),
+                          "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(text)["alpha"] == "2.5797362673929056243"
+
     def test_recheck_disagreement_has_its_own_message(self, tmp_path, monkeypatch, capsys):
         # every grid margin is positive; only the high-precision re-check fails
-        monkeypatch.setattr(proof, "theorem_margin", lambda x, y, dps: Fraction(1))
+        monkeypatch.setattr(proof, "_enclosed_margin",
+                            lambda x, y, dps: Interval(Fraction(1), Fraction(1)))
         code, text = run(["sweep", "--grid", "5", "--out", str(tmp_path / "s.csv"),
                           "--format", "json"])
         assert code == EXIT_VERIFY_FAILED
@@ -434,3 +478,47 @@ def test_env_format_validated():
     for fmt in ("yaml", "csv"):
         code, _ = run(["roots"], env={"BETABOUND_FORMAT": fmt})
         assert code == EXIT_CONFIG
+
+
+# sha256 of the stdout of commands that print numbers through cli._decimal,
+# as mpmath's nstr printed them before the CLI printed on integers
+PRINTED_SHA256 = {
+    ("roots",): "b79fcd02189e646d9fe7bd4291244d60979dfd2a8ba24a0dfdeb9a937868c689",
+    ("roots", "--width", "1/1000"):
+        "6c87506ddb3dad5e6da433eb490c5918bf976bcbe4c367c8ca93fe7e667e6c35",
+    ("constants", "--precision", "30"):
+        "67eba0e81beb7ca0c9e247d33cad5024bd8075e3ee6730bce5e61c636a8d9246",
+    ("constants", "--precision", "50"):
+        "67eba0e81beb7ca0c9e247d33cad5024bd8075e3ee6730bce5e61c636a8d9246",
+    ("constants", "--precision", "100"):
+        "67eba0e81beb7ca0c9e247d33cad5024bd8075e3ee6730bce5e61c636a8d9246",
+    ("bounds", "--x", "1/3"):
+        "3e35587c7387ca5ee895d46cee28b94aaefceb9dd77eb58bd8684878bfe08c1c",
+    ("bounds", "--x", "1e-30"):
+        "1b6a6d52c1ad0cf5d662640051f4c8cda99e508d3a8fc4b274cd1cad3ca8168f",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PRINTED_SHA256))
+def test_printed_output_is_pinned(argv):
+    text = run(list(argv))[1]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRINTED_SHA256[argv]
+
+
+def test_decimal_matches_mpmath_nstr():
+    # the former _decimal: mpmath's nstr of the value as an mpf at 25 digits,
+    # which holds a float or a dyadic Fraction below 2^80 exactly and rounds
+    # an mpf of 30, 50 or 100 digits to 86 bits; at 20 digits nstr rounds
+    # that mpf half up on its exact value, as _decimal rounds the value itself
+    rng = random.Random(20)
+    values = []
+    for _ in range(1700):
+        values.append(rng.choice((1, -1)) * rng.random() * 10.0 ** rng.randint(-40, 40))
+        values.append(rng.choice((1, -1)) * Fraction(rng.randrange(1, 2**80),
+                                                     2 ** rng.randrange(0, 200)))
+        ctx = context(rng.choice((30, 50, 100)))
+        values.append(ctx.mpf(rng.random()) * ctx.mpf(10) ** rng.randint(-40, 40) / 3)
+    values += [0.0, 0.5, 1e-6, 1e-5, 1e20, 1e21, 2.0**-30, 9.999999999999999e22]
+    nstr20 = context(25)
+    for value in values:
+        assert cli._decimal(value) == nstr20.nstr(to_mpf(nstr20, value), 20), value

@@ -1,5 +1,6 @@
 """Named constants against their reference digits and defining equations."""
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,7 @@ from betabound.constants import (
     a2,
     agrees_with_printed,
     alpha,
+    alpha_of,
     compute_constants,
     full_sandwich,
     solve_a3,
@@ -20,6 +22,12 @@ from betabound.specials import context, psi2, to_mpf
 
 HP = context(60)
 mpmath.mp.dps = 60
+
+
+@pytest.mark.parametrize("dps", [30, 50, 100])
+def test_alpha_of_a_float_pi_is_alpha_rounded(dps):
+    # the sweep applies alpha_of to math.pi; that double is alpha's rounding
+    assert float(alpha(dps)) == alpha_of(math.pi)
 
 
 def test_alpha_closed_form():

@@ -46,21 +46,51 @@ def test_readme_library_example_runs():
 
 # Under -S no site hook preloads anything, so whatever is in sys.modules after
 # the import, the package loaded. hashlib loads OpenSSL, dataclasses loads
-# inspect, and importlib.resources is heavier than the one file it would read.
+# inspect, importlib.resources is heavier than the one file it would read, and
+# mpmath is imported by the mpf functions alone, when they first run.
 COLD_IMPORT = """
 import site, sys
 sys.path[:0] = [{src!r}, *site.getsitepackages()]
 import betabound, betabound.cli
-unused = ["hashlib", "_hashlib", "dataclasses", "inspect", "importlib.resources"]
+unused = ["hashlib", "_hashlib", "dataclasses", "inspect", "importlib.resources",
+          "mpmath"]
 print(" ".join(name for name in unused if name in sys.modules))
 """
+SRC = str(Path(betabound.__file__).resolve().parents[1])
 
 
 def test_cold_import_loads_no_unused_stdlib_package():
-    src = str(Path(betabound.__file__).resolve().parents[1])
-    run = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT.format(src=src)],
+    run = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT.format(src=SRC)],
                          capture_output=True, text=True, check=True)
     assert run.stdout.split() == []
+
+
+# replay, sweep and roots read integer enclosures and exact algebra, and print
+# on integers: after the import and after each command, mpmath is not loaded
+WITHOUT_MPMATH = """
+import io, site, sys
+sys.path[:0] = [{src!r}, *site.getsitepackages()]
+import betabound, betabound.cli, betabound.quadrature
+loaded = ["mpmath" in sys.modules]
+for argv in {argvs!r}:
+    assert betabound.cli.main(argv, environ={{}}, stdout=io.StringIO()) == 0
+    loaded.append("mpmath" in sys.modules)
+print(loaded)
+"""
+
+
+def test_replay_sweep_and_roots_never_load_mpmath(tmp_path):
+    argvs = [
+        ["replay", "--precision", "30", "--out", str(tmp_path / "r30.json")],
+        ["replay", "--precision", "50", "--out", str(tmp_path / "r50.json")],
+        ["sweep", "--grid", "5", "--out", str(tmp_path / "s5.csv")],
+        ["sweep", "--grid", "150", "--out", str(tmp_path / "s150.csv")],
+        ["roots"],
+    ]
+    code = WITHOUT_MPMATH.format(src=SRC, argvs=argvs)
+    run = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == str([False] * (len(argvs) + 1))
 
 
 RECORDS = [betabound.Catalogue, betabound.NamedConstants, betabound.Enclosure,

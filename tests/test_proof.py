@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from betabound import catalogue, constants, proof, psibounds
+from betabound import catalogue, constants, proof, psibounds, specials
 from betabound.polys import BiPoly, Poly, RationalFn
 from betabound.proof import (
     G_rational,
@@ -163,6 +163,21 @@ class TestCoreFunctionIdentities:
 
     def test_diag_gap_at_half_is_log_pi_thirds(self):
         assert holds(proof._enclosed_F(F(1, 2), F(1, 2), 50), mpmath.mp.log(mpmath.mp.pi / 3))
+
+    @pytest.mark.parametrize("dps", [30, 50])
+    def test_enclosed_margin_holds_mpmath_values(self, dps):
+        # the sweep's re-check at 100 seeded grid cells (i/n, j/n), and at the
+        # worst cell (1/n, 1) of the CLI's grids
+        rng = random.Random(dps)
+        cells = [(F(1, n), F(1)) for n in (2, 20, 150, 1000)]
+        for _ in range(100):
+            n = rng.choice((2, 7, 20, 150, 1000))
+            cells.append((F(rng.randint(1, n), n), F(rng.randint(1, n), n)))
+        mp = lambda v: mpmath.mpf(v.numerator) / v.denominator
+        with mpmath.workdps(dps + 40):
+            for x, y in cells:
+                reference = mpmath.beta(mp(x), mp(y)) - mp(new_bound(x, y))
+                assert holds(proof._enclosed_margin(x, y, dps), reference), (x, y)
 
     def test_diag_gap_domain_guard(self):
         # past x = (sqrt(3)+1)/2, 1 + 2x - 2x^2 < 0 and F's log argument with it
@@ -774,6 +789,20 @@ class TestSweep:
         assert result.argmin_new == (0.25, 0.25)
         assert result.classical_edges_exact
         assert result.hp_agrees
+
+    def test_recheck_prints_only_correct_digits(self):
+        # every printed digit of the worst cell's margin is correctly rounded:
+        # at n = 150 and 1000 the cell is (1/n, 1), whose margin is 1/(2n+1)
+        # (the mpf's str printed ...0033222632 at n = 150, where 1/301
+        # continues ...0033222591); at n = 2 it is (1/2, 1/2), margin pi - 3
+        with mpmath.workdps(100):
+            references = {150: F(1, 301), 1000: F(1, 2001), 2: exact(mpmath.pi - 3)}
+        for n, reference in references.items():
+            result = sweep_theorem(n)
+            printed = result.hp_min_margin
+            digits = len(printed.replace(".", "").lstrip("0"))
+            assert digits >= 40 and result.hp_agrees
+            assert printed == specials.nstr(reference, digits), n
 
     def test_classical_minima_are_interior_and_positive(self):
         # both classical bounds equal B on x = 1 and y = 1, where the double

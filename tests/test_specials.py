@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from mpmath.libmp import dps_to_prec
 
 from betabound import constants, proof, psibounds, specials
 from betabound.quadrature import beta_integral, gamma_integral, tanh_sinh_unit
@@ -402,8 +403,34 @@ class TestIntegerEnclosures:
         assert F(lo, 2**bits) <= reference <= F(hi, 2**bits)
 
     def test_working_bits_match_the_mpf_path(self):
+        # _bits writes out mpmath's dps_to_prec, so as not to import mpmath
+        for dps in range(1, 2001):
+            assert specials._bits(dps) == (dps_to_prec(dps + specials.GUARD_DIGITS)
+                                           + specials.GUARD_BITS)
         for dps in (30, 50, 100):
             assert specials._bits(dps) == work_context(dps).prec + specials.GUARD_BITS
+
+    @pytest.mark.parametrize("dps", [30, 50, 100])
+    def test_exp_enclosure_holds_mpmath_values(self, dps):
+        # 300 seeded intervals in [-200, 200] and [0, 0]: points, points within
+        # 1e-30 of 0 and wide intervals; each end holds mpmath's exp at dps + 40
+        rng = random.Random(dps)
+        point = lambda: F(rng.randrange(-200 * 10**9, 200 * 10**9 + 1), 10**9)
+        tiny = lambda: F(rng.randrange(-10**9, 10**9), 10**39)
+        kinds = [lambda: (tiny(),), lambda: (point(),), lambda: (point(), point())]
+        cases = [specials.Interval(F(0), F(0))]
+        for k in range(300):
+            ends = kinds[k % 3]()
+            cases.append(specials.Interval(min(ends), max(ends)))
+        with mpmath.workdps(dps + 40):
+            for v in cases:
+                lo, hi = (exact(mpmath.exp(mpmath.mpf(r.numerator) / r.denominator))
+                          for r in v)
+                enclosure = specials.exp_enclosure(v, dps)
+                assert enclosure.lo <= lo and hi <= enclosure.hi, v
+                # each end within 1e-(dps + 10) of exp there, relative
+                pad = F(1, 10 ** (dps + 10))
+                assert enclosure.lo >= lo * (1 - pad) and enclosure.hi <= hi * (1 + pad), v
 
     @pytest.mark.parametrize("call", [
         lambda: specials.ln_enclosure(0),
@@ -414,6 +441,14 @@ class TestIntegerEnclosures:
     def test_domain_errors(self, call):
         with pytest.raises(ValueError, match="domain error"):
             call()
+
+    def test_rounded_prints_the_digits_both_ends_share(self):
+        fifth, eps = F(1, 5), F(1, 10**60)
+        assert specials.Interval(fifth - eps, fifth + eps).rounded(50) == "0.2"
+        third = specials.Interval(F(1, 3), F(1, 3) + F(1, 10**12))
+        assert third.rounded(50) == "0.33333333333"
+        assert (-third).rounded(5) == "-0.33333"
+        assert specials.Interval(F(1), F(2)).rounded(5) == "[1.0000, 2.0000]"
 
     def test_digits_round_outward(self):
         third = specials.Interval(F(1, 3), F(2, 3))
