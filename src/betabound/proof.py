@@ -32,6 +32,10 @@ q0..q5); ``derive_lx``/``derive_lxx``, which differentiate Yang's L; L's log
 terms (``psibounds.log_terms``), whose arguments the certificate denominators
 clear; ``A_SMALL``, ``A_LARGE`` and ``EDGE_OFFSET``; and F's log term
 (``log_correction``), whose argument gives the rational parts of dF/dx, dF/dy.
+
+F, G and B - bound are written once, as enclosures at rationals, which the
+replay and the sweep read; ``big_F``, ``big_G`` and ``theorem_margin`` round
+their midpoints at the working precision.
 """
 
 from __future__ import annotations
@@ -58,12 +62,11 @@ from .specials import (
     DEFAULT_DPS,
     GUARD_DIGITS,
     Interval,
-    beta,
     evaluate,
+    exact,
     exp_enclosure,
     ln_enclosure,
-    log_gamma,
-    psi,
+    psi,   # unused; perfbench/selftest.py checks that proof.psi is specials.psi
     stirling_enclosure,
 )
 from . import constants, signs
@@ -119,22 +122,29 @@ def dGdx_rational(x, y):
 
 
 # ---------------------------------------------------------------------------
-# F and G: high-precision wrappers, and F's enclosure for the replay
+# F, G and B - bound: enclosures at rationals, and their rounded midpoints
 # ---------------------------------------------------------------------------
 
 EDGE_OFFSET = Fraction(9, 25)   # the upper trapezoid subregion is y >= x + 9/25
 
 
-def _on_unit_square(raw, allow_zero: bool = False):
-    """`raw` behind the domain check x, y in (0, 1], or in [0, 1] with `allow_zero`."""
+def _enclosed_F(x: Fraction, y: Fraction, dps: int) -> Interval:
+    """F(x, y) at rationals, on the enclosures of ``specials``."""
+    lg = lambda t: stirling_enclosure(t, -1, dps)
+    ln = lambda arg: ln_enclosure(arg, dps)
+    return lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
 
-    def checked(work, x, y):
-        low_ok = (x >= 0 and y >= 0) if allow_zero else (x > 0 and y > 0)
-        if not (low_ok and x <= 1 and y <= 1):
-            raise ValueError("domain error: arguments must lie in (0, 1]")
-        return raw(work, x, y)
 
-    return checked
+def _enclosed_G(x: Fraction, y: Fraction, dps: int) -> Interval:
+    """G(x, y) = psi(x+1) - psi(y+1) + G_rational(x, y) at rationals."""
+    psi_ = lambda t: stirling_enclosure(t, 0, dps)
+    return psi_(x + 1) - psi_(y + 1) + G_rational(x, y)
+
+
+def _enclosed_margin(x: Fraction, y: Fraction, dps: int) -> Interval:
+    """B(x, y), exp of log Gamma's enclosures, less the bound, at rationals."""
+    lg = lambda t: stirling_enclosure(t, -1, dps)
+    return exp_enclosure(lg(x) + lg(y) - lg(x + y), dps) - new_bound(x, y)
 
 
 def _guarded(value, scale, what: str):
@@ -148,6 +158,19 @@ def _guarded(value, scale, what: str):
     return value
 
 
+def _on_unit_square(value, dps: int, x, y, allow_zero: bool = False):
+    """value(x, y, work.dps) at the exact values of x, y in (0, 1], or in
+    [0, 1] with `allow_zero`, rounded to `dps` digits (``evaluate``)."""
+
+    def raw(work, x, y):
+        low_ok = (x >= 0 and y >= 0) if allow_zero else (x > 0 and y > 0)
+        if not (low_ok and x <= 1 and y <= 1):
+            raise ValueError("domain error: arguments must lie in (0, 1]")
+        return value(exact(x), exact(y), work.dps)
+
+    return evaluate(raw, dps, x, y)
+
+
 def theorem_margin(x, y, dps: int = DEFAULT_DPS):
     """B(x, y) minus the certified lower bound; positive on (0,1]^2.
 
@@ -155,47 +178,26 @@ def theorem_margin(x, y, dps: int = DEFAULT_DPS):
     more than GUARD_DIGITS, it raises ``inconclusive``.
     """
 
-    def raw(work, x, y):
-        b = beta(x, y, work.dps)
-        return _guarded(b - new_bound(x, y), b, "B(x, y) - bound")
+    def value(x, y, work_dps):
+        margin = _enclosed_margin(x, y, work_dps).mid
+        return _guarded(margin, margin + new_bound(x, y), "B(x, y) - bound")
 
-    return evaluate(_on_unit_square(raw), dps, x, y)
-
-
-def _log_margin(work, x, y):
-    # log Gamma on [1, 3] is a difference of values near log Gamma(41) = 110.3,
-    # so its error is absolute: the guard's scale is the largest term, and >= 1
-    lg = lambda t: log_gamma(t, work.dps)
-    terms = (lg(x + 1), lg(y + 1), lg(x + y + 1), log_correction(x, y, work.ln))
-    value = terms[0] + terms[1] - terms[2] - terms[3]
-    return _guarded(value, max(1, *map(abs, terms)), "F(x, y)")
+    return _on_unit_square(value, dps, x, y)
 
 
 def big_F(x, y, dps: int = DEFAULT_DPS):
     """The log-scale margin F(x, y); like `theorem_margin`, it raises
     ``inconclusive`` where its subtraction cancels the guard digits: near
-    the axes, and on them, where F = 0 (``trapezoid.boundary.left-edge``)."""
-    return evaluate(_on_unit_square(_log_margin, allow_zero=True), dps, x, y)
+    the axes, and on them, where F = 0 (``trapezoid.boundary.left-edge``).
+    Its terms carry an absolute error, so the guard's scale is 1."""
+    value = lambda x, y, work_dps: _guarded(_enclosed_F(x, y, work_dps).mid, 1, "F(x, y)")
+    return _on_unit_square(value, dps, x, y, allow_zero=True)
 
 
 def big_G(x, y, dps: int = DEFAULT_DPS):
     """dF/dx - dF/dy = psi(x+1) - psi(y+1) - 2(x-y)/(1+x+y-2xy)."""
-    raw = lambda w, x, y: psi(x + 1, w.dps) - psi(y + 1, w.dps) + G_rational(x, y)
-    return evaluate(_on_unit_square(raw, allow_zero=True), dps, x, y)
-
-
-def _enclosed_F(x: Fraction, y: Fraction, dps: int) -> Interval:
-    """F(x, y) at rationals, `big_F`'s formula on the enclosures of ``specials``."""
-    lg = lambda t: stirling_enclosure(t, -1, dps)
-    ln = lambda arg: ln_enclosure(arg, dps)
-    return lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
-
-
-def _enclosed_margin(x: Fraction, y: Fraction, dps: int) -> Interval:
-    """`theorem_margin` at rationals: B(x, y) as exp of log Gamma's enclosures,
-    less the bound, exactly."""
-    lg = lambda t: stirling_enclosure(t, -1, dps)
-    return exp_enclosure(lg(x) + lg(y) - lg(x + y), dps) - new_bound(x, y)
+    value = lambda x, y, work_dps: _enclosed_G(x, y, work_dps).mid
+    return _on_unit_square(value, dps, x, y, allow_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -774,10 +776,8 @@ class _Trapezoid(_Phase):
            "G(0, 9/25) = 0.0554... and G(1/5, 9/25) = 0.04015... are both "
            "positive; concavity pins G(x, 9/25) above their minimum.")
     def b_corners(self):
-        # G = psi(x+1) - psi(y+1) + G_rational(x, y), as in big_G
-        psi_ = lambda t: stirling_enclosure(t, 0, self.dps)
         y = EDGE_OFFSET
-        values = {f"G({x},{y})": psi_(x + 1) - psi_(y + 1) + G_rational(x, y)
+        values = {f"G({x},{y})": _enclosed_G(x, y, self.dps)
                   for x in (Fraction(0), Fraction(1, 5))}
         status, evidence = _positive(values, self.dps)
         return status, evidence | {"printed": ", ".join(PRINTED[k] for k in values)}

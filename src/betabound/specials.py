@@ -1,12 +1,22 @@
-"""High-precision gamma/polygamma/beta evaluation, as mpfs and as enclosures.
+"""High-precision gamma/polygamma/beta evaluation, as enclosures and as mpfs.
 
-Two routes share one Stirling series with exact Bernoulli-number
-coefficients: public functions that return ``mpmath`` floats (``mpf``), and
-``Interval`` enclosures computed on Python integers alone.  Only the mpf
-route imports mpmath, when it first runs (``context`` and ``_stirling_raw``),
-so a command that reads enclosures never loads it.  mpmath's own
-gamma/digamma routines are never called, so they remain an independent
-cross-check in the test suite (alongside the quadrature oracles).
+One Stirling series with exact Bernoulli-number coefficients runs on Python
+integers alone (``_stirling``).  At a positive rational it returns two
+integers that enclose log Gamma, psi, psi' or psi'', every floor and the
+series remainder entering as a radius, derived in the docstrings below.
+``stirling_enclosure`` and ``ln_enclosure`` return such enclosures as
+``Interval``s, and ``exp_enclosure`` maps an Interval through exp the same
+way.  The proof replay and the sweep's re-check read their transcendental
+values from them, and ``nstr`` prints an exact rational as mpmath's ``nstr``
+prints an mpf, so those commands never import mpmath.
+
+The public functions return ``mpmath`` floats (``mpf``).  ``log_gamma``,
+``psi``, ``psi1`` and ``psi2`` are the midpoints of the same enclosures
+(``_value``); ``gamma``, ``beta``, ``delta`` and ``locate_delta_max`` read
+those midpoints and apply mpmath's exp.  Only this route imports mpmath, when
+it first runs (``context`` and ``_value``).  mpmath's own gamma/digamma
+routines are never called, so they remain an independent cross-check in the
+test suite (alongside the quadrature oracles).
 
 Precision contract
 ------------------
@@ -15,45 +25,13 @@ are added.  Every public high-precision function of the package runs
 through ``evaluate(raw, dps, *args)``: the arguments become mpfs of the
 working context (a non-finite one is a domain error), ``raw`` checks its
 own domain and computes, and the result is rounded to ``dps`` digits.
-Compositions (F, G, the sandwich margins) call the public functions at
-``work.dps``.  No ambient global state is mutated.
+Compositions (F, G, the sandwich margins) call the public functions or the
+enclosures at ``work.dps``.  No ambient global state is mutated.
 
-Stirling kernel
----------------
-``_stirling_raw(ctx, x, order)`` is log Gamma (order -1) or psi^(order)
-(orders 0, 1, 2).  The recurrences shift x to z >= ``STIRLING_SHIFT``; one
-series (DLMF 5.11.1 and its derivatives, 5.15.8) sums a head by order and
-the terms (-1)^(order+1) B_2k (2k+order-1)!/(2k)! z^-(2k+order).  ctx mpfs
-hold the head (ln z, powers of 1/z), a shift step below 1 and the log of
-the log Gamma shift product.  The other shift steps and the series (Horner
-in w = 1/z^2, then a product by z^-(order+2)) run on integers scaled by
-2^W, W = ctx.prec + ``GUARD_BITS``, converted once.  Only x < STIRLING_SHIFT
-is made fixed-point, and 1/z comes from ctx: no cost grows with x's exponent.
-
-The integer part errs by under K 2^-W, K = 2 STIRLING_SHIFT: under 1 for
-each of at most STIRLING_SHIFT - 1 floored shift steps (for log Gamma,
-relative to a product >= 1), under |psi^(n+1)(1)| <= 6 zeta(4) < 7 for
-flooring x + 1 when x < 1, and under 3 for the series whatever
-STIRLING_TERMS, as each Horner step floors twice and scales the error
-carried in by w <= 1/1600.  GUARD_BITS, the bit length of K STIRLING_SHIFT^2,
-put that below one unit of ctx.prec on any |psi''| the kernel shifts.
-
-An ``lru_cache`` keeps the last ``KERNEL_CACHE_SIZE`` results, keyed by all a
-result depends on: the context, the mpf argument (hashed by value) and the
-order; a domain error is not cached.  The fixed shift and term count (B_2 to
-B_42) put the first omitted term below 1e-46 of the result (worst case psi'')
-and cap the accuracy near 1e-53.
-
-Enclosures
-----------
-``stirling_enclosure(x, order, dps)`` and ``ln_enclosure(r, dps)`` run the same
-series on integers at a positive rational argument, with no mpf and no
-context, and return an ``Interval`` that holds the value: the shift is exact,
-and every floor and the series remainder enter as a radius, derived in the
-docstrings below.  ``exp_enclosure(v, dps)`` maps an Interval through exp the
-same way.  The proof replay and the sweep's re-check read their
-transcendental values from them, and ``nstr`` prints an exact rational as
-mpmath's ``nstr`` prints an mpf, so the CLI prints without mpmath too.
+The enclosures run on integers scaled by 2^bits, bits the working precision
+plus ``GUARD_BITS`` (``_bits``; ``_value`` reads it off its context).  The
+fixed shift and term count (B_2 to B_42) put the first omitted term below
+1e-46 of the result (worst case psi'') and cap the accuracy near 1e-53.
 """
 
 from __future__ import annotations
@@ -69,10 +47,10 @@ if TYPE_CHECKING:
 GUARD_DIGITS = 15
 STIRLING_SHIFT = 40
 STIRLING_TERMS = 21
-GUARD_BITS = (2 * STIRLING_SHIFT**3).bit_length()  # K STIRLING_SHIFT^2, see above
+# 2^GUARD_BITS units of 2^-bits make one unit of the working precision; the
+# radii of the enclosures, in those units, stay far below it
+GUARD_BITS = 17
 DEFAULT_DPS = 50
-# entries in the kernel cache (the replay reads enclosures and makes no kernel call)
-KERNEL_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=None)
@@ -86,9 +64,16 @@ def context(dps: int) -> MPContext:
 
 
 def to_mpf(ctx: MPContext, value):
-    """Convert ints, Fractions, floats, strings and mpfs into ctx's mpf."""
+    """Convert ints, Fractions, floats, strings and mpfs into ctx's mpf; a
+    Fraction is rounded once, to nearest, from its quotient's floor of at
+    least ctx.prec + 2 bits and a half unit for a nonzero remainder."""
     if isinstance(value, Fraction):
-        return ctx.mpf(value.numerator) / ctx.mpf(value.denominator)
+        from mpmath.libmp import from_man_exp
+
+        p, q = value.numerator, value.denominator
+        s = ctx.prec + 2 - abs(p).bit_length() + q.bit_length()
+        man, rem = divmod(p << s, q) if s >= 0 else divmod(p, q << -s)
+        return ctx.make_mpf(from_man_exp(2 * man + (rem > 0), -s - 1, ctx.prec, "n"))
     return ctx.mpf(value)
 
 
@@ -101,7 +86,8 @@ def evaluate(raw, dps: int, *args):
     """raw(work, *args) in ``work_context(dps)``, rounded to `dps` digits.
 
     The arguments arrive as mpfs of `work`, and a non-finite one is a domain
-    error.  A dict result has its mpfs of `work` rounded; other values pass.
+    error.  A dict result has its mpfs of `work` rounded and its other values
+    passed; any other result, an mpf or a Fraction, is rounded.
     """
     work = work_context(dps)
     values = [to_mpf(work, a) for a in args]
@@ -112,7 +98,7 @@ def evaluate(raw, dps: int, *args):
     if isinstance(result, dict):
         return {k: out.mpf(v) if isinstance(v, work.mpf) else v
                 for k, v in result.items()}
-    return out.mpf(result)
+    return to_mpf(out, result)
 
 
 @lru_cache(maxsize=None)
@@ -136,81 +122,25 @@ def _stirling_coeff(order: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _stirling_coeffs(order: int) -> tuple[Fraction, ...]:
-    """The coefficients of the series, k = 1..STIRLING_TERMS."""
-    return tuple(_stirling_coeff(order, k) for k in range(1, STIRLING_TERMS + 1))
-
-
-@lru_cache(maxsize=None)
 def _fixed_coeffs(bits: int, order: int) -> tuple[int, ...]:
-    """``_stirling_coeffs(order)`` times 2^bits, floored, last first."""
-    return tuple((c.numerator << bits) // c.denominator
-                 for c in reversed(_stirling_coeffs(order)))
+    """The series' coefficients, k = STIRLING_TERMS..1, times 2^bits, floored."""
+    coeffs = (_stirling_coeff(order, k) for k in range(STIRLING_TERMS, 0, -1))
+    return tuple((c.numerator << bits) // c.denominator for c in coeffs)
 
 
 _SHIFT_NUMERATORS = (-1, 1, -2)  # psi^(n)(x) - psi^(n)(x + 1), times x^(n+1)
-# ln(2 pi) / 2, once a context
-_half_log_2pi = lru_cache(maxsize=None)(lambda ctx: ctx.ln(2 * ctx.pi) / 2)
-
-
-def _fixed_shift(X: int, bits: int, order: int) -> tuple[int, int]:
-    """Step X = x 2^bits >= 2^bits up to STIRLING_SHIFT: (the X it ends on, the
-    product of the x or the sum of the shift terms, times 2^bits, floored)."""
-    one = 1 << bits
-    acc = one if order < 0 else 0
-    c = _SHIFT_NUMERATORS[order] << (order + 2) * bits if order >= 0 else 0
-    while X < STIRLING_SHIFT * one:
-        acc = acc * X >> bits if order < 0 else acc + c // X ** (order + 1)
-        X += one
-    return X, acc
 
 
 def _fixed_series(inv: int, bits: int, order: int) -> int:
-    """The series at inv = 2^bits / z, times 2^((order+3) bits), by Horner in 1/z^2."""
+    """The sum of c_k z^-2(k-1) at inv = 2^bits / z, times 2^bits, by Horner."""
     w, s = inv * inv >> bits, 0
     for c in _fixed_coeffs(bits, order):
         s = c + (s * w >> bits)
-    return s * inv ** (order + 2)
-
-
-@lru_cache(maxsize=KERNEL_CACHE_SIZE)
-def _stirling_raw(ctx: MPContext, x, order: int):
-    """log Gamma (order -1) or psi^(order) (orders 0, 1, 2) at x > 0, ctx mpf in/out.
-
-    The shifts of log Gamma(x) = log Gamma(x + 1) - ln x share one logarithm.
-    """
-    from mpmath.libmp import from_man_exp, to_fixed
-
-    if not x > 0:
-        raise ValueError("domain error: the gamma family requires a positive argument")
-    bits = ctx.prec + GUARD_BITS
-    z, result, shift, below = x, ctx.zero, 0, 1
-    if x < STIRLING_SHIFT:
-        X = to_fixed(x._mpf_, bits)
-        if x < 1:
-            below, X = x, X + (1 << bits)
-            if order >= 0:
-                result = _SHIFT_NUMERATORS[order] / x ** (order + 1)
-        X, shift = _fixed_shift(X, bits, order)
-        z = ctx.make_mpf(from_man_exp(X, -bits))
-        if order < 0:
-            result, shift = -ctx.ln(below * ctx.make_mpf(from_man_exp(shift, -bits))), 0
-    inv = 1 / z
-    if order < 0:
-        result += (z - ctx.mpf(1) / 2) * ctx.ln(z) - z + _half_log_2pi(ctx)
-    elif order == 0:
-        result += ctx.ln(z) - inv / 2
-    elif order == 1:
-        result += inv + inv * inv / 2
-    else:
-        result -= inv * inv * (1 + inv)
-    fixed = _fixed_series(to_fixed(inv._mpf_, bits), bits, order)
-    fixed += shift << (order + 2) * bits
-    return result + ctx.make_mpf(from_man_exp(fixed, -(order + 3) * bits))
+    return s
 
 
 # ---------------------------------------------------------------------------
-# enclosures on integers: the kernel's series at rational arguments, with radii
+# enclosures on integers: the series at rational arguments, with radii
 # ---------------------------------------------------------------------------
 
 
@@ -230,6 +160,10 @@ class Interval(NamedTuple):
 
     def __sub__(self, other):
         return self + -other
+
+    @property
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
 
     def digits(self, dps: int) -> str:
         """"[lo, hi]", lo rounded down and hi up to `dps` significant digits."""
@@ -252,7 +186,7 @@ def exact(value) -> Fraction:
         if not value.context.isfinite(value):
             raise ValueError("a non-finite mpf has no exact value")
         sign, man, exp, _ = value._mpf_
-        return (-1) ** sign * man * Fraction(2) ** exp
+        return Fraction((-man if sign else man) << max(exp, 0), 1 << max(-exp, 0))
     return Fraction(value)
 
 
@@ -391,26 +325,38 @@ def _exp_end(r: Fraction, bits: int, up: bool) -> Fraction:
     return Fraction(s << k, 1 << bits) if k >= 0 else Fraction(s, 1 << (bits - k))
 
 
-def _stirling_formula(p: int, q: int, order: int, bits: int) -> tuple[int, int]:
-    """Stirling's formula for order -1, 0 or 1 at z = p/q >= STIRLING_SHIFT,
-    without log Gamma's constant ln(2 pi)/2: the head, the series and the
-    remainder past it.
+def _stirling_formula(p: int, q: int, order: int, bits: int, E: int = 0) -> tuple[int, int]:
+    """Stirling's formula for order -1, 0, 1 or 2 at z = p/q >= STIRLING_SHIFT,
+    without log Gamma's constant ln(2 pi)/2, in units of 2^-bits (psi' and
+    psi'': 2^-(bits + order E)).  u = 1/z lies in [I, I + 1) 2^-bits.
 
-    The series is ``_fixed_series`` at I = floor(2^bits/z), shifted down to
-    2^bits.  Horner's w = floor(I^2/2^bits) is within 1 + 2/z of 2^bits/z^2;
-    each step floors twice (the coefficient and the product) and scales the
-    error carried in by w <= 1/1600, and w's own error reaches the sum through
-    the partial sums c_(k+1) + c_(k+2) w + ..., whose sizes weighted by
-    w^(k-1) add up to under 1/5 (about |c_2|).  So s errs by under 5/2; the
-    factor I^(order+2)/2^((order+2) bits) <= 1/40 and I's own error add under
-    1/5, and the shift floors once more, so the result lies within 2 units of
-    the sum of the K = STIRLING_TERMS terms.  The remainder past them lies
-    between 0 and the first omitted term c_(K+1) z^-(2K+2+order): DLMF
-    5.11(ii) for log Gamma; for psi and psi', Alzer (Math. Comp. 66, 1997)
-    shows that the remainders of psi, times (-1)^K, are completely monotonic,
-    so those of psi and psi' alternate in sign with K, and each lies between
-    0 and the next term.
+    Heads: log Gamma's and psi's are exact but for the floors of ``_ln`` and
+    their own.  psi' and psi'' are summed as h = z^order psi^(order)(z), with
+    the heads 1 + u/2 and -1 - u, and h times u^order keeps their relative
+    precision at any z: U = floor(2^(bits+E)/z), so u 2^E lies in [U, U + 1)
+    2^-bits, and h's ends times U^order and (U + 1)^order, floored and ceiled,
+    hold it.
+
+    Series: Horner's sum s of c_k w^(k-1) (``_fixed_series``), times I^j, j =
+    order + 2 (2 in h).  w = floor(I^2/2^bits) is within 1 + 2/z of
+    2^bits/z^2; each step floors twice and scales the error carried in by w <=
+    1/1600, and w's error reaches s through the partial sums c_(k+1) + c_(k+2)
+    w + ..., whose sizes weighted by w^(k-1) add up to under 1/5 (about |c_2|,
+    at most 1/6, for psi'').  So s errs by under 5/2; I^j/2^(j bits) <= 1/40,
+    I's own error adds under 1/5 and the shift floors once more: within 2
+    units of the K = STIRLING_TERMS terms.
+
+    Remainder: R_K lies between 0 and the first omitted term: DLMF 5.11(ii)
+    for log Gamma.  Alzer (Math. Comp. 66, 1997) shows that (-1)^K R_K of psi
+    is completely monotonic, so that of psi^(n), its n-th derivative, has the
+    sign (-1)^(K+n), and R_(K+1) the other; their difference is the omitted
+    term.  Past z = 2^bits, I = 0 and the term is far below a unit.
     """
+    I = (q << bits) // p
+    j = 2 + min(order, 0)
+    series = _fixed_series(I, bits, order) * I**j >> j * bits
+    rest, e = _stirling_coeff(order, STIRLING_TERMS + 1), 2 * STIRLING_TERMS + j
+    r_lo, r_hi = _rounded(rest.numerator * q**e, rest.denominator * p**e, bits) if I else (-1, 1)
     if order < 0:   # (z - 1/2) ln z - z = ((2p - q) ln z - 2p) / (2q)
         a, b = _ln(p, q, bits)
         c, u = 2 * p - q, 2 * p << bits
@@ -419,12 +365,16 @@ def _stirling_formula(p: int, q: int, order: int, bits: int) -> tuple[int, int]:
         a, b = _ln(p, q, bits)
         c, d = _rounded(q, 2 * p, bits)
         lo, hi = a - d, b - c
-    else:   # 1/z + 1/(2z^2)
-        lo, hi = _rounded(q * (2 * p + q), 2 * p * p, bits)
-    series = _fixed_series((q << bits) // p, bits, order) >> (order + 2) * bits
-    omitted, e = _stirling_coeff(order, STIRLING_TERMS + 1), 2 * STIRLING_TERMS + 2 + order
-    r_lo, r_hi = _rounded(omitted.numerator * q**e, omitted.denominator * p**e, bits)
-    return lo + series - 2 + min(0, r_lo), hi + series + 2 + max(0, r_hi)
+    elif order == 1:   # 1 + u/2
+        lo, hi = (1 << bits) + (I >> 1), (1 << bits) + (I + 2 >> 1)
+    else:   # -1 - u
+        lo, hi = -(1 << bits) - I - 1, -(1 << bits) - I
+    lo, hi = lo + series - 2 + min(0, r_lo), hi + series + 2 + max(0, r_hi)
+    if order < 1:
+        return lo, hi
+    U = (q << bits + E) // p
+    ends = [v * U**order for v in (lo, hi)] + [v * (U + 1) ** order for v in (lo, hi)]
+    return min(ends) >> order * bits, -(-max(ends) >> order * bits)
 
 
 @lru_cache(maxsize=None)
@@ -443,8 +393,8 @@ def _bits(dps: int) -> int:
     return max(1, round((dps + GUARD_DIGITS + 1) * 3.3219280948873626)) + GUARD_BITS
 
 
-def _interval(pair: tuple[int, int], bits: int) -> Interval:
-    return Interval(Fraction(pair[0], 1 << bits), Fraction(pair[1], 1 << bits))
+def _interval(lo: int, hi: int, bits: int) -> Interval:
+    return Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 def ln_enclosure(r, dps: int = DEFAULT_DPS) -> Interval:
@@ -453,7 +403,7 @@ def ln_enclosure(r, dps: int = DEFAULT_DPS) -> Interval:
     if not r > 0:
         raise ValueError("domain error: ln requires a positive argument")
     bits = _bits(dps)
-    return _interval(_ln(r.numerator, r.denominator, bits), bits)
+    return _interval(*_ln(r.numerator, r.denominator, bits), bits)
 
 
 def exp_enclosure(v: Interval, dps: int = DEFAULT_DPS) -> Interval:
@@ -481,55 +431,102 @@ def exp_enclosure(v: Interval, dps: int = DEFAULT_DPS) -> Interval:
     return Interval(_exp_end(v.lo, bits, False), _exp_end(v.hi, bits, True))
 
 
-def stirling_enclosure(x, order: int, dps: int = DEFAULT_DPS) -> Interval:
-    """An Interval holding log Gamma (order -1), psi (0) or psi' (1) at a
-    positive rational x, on integers scaled by 2^bits, bits as on the mpf path.
+def _stirling(p: int, q: int, order: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, scale), lo 2^-scale <= f(p/q) <= hi 2^-scale, for f log Gamma
+    (order -1) or psi^(order) (orders 0, 1, 2), p/q > 0 and q > 0.
 
-    The recurrences shift x exactly to z = x + n >= STIRLING_SHIFT, where
-    ``_stirling_formula`` applies.  log Gamma subtracts the log of the exact
-    product x (x+1) ... (x+n-1); psi^(order) adds c sum 1/(x+k)^(order+1),
-    c from ``_SHIFT_NUMERATORS``, whose n terms, each floored, fall under 1
-    short apiece.  Past about 50 digits the width is the remainder, about
-    3e-53 at z = 40, whatever `dps`; below, the radii of the floors.
+    The recurrences shift x exactly to z = x + n >= STIRLING_SHIFT: log Gamma
+    subtracts the log of the exact product x (x+1) ... (x+n-1), psi^(order)
+    adds c sum 1/(x+k)^(order+1), c from ``_SHIFT_NUMERATORS``, whose n terms,
+    each floored, fall under 1 short apiece.  scale is bits, or bits + order E
+    for psi' and psi'' at x >= 64, E the bit length of floor(x) less 6.
+
+    A denominator past 2^bits would make the shift grow with x's exponent.
+    Such an x is rounded down to scale fractional bits, after one exact step
+    to x + 1 if x < 1 (-ln x, or c (q/p)^(order+1) by ``_power_ratio``).  On
+    [1, oo) the derivative of psi^(order) is at most |psi^(order+1)(1)| <= 6
+    zeta(4) < 7, |psi^(m)| decreasing for m >= 1, and that of log Gamma, psi,
+    lies in (-1, ln x): the rounding moves f by under 7 units plus the bit
+    length of floor(x).
     """
-    x = Fraction(x)
-    if not x > 0:
+    if p <= 0:
         raise ValueError("domain error: the gamma family requires a positive argument")
-    if order not in (-1, 0, 1):
-        raise ValueError("order must be -1, 0 or 1")
-    bits, p, q = _bits(dps), x.numerator, x.denominator
+    lo = hi = 0
+    if q > 1 << bits and p < q:
+        if order < 0:
+            a, b = _ln(p, q, bits)
+            lo, hi = -b, -a
+        else:
+            ends = _power_ratio(q, p, order + 1, bits)
+            lo, hi = sorted(_SHIFT_NUMERATORS[order] * v for v in ends)
+        p += q
+    L = (p // q).bit_length()
+    E = max(0, L - 6) if order > 0 else 0
+    scale = bits + order * E
+    if q > 1 << bits:
+        p, q, lo, hi = (p << scale) // q, 1 << scale, lo - 7 - L, hi + 7 + L
     n = max(0, -((p - STIRLING_SHIFT * q) // q))   # ceil(STIRLING_SHIFT - x)
-    lo, hi = _stirling_formula(p + n * q, q, order, bits)
+    a, b = _stirling_formula(p + n * q, q, order, bits, E)
+    lo, hi = lo + a, hi + b
     if order < 0:
         a, b = _ln(math.prod(range(p, p + n * q, q)), q**n, bits)
         c, d = _half_log_2pi_fixed(bits)
-        return _interval((lo + c - b, hi + d - a), bits)
+        return lo + c - b, hi + d - a, scale
     e = order + 1
     s = sum((q**e << bits) // (p + k * q) ** e for k in range(n))
     shift = sorted(_SHIFT_NUMERATORS[order] * v for v in (s, s + n))
-    return _interval((lo + shift[0], hi + shift[1]), bits)
+    return lo + shift[0], hi + shift[1], scale
+
+
+def _power_ratio(num: int, den: int, e: int, bits: int) -> tuple[int, int]:
+    """lo <= (num/den)^e 2^bits <= hi from R, num/den in [R, R + 1) 2^-d, of
+    2 bits bits or so: relative width under e 2^(2 - 2 bits) at any size."""
+    d = 2 * bits - num.bit_length() + den.bit_length()
+    R = (num << d) // den if d >= 0 else num // (den << -d)
+    lo, hi, shift = R**e, (R + 1) ** e, bits - d * e
+    return (lo << shift, hi << shift) if shift >= 0 else (lo >> -shift, -(-hi >> -shift))
+
+
+def stirling_enclosure(x, order: int, dps: int = DEFAULT_DPS) -> Interval:
+    """An Interval holding log Gamma (order -1), psi (0), psi' (1) or psi''
+    (2) at a positive rational x, at ``_bits(dps)`` (see ``_stirling``).
+
+    Past about 50 digits the width is the remainder, about 3e-53 at z = 40,
+    whatever `dps`; below, the radii of the floors.
+    """
+    if order not in (-1, 0, 1, 2):
+        raise ValueError("order must be -1, 0, 1 or 2")
+    x = Fraction(x)
+    return _interval(*_stirling(x.numerator, x.denominator, order, _bits(dps)))
+
+
+def _value(ctx: MPContext, x, order: int):
+    """log Gamma (order -1) or psi^(order) at the ctx mpf x: the midpoint of
+    its enclosure at ctx.prec + GUARD_BITS bits, rounded to ctx."""
+    from mpmath.libmp import from_man_exp
+
+    x = exact(x)
+    lo, hi, scale = _stirling(x.numerator, x.denominator, order, ctx.prec + GUARD_BITS)
+    return ctx.make_mpf(from_man_exp(lo + hi, -scale - 1, ctx.prec, "n"))
 
 
 def _beta_raw(ctx: MPContext, x, y):
-    return ctx.exp(
-        _stirling_raw(ctx, x, -1) + _stirling_raw(ctx, y, -1)
-        - _stirling_raw(ctx, x + y, -1)
-    )
+    return ctx.exp(_value(ctx, x, -1) + _value(ctx, y, -1) - _value(ctx, x + y, -1))
 
 
 def _delta_raw(ctx: MPContext, x):
-    ratio = ctx.exp(2 * _stirling_raw(ctx, x, -1) - _stirling_raw(ctx, 2 * x, -1))
+    ratio = ctx.exp(2 * _value(ctx, x, -1) - _value(ctx, 2 * x, -1))
     return 1 / (x * x) - ratio
 
 
 def log_gamma(x, dps: int = DEFAULT_DPS):
     """log Gamma(x) for x > 0, accurate to the documented budget."""
-    return evaluate(lambda ctx, t: _stirling_raw(ctx, t, -1), dps, x)
+    return evaluate(lambda ctx, t: _value(ctx, t, -1), dps, x)
 
 
 def gamma(x, dps: int = DEFAULT_DPS):
     """Gamma(x) = exp(log_gamma(x)) for x > 0."""
-    return evaluate(lambda ctx, t: ctx.exp(_stirling_raw(ctx, t, -1)), dps, x)
+    return evaluate(lambda ctx, t: ctx.exp(_value(ctx, t, -1)), dps, x)
 
 
 def beta(x, y, dps: int = DEFAULT_DPS):
@@ -539,17 +536,17 @@ def beta(x, y, dps: int = DEFAULT_DPS):
 
 def psi(x, dps: int = DEFAULT_DPS):
     """Digamma psi(x) for x > 0."""
-    return evaluate(lambda ctx, t: _stirling_raw(ctx, t, 0), dps, x)
+    return evaluate(lambda ctx, t: _value(ctx, t, 0), dps, x)
 
 
 def psi1(x, dps: int = DEFAULT_DPS):
     """Trigamma psi'(x) for x > 0."""
-    return evaluate(lambda ctx, t: _stirling_raw(ctx, t, 1), dps, x)
+    return evaluate(lambda ctx, t: _value(ctx, t, 1), dps, x)
 
 
 def psi2(x, dps: int = DEFAULT_DPS):
     """Tetragamma psi''(x) for x > 0."""
-    return evaluate(lambda ctx, t: _stirling_raw(ctx, t, 2), dps, x)
+    return evaluate(lambda ctx, t: _value(ctx, t, 2), dps, x)
 
 
 def delta(x, dps: int = DEFAULT_DPS):
@@ -568,9 +565,9 @@ def _delta_derivatives(ctx: MPContext, x):
     Here r = Gamma(x)^2/Gamma(2x), u = (log r)' = 2 psi(x) - 2 psi(2x) and
     u' = 2 psi'(x) - 4 psi'(2x).
     """
-    r = ctx.exp(2 * _stirling_raw(ctx, x, -1) - _stirling_raw(ctx, 2 * x, -1))
-    u = 2 * _stirling_raw(ctx, x, 0) - 2 * _stirling_raw(ctx, 2 * x, 0)
-    du = 2 * _stirling_raw(ctx, x, 1) - 4 * _stirling_raw(ctx, 2 * x, 1)
+    r = ctx.exp(2 * _value(ctx, x, -1) - _value(ctx, 2 * x, -1))
+    u = 2 * _value(ctx, x, 0) - 2 * _value(ctx, 2 * x, 0)
+    du = 2 * _value(ctx, x, 1) - 4 * _value(ctx, 2 * x, 1)
     return -2 / x**3 - r * u, 6 / x**4 - r * (u * u + du)
 
 

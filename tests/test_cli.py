@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import betabound
-from betabound import cli, constants, proof, specials
+from betabound import cli, constants, proof
 from betabound.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -159,15 +159,14 @@ REPORT_SHA256 = {
     "30": "6953b185fce61eb251e73af472eb53b800a9bad918d301e8db71197ddd0b2689",
 }
 # replays at each precision in turn in one process, writing DIR/<k>.json; the
-# last line is the Stirling kernel calls and the mpmath contexts made so far
+# last line is the number of mpmath contexts made so far
 REPLAY_SEQUENCE = """
 import sys
 from betabound import cli, specials
 out_dir, *precisions = sys.argv[1:]
 for k, precision in enumerate(precisions):
     cli.main(["replay", "--precision", precision, "--out", f"{out_dir}/{k}.json"])
-kernel = specials._stirling_raw.cache_info()
-print(kernel.hits + kernel.misses, specials.context.cache_info().currsize)
+print(specials.context.cache_info().currsize)
 """
 
 
@@ -198,7 +197,7 @@ class TestReplayCommand:
         # a fresh interpreter starts with empty caches: its first replay runs
         # cold, the second at another precision shares no cache key with it,
         # and the third repeats the first on warm caches.  The replay's values
-        # are integer enclosures: it calls no mpf kernel and makes no context
+        # are integer enclosures: it makes no mpmath context
         src = str(Path(betabound.__file__).resolve().parents[1])
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -209,10 +208,7 @@ class TestReplayCommand:
         for k, precision in enumerate(order):
             report = (tmp_path / f"{k}.json").read_bytes()
             assert hashlib.sha256(report).hexdigest() == REPORT_SHA256[precision]
-        assert done.stdout.splitlines()[-1].split() == ["0", "0"]
-
-    def test_kernel_caches_are_bounded(self):
-        assert specials._stirling_raw.cache_info().maxsize == specials.KERNEL_CACHE_SIZE
+        assert done.stdout.splitlines()[-1] == "0"
 
     def test_failed_step_exits_1(self, tmp_path, monkeypatch, capsys):
         # G_rational(0, 0) = 1/10^6 instead of 0: the exact left-edge step fails

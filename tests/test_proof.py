@@ -140,6 +140,17 @@ class TestCoreFunctionIdentities:
             y = HP.mpf(rng.uniform(0.01, 1.0))
             assert abs(big_F(x, y) - big_F(y, x)) < HP.mpf("1e-25")
 
+    def test_G_keeps_its_digits_near_the_axes(self):
+        # psi(x+1) - psi(y+1) cancels 20 digits here; G's enclosure at the
+        # working bits still leaves all 30 requested digits right
+        value = big_G("1e-20", "2e-20", 30)
+        with mpmath.workdps(120):
+            x, y = mpmath.mpf("1e-20"), mpmath.mpf("2e-20")
+            reference = (mpmath.digamma(x + 1) - mpmath.digamma(y + 1)
+                         - 2 * (x - y) / (1 + x + y - 2 * x * y))
+            error = abs(mpmath.mpf(value._mpf_) - reference)
+            assert error <= abs(reference) * mpmath.mpf(10) ** -30
+
     def test_G_antisymmetric(self):
         rng = random.Random(6)
         for _ in range(40):
