@@ -6,10 +6,10 @@ The inequality being certified is
 
 Writing F(x, y) = log[Gamma(x+1) Gamma(y+1) / Gamma(x+y+1)]
                - log(1 - 2xy/(x+y+1)),
-the claim is F > 0 away from x = 0 (F is symmetric, and the region
-x + y >= 1 follows from the classical two-sided bounds), so the argument
-splits into the diagonal gap f(x) = F(x, x), the strip 1/5 <= x <= 1/2
-where the digamma-difference lower bound reduces dF/dy to the sign of the
+the claim is F > 0 away from x = 0.  F is symmetric, and no step covers
+the region x + y > 1 yet, so the argument on x <= y, x + y <= 1 splits
+into the diagonal gap f(x) = F(x, x), the strip 1/5 <= x <= 1/2 where
+the digamma-difference lower bound reduces dF/dy to the sign of the
 bivariate polynomial Q(x, y), and the trapezoid
 D = {x < y < 1 - x, 0 < x < 1/5} where G = dF/dx - dF/dy is shown to be
 positive (no interior extremum) and the boundary values pin the minimum.
@@ -17,7 +17,7 @@ positive (no interior extremum) and the boundary values pin the minimum.
 Each displayed step of that argument becomes a ``ProofStep``: algebraic
 identities are certified by exact cross-multiplication, polynomial sign
 claims by the one-sign-change criterion with exact evaluations, the
-eleven transcendental values (four steps) by rigorous enclosures on
+seven transcendental values (three steps) by rigorous enclosures on
 integers (``specials.stirling_enclosure`` and ``ln_enclosure``) whose
 lower ends must be positive, and the conclusions follow from their parent
 steps.  Each phase is a table of (id, claim, method, check, parents) rows
@@ -75,7 +75,9 @@ from . import constants, signs
 # formulas, written once as plain arithmetic: floats, mpfs and Fractions give
 # numbers, Poly/BiPoly symbols give the RationalFn that the replay certifies.
 # The sweep's CSV is bit-for-bit reproducible only while their operation
-# order stays fixed.
+# order stays fixed.  The three bounds the sweep reads keep one expression tree
+# under the swap of x and y, up to the operand order of + and *, which IEEE
+# 754 rounds commutatively: they are symmetric for every pair of doubles.
 # ---------------------------------------------------------------------------
 
 
@@ -98,7 +100,7 @@ def ivady_upper_bound(x, y):
 
 def alzer_lower_bound(x, y, alpha):
     """(1/(xy)) [1 - alpha (1-x)(1-y)/((1+x)(1+y))]; sharp for alpha = 2 pi^2/3 - 4."""
-    return (1 - alpha * (1 - x) * (1 - y) / ((1 + x) * (1 + y))) / (x * y)
+    return (1 - alpha * ((1 - x) * (1 - y)) / ((1 + x) * (1 + y))) / (x * y)
 
 
 def log_correction(x, y, ln):
@@ -386,11 +388,17 @@ class _Diagonal(_Phase):
 
     @_step(STEPS, "diagonal.slope-rational-identity", METHOD_EXACT_IDENTITY,
            "The non-polygamma part of f'(x) equals 4x(1+x)/((1+2x)(1+2x-2x^2)) "
-           "exactly.")
+           "exactly, and f(0) = f'(0) = 0: at x = 0 the log Gamma and psi "
+           "terms cancel, the log argument is 1 and the rational part 0.")
     def slope_rational(self):
-        t = _T
+        t, zero = _T, Fraction(0)
         arg = _log_argument(t, t)   # f' carries -d/dx log arg(x, x) = -arg'/arg
-        return _status((-arg.derivative() / arg).equivalent(2 * dFdx_rational(t, t))), {}
+        identity = (-arg.derivative() / arg).equivalent(2 * dFdx_rational(t, t))
+        # f(0) = 2 log Gamma(1) - log Gamma(1) - log arg(0, 0), with Gamma(1) = 1,
+        # and f'(0) = 2 psi(1) - 2 psi(1) + 2 dFdx_rational(0, 0)
+        at_0 = {"log_argument(0,0)": _log_argument(zero, zero),
+                "dFdx_rational(0,0)": dFdx_rational(zero, zero)}
+        return _status(identity and list(at_0.values()) == [1, 0]), at_0
 
     @_step(STEPS, "diagonal.slope-lower-identity", METHOD_EXACT_IDENTITY,
            "The sandwich lower bound for the half-slope derivative equals the "
@@ -423,22 +431,6 @@ class _Diagonal(_Phase):
             "coefficient_signs": "all positive" if ok else "mixed",
         }
 
-    @_step(STEPS, "diagonal.gap-positive-spots", METHOD_EXACT_ENCLOSURE,
-           "f is strictly positive at the sampled diagonal points, and "
-           "f(1/2) agrees with log(pi/3).")
-    def spots(self):
-        xs = (Fraction(1, 10), HALF, Fraction(1), Fraction(13, 10))
-        status, evidence = _positive({str(x): _enclosed_F(x, x, self.dps) for x in xs}, self.dps)
-        # f(1/2) = 2 log Gamma(3/2) - log Gamma(2) - log(argument), exactly
-        # log(pi/4) - log(3/4) once the argument is 3/4
-        half_ok = _log_argument(HALF, HALF) == Fraction(3, 4)
-        evidence |= {
-            "f(1/2)==log(pi/3)": half_ok,
-            "Gamma(3/2)": "sqrt(pi)/2 (DLMF 5.4.6, 5.5.1)",
-            "Gamma(2)": "1",
-        }
-        return _combine([status, _status(half_ok)]), evidence
-
 
 def replay_diagonal(dps: int = DEFAULT_DPS, earlier=()) -> list[ProofStep]:
     """Certify f(x) = F(x, x) > 0 on the diagonal.
@@ -446,8 +438,8 @@ def replay_diagonal(dps: int = DEFAULT_DPS, earlier=()) -> list[ProofStep]:
     (a) the rational part of f' matches 2 * 2x(1+x)/((1+2x)(1+2x-2x^2));
     (b) the half-slope derivative dominates an explicit quotient whose
         degree-12 numerator has positive coefficients only, so the
-        half-slope is increasing from its zero at x = 0;
-    (c) enclosures of f itself at four spots.
+        half-slope is increasing from its zero at x = 0, and f from f(0) = 0,
+        both checked exactly in (a).
     """
     return _Diagonal(dps).run(earlier)
 
@@ -955,14 +947,17 @@ def sweep_theorem(
     where a double-precision margin is rounding noise of either sign, so
     their minima are taken over the interior cells i, j < n.
 
-    B's double expression, `new_bound` and `ivady_lower_bound` are symmetric
-    bit for bit, so a cell (i, j) below the diagonal repeats the beta and
-    margin_new of its twin (j, i), met earlier in row j: the twin already
-    decided the new and Ivady minima (strict ``<``), and row j kept its
-    text with x and y swapped.  `alzer_lower_bound` is not symmetric in the
-    last bit, so every interior cell recomputes beta and the Alzer margin,
-    in scan order.  Text is kept only within a block of `MIRROR_BLOCK` rows,
-    so at most one block's text is held; other cells are computed whole.
+    B's double expression and the three bounds are symmetric bit for bit,
+    so the three minima are decided on the cells x <= y alone, in scan
+    order (strict ``<``): the first of a symmetric pair of equal margins
+    in scan order is the one with x <= y, so the minima and argmins are
+    those of the whole grid.  A cell (i, j) below the diagonal decides no
+    minimum and evaluates neither classical bound.  With a sink it writes
+    the text of its twin (j, i), which row j kept with x and y swapped;
+    text is kept only within a block of `MIRROR_BLOCK` rows, so at most one
+    block's text is held, and a cell whose twin lies in an earlier block
+    recomputes only beta and margin_new for its text.  Without a sink it is
+    not visited.
 
     `row_sink`, when given, is called once per grid line x = i/n with the
     CSV text of its n cells (columns as in `CSV_HEADER`, shortest
@@ -985,19 +980,18 @@ def sweep_theorem(
         start = i - i % MIRROR_BLOCK   # first row, and column, of this row's block
         stop = min(n, start + MIRROR_BLOCK)
         cells = []
-        for j, (yv, lg_y, r_y) in enumerate(axis):
-            if start <= j < i:   # the twin (j, i) came first
-                if xv < 1:
-                    b = exp(lg_x + lg_y - lgamma(xv + yv))
-                    m_az = b - alzer_lower_bound(xv, yv, al)
-                    if m_az < best_az[0]:
-                        best_az = (m_az, (xv, yv))
-                continue
+        if row_sink is not None:   # the cells below the diagonal, twins of earlier cells
+            for yv, lg_y, r_y in axis[:start]:   # twins in an earlier block kept no text
+                b = exp(lg_x + lg_y - lgamma(xv + yv))
+                cells.append(f"{head}{r_y}{b!r},{b - new_bound(xv, yv)!r}\r\n")
+            cells += kept[i]
+            kept[i] = None
+        for j, (yv, lg_y, r_y) in enumerate(axis[i:], start=i):
             b = exp(lg_x + lg_y - lgamma(xv + yv))
             m_new = b - new_bound(xv, yv)
             if m_new < best[0]:
                 best = (m_new, (xv, yv))
-            if xv < 1 and yv < 1:
+            if yv < 1:   # an interior cell, as x <= y
                 m_iv = b - ivady_lower_bound(xv, yv)
                 if m_iv < best_iv[0]:
                     best_iv = (m_iv, (xv, yv))
@@ -1013,8 +1007,6 @@ def sweep_theorem(
                     if len(mirror) == 64:   # joined, kept text costs about its bytes
                         kept[j] = ["".join(mirror)]
         if row_sink is not None:
-            cells[start:start] = kept[i]
-            kept[i] = None
             row_sink("".join(cells))
 
     xa, ya = best[1]

@@ -136,16 +136,6 @@ def error_budget(dps: int):
     return context(dps).mpf(10) ** (-min(30, dps - 2))
 
 
-def certified_sign(value, dps: int) -> int:
-    """+1 or -1 when |value| exceeds 10x the error budget, else 0.
-
-    The band |value| <= 10x budget is the package's one certification
-    threshold: a value inside it is indistinguishable from 0 at `dps` digits.
-    """
-    threshold = 10 * error_budget(dps)
-    return (value > threshold) - (value < -threshold)
-
-
 def _sandwich_raw(work, x) -> dict:
     if not x > 0:
         raise ValueError("domain error: sandwich bounds require x > 0")

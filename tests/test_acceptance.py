@@ -28,7 +28,7 @@ from betabound.proof import (
     replay_all,
     sweep_theorem,
 )
-from betabound.psibounds import certified_sign, closed_form_mismatches, sandwich_margins
+from betabound.psibounds import closed_form_mismatches, error_budget, sandwich_margins
 from betabound.specials import beta, context, psi, psi1, stirling_enclosure
 
 HP = context(60)
@@ -125,10 +125,11 @@ def test_criterion_6_sandwich_property():
         hi = HP.mpf(2169) / 3362
         assert lo < trigamma_two < hi
         lo_ln, hi_ln = HP.ln(HP.mpf("1e-4")), HP.ln(HP.mpf(100))
+        threshold = 10 * error_budget(50)
         for k in range(1000):
             x = HP.exp(lo_ln + (hi_ln - lo_ln) * k / 999)
             margins = sandwich_margins(x, 50).values()
-            assert all(certified_sign(m, 50) == 1 for m in margins), x
+            assert all(m > threshold for m in margins), x
 
 
 def test_criterion_7_theorem_desk_audit():

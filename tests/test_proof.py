@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import mpmath
@@ -67,7 +68,7 @@ def edge_slope_enclosure(dps=50):
 
 
 def enclosed_values_by_mpmath() -> dict:
-    """The eleven values of the four enclosure steps, by mpmath at its current
+    """The seven values of the three enclosure steps, by mpmath at its current
     precision, keyed by (step id, evidence key)."""
     mp = lambda v: mpmath.mpf(v.numerator) / v.denominator
 
@@ -75,8 +76,7 @@ def enclosed_values_by_mpmath() -> dict:
         lg, s, p = mpmath.loggamma, mp(x + y), mp(x * y)
         return lg(mp(x) + 1) + lg(mp(y) + 1) - lg(s + 1) - mpmath.log(1 - 2 * p / (s + 1))
 
-    spots = (F(1, 10), F(1, 2), F(1), F(13, 10))
-    values = {("diagonal.gap-positive-spots", str(x)): big_F_mp(x, x) for x in spots}
+    values = {}
     for x in (F(1, 100), F(1, 20), F(1, 10), F(19, 100)):
         values["trapezoid.boundary.antidiagonal", f"F({x},{1 - x})"] = big_F_mp(x, 1 - x)
     y = F(9, 25)
@@ -321,13 +321,12 @@ class TestBounds:
 
 
 PINNED_STEPS = [
-    ("diagonal.slope-rational-identity", "exact-identity", ()),
+    ("diagonal.slope-rational-identity", "exact-identity",
+     ("log_argument(0,0)", "dFdx_rational(0,0)")),
     ("diagonal.slope-lower-identity", "exact-identity",
      ("numerator_constant", "numerator_leading")),
     ("diagonal.slope-numerator-positive", "exact-polynomial",
      ("degree", "coefficient_signs")),
-    ("diagonal.gap-positive-spots", "exact-enclosure",
-     ("1/10", "1/2", "1", "13/10", "f(1/2)==log(pi/3)", "Gamma(3/2)", "Gamma(2)")),
     ("strip.gradient-identities", "exact-identity", ()),
     ("strip.dFdy-reduction-identity", "exact-identity", ()),
     ("strip.q-root-ordering", "sign-engine", ("enclosures", "width")),
@@ -392,7 +391,7 @@ PINNED_PARENTS = {
         "trapezoid.boundary.diagonal", "trapezoid.boundary.right-edge",
     ],
 }
-PINNED_CLAIMS_SHA256 = "f3e2c3345c4af9b78ac99cf5078c5d127192e36ac4a552a8a8edd073822245e6"
+PINNED_CLAIMS_SHA256 = "0b7c47ddff50e99c09e9c42deb0360024f0503eb52dc38a36db035fd5f657e16"
 
 
 class TestReplay:
@@ -443,7 +442,7 @@ class TestReplay:
         }
         assert {k for k, status in statuses.items() if status != "verified"} == bad
         assert all(statuses[k] == "failed" for k in bad)
-        assert len(statuses) == 31
+        assert len(statuses) == 30
 
     def test_q_top_row_edit_fails_the_sign_vectors(self, monkeypatch):
         # Q's top y-coefficient 2x - 1 -> 3x - 1: the sign-vector step reads it
@@ -464,7 +463,7 @@ class TestReplay:
         # replay still gives every step
         q3 = Poly(abs(c) for c in CAT.q[3].coeffs)
         statuses = self._replay_with_q(monkeypatch, 3, q3)
-        assert len(statuses) == 31
+        assert len(statuses) == 30
         inconclusive = {k for k, status in statuses.items() if status == "inconclusive"}
         assert inconclusive == {"strip.q-root-ordering", "strip.pn-sign-vectors"}
 
@@ -592,7 +591,7 @@ class TestReplay:
         assert {k: s.status for k, s in steps.items() if k in bad} == dict.fromkeys(
             bad, "failed"
         )
-        assert len(steps) == 31
+        assert len(steps) == 30
         assert all(s.status == "verified" for k, s in steps.items() if k not in bad)
 
     def test_check_that_raises_is_inconclusive(self, monkeypatch):
@@ -608,7 +607,7 @@ class TestReplay:
         assert steps["trapezoid.A.g-lower"].evidence == {
             "error": "criterion inapplicable: expected PN pattern, got NP"
         }
-        assert len(steps) == 31
+        assert len(steps) == 30
         assert all(s.status == "verified" for k, s in steps.items() if k not in bad)
 
     @pytest.mark.parametrize("name, readers", [
@@ -695,8 +694,8 @@ class TestReplay:
     # 2xy scaled by 1 + 10^-6 inside F's log term
     _LOG_2XY = lambda log: lambda x, y, ln: ln(
         1 - 2 * x * y * (1 + F(1, 10**6)) / (x + y + 1))
-    # ln 2 added to F's log term: F, below 1/2 at every point but x = 13/10,
-    # turns negative there
+    # ln 2 added to F's log term: F, below 1/2 at the sampled antidiagonal
+    # points, turns negative there
     _LOG_DOUBLED = lambda log: lambda x, y, ln: log(x, y, lambda a: ln(2 * a))
     # 913 -> 915 moves g(1/5) = 0.0019 by -2/737 to below 0
     _EDGE_MOVED = lambda _: (915 + 350 * Poly.x() - 1250 * Poly.x() ** 2) / (
@@ -706,7 +705,7 @@ class TestReplay:
         ("G_rational", lambda G: lambda x, y: G(x, y) + F(1, 10**6),
          "trapezoid.A.left-edge-endpoints"),
         ("log_correction", _LOG_MUTANT, "trapezoid.boundary.left-edge"),
-        ("log_correction", _LOG_MUTANT, "diagonal.gap-positive-spots"),
+        ("log_correction", _LOG_MUTANT, "diagonal.slope-rational-identity"),
         # the step bodies differentiate the shared formulas, not copies of them
         ("G_rational", _SCALED, "trapezoid.A.left-edge-concavity"),
         ("G_rational", _SCALED, "trapezoid.B.concavity"),
@@ -716,9 +715,10 @@ class TestReplay:
         ("log_correction", _LOG_2XY, "strip.gradient-identities"),
         ("log_correction", _LOG_2XY, "diagonal.slope-rational-identity"),
         ("G_rational", _SCALED, "trapezoid.A.mixed-partial"),
+        # the log argument 2 at (0, 0) puts f(0) at -ln 2, not 0
+        ("log_correction", _LOG_DOUBLED, "diagonal.slope-rational-identity"),
         # the enclosure steps: F negative at sampled points, g(1/5) < 0, and a
         # corner value that does not agree with its printed prefix
-        ("log_correction", _LOG_DOUBLED, "diagonal.gap-positive-spots"),
         ("log_correction", _LOG_DOUBLED, "trapezoid.boundary.antidiagonal"),
         ("EDGE_SLOPE_QUOTIENT", _EDGE_MOVED, "trapezoid.A.g-at-right-edge"),
         ("PRINTED", lambda p: p | {"G(0,9/25)": "0.0556"}, "trapezoid.B.corner-values"),
@@ -726,23 +726,22 @@ class TestReplay:
             "G_rational-scaled-left-edge", "G_rational-scaled-B",
             "dFdx_rational-scaled", "log_correction-2xy-gradients",
             "log_correction-2xy-diagonal-slope", "G_rational-scaled-mixed-partial",
-            "log_correction-doubled-spots", "log_correction-doubled-antidiagonal",
+            "log_correction-doubled-diagonal-base", "log_correction-doubled-antidiagonal",
             "edge-slope-constant-moved", "corner-printed-prefix"])
     def test_exact_edge_step_fails_on_mutant(self, monkeypatch, name, mutant, sid):
-        # f(1/2) = log(pi/3) is exact, from log_correction's argument 3/4
         monkeypatch.setattr(proof, name, mutant(getattr(proof, name)))
         by_id = {s.id: s for s in replay_all(30).steps}
         assert by_id[sid].status == "failed"
 
     @pytest.mark.parametrize("dps", [30, 50, 100])
     def test_enclosure_evidence_holds_mpmath_values(self, dps):
-        # each of the eleven values is printed as [lo, hi] with dps significant
+        # each of the seven values is printed as [lo, hi] with dps significant
         # digits, rounded outward, around mpmath's value at dps + 40 digits: at
         # 100 digits the ends part past the series cap near 1e-53
         by_id = {s.id: s for s in replay_all(dps).steps}
         with mpmath.workdps(dps + 40):
             references = enclosed_values_by_mpmath()
-        assert len(references) == 11
+        assert len(references) == 7
         for (sid, key), reference in references.items():
             lo, hi = by_id[sid].evidence[key].removeprefix("[").removesuffix("]").split(", ")
             assert F(lo) <= exact(reference) <= F(hi), (sid, key)
@@ -760,6 +759,29 @@ class TestReplay:
                 "id", "claim", "method", "status", "depends_on", "evidence"
             }
         assert obj["summary"]["all_verified"] is True
+
+
+class Recorded:
+    """A number that records the expression tree it is built by.  + and *
+    sort their operands, as IEEE 754 rounds both commutatively; - and /
+    keep their order."""
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    @staticmethod
+    def op(symbol, a, b, commutative=False):
+        trees = [v.tree if isinstance(v, Recorded) else repr(v) for v in (a, b)]
+        return Recorded((symbol, *(sorted(trees, key=repr) if commutative else trees)))
+
+    __add__ = lambda a, b: Recorded.op("+", a, b, True)
+    __radd__ = __add__
+    __mul__ = lambda a, b: Recorded.op("*", a, b, True)
+    __rmul__ = __mul__
+    __sub__ = lambda a, b: Recorded.op("-", a, b)
+    __rsub__ = lambda a, b: Recorded.op("-", b, a)
+    __truediv__ = lambda a, b: Recorded.op("/", a, b)
+    __rtruediv__ = lambda a, b: Recorded.op("/", b, a)
 
 
 @functools.lru_cache(maxsize=None)
@@ -862,21 +884,52 @@ class TestSweep:
             assert sweep_theorem(n) == result, n
 
     def test_mirroring_rests_on_bitwise_symmetry(self):
-        # the sweep reuses a twin's beta, margin_new and Ivady margin, so B's
-        # double expression and both bounds must not see the swap; Alzer's
-        # bound does, which is why every interior cell recomputes it
+        # the sweep decides its minima on x <= y and reuses a twin's beta and
+        # margin_new, so B's double expression and the three bounds must not
+        # see the swap
         n = 150
         al = float(constants.alpha(proof.DEFAULT_DPS))
         axis = [(v, math.lgamma(v)) for v in (k / n for k in range(1, n + 1))]
-        alzer_differs = 0
         for x, lg_x in axis:
             for y, lg_y in axis:
                 b = math.exp(lg_x + lg_y - math.lgamma(x + y)).hex()
                 assert b == math.exp(lg_y + lg_x - math.lgamma(y + x)).hex()
                 assert new_bound(x, y).hex() == new_bound(y, x).hex()
                 assert ivady_lower_bound(x, y).hex() == ivady_lower_bound(y, x).hex()
-                alzer_differs += alzer_lower_bound(x, y, al) != alzer_lower_bound(y, x, al)
-        assert alzer_differs > 0
+                az = alzer_lower_bound(x, y, al).hex()
+                assert az == alzer_lower_bound(y, x, al).hex()
+
+    def test_bounds_keep_their_expression_tree_under_the_swap(self):
+        # IEEE 754 rounds + and * commutatively, so a formula whose tree is
+        # unchanged by swapping x and y, up to the operand order of + and *,
+        # is symmetric for every pair of doubles, not only on a grid
+        x, y, alpha = Recorded("x"), Recorded("y"), Recorded("alpha")
+        bounds = (new_bound, ivady_lower_bound, lambda x, y: alzer_lower_bound(x, y, alpha))
+        for bound in bounds:
+            assert bound(x, y).tree == bound(y, x).tree
+        # the grouping (alpha (1 - x)) (1 - y) would see the swap
+        grouped = lambda x, y: alpha * (1 - x) * (1 - y)
+        assert grouped(x, y).tree != grouped(y, x).tree
+
+    @pytest.mark.parametrize("block", [proof.MIRROR_BLOCK, 1, 2, 7])
+    def test_no_bound_is_evaluated_below_the_diagonal(self, monkeypatch, block):
+        # each classical bound is evaluated once per interior cell with
+        # x <= y; without a sink, so is the new bound once per cell x <= y
+        monkeypatch.setattr(proof, "MIRROR_BLOCK", block)
+        calls = Counter()
+        for name in ("new_bound", "ivady_lower_bound", "alzer_lower_bound"):
+            def counted(x, *rest, f=getattr(proof, name), name=name):
+                calls[name] += isinstance(x, float)   # not the edges' exact check
+                return f(x, *rest)
+            monkeypatch.setattr(proof, name, counted)
+        for n in (2, 9, 16):
+            for sink in (None, len):
+                calls.clear()
+                sweep_theorem(n, row_sink=sink)
+                assert calls["ivady_lower_bound"] == n * (n - 1) // 2, (n, sink)
+                assert calls["alzer_lower_bound"] == n * (n - 1) // 2, (n, sink)
+                if sink is None:
+                    assert calls["new_bound"] == n * (n + 1) // 2, n
 
     def test_no_text_is_kept_without_a_sink(self):
         # kept mirror text would take about 1 MB at n = 300

@@ -15,7 +15,6 @@ from betabound.psibounds import (
     PRINTED_LX,
     PRINTED_LXX,
     alzer_bracket_rf,
-    certified_sign,
     closed_form_mismatches,
     derive_lx,
     derive_lxx,
@@ -149,9 +148,10 @@ class TestSandwich:
         assert abs(value - (mpmath.mp.pi**2 / 6 - 1)) < HP.mpf("1e-45")
 
     def test_sandwich_at_spot_points(self):
+        threshold = 10 * error_budget(50)
         for x in (1, "0.001", 50):
             margins = sandwich_margins(x, 50).values()
-            assert all(certified_sign(m, 50) == 1 for m in margins), x
+            assert all(m > threshold for m in margins), x
 
     def test_sandwich_margins_positive(self):
         margins = sandwich_margins(F(1, 2))
@@ -165,16 +165,6 @@ class TestSandwich:
             lxx_vals = [lxx_general(x, a) for a in grid]
             assert all(u > v for u, v in zip(lx_vals, lx_vals[1:]))
             assert all(u < v for u, v in zip(lxx_vals, lxx_vals[1:]))
-
-
-class TestCertificationBand:
-    @pytest.mark.parametrize("dps", [30, 50])
-    def test_sign_outside_ten_budgets_and_zero_inside(self, dps):
-        budget = error_budget(dps)
-        assert certified_sign(11 * budget, dps) == 1
-        assert certified_sign(-11 * budget, dps) == -1
-        assert certified_sign(9 * budget, dps) == 0
-        assert certified_sign(-9 * budget, dps) == 0
 
 
 def alzer_sum(x, s, n):
