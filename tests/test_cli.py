@@ -155,8 +155,8 @@ class TestConfig:
 
 # sha256 of the replay report at each precision
 REPORT_SHA256 = {
-    "50": "9e252382f21b3bc682d0c170d3699d0a5b58d36cdb6b3b27057e7334dab6c562",
-    "30": "b741753a22e1507d64b851bc06d57d0f62ba918072e6dd7b78c82cfa5ef37839",
+    "50": "8dde55de4b362d4e99886ac0885aff893501c1d4a7307fe7237022eeba3f952c",
+    "30": "2e16c5b6662b2dba3d3c7b28023e1cfff9e34a7c6223e794ebd2dd4a4a4c0da6",
 }
 # replays at each precision in turn in one process, writing DIR/<k>.json; the
 # last line is the number of mpmath contexts made so far

@@ -322,46 +322,56 @@ class TestBounds:
 
 PINNED_STEPS = [
     ("diagonal.slope-rational-identity", "exact-identity",
-     ("log_argument(0,0)", "dFdx_rational(0,0)")),
+     ("identity", "log_argument(0,0)", "dFdx_rational(0,0)", "f(0)=f'(0)=0")),
     ("diagonal.slope-lower-identity", "exact-identity",
-     ("numerator_constant", "numerator_leading")),
+     ("identity", "numerator_constant", "numerator_leading")),
     ("diagonal.slope-numerator-positive", "exact-polynomial",
-     ("degree", "coefficient_signs")),
-    ("strip.gradient-identities", "exact-identity", ()),
-    ("strip.dFdy-reduction-identity", "exact-identity", ()),
-    ("strip.q-root-ordering", "sign-engine", ("enclosures", "width")),
+     ("degree", "numerator_coefficients_positive")),
+    ("strip.gradient-identities", "exact-identity",
+     ("log_argument_symmetric", "dFdy_identity", "G_identity")),
+    ("strip.dFdy-reduction-identity", "exact-identity", ("identity",)),
+    ("strip.q-root-ordering", "sign-engine",
+     ("enclosures_increasing", "q0_negative", "enclosures", "width")),
     ("strip.pn-sign-vectors", "sign-engine",
-     ("q1..q5_patterns", "sign_vectors", "patterns")),
-    ("strip.antidiagonal-identity", "exact-identity", ("leading_constant",)),
+     ("enclosures_increasing", "q0_negative", "q1..q5_NP", "top_NP_and_nonpositive",
+      "all_PN", "q1..q5_patterns", "sign_vectors", "patterns")),
+    ("strip.antidiagonal-identity", "exact-identity", ("identity", "leading_constant")),
     ("strip.antidiagonal-positive", "exact-polynomial",
-     ("inner_min_bound", "edge_lower_bound")),
-    ("strip.denominator-positivity", "exact-polynomial", ("corner_min",)),
+     ("inner_min_positive", "inner_min_bound", "edge_lower_bound")),
+    ("strip.denominator-positivity", "exact-polynomial",
+     ("corner_min", "corner_min_at_least_1")),
     ("strip.reduce-to-diagonal", "derived", ()),
-    ("trapezoid.A.mixed-partial", "exact-identity", ("corner_min",)),
-    ("trapezoid.A.edge-slope-identity", "exact-identity", ()),
-    ("trapezoid.A.g-lower", "sign-engine", ("identity", "p0_at_3_20", "tail")),
+    ("trapezoid.A.mixed-partial", "exact-identity",
+     ("dGdx_identity", "identity", "corner_min", "corner_min_at_least_1")),
+    ("trapezoid.A.edge-slope-identity", "exact-identity", ("identity",)),
+    ("trapezoid.A.g-lower", "sign-engine",
+     ("identity", "p0_at_3_20", "p0_certificate", "edge_guard_positive", "tail")),
     ("trapezoid.A.g-decreasing", "sign-engine",
-     ("derivative_identity", "identity", "p1_at_1_5")),
+     ("derivative_identity", "identity", "p1_at_1_5", "p1_certificate",
+      "edge_guard_positive")),
     ("trapezoid.A.g-at-right-edge", "exact-enclosure",
-     ("g(1/5)", "printed", "interval_cover")),
+     ("g(1/5)", "g(1/5) > 0", "printed", "agrees_with_printed", "interval_cover")),
     ("trapezoid.A.left-edge-concavity", "sign-engine",
-     ("second_derivative_identity", "identity", "p2_at_1")),
+     ("second_derivative_identity", "identity", "p2_at_1", "p2_certificate")),
     ("trapezoid.A.left-edge-endpoints", "exact-identity",
-     ("G_rational(0,0)", "G_rational(0,1)", "recurrence")),
+     ("G_rational(0,0)", "G_rational(0,1)", "G(0,0)=0", "G(0,1)=0", "recurrence")),
     ("trapezoid.A.conclusion", "derived", ()),
     ("trapezoid.B.slope-positive", "sign-engine",
-     ("substitution_identity", "identity", "bracket_pattern", "bracket_at_1")),
+     ("substitution_identity", "identity", "bracket_pattern", "bracket_at_1",
+      "bracket_certificate", "edge_guard_positive")),
     ("trapezoid.B.concavity", "sign-engine",
-     ("second_derivative_identity", "identity", "p3_at_1")),
+     ("second_derivative_identity", "identity", "p3_at_1", "p3_certificate")),
     ("trapezoid.B.corner-values", "exact-enclosure",
-     ("G(0,9/25)", "G(1/5,9/25)", "printed")),
+     ("G(0,9/25)", "G(0,9/25) > 0", "G(1/5,9/25)", "G(1/5,9/25) > 0", "printed",
+      "agrees_with_printed")),
     ("trapezoid.B.conclusion", "derived", ()),
     ("trapezoid.C.slope-positive", "sign-engine",
-     ("substitution_identity", "identity", "p4_at_9_25")),
+     ("substitution_identity", "identity", "p4_at_9_25", "p4_certificate")),
     ("trapezoid.C.conclusion", "derived", ()),
     ("trapezoid.boundary.antidiagonal", "exact-enclosure",
-     ("bounds_coincide_identity", "F(1/100,99/100)", "F(1/20,19/20)",
-      "F(1/10,9/10)", "F(19/100,81/100)")),
+     ("bounds_coincide_identity", "F(1/100,99/100)", "F(1/100,99/100) > 0",
+      "F(1/20,19/20)", "F(1/20,19/20) > 0", "F(1/10,9/10)", "F(1/10,9/10) > 0",
+      "F(19/100,81/100)", "F(19/100,81/100) > 0")),
     ("trapezoid.boundary.left-edge", "exact-identity",
      ("log_argument_is_1", "log_gamma(1)")),
     ("trapezoid.boundary.diagonal", "derived", ()),
@@ -546,14 +556,34 @@ class TestReplay:
 
     @staticmethod
     def _derive(own: dict, parents: dict) -> dict:
-        # rows a, b, c, ... in order, each a check giving its own status, and
-        # their parent ids, through the phase runner
+        # rows a, b, c, ... in order, each a check whose one clause gives the
+        # status in `own` (True verified, False failed, None inconclusive),
+        # and their parent ids, through the phase runner
+        clause = {"verified": True, "failed": False, "inconclusive": None}
         phase = proof._Phase(30)
         phase.STEPS = [
-            (sid, "", "exact-identity", lambda _, s=s: (s, {}), parents.get(sid, ()))
+            (sid, "", "exact-identity", lambda _, s=s: {"ok": clause[s]}, parents.get(sid, ()))
             for sid, s in own.items()
         ]
         return {s.id: s.status for s in phase.run()}
+
+    def test_data_values_are_no_clauses(self):
+        # Fraction(0) == False and 0 == False, but only a bool or None is a clause
+        data = {"fraction": F(0), "int": 0, "text": "", "list": []}
+        phase = proof._Phase(30)
+        phase.STEPS = [("a", "", "exact-identity", lambda _: data | {"ok": True}, ())]
+        [step] = phase.run()
+        assert step.status == "verified"
+        assert step.evidence == {"fraction": "0", "int": "0", "text": "", "list": "[]",
+                                 "ok": "True"}
+
+    def test_every_checked_step_states_its_clauses(self):
+        # the clauses are the values printed True, False or None: each checked
+        # step has at least one, and in a verified replay every one is True
+        for step in replay_all(30).steps:
+            clauses = [v for v in step.evidence.values() if v in ("True", "False", "None")]
+            assert bool(clauses) == (step.method != "derived"), step.id
+            assert set(clauses) <= {"True"}, step.id
 
     @pytest.mark.parametrize("bad", ["failed", "inconclusive"])
     def test_status_reaches_child_and_grandchild(self, bad):
