@@ -268,6 +268,13 @@ class _Phase:
         """v/u, v = 1 + x + y - 2xy and u = x + y + 1, read from ``log_correction``."""
         return _log_argument(BiPoly.x(), BiPoly.y())
 
+    @cached_property
+    def yang_positive(self) -> bool:
+        """The clause that the ``YANG_ARGS`` factors four certificates divide
+        by, at A_SMALL, A_LARGE and A_SMALL with x -> 2x, have positive coefficients."""
+        small = YANG_ARGS[A_SMALL]
+        return _positive_coefficients([small, YANG_ARGS[A_LARGE], small.compose(2 * _T)])
+
     def run(self, earlier: Sequence[ProofStep] = ()) -> list[ProofStep]:
         """Run the rows in order; the one place a step is built and its status decided.
 
@@ -328,6 +335,12 @@ def _positive(values: dict, dps: int) -> dict:
         evidence["agrees_with_printed"] = all(
             agrees_with_printed(end, p) for k, p in printed.items() for end in values[k])
     return evidence
+
+
+def _positive_coefficients(polys) -> bool:
+    """No Poly or BiPoly in `polys` has a negative coefficient (``nums`` holds
+    the nonzero ones, over a positive ``den``): each but 0 is positive for x, y > 0."""
+    return all(n > 0 for p in polys for n in p.nums.values())
 
 
 def _unit_square_min(bp: BiPoly) -> Fraction:
@@ -424,6 +437,7 @@ class _Diagonal(_Phase):
         return {
             "degree": DIAG_SLOPE_NUMERATOR.degree,
             "numerator_coefficients_positive": all(c > 0 for c in DIAG_SLOPE_NUMERATOR.coeffs),
+            "yang_factors_positive": self.yang_positive,
         }
 
 
@@ -477,6 +491,9 @@ class _Strip(_Phase):
     STEPS: list = []
     # the inner factor of Q(x, 1 - x)
     INNER = 7137 + (1 - _T) * (24365 + 375 * _T**2) + 5300 * _T**2
+    X_ENDS = (Fraction(1, 5), HALF)   # the strip's x-range
+    # (y+1), (x+y+1), ..., (x+y+3): the reduction's cleared factors besides v
+    CLEARED = [f + k for k in (1, 2, 3) for f in (BiPoly.y(), BiPoly.x() + BiPoly.y())]
 
     @cached_property
     def enclosures(self) -> list[signs.Enclosure]:
@@ -510,7 +527,7 @@ class _Strip(_Phase):
             - RationalFn(BiPoly.const(1), x + y)
             + dFdx_rational(y, x)
         )
-        den = v * (y + 1) * (x + y + 1) * (y + 2) * (x + y + 2) * (y + 3) * (x + y + 3)
+        den = math.prod(self.CLEARED, start=v)
         return {"identity": lhs.equivalent(RationalFn(x * self.cat.Q, den))}
 
     @_step(STEPS, "strip.q-root-ordering", METHOD_SIGN_ENGINE,
@@ -560,11 +577,14 @@ class _Strip(_Phase):
         # each monomial c x^k is monotone for x >= 0, so it is smallest at an
         # endpoint of [1/5, 1/2]; the sum of those minima bounds the inner factor
         coeffs = enumerate(self.INNER.coeffs)
-        inner_min = sum(min(c * Fraction(1, 5) ** k, c * HALF**k) for k, c in coeffs)
-        # (5x - 1) >= 0 and (1 - x) >= 1/2 on [1/5, 1/2], so the bracket >= 252
+        inner_min = sum(min(c * end**k for end in self.X_ENDS) for k, c in coeffs)
+        # (5x - 1) >= 0 and (1 - x) >= 1/2 on [1/5, 1/2], so the bracket >= 252;
+        # both are linear, so they hold on the range if they hold at its ends
         edge_lower = Fraction(4, 625) * (1 - HALF) * 252
         return {
             "inner_min_positive": inner_min > 0,
+            "5x-1>=0": all(5 * x - 1 >= 0 for x in self.X_ENDS),
+            "1-x>=1/2": all(1 - x >= HALF for x in self.X_ENDS),
             "inner_min_bound": inner_min,
             "edge_lower_bound": edge_lower,
         }
@@ -575,7 +595,8 @@ class _Strip(_Phase):
            "positive coefficients.")
     def denominators(self):
         corner_min = _unit_square_min(self.log_argument.num)
-        return {"corner_min": corner_min, "corner_min_at_least_1": corner_min >= 1}
+        return {"corner_min": corner_min, "corner_min_at_least_1": corner_min >= 1,
+                "cleared_factors_positive": _positive_coefficients(self.CLEARED)}
 
     _derived(STEPS, "strip.reduce-to-diagonal",
              "With dF/dy > 0 on the strip, F(x, y) >= F(x, x) = f(x) > 0.",
@@ -601,6 +622,7 @@ def replay_strip(dps: int = DEFAULT_DPS, earlier=()) -> list[ProofStep]:
 
 class _Trapezoid(_Phase):
     STEPS: list = []
+    DECREASING = (Fraction(1, 10), Fraction(1, 5))   # where A.g-decreasing has g' < 0
 
     @cached_property
     def guard_ok(self) -> bool:
@@ -643,6 +665,7 @@ class _Trapezoid(_Phase):
             "p0_at_3_20": p0(Fraction(3, 20)),
             "p0_certificate": signs.positive_below(p0, Fraction(3, 20)),
             "edge_guard_positive": self.guard_ok,
+            "yang_factors_positive": self.yang_positive,
             "tail": "307230 x^5 + 823500 x^6 + 675000 x^7 (nonnegative)",
         }
 
@@ -658,13 +681,16 @@ class _Trapezoid(_Phase):
         deriv_quotient = deriv_num / EDGE_GUARD**3
         deriv_ok = (-EDGE_SLOPE_QUOTIENT).derivative().equivalent(deriv_quotient)
         den = 2 * YANG_ARGS[A_LARGE] ** 2 * EDGE_GUARD**3
-        rhs = RationalFn(-(127679911 * (10 * t - 1) + t * p1), den)
+        factor, (lo, hi) = 10 * t - 1, self.DECREASING
+        rhs = RationalFn(-(127679911 * factor + t * p1), den)
         return {
             "derivative_identity": deriv_ok,
             "identity": (derive_lxx(A_LARGE) + deriv_quotient).equivalent(rhs),
-            "p1_at_1_5": p1(Fraction(1, 5)),
-            "p1_certificate": signs.positive_below(p1, Fraction(1, 5)),
+            "p1_at_1_5": p1(hi),
+            "p1_certificate": signs.positive_below(p1, hi),
             "edge_guard_positive": self.guard_ok,
+            # linear: 0 at lo and positive at hi, so positive on (lo, hi]
+            "10x-1>0": factor(lo) == 0 and factor(hi) > 0,
         }
 
     @_step(STEPS, "trapezoid.A.g-at-right-edge", METHOD_EXACT_ENCLOSURE,
@@ -744,6 +770,7 @@ class _Trapezoid(_Phase):
             "bracket_at_1": bracket(Fraction(1)),
             "bracket_certificate": signs.positive_below(bracket, Fraction(1)),
             "edge_guard_positive": signs.positive_below(guard, Fraction(1)),
+            "yang_factors_positive": self.yang_positive,
         }
 
     @_step(STEPS, "trapezoid.B.concavity", METHOD_SIGN_ENGINE,
@@ -797,6 +824,7 @@ class _Trapezoid(_Phase):
             "identity": (slope - derive_lx(A_SMALL)).equivalent(rhs),
             "p4_at_9_25": p4(EDGE_OFFSET),
             "p4_certificate": signs.positive_below(p4, EDGE_OFFSET),
+            "yang_factors_positive": self.yang_positive,
         }
 
     _derived(STEPS, "trapezoid.C.conclusion",

@@ -155,8 +155,8 @@ class TestConfig:
 
 # sha256 of the replay report at each precision
 REPORT_SHA256 = {
-    "50": "8dde55de4b362d4e99886ac0885aff893501c1d4a7307fe7237022eeba3f952c",
-    "30": "2e16c5b6662b2dba3d3c7b28023e1cfff9e34a7c6223e794ebd2dd4a4a4c0da6",
+    "50": "0e0e35bbd7a8f2ca2e75fc43141253f2432b4f8b78fc3b6635b59e7bd3e6dde7",
+    "30": "64177df0ba2265c502790f9f340ff7c41f42156b6b77544e6955c60aedfd4f95",
 }
 # replays at each precision in turn in one process, writing DIR/<k>.json; the
 # last line is the number of mpmath contexts made so far

@@ -326,7 +326,7 @@ PINNED_STEPS = [
     ("diagonal.slope-lower-identity", "exact-identity",
      ("identity", "numerator_constant", "numerator_leading")),
     ("diagonal.slope-numerator-positive", "exact-polynomial",
-     ("degree", "numerator_coefficients_positive")),
+     ("degree", "numerator_coefficients_positive", "yang_factors_positive")),
     ("strip.gradient-identities", "exact-identity",
      ("log_argument_symmetric", "dFdy_identity", "G_identity")),
     ("strip.dFdy-reduction-identity", "exact-identity", ("identity",)),
@@ -337,18 +337,20 @@ PINNED_STEPS = [
       "all_PN", "q1..q5_patterns", "sign_vectors", "patterns")),
     ("strip.antidiagonal-identity", "exact-identity", ("identity", "leading_constant")),
     ("strip.antidiagonal-positive", "exact-polynomial",
-     ("inner_min_positive", "inner_min_bound", "edge_lower_bound")),
+     ("inner_min_positive", "5x-1>=0", "1-x>=1/2", "inner_min_bound",
+      "edge_lower_bound")),
     ("strip.denominator-positivity", "exact-polynomial",
-     ("corner_min", "corner_min_at_least_1")),
+     ("corner_min", "corner_min_at_least_1", "cleared_factors_positive")),
     ("strip.reduce-to-diagonal", "derived", ()),
     ("trapezoid.A.mixed-partial", "exact-identity",
      ("dGdx_identity", "identity", "corner_min", "corner_min_at_least_1")),
     ("trapezoid.A.edge-slope-identity", "exact-identity", ("identity",)),
     ("trapezoid.A.g-lower", "sign-engine",
-     ("identity", "p0_at_3_20", "p0_certificate", "edge_guard_positive", "tail")),
+     ("identity", "p0_at_3_20", "p0_certificate", "edge_guard_positive",
+      "yang_factors_positive", "tail")),
     ("trapezoid.A.g-decreasing", "sign-engine",
      ("derivative_identity", "identity", "p1_at_1_5", "p1_certificate",
-      "edge_guard_positive")),
+      "edge_guard_positive", "10x-1>0")),
     ("trapezoid.A.g-at-right-edge", "exact-enclosure",
      ("g(1/5)", "g(1/5) > 0", "printed", "agrees_with_printed", "interval_cover")),
     ("trapezoid.A.left-edge-concavity", "sign-engine",
@@ -358,7 +360,7 @@ PINNED_STEPS = [
     ("trapezoid.A.conclusion", "derived", ()),
     ("trapezoid.B.slope-positive", "sign-engine",
      ("substitution_identity", "identity", "bracket_pattern", "bracket_at_1",
-      "bracket_certificate", "edge_guard_positive")),
+      "bracket_certificate", "edge_guard_positive", "yang_factors_positive")),
     ("trapezoid.B.concavity", "sign-engine",
      ("second_derivative_identity", "identity", "p3_at_1", "p3_certificate")),
     ("trapezoid.B.corner-values", "exact-enclosure",
@@ -366,7 +368,8 @@ PINNED_STEPS = [
       "agrees_with_printed")),
     ("trapezoid.B.conclusion", "derived", ()),
     ("trapezoid.C.slope-positive", "sign-engine",
-     ("substitution_identity", "identity", "p4_at_9_25", "p4_certificate")),
+     ("substitution_identity", "identity", "p4_at_9_25", "p4_certificate",
+      "yang_factors_positive")),
     ("trapezoid.C.conclusion", "derived", ()),
     ("trapezoid.boundary.antidiagonal", "exact-enclosure",
      ("bounds_coincide_identity", "F(1/100,99/100)", "F(1/100,99/100) > 0",
@@ -762,6 +765,35 @@ class TestReplay:
         monkeypatch.setattr(proof, name, mutant(getattr(proof, name)))
         by_id = {s.id: s for s in replay_all(30).steps}
         assert by_id[sid].status == "failed"
+
+    # one negative coefficient in a factor, or an interval end on the wrong side
+    _YANG_NEGATIVE = lambda args: args | {
+        psibounds.A_SMALL: args[psibounds.A_SMALL] - 2 * args[psibounds.A_SMALL](0)}
+    _CLEARED_NEGATIVE = lambda factors: factors[:2] + [2 - BiPoly.y()] + factors[3:]
+
+    @pytest.mark.parametrize("owner, name, mutant, clause, sids", [
+        (proof, "YANG_ARGS", _YANG_NEGATIVE, "yang_factors_positive", [
+            "diagonal.slope-numerator-positive", "trapezoid.A.g-lower",
+            "trapezoid.B.slope-positive", "trapezoid.C.slope-positive"]),
+        (proof._Strip, "CLEARED", _CLEARED_NEGATIVE, "cleared_factors_positive",
+         ["strip.denominator-positivity"]),
+        (proof._Strip, "X_ENDS", lambda _: (F(1, 10), F(1, 2)), "5x-1>=0",
+         ["strip.antidiagonal-positive"]),
+        (proof._Strip, "X_ENDS", lambda _: (F(1, 5), F(3, 5)), "1-x>=1/2",
+         ["strip.antidiagonal-positive"]),
+        (proof._Trapezoid, "DECREASING", lambda _: (F(1, 20), F(1, 5)), "10x-1>0",
+         ["trapezoid.A.g-decreasing"]),
+        (proof._Trapezoid, "DECREASING", lambda _: (F(1, 10), F(1, 20)), "10x-1>0",
+         ["trapezoid.A.g-decreasing"]),
+    ], ids=["yang-args", "cleared-factors", "strip-left-end", "strip-right-end",
+            "decreasing-left-end", "decreasing-right-end"])
+    def test_side_condition_clause_fails_on_mutant(
+            self, monkeypatch, owner, name, mutant, clause, sids):
+        monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+        by_id = {s.id: s for s in replay_all(30).steps}
+        for sid in sids:
+            assert by_id[sid].evidence[clause] == "False", sid
+            assert by_id[sid].status == "failed", sid
 
     @pytest.mark.parametrize("dps", [30, 50, 100])
     def test_enclosure_evidence_holds_mpmath_values(self, dps):
