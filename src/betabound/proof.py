@@ -250,8 +250,9 @@ class _Phase:
     and ``_derived``; each check is a method returning its evidence.
     All work runs inside the checks: a value that several checks share is a
     ``cached_property``, so if it raises, each check that reads it is
-    inconclusive and the replay goes on.  Every phase has one such value:
-    ``log_argument``, the argument of F's log term over ``BiPoly``s.
+    inconclusive and the replay goes on.  Every phase has two such values:
+    ``log_argument``, the argument of F's log term over ``BiPoly``s, and the
+    clause ``yang_positive``.
     """
 
     STEPS: list
@@ -270,8 +271,8 @@ class _Phase:
 
     @cached_property
     def yang_positive(self) -> bool:
-        """The clause that the ``YANG_ARGS`` factors four certificates divide
-        by, at A_SMALL, A_LARGE and A_SMALL with x -> 2x, have positive coefficients."""
+        """The clause that ``YANG_ARGS`` at A_SMALL and A_LARGE, and at A_SMALL
+        with x -> 2x, have positive coefficients: four certificates divide by them."""
         small = YANG_ARGS[A_SMALL]
         return _positive_coefficients([small, YANG_ARGS[A_LARGE], small.compose(2 * _T)])
 
