@@ -16,11 +16,13 @@ as the rational function ``alzer_bracket_rf(n)`` that the replay reads.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
 from .polys import BiPoly, Poly, RationalFn, as_fraction
-from .specials import DEFAULT_DPS, context, evaluate, psi1, psi2, to_mpf
+from .specials import (DEFAULT_DPS, GUARD_DIGITS, context, evaluate_rational,
+                       stirling_enclosure)
 
 A_SMALL = Fraction(2, 5)
 A_LARGE = Fraction(4, 5)
@@ -118,12 +120,12 @@ def _nonnegative(x):
 
 def lx_general(x, a, dps: int = DEFAULT_DPS):
     """L_x(x, a) for x >= 0 and any a > 1/15 (high precision)."""
-    return evaluate(lambda work, x, a: yang_lx(_nonnegative(x), a), dps, x, a)
+    return evaluate_rational(lambda x, a: yang_lx(_nonnegative(x), a), dps, x, a)
 
 
 def lxx_general(x, a, dps: int = DEFAULT_DPS):
     """L_xx(x, a) for x >= 0 and any a > 1/15 (high precision)."""
-    return evaluate(lambda work, x, a: yang_lxx(_nonnegative(x), a), dps, x, a)
+    return evaluate_rational(lambda x, a: yang_lxx(_nonnegative(x), a), dps, x, a)
 
 
 def error_budget(dps: int):
@@ -136,27 +138,29 @@ def error_budget(dps: int):
     return context(dps).mpf(10) ** (-min(30, dps - 2))
 
 
-def _sandwich_raw(work, x) -> dict:
-    if not x > 0:
-        raise ValueError("domain error: sandwich bounds require x > 0")
-    p1 = psi1(x + 1, work.dps)
-    p2 = psi2(x + 1, work.dps)
-    small, large = to_mpf(work, A_SMALL), to_mpf(work, A_LARGE)
-    return {
-        "psi1_above_lx45": p1 - yang_lx(x, large),
-        "psi1_below_lx25": yang_lx(x, small) - p1,
-        "psi2_above_lxx25": p2 - yang_lxx(x, small),
-        "psi2_below_lxx45": yang_lxx(x, large) - p2,
-    }
-
-
 def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
     """The four sandwich margins at x > 0 (all positive when the bounds hold).
 
     Keys: lower/upper margins of L_x(., 4/5) < psi'(x+1) < L_x(., 2/5) and
-    of L_xx(., 2/5) < psi''(x+1) < L_xx(., 4/5).
+    of L_xx(., 2/5) < psi''(x+1) < L_xx(., 4/5).  psi'(x+1) and psi''(x+1)
+    are the midpoints of their enclosures at the bits of ``psi1`` and
+    ``psi2``, each divided once into a Decimal.
     """
-    return evaluate(_sandwich_raw, dps, x)
+
+    def raw(x, small, large):
+        if not x > 0:
+            raise ValueError("domain error: sandwich bounds require x > 0")
+        p1, p2 = (stirling_enclosure(Fraction(x) + 1, order, dps + GUARD_DIGITS).mid
+                  for order in (1, 2))
+        p1, p2 = (Decimal(p.numerator) / p.denominator for p in (p1, p2))
+        return {
+            "psi1_above_lx45": p1 - yang_lx(x, large),
+            "psi1_below_lx25": yang_lx(x, small) - p1,
+            "psi2_above_lxx25": p2 - yang_lxx(x, small),
+            "psi2_below_lxx45": yang_lxx(x, large) - p2,
+        }
+
+    return evaluate_rational(raw, dps, x, A_SMALL, A_LARGE)
 
 
 def _alzer_sum(x, s, n: int):

@@ -36,6 +36,7 @@ fixed shift and term count (B_2 to B_42) put the first omitted term below
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -99,6 +100,40 @@ def evaluate(raw, dps: int, *args):
         return {k: out.mpf(v) if isinstance(v, work.mpf) else v
                 for k, v in result.items()}
     return to_mpf(out, result)
+
+
+@lru_cache(maxsize=None)
+def rational_context(dps: int) -> decimal.Context:
+    """The decimal context of ``evaluate_rational``: dps + GUARD_DIGITS + 2
+    digits, rounding half even, no exponent limit in reach, and every field
+    set here, not copied from ``decimal.DefaultContext``.  Its unit roundoff
+    10^(1 - prec)/2 = 10^-(dps + 16)/2 is below the 2^-prec of
+    ``work_context(dps)``, whose prec is round((dps + 16) log2 10)."""
+    return decimal.Context(
+        prec=dps + GUARD_DIGITS + 2, rounding=decimal.ROUND_HALF_EVEN,
+        Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, capitals=1, clamp=0, flags=[],
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow])
+
+
+def evaluate_rational(raw, dps: int, *args):
+    """raw(*args) on Decimals of ``rational_context(dps)``, rounded to `dps` digits.
+
+    For formulas of +, -, * and / alone: libmpdec rounds each correctly, as
+    mpmath does an mpf operation.  Each argument enters as its exact value,
+    divided once; a non-finite one is a domain error.  The context is local,
+    so the caller's decimal context is neither used nor changed.  A result,
+    or each value of a dict result, is rounded once from its exact value.
+    """
+    try:
+        values = [exact(a) for a in args]
+    except (ValueError, OverflowError):
+        raise ValueError("domain error: arguments must be finite") from None
+    with decimal.localcontext(rational_context(dps)) as ctx:
+        result = raw(*(ctx.divide(v.numerator, v.denominator) for v in values))
+    out = context(dps)
+    if isinstance(result, dict):
+        return {k: to_mpf(out, Fraction(v)) for k, v in result.items()}
+    return to_mpf(out, Fraction(result))
 
 
 @lru_cache(maxsize=None)

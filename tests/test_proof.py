@@ -670,8 +670,9 @@ class TestReplay:
         terms = psibounds.log_terms
 
         def shifted(x, a):
+            # 10^-6 in x's own type: a Decimal does not add to a Fraction
             first, (w, u) = terms(x, a)
-            return first, (w, u + F(1, 10**6))
+            return first, (w, u + (0 * u + 1) / 10**6)
 
         caches = (psibounds.derive_lx, psibounds.derive_lxx)
         monkeypatch.setattr(psibounds, "log_terms", shifted)
