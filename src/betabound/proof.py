@@ -374,6 +374,9 @@ EDGE_SLOPE_QUOTIENT = (913 + 350 * _T - 1250 * _T**2) / (2 * EDGE_GUARD**2)
 # the prefixes that the paper prints of g(1/5) and of the two corner values of G
 PRINTED = {"g(1/5)": "0.001914", "G(0,9/25)": "0.0554", "G(1/5,9/25)": "0.04015"}
 
+# imported facts that a step uses and does not prove, named in its "imports"
+GAMMA_AT_1 = "Gamma(1) = 1 (DLMF 5.4.1)"
+
 
 def _log_argument(x, y):
     """1 - 2xy/(x+y+1), the argument of F's log term, from ``log_correction``."""
@@ -407,7 +410,8 @@ class _Diagonal(_Phase):
         # and f'(0) = 2 psi(1) - 2 psi(1) + 2 dFdx_rational(0, 0)
         at_0 = {"log_argument(0,0)": _log_argument(zero, zero),
                 "dFdx_rational(0,0)": dFdx_rational(zero, zero)}
-        return {"identity": identity, **at_0, "f(0)=f'(0)=0": list(at_0.values()) == [1, 0]}
+        return {"identity": identity, **at_0, "f(0)=f'(0)=0": list(at_0.values()) == [1, 0],
+                "imports": GAMMA_AT_1}
 
     @_step(STEPS, "diagonal.slope-lower-identity", METHOD_EXACT_IDENTITY,
            "The sandwich lower bound for the half-slope derivative equals the "
@@ -623,7 +627,10 @@ def replay_strip(dps: int = DEFAULT_DPS, earlier=()) -> list[ProofStep]:
 
 class _Trapezoid(_Phase):
     STEPS: list = []
+    G_LOWER_END = Fraction(3, 20)   # A.g-lower: g > 0 on (0, G_LOWER_END]
     DECREASING = (Fraction(1, 10), Fraction(1, 5))   # where A.g-decreasing has g' < 0
+    LEFT_EDGE_BASE = 1 + _T   # cubed in the denominator of A.left-edge-concavity
+    B_EDGE_BASE = 34 + 7 * _T   # cubed in the denominator of B.concavity
 
     @cached_property
     def guard_ok(self) -> bool:
@@ -663,8 +670,8 @@ class _Trapezoid(_Phase):
         rhs = RationalFn(p0 + tail, 2 * YANG_ARGS[A_LARGE] * EDGE_GUARD**2)
         return {
             "identity": (derive_lx(A_LARGE) - EDGE_SLOPE_QUOTIENT).equivalent(rhs),
-            "p0_at_3_20": p0(Fraction(3, 20)),
-            "p0_certificate": signs.positive_below(p0, Fraction(3, 20)),
+            "p0_at_3_20": p0(self.G_LOWER_END),
+            "p0_certificate": signs.positive_below(p0, self.G_LOWER_END),
             "edge_guard_positive": self.guard_ok,
             "yang_factors_positive": self.yang_positive,
             "tail": "307230 x^5 + 823500 x^6 + 675000 x^7 (nonnegative)",
@@ -690,6 +697,7 @@ class _Trapezoid(_Phase):
             "p1_at_1_5": p1(hi),
             "p1_certificate": signs.positive_below(p1, hi),
             "edge_guard_positive": self.guard_ok,
+            "yang_factors_positive": self.yang_positive,
             # linear: 0 at lo and positive at hi, so positive on (lo, hi]
             "10x-1>0": factor(lo) == 0 and factor(hi) > 0,
         }
@@ -700,10 +708,11 @@ class _Trapezoid(_Phase):
            "cover (0, 1/5), so dG/dx > 0 on the whole subregion.")
     def g_at_right_edge(self):
         # g(x) = psi'(x+1) - EDGE_SLOPE_QUOTIENT(x), by A.edge-slope-identity
-        x = Fraction(1, 5)
+        x, (lo, hi) = Fraction(1, 5), self.DECREASING
         g = stirling_enclosure(x + 1, 1, self.dps) - EDGE_SLOPE_QUOTIENT(x)
+        # (0, G_LOWER_END] and (lo, hi) overlap, and the union reaches x
         return _positive({"g(1/5)": g}, self.dps) | {
-            "interval_cover": "(0,3/20] union (1/10,1/5) covers (0,1/5)",
+            "interval_cover": lo < self.G_LOWER_END and hi >= x,
         }
 
     @_step(STEPS, "trapezoid.A.left-edge-concavity", METHOD_SIGN_ENGINE,
@@ -712,16 +721,18 @@ class _Trapezoid(_Phase):
            "G(0, .) is strictly concave on [0, 1].")
     def left_edge_concavity(self):
         t = _T
-        p2 = self.cat.p[2]
-        quotient = RationalFn(Poly((-4,)), (1 + t) ** 3)
+        p2, base = self.cat.p[2], self.LEFT_EDGE_BASE
+        quotient = RationalFn(Poly((-4,)), base**3)
         second = G_rational(0, t).derivative().derivative()
         second_ok = second.equivalent(quotient)
-        rhs = RationalFn(-p2, 2 * (1 + t) ** 3 * YANG_ARGS[A_SMALL] ** 2)
+        rhs = RationalFn(-p2, 2 * base**3 * YANG_ARGS[A_SMALL] ** 2)
         return {
             "second_derivative_identity": second_ok,
             "identity": (quotient - derive_lxx(A_SMALL)).equivalent(rhs),
             "p2_at_1": p2(Fraction(1)),
             "p2_certificate": signs.positive_below(p2, Fraction(1)),
+            "cube_base_positive": _positive_coefficients([base]),
+            "yang_factors_positive": self.yang_positive,
         }
 
     @_step(STEPS, "trapezoid.A.left-edge-endpoints", METHOD_EXACT_IDENTITY,
@@ -736,7 +747,7 @@ class _Trapezoid(_Phase):
             "G_rational(0,1)": at_1,
             "G(0,0)=0": at_0 == 0,
             "G(0,1)=0": at_1 == 1,
-            "recurrence": "psi(2) = psi(1) + 1 (DLMF 5.5.2)",
+            "imports": "psi(2) = psi(1) + 1 (DLMF 5.5.2)",
         }
 
     _derived(STEPS, "trapezoid.A.conclusion",
@@ -780,17 +791,19 @@ class _Trapezoid(_Phase):
            "on (0, 1], so G(., 9/25) is strictly concave on (0, 1/5).")
     def b_concavity(self):
         t = _T
-        p3 = self.cat.p[3]
-        quotient = RationalFn(Poly((25564,)), (34 + 7 * t) ** 3)
+        p3, base = self.cat.p[3], self.B_EDGE_BASE
+        quotient = RationalFn(Poly((25564,)), base**3)
         second = G_rational(t, EDGE_OFFSET).derivative().derivative()
         second_ok = second.equivalent(quotient)
-        den = 2 * (34 + 7 * t) ** 3 * YANG_ARGS[A_LARGE] ** 2
+        den = 2 * base**3 * YANG_ARGS[A_LARGE] ** 2
         rhs = RationalFn(-(p3 + 200037600 * t**9), den)
         return {
             "second_derivative_identity": second_ok,
             "identity": (derive_lxx(A_LARGE) + quotient).equivalent(rhs),
             "p3_at_1": p3(Fraction(1)),
             "p3_certificate": signs.positive_below(p3, Fraction(1)),
+            "cube_base_positive": _positive_coefficients([base]),
+            "yang_factors_positive": self.yang_positive,
         }
 
     @_step(STEPS, "trapezoid.B.corner-values", METHOD_EXACT_ENCLOSURE,
@@ -849,7 +862,7 @@ class _Trapezoid(_Phase):
         # log Gamma(1) = 0 as Gamma(1) = 1, and the argument is 1 for every y
         return {
             "log_argument_is_1": _log_argument(Fraction(0), _T).equivalent(1),
-            "log_gamma(1)": "0 (Gamma(1) = 1)",
+            "imports": GAMMA_AT_1,
         }
 
     _derived(STEPS, "trapezoid.boundary.diagonal",

@@ -155,8 +155,8 @@ class TestConfig:
 
 # sha256 of the replay report at each precision
 REPORT_SHA256 = {
-    "50": "0e0e35bbd7a8f2ca2e75fc43141253f2432b4f8b78fc3b6635b59e7bd3e6dde7",
-    "30": "64177df0ba2265c502790f9f340ff7c41f42156b6b77544e6955c60aedfd4f95",
+    "50": "5e6a5989773e1f27d5ff64a379ae3da71d31bbda3981a55573b4443bc868850d",
+    "30": "34da7b5f66cdf51b4fb5b506a5ae6fe95e3297a3585e9f30367891ff6adfbbee",
 }
 # replays at each precision in turn in one process, writing DIR/<k>.json; the
 # last line is the number of mpmath contexts made so far

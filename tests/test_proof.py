@@ -322,7 +322,7 @@ class TestBounds:
 
 PINNED_STEPS = [
     ("diagonal.slope-rational-identity", "exact-identity",
-     ("identity", "log_argument(0,0)", "dFdx_rational(0,0)", "f(0)=f'(0)=0")),
+     ("identity", "log_argument(0,0)", "dFdx_rational(0,0)", "f(0)=f'(0)=0", "imports")),
     ("diagonal.slope-lower-identity", "exact-identity",
      ("identity", "numerator_constant", "numerator_leading")),
     ("diagonal.slope-numerator-positive", "exact-polynomial",
@@ -350,19 +350,21 @@ PINNED_STEPS = [
       "yang_factors_positive", "tail")),
     ("trapezoid.A.g-decreasing", "sign-engine",
      ("derivative_identity", "identity", "p1_at_1_5", "p1_certificate",
-      "edge_guard_positive", "10x-1>0")),
+      "edge_guard_positive", "yang_factors_positive", "10x-1>0")),
     ("trapezoid.A.g-at-right-edge", "exact-enclosure",
      ("g(1/5)", "g(1/5) > 0", "printed", "agrees_with_printed", "interval_cover")),
     ("trapezoid.A.left-edge-concavity", "sign-engine",
-     ("second_derivative_identity", "identity", "p2_at_1", "p2_certificate")),
+     ("second_derivative_identity", "identity", "p2_at_1", "p2_certificate",
+      "cube_base_positive", "yang_factors_positive")),
     ("trapezoid.A.left-edge-endpoints", "exact-identity",
-     ("G_rational(0,0)", "G_rational(0,1)", "G(0,0)=0", "G(0,1)=0", "recurrence")),
+     ("G_rational(0,0)", "G_rational(0,1)", "G(0,0)=0", "G(0,1)=0", "imports")),
     ("trapezoid.A.conclusion", "derived", ()),
     ("trapezoid.B.slope-positive", "sign-engine",
      ("substitution_identity", "identity", "bracket_pattern", "bracket_at_1",
       "bracket_certificate", "edge_guard_positive", "yang_factors_positive")),
     ("trapezoid.B.concavity", "sign-engine",
-     ("second_derivative_identity", "identity", "p3_at_1", "p3_certificate")),
+     ("second_derivative_identity", "identity", "p3_at_1", "p3_certificate",
+      "cube_base_positive", "yang_factors_positive")),
     ("trapezoid.B.corner-values", "exact-enclosure",
      ("G(0,9/25)", "G(0,9/25) > 0", "G(1/5,9/25)", "G(1/5,9/25) > 0", "printed",
       "agrees_with_printed")),
@@ -376,7 +378,7 @@ PINNED_STEPS = [
       "F(1/20,19/20)", "F(1/20,19/20) > 0", "F(1/10,9/10)", "F(1/10,9/10) > 0",
       "F(19/100,81/100)", "F(19/100,81/100) > 0")),
     ("trapezoid.boundary.left-edge", "exact-identity",
-     ("log_argument_is_1", "log_gamma(1)")),
+     ("log_argument_is_1", "imports")),
     ("trapezoid.boundary.diagonal", "derived", ()),
     ("trapezoid.boundary.right-edge", "derived", ()),
     ("trapezoid.no-interior-extremum", "derived", ()),
@@ -776,6 +778,14 @@ class TestReplay:
         (proof, "YANG_ARGS", _YANG_NEGATIVE, "yang_factors_positive", [
             "diagonal.slope-numerator-positive", "trapezoid.A.g-lower",
             "trapezoid.B.slope-positive", "trapezoid.C.slope-positive"]),
+        # the three steps that divide by a square of YANG_ARGS
+        (proof, "YANG_ARGS", _YANG_NEGATIVE, "yang_factors_positive", [
+            "trapezoid.A.g-decreasing", "trapezoid.A.left-edge-concavity",
+            "trapezoid.B.concavity"]),
+        (proof._Trapezoid, "LEFT_EDGE_BASE", lambda _: 1 - proof._T, "cube_base_positive",
+         ["trapezoid.A.left-edge-concavity"]),
+        (proof._Trapezoid, "B_EDGE_BASE", lambda _: 34 - 7 * proof._T, "cube_base_positive",
+         ["trapezoid.B.concavity"]),
         (proof._Strip, "CLEARED", _CLEARED_NEGATIVE, "cleared_factors_positive",
          ["strip.denominator-positivity"]),
         (proof._Strip, "X_ENDS", lambda _: (F(1, 10), F(1, 2)), "5x-1>=0",
@@ -786,8 +796,12 @@ class TestReplay:
          ["trapezoid.A.g-decreasing"]),
         (proof._Trapezoid, "DECREASING", lambda _: (F(1, 10), F(1, 20)), "10x-1>0",
          ["trapezoid.A.g-decreasing"]),
-    ], ids=["yang-args", "cleared-factors", "strip-left-end", "strip-right-end",
-            "decreasing-left-end", "decreasing-right-end"])
+        # (0, 3/20] and (3/20, 1/5) do not overlap
+        (proof._Trapezoid, "DECREASING", lambda _: (F(3, 20), F(1, 5)), "interval_cover",
+         ["trapezoid.A.g-at-right-edge"]),
+    ], ids=["yang-args", "yang-args-squared", "left-edge-cube-base", "b-cube-base",
+            "cleared-factors", "strip-left-end", "strip-right-end",
+            "decreasing-left-end", "decreasing-right-end", "decreasing-cover"])
     def test_side_condition_clause_fails_on_mutant(
             self, monkeypatch, owner, name, mutant, clause, sids):
         monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
