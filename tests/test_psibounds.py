@@ -1,7 +1,9 @@
 """Sandwich bounds, closed-form re-derivation, digamma-difference bound."""
 
+import decimal
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import mpmath
@@ -26,7 +28,8 @@ from betabound.psibounds import (
     yang_lx,
     yang_lxx,
 )
-from betabound.specials import context, psi, psi1, to_mpf
+from betabound.constants import solve_a3
+from betabound.specials import GUARD_DIGITS, context, exact, psi, psi1, stirling_enclosure, to_mpf
 
 HP = context(60)
 mpmath.mp.dps = 60
@@ -96,7 +99,8 @@ class TestClosedFormDerivation:
 
     @pytest.mark.parametrize("formula", [yang_lx, yang_lxx])
     def test_one_formula_for_every_number_type(self, formula):
-        # the Poly-built RationalFn, floats and mpfs reproduce the exact value
+        # the Poly-built RationalFn, floats, mpfs and 60-digit Decimals
+        # reproduce the exact value
         for a in (A_SMALL, A_LARGE, F(1, 2)):
             rf = formula(Poly.x(), a)
             for x in (F(0), F(1, 3), F(2)):
@@ -106,6 +110,10 @@ class TestClosedFormDerivation:
                 assert abs(as_float - float(exact)) <= 1e-15 * abs(float(exact))
                 as_mpf = formula(to_mpf(HP, x), to_mpf(HP, a))
                 assert abs(as_mpf - to_mpf(HP, exact)) < HP.mpf("1e-55")
+                with decimal.localcontext(decimal.Context(prec=60)):
+                    as_decimal = formula(*(Decimal(v.numerator) / v.denominator
+                                           for v in (x, a)))
+                assert abs(F(as_decimal) - exact) < F(1, 10**55)
 
     @pytest.mark.parametrize("fn", [lx_general, lxx_general])
     def test_domain_boundaries(self, fn):
@@ -139,6 +147,74 @@ class TestClosedFormDerivation:
         assert abs(hp - to_mpf(HP, PRINTED_LX[A_SMALL](F(1, 4)))) < HP.mpf("1e-45")
         hp2 = lxx_general(HP.mpf(1) / 4, A_SMALL)
         assert abs(hp2 - to_mpf(HP, PRINTED_LXX[A_SMALL](F(1, 4)))) < HP.mpf("1e-45")
+
+
+def ulps(value, exact_value, dps):
+    """|value - exact_value rounded to dps digits|, in units in the last place
+    of the rounded value."""
+    rounded = to_mpf(context(dps), exact_value)
+    _, _, exp, bc = rounded._mpf_
+    return abs(exact(value) - exact(rounded)) / F(2) ** (exp + bc - context(dps).prec)
+
+
+def exact_margins(x):
+    """The sandwich margins at x on Fractions, psi' and psi'' the midpoints
+    that sandwich_margins reads."""
+    def enclosure_mid(order, dps):
+        return stirling_enclosure(x + 1, order, dps + GUARD_DIGITS).mid
+
+    return lambda dps: {
+        "psi1_above_lx45": enclosure_mid(1, dps) - yang_lx(x, A_LARGE),
+        "psi1_below_lx25": yang_lx(x, A_SMALL) - enclosure_mid(1, dps),
+        "psi2_above_lxx25": enclosure_mid(2, dps) - yang_lxx(x, A_SMALL),
+        "psi2_below_lxx45": yang_lxx(x, A_LARGE) - enclosure_mid(2, dps),
+    }
+
+
+DECIMAL_XS = (0, "1e-40", F(1, 3), 0.37, 7)
+
+
+class TestDecimalRoute:
+    """lx_general, lxx_general and sandwich_margins run on Decimals and round
+    once: each is within one unit in the last place of the exact value."""
+
+    @pytest.mark.parametrize("dps", [30, 50, 100, 200])
+    def test_l_within_one_ulp_of_the_exact_value(self, dps):
+        parameters = (F(1, 15) + F(1, 10**9), A_SMALL, solve_a3(dps), A_LARGE, 2)
+        for x in DECIMAL_XS:
+            for a in parameters:
+                for fn, formula in ((lx_general, yang_lx), (lxx_general, yang_lxx)):
+                    value = fn(x, a, dps)
+                    assert ulps(value, formula(exact(x), exact(a)), dps) <= 1, (fn, x, a)
+
+    @pytest.mark.parametrize("dps", [30, 50, 100, 200])
+    def test_sandwich_within_one_ulp_of_the_exact_value(self, dps):
+        for x in DECIMAL_XS[1:]:
+            margins = sandwich_margins(x, dps)
+            expected = exact_margins(exact(x))(dps)
+            assert list(margins) == list(expected)
+            for key, value in margins.items():
+                assert ulps(value, expected[key], dps) <= 1, (x, key)
+        with pytest.raises(ValueError, match="domain error"):
+            sandwich_margins(DECIMAL_XS[0], dps)
+
+    def test_caller_decimal_context_is_untouched(self):
+        calls = [
+            lambda: lx_general(F(1, 3), A_SMALL, 50),
+            lambda: lxx_general(0.37, F(1, 2), 50),
+            lambda: list(sandwich_margins(F(1, 3), 50).values()),
+        ]
+        expected = [call() for call in calls]
+        caller = decimal.Context(prec=5, rounding=decimal.ROUND_DOWN,
+                                 traps=[decimal.Inexact, decimal.Rounded], flags=[])
+        with decimal.localcontext(caller) as ctx:
+            for call, value in zip(calls, expected):
+                assert call() == value
+                assert decimal.getcontext() is ctx
+                assert (ctx.prec, ctx.rounding) == (5, decimal.ROUND_DOWN)
+                assert {s for s, on in ctx.traps.items() if on} == {decimal.Inexact,
+                                                                    decimal.Rounded}
+                assert not any(ctx.flags.values())
 
 
 class TestSandwich:

@@ -1,5 +1,6 @@
 """Special-function accuracy: classical values, recurrences, oracles."""
 
+import decimal
 import math
 import random
 import time
@@ -122,6 +123,15 @@ HIGH_PRECISION = {
 def test_public_functions_round_to_the_requested_precision(name, dps):
     values = HIGH_PRECISION[name](dps)
     assert values and all(isinstance(v, context(dps).mpf) for v in values)
+
+
+def test_rational_context_is_no_coarser_than_the_working_context():
+    # evaluate_rational rounds each operation half even to prec digits, a
+    # relative error of at most 10^(1 - prec)/2
+    for dps in range(30, 301):
+        ctx = specials.rational_context(dps)
+        assert ctx.rounding == decimal.ROUND_HALF_EVEN
+        assert F(10) ** (1 - ctx.prec) / 2 <= F(1, 2**work_context(dps).prec)
 
 
 class TestQuadratureOracles:
