@@ -10,6 +10,11 @@ those terms exactly.  The closed forms as displayed in the source
 material are kept below as ``PRINTED_LX`` and ``PRINTED_LXX``, and
 ``closed_form_mismatches`` compares them with the derivation.
 
+``yang_lx`` and ``yang_lxx`` are plain arithmetic over any number type.
+``lx_general``, ``lxx_general`` and ``sandwich_margins`` evaluate them on
+Decimals (``specials.evaluate_rational``), with no mpf arithmetic, and
+round each result once to a ``dps``-digit mpf.
+
 Also here: Alzer's lower bound for psi(x+1) - psi(x+s) at truncation order n,
 as the rational function ``alzer_bracket_rf(n)`` that the replay reads.
 """
@@ -150,9 +155,8 @@ def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
     def raw(x, small, large):
         if not x > 0:
             raise ValueError("domain error: sandwich bounds require x > 0")
-        p1, p2 = (stirling_enclosure(Fraction(x) + 1, order, dps + GUARD_DIGITS).mid
-                  for order in (1, 2))
-        p1, p2 = (Decimal(p.numerator) / p.denominator for p in (p1, p2))
+        mids = (stirling_enclosure(Fraction(x) + 1, k, dps + GUARD_DIGITS).mid for k in (1, 2))
+        p1, p2 = (Decimal(m.numerator) / m.denominator for m in mids)
         return {
             "psi1_above_lx45": p1 - yang_lx(x, large),
             "psi1_below_lx25": yang_lx(x, small) - p1,

@@ -22,11 +22,21 @@ Precision contract
 ------------------
 ``work_context(dps)`` is the one place the ``GUARD_DIGITS`` extra digits
 are added.  Every public high-precision function of the package runs
-through ``evaluate(raw, dps, *args)``: the arguments become mpfs of the
-working context (a non-finite one is a domain error), ``raw`` checks its
-own domain and computes, and the result is rounded to ``dps`` digits.
-Compositions (F, G, the sandwich margins) call the public functions or the
-enclosures at ``work.dps``.  No ambient global state is mutated.
+through one of two helpers, and its result is rounded to ``dps`` digits:
+
+* ``evaluate(raw, dps, *args)``: the arguments become mpfs of the working
+  context (a non-finite one is a domain error), and ``raw`` checks its own
+  domain and computes.  The special functions here, ``proof``'s
+  ``theorem_margin``, ``big_F`` and ``big_G``, ``constants`` and
+  ``quadrature`` use it; compositions call the public functions or the
+  enclosures at ``work.dps``.
+* ``evaluate_rational(raw, dps, *args)``: for a formula of +, -, * and /
+  alone, run on stdlib ``decimal`` (libmpdec, in C) in a local context of
+  ``GUARD_DIGITS + 2`` extra digits, whose unit roundoff is no coarser than
+  the working context's.  ``psibounds``' Yang's L (``lx_general``,
+  ``lxx_general``, ``sandwich_margins``) uses it.
+
+No ambient global state, mpmath's or ``decimal``'s, is used or mutated.
 
 The enclosures run on integers scaled by 2^bits, bits the working precision
 plus ``GUARD_BITS`` (``_bits``; ``_value`` reads it off its context).  The
@@ -104,11 +114,10 @@ def evaluate(raw, dps: int, *args):
 
 @lru_cache(maxsize=None)
 def rational_context(dps: int) -> decimal.Context:
-    """The decimal context of ``evaluate_rational``: dps + GUARD_DIGITS + 2
-    digits, rounding half even, no exponent limit in reach, and every field
-    set here, not copied from ``decimal.DefaultContext``.  Its unit roundoff
-    10^(1 - prec)/2 = 10^-(dps + 16)/2 is below the 2^-prec of
-    ``work_context(dps)``, whose prec is round((dps + 16) log2 10)."""
+    """``evaluate_rational``'s decimal context, which it runs on a copy of:
+    dps + GUARD_DIGITS + 2 digits, rounding half even, every field set here and
+    none read from ``decimal.DefaultContext``.  Its unit roundoff 10^-(dps+16)/2
+    is below the 2^-prec of ``work_context(dps)``, prec = round((dps+16) log2 10)."""
     return decimal.Context(
         prec=dps + GUARD_DIGITS + 2, rounding=decimal.ROUND_HALF_EVEN,
         Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX, capitals=1, clamp=0, flags=[],
@@ -126,8 +135,8 @@ def evaluate_rational(raw, dps: int, *args):
     """
     try:
         values = [exact(a) for a in args]
-    except (ValueError, OverflowError):
-        raise ValueError("domain error: arguments must be finite") from None
+    except (ValueError, OverflowError) as exc:
+        raise ValueError("domain error: arguments must be finite numbers") from exc
     with decimal.localcontext(rational_context(dps)) as ctx:
         result = raw(*(ctx.divide(v.numerator, v.denominator) for v in values))
     out = context(dps)
