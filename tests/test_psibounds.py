@@ -157,17 +157,15 @@ def ulps(value, exact_value, dps):
     return abs(exact(value) - exact(rounded)) / F(2) ** (exp + bc - context(dps).prec)
 
 
-def exact_margins(x):
-    """The sandwich margins at x on Fractions, psi' and psi'' the midpoints
-    that sandwich_margins reads."""
-    def enclosure_mid(order, dps):
-        return stirling_enclosure(x + 1, order, dps + GUARD_DIGITS).mid
-
-    return lambda dps: {
-        "psi1_above_lx45": enclosure_mid(1, dps) - yang_lx(x, A_LARGE),
-        "psi1_below_lx25": yang_lx(x, A_SMALL) - enclosure_mid(1, dps),
-        "psi2_above_lxx25": enclosure_mid(2, dps) - yang_lxx(x, A_SMALL),
-        "psi2_below_lxx45": yang_lxx(x, A_LARGE) - enclosure_mid(2, dps),
+def exact_margins(x, dps):
+    """The sandwich margins at the Fraction x, exactly, psi' and psi'' the
+    enclosure midpoints that sandwich_margins reads."""
+    p1, p2 = (stirling_enclosure(x + 1, k, dps + GUARD_DIGITS).mid for k in (1, 2))
+    return {
+        "psi1_above_lx45": p1 - yang_lx(x, A_LARGE),
+        "psi1_below_lx25": yang_lx(x, A_SMALL) - p1,
+        "psi2_above_lxx25": p2 - yang_lxx(x, A_SMALL),
+        "psi2_below_lxx45": yang_lxx(x, A_LARGE) - p2,
     }
 
 
@@ -191,7 +189,7 @@ class TestDecimalRoute:
     def test_sandwich_within_one_ulp_of_the_exact_value(self, dps):
         for x in DECIMAL_XS[1:]:
             margins = sandwich_margins(x, dps)
-            expected = exact_margins(exact(x))(dps)
+            expected = exact_margins(exact(x), dps)
             assert list(margins) == list(expected)
             for key, value in margins.items():
                 assert ulps(value, expected[key], dps) <= 1, (x, key)
