@@ -45,9 +45,10 @@ def load_catalogue() -> Catalogue:
     return Catalogue(p=p, q=q)
 
 
+@lru_cache(maxsize=None)
 def build_q_bipoly(qs) -> BiPoly:
     """Q(x, y) from q0..q5: the x^i coefficient of the k-th of -q0, q1..q5,
-    2x - 1 is the coefficient of x^i y^k."""
+    2x - 1 is the coefficient of x^i y^k.  Built once per tuple of q's."""
     rows = (-qs[0], *qs[1:6], Poly((-1, 2)))
     return BiPoly({(i, k): c for k, row in enumerate(rows) for i, c in row.terms.items()})
 

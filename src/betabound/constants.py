@@ -80,29 +80,31 @@ def solve_a3(dps: int = DEFAULT_DPS):
 
     a -> L_xx(0, a) is increasing on (1/15, oo), so the root in (1/15, 2)
     is unique and plain bisection on the sign of the difference converges.
+    The ends, 1/15 + 1e-9 in the working context and 2, are numerators over
+    2^K, K that left end's binary places plus 64: every midpoint is exact.
     """
 
     def bisect(work):
         target = psi2(1, work.dps)
+        start = exact(work.mpf(1) / 15 + work.mpf("1e-9"))
+        K = start.denominator.bit_length() + 63
+        lo, hi = start.numerator << 64, 2 << K
 
-        def gap(am):
-            return lxx_general(0, am, work.dps) - target
+        def below(m):
+            return lxx_general(0, Fraction(m, 1 << K), work.dps) < target
 
-        lo = work.mpf(1) / 15 + work.mpf("1e-9")
-        hi = work.mpf(2)
-        flo, fhi = gap(lo), gap(hi)
-        if not (flo < 0 < fhi):
+        if not (below(lo) and not below(hi)):
             raise RuntimeError(
                 "no sign change on the a3 bracket (indicates an implementation bug)"
             )
-        tol = work.mpf(A3_TOL)
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            if gap(mid) < 0:
+        tol = Fraction(A3_TOL)
+        while (hi - lo) * tol.denominator > tol.numerator << K:
+            mid = (lo + hi) >> 1
+            if below(mid):
                 lo = mid
             else:
                 hi = mid
-        return (lo + hi) / 2
+        return Fraction(lo + hi, 2 << K)
 
     return evaluate(bisect, dps)
 

@@ -61,12 +61,14 @@ from .specials import (
     DEFAULT_DPS,
     GUARD_DIGITS,
     Interval,
-    evaluate,
+    context,
     exact,
     exp_enclosure,
     ln_enclosure,
     psi,   # unused; perfbench/selftest.py checks that proof.psi is specials.psi
     stirling_enclosure,
+    to_mpf,
+    work_context,
 )
 from . import constants, signs
 
@@ -142,10 +144,15 @@ def _enclosed_G(x: Fraction, y: Fraction, dps: int) -> Interval:
     return psi_(x + 1) - psi_(y + 1) + G_rational(x, y)
 
 
-def _enclosed_margin(x: Fraction, y: Fraction, dps: int) -> Interval:
-    """B(x, y), exp of log Gamma's enclosures, less the bound, at rationals."""
+def _enclosed_beta(x: Fraction, y: Fraction, dps: int) -> Interval:
+    """B(x, y), exp of log Gamma's enclosures, at rationals."""
     lg = lambda t: stirling_enclosure(t, -1, dps)
-    return exp_enclosure(lg(x) + lg(y) - lg(x + y), dps) - new_bound(x, y)
+    return exp_enclosure(lg(x) + lg(y) - lg(x + y), dps)
+
+
+def _enclosed_margin(x: Fraction, y: Fraction, dps: int) -> Interval:
+    """B(x, y) less the bound, at rationals."""
+    return _enclosed_beta(x, y, dps) - new_bound(x, y)
 
 
 def _guarded(value, scale, what: str):
@@ -160,16 +167,19 @@ def _guarded(value, scale, what: str):
 
 
 def _on_unit_square(value, dps: int, x, y, allow_zero: bool = False):
-    """value(x, y, work.dps) at the exact values of x, y in (0, 1], or in
-    [0, 1] with `allow_zero`, rounded to `dps` digits (``evaluate``)."""
-
-    def raw(work, x, y):
-        low_ok = (x >= 0 and y >= 0) if allow_zero else (x > 0 and y > 0)
-        if not (low_ok and x <= 1 and y <= 1):
-            raise ValueError("domain error: arguments must lie in (0, 1]")
-        return value(exact(x), exact(y), work.dps)
-
-    return evaluate(raw, dps, x, y)
+    """value(x, y, work.dps) at x, y in (0, 1], or [0, 1] with `allow_zero`,
+    rounded to `dps` digits as ``evaluate`` rounds; an int or a float enters
+    exactly, any other argument as its mpf of the working context."""
+    work = work_context(dps)
+    values = [v if isinstance(v, (int, float)) else to_mpf(work, v) for v in (x, y)]
+    try:
+        x, y = map(exact, values)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError("domain error: arguments must be finite") from exc
+    low_ok = (x >= 0 and y >= 0) if allow_zero else (x > 0 and y > 0)
+    if not (low_ok and x <= 1 and y <= 1):
+        raise ValueError("domain error: arguments must lie in (0, 1]")
+    return to_mpf(context(dps), value(x, y, work.dps))
 
 
 def theorem_margin(x, y, dps: int = DEFAULT_DPS):
@@ -180,8 +190,8 @@ def theorem_margin(x, y, dps: int = DEFAULT_DPS):
     """
 
     def value(x, y, work_dps):
-        margin = _enclosed_margin(x, y, work_dps).mid
-        return _guarded(margin, margin + new_bound(x, y), "B(x, y) - bound")
+        beta = _enclosed_beta(x, y, work_dps).mid
+        return _guarded(beta - new_bound(x, y), beta, "B(x, y) - bound")
 
     return _on_unit_square(value, dps, x, y)
 
@@ -504,6 +514,7 @@ class _Strip(_Phase):
     def enclosures(self) -> list[signs.Enclosure]:
         return q_root_enclosures(signs.DEFAULT_WIDTH)
 
+    @cached_property
     def q_chain(self) -> dict:
         """Clauses: the q1..q5 enclosures increase (raises on overlap), q0 < 0 on (0, 1/2]."""
         return {"enclosures_increasing": signs.verify_root_ordering(self.enclosures),
@@ -540,7 +551,7 @@ class _Strip(_Phase):
            "there and the enclosures are disjoint and increasing, so "
            "q_j < 0 implies q_{j+1} < 0.")
     def root_ordering(self):
-        return self.q_chain() | {
+        return self.q_chain | {
             "enclosures": [(str(e.lo), str(e.hi)) for e in self.enclosures],
             "width": signs.DEFAULT_WIDTH,
         }
@@ -556,7 +567,7 @@ class _Strip(_Phase):
         NP, q_kinds = signs.PatternKind.NP, [signs.classify(q) for q in self.cat.q[1:]]
         top = self.cat.Q.y_coefficients()[-1]  # 2x - 1: NP, top(1/2) = 0, so <= 0
         vectors, patterns = _q_sign_vectors(self.enclosures, HALF)
-        return self.q_chain() | {
+        return self.q_chain | {
             "q1..q5_NP": all(kind is NP for kind in q_kinds),
             "top_NP_and_nonpositive": signs.classify(top) is NP and top(HALF) <= 0,
             "all_PN": set(patterns) == {signs.PatternKind.PN.value},

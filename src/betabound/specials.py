@@ -6,9 +6,12 @@ integers that enclose log Gamma, psi, psi' or psi'', every floor and the
 series remainder entering as a radius, derived in the docstrings below.
 ``stirling_enclosure`` and ``ln_enclosure`` return such enclosures as
 ``Interval``s, and ``exp_enclosure`` maps an Interval through exp the same
-way.  The proof replay and the sweep's re-check read their transcendental
-values from them, and ``nstr`` prints an exact rational as mpmath's ``nstr``
-prints an mpf, so those commands never import mpmath.
+way.  Both elementary kernels reduce their argument first: ``_ln`` divides
+by the nearest 1 + j/32, whose logs ``_ln_table`` keeps per bits, and ``_exp``
+sums its series at t/2^r and squares r = isqrt(bits) times.  The proof
+replay and the sweep's re-check read their transcendental values from them,
+and ``nstr`` prints an exact rational as mpmath's ``nstr`` prints an mpf, so
+those commands never import mpmath.
 
 The public functions return ``mpmath`` floats (``mpf``).  ``log_gamma``,
 ``psi``, ``psi1`` and ``psi2`` are the midpoints of the same enclosures
@@ -26,10 +29,10 @@ through one of two helpers, and its result is rounded to ``dps`` digits:
 
 * ``evaluate(raw, dps, *args)``: the arguments become mpfs of the working
   context (a non-finite one is a domain error), and ``raw`` checks its own
-  domain and computes.  The special functions here, ``proof``'s
-  ``theorem_margin``, ``big_F`` and ``big_G``, ``constants`` and
+  domain and computes.  The special functions here, ``constants`` and
   ``quadrature`` use it; compositions call the public functions or the
-  enclosures at ``work.dps``.
+  enclosures at ``work.dps``.  ``proof``'s ``theorem_margin``, ``big_F``
+  and ``big_G`` round as it does, but take int and float arguments exactly.
 * ``evaluate_rational(raw, dps, *args)``: for a formula of +, -, * and /
   alone, run on stdlib ``decimal`` (libmpdec, in C) in a local context of
   ``GUARD_DIGITS + 2`` extra digits, whose unit roundoff is no coarser than
@@ -39,7 +42,8 @@ through one of two helpers, and its result is rounded to ``dps`` digits:
 No ambient global state, mpmath's or ``decimal``'s, is used or mutated.
 
 The enclosures run on integers scaled by 2^bits, bits the working precision
-plus ``GUARD_BITS`` (``_bits``; ``_value`` reads it off its context).  The
+plus ``GUARD_BITS`` (``_bits``; ``_value`` reads it off its context); the
+ln table is summed at bits + 8 and exp's squarings on r more bits.  The
 fixed shift and term count (B_2 to B_42) put the first omitted term below
 1e-46 of the result (worst case psi'') and cap the accuracy near 1e-53.
 """
@@ -75,13 +79,14 @@ def context(dps: int) -> MPContext:
 
 
 def to_mpf(ctx: MPContext, value):
-    """Convert ints, Fractions, floats, strings and mpfs into ctx's mpf; a
-    Fraction is rounded once, to nearest, from its quotient's floor of at
-    least ctx.prec + 2 bits and a half unit for a nonzero remainder."""
-    if isinstance(value, Fraction):
+    """Convert ints, Fractions, Decimals, floats, strings and mpfs into ctx's
+    mpf; a Fraction or a finite Decimal p/q is rounded once, to nearest, from
+    its quotient's floor of at least ctx.prec + 2 bits and a half unit for a
+    nonzero remainder."""
+    if isinstance(value, (Fraction, decimal.Decimal)):
         from mpmath.libmp import from_man_exp
 
-        p, q = value.numerator, value.denominator
+        p, q = value.as_integer_ratio()
         s = ctx.prec + 2 - abs(p).bit_length() + q.bit_length()
         man, rem = divmod(p << s, q) if s >= 0 else divmod(p, q << -s)
         return ctx.make_mpf(from_man_exp(2 * man + (rem > 0), -s - 1, ctx.prec, "n"))
@@ -128,21 +133,21 @@ def evaluate_rational(raw, dps: int, *args):
     """raw(*args) on Decimals of ``rational_context(dps)``, rounded to `dps` digits.
 
     For formulas of +, -, * and / alone: libmpdec rounds each correctly, as
-    mpmath does an mpf operation.  Each argument enters as its exact value,
-    divided once; a non-finite one is a domain error.  The context is local,
-    so the caller's decimal context is neither used nor changed.  A result,
-    or each value of a dict result, is rounded once from its exact value.
+    mpmath does an mpf operation.  Each argument enters as its exact value (an
+    int or Fraction as it is) divided once; a non-finite one is a domain error.
+    The context is local, so the caller's decimal context is neither used nor
+    changed.  A result, or each value of a dict result, is rounded once.
     """
     try:
-        values = [exact(a) for a in args]
+        values = [a if isinstance(a, (int, Fraction)) else exact(a) for a in args]
     except (ValueError, OverflowError) as exc:
         raise ValueError("domain error: arguments must be finite numbers") from exc
     with decimal.localcontext(rational_context(dps)) as ctx:
         result = raw(*(ctx.divide(v.numerator, v.denominator) for v in values))
     out = context(dps)
     if isinstance(result, dict):
-        return {k: to_mpf(out, Fraction(v)) for k, v in result.items()}
-    return to_mpf(out, Fraction(result))
+        return {k: to_mpf(out, v) for k, v in result.items()}
+    return to_mpf(out, result)
 
 
 @lru_cache(maxsize=None)
@@ -321,39 +326,57 @@ def _ln2(bits: int) -> tuple[int, int]:
     return 2 * lo, 2 * hi
 
 
+@lru_cache(maxsize=None)
+def _ln_table(bits: int) -> tuple[tuple[int, int], ...]:
+    """ln(1 + j/32) = 2 atanh(j/(64 + j)) at index j + 11, j = -11..11: summed
+    at bits + 8 and shifted outward, under 2 + 4(J + 1)/2^8 units wide (J terms)."""
+    ends = [_atanh(abs(j), 64 + j, bits + 8) for j in range(-11, 12)]
+    ends = [(-hi, -lo) if i < 11 else (lo, hi) for i, (lo, hi) in enumerate(ends)]
+    return tuple((2 * lo >> 8, -(-2 * hi >> 8)) for lo, hi in ends)
+
+
 def _ln(num: int, den: int, bits: int) -> tuple[int, int]:
-    """ln(num/den) for positive ints: num/den = 2^k m with m in [2/3, 4/3],
-    and ln m = 2 atanh(t), t = (m - 1)/(m + 1), |t| <= 1/5."""
+    """ln(num/den) for positive ints: num/den = 2^k M, M in [2/3, 4/3], M = c_j m
+    for c_j = 1 + j/32, j = round(32 (M - 1)) in [-11, 11], and ln m = 2 atanh(t),
+    t = (m - 1)/(m + 1): |M - c_j| <= 1/64 and c_j >= 21/32 give |m - 1| <= 1/42
+    and |t| <= 1/83.  The width adds twice ``_atanh``'s, ``_ln_table``'s and |k| ``_ln2``'s."""
     k = num.bit_length() - den.bit_length()
     n, d = (num, den << k) if k >= 0 else (num << -k, den)   # n/d in (1/2, 2)
     if 3 * n > 4 * d:
         d, k = d << 1, k + 1
     elif 3 * n < 2 * d:
         n, k = n << 1, k - 1
+    j = (64 * (n - d) + d) // (2 * d)
+    n, d = 32 * n, (32 + j) * d
     lo, hi = _atanh(abs(n - d), n + d, bits)
     if n < d:
         lo, hi = -hi, -lo
+    c_lo, c_hi = _ln_table(bits)[j + 11]
     l2 = sorted(k * v for v in _ln2(bits))
-    return 2 * lo + l2[0], 2 * hi + l2[1]
+    return 2 * lo + c_lo + l2[0], 2 * hi + c_hi + l2[1]
 
 
 def _exp(T: int, bits: int, up: bool) -> int:
-    """exp(t) 2^bits for t = T 2^-bits in [0, 1), rounded down, or up with `up`.
+    """exp(t) 2^bits for t = T 2^-bits in [0, 1), rounded down, or up with `up`,
+    as exp(u)^(2^r) for u = t/2^r = T 2^-w, r = isqrt(bits) and w = bits + r.
 
-    The terms P_0 = 2^bits and P_j = P_(j-1) T / (j 2^bits) are floored
-    (ceiled), and T >= 0, so each is a lower (upper) bound of t^j/j! 2^bits.
-    Down, the sum stops at the first P_J = 0 and drops a positive tail.  Up,
-    it stops at the first P_J <= 1 and adds 1 for the tail past term J, which
-    is under term J times (t/(J+1)) / (1 - t/(J+1)) < 1.
-    """
-    last = int(up)   # the P_J that stops the sum
-    s = P = 1 << bits
-    j = 0
+    The terms P_0 = 2^w and P_j = P_(j-1) T / (j 2^w) are floored (ceiled),
+    and T >= 0, so each is a lower (upper) bound of u^j/j! 2^w.  Down, the sum
+    stops at the first P_J = 0 and drops a positive tail.  Up, it stops at the
+    first P_J <= 1 and adds 1 for the tail past term J, which is under term J
+    times (u/(J+1)) / (1 - u/(J+1)) < 1.  The r squarings and the shift by r
+    bits are floored (ceiled) too."""
+    r = math.isqrt(bits)
+    last, w, j = int(up), bits + r, 0   # last: the P_J that stops the sum
+    s = P = 1 << w
     while P > last:
         j += 1
-        P = -(-P * T // (j << bits)) if up else P * T // (j << bits)
+        P = -(-P * T // (j << w)) if up else P * T // (j << w)
         s += P
-    return s + last
+    s += last
+    for _ in range(r):
+        s = -(-s * s >> w) if up else s * s >> w
+    return -(-s >> r) if up else s >> r
 
 
 def _exp_end(r: Fraction, bits: int, up: bool) -> Fraction:
@@ -460,16 +483,19 @@ def exp_enclosure(v: Interval, dps: int = DEFAULT_DPS) -> Interval:
     and floor(r 2^bits / a) below make r 2^bits - k a and r 2^bits - k b
     both nonnegative, so t >= 0, and t < 0.7.  T, t 2^bits floored (ceiled)
     with k ln 2 at the end of its bracket that makes t smaller (larger), errs
-    by under 1 + |k| (b - a) units.  ``_exp`` sums the Taylor series at T,
-    and the sum times 2^k is exact.
+    by under 1 + |k| (b - a) units.  ``_exp`` sums the Taylor series at t/2^r
+    and squares r times; its result times 2^k is exact.
 
     Width.  In ``_exp``'s down sum each floor loses under 1 and scales the
-    shortfall carried in by t/j < 1, so every P_j falls under 2 short; the
-    tail it drops at P_J = 0 is under P_J's shortfall, 2.  So the down sum
-    lies within 2J + 2 units below exp(t) 2^bits, and the up sum, likewise,
-    within 2J + 1 above, J the terms summed.  exp' < 3 on t < 1 triples T's
-    error.  Each end thus lies within 2J + 5 + 3 |k| (b - a) units of
-    2^(k - bits) of exp at that end of `v`.
+    shortfall carried in by u/j < 1, so every P_j, and the tail dropped at
+    P_J = 0, falls under 2 short: the down (up) sum is d_0 <= 2J + 2 units of
+    2^-w off exp(u) 2^w, J <= w/r + 1 the terms summed.  A square of a sum d
+    off E = exp(v) 2^w is 2 exp(v) d + d^2/2^w off E^2/2^w, and d^2 < 2^w as r
+    + 2 log2(5J + 10) < bits; so d_(i+1) < 2 exp(v_i) d_i + 2, the factors
+    multiply to at most 2^r exp(t), and d_r < 2^r exp(t) (d_0 + 2).  Shifted
+    by r bits, with exp(t) < 2.02, the sum is within 5J + 10 units of exp(t)
+    2^bits.  exp' < 3 on t < 1 triples T's error.  Each end thus lies within
+    5J + 13 + 3 |k| (b - a) units of 2^(k - bits) of exp at that end of `v`.
     """
     bits = _bits(dps)
     return Interval(_exp_end(v.lo, bits, False), _exp_end(v.hi, bits, True))
@@ -516,8 +542,8 @@ def _stirling(p: int, q: int, order: int, bits: int) -> tuple[int, int, int]:
         a, b = _ln(math.prod(range(p, p + n * q, q)), q**n, bits)
         c, d = _half_log_2pi_fixed(bits)
         return lo + c - b, hi + d - a, scale
-    e = order + 1
-    s = sum((q**e << bits) // (p + k * q) ** e for k in range(n))
+    e, top = order + 1, q ** (order + 1) << bits
+    s = sum(top // (p + k * q) ** e for k in range(n))
     shift = sorted(_SHIFT_NUMERATORS[order] * v for v in (s, s + n))
     return lo + shift[0], hi + shift[1], scale
 

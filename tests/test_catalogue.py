@@ -2,9 +2,11 @@
 
 from fractions import Fraction as F
 
+from betabound import proof, signs
 from betabound.catalogue import (
     P_NAMES,
     Q_NAMES,
+    build_q_bipoly,
     catalogue_hashes,
     load_catalogue,
 )
@@ -70,3 +72,18 @@ def test_degrees_as_displayed():
 def test_catalogue_names_complete():
     assert P_NAMES == ("p0", "p1", "p2", "p3", "p4")
     assert Q_NAMES == ("q0", "q1", "q2", "q3", "q4", "q5")
+
+
+def test_one_replay_builds_q_and_the_q_chain_once(monkeypatch):
+    # the reduction identity, the PN sign vectors and the antidiagonal identity
+    # read Q; the root ordering and the sign vectors read the q chain
+    orderings = []
+    verify = signs.verify_root_ordering
+    monkeypatch.setattr(signs, "verify_root_ordering",
+                        lambda encs: orderings.append(encs) or verify(encs))
+    build_q_bipoly.cache_clear()
+    report = proof.replay_all(30)
+    assert report.all_verified
+    assert build_q_bipoly.cache_info().misses == 1
+    assert build_q_bipoly.cache_info().hits >= 2
+    assert len(orderings) == 1

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from betabound import constants
 from betabound.constants import (
     REFERENCE_DIGITS,
     a1,
@@ -57,6 +58,37 @@ def test_a3_defining_equation():
     assert agrees_with_printed(value, "0.43218")
     residual = lxx_general(0, value) - psi2(1)
     assert abs(residual) < HP.mpf("1e-12")
+
+
+# solve_a3's bits as the mpf bisection gave them before it ran on integers;
+# `constants` and `bounds` print from them
+A3_BITS = {
+    30: "0.432180364458330526666948771345258",
+    50: "0.43218036445833052666694877134527056720495844880739865",
+    100: "0.4321803644583305266669487713452705672049584488073984781901041666666666"
+         "666666666666666666666666666666672",
+    200: "0.4321803644583305266669487713452705672049584488073984781901041666666666"
+         "666666666666666666666666666666666666666666666666666666666666666666666666"
+         "6666666666666666666666666666666666666666666666666666666666652",
+}
+
+
+@pytest.mark.parametrize("dps", sorted(A3_BITS))
+def test_a3_keeps_its_bits_and_its_53_gap_evaluations(dps, monkeypatch):
+    # the benchmark's points workload times this re-solve: two bracket ends
+    # and 51 halvings, each one L_xx call; a memo or a new bracket fails here
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lxx_general(*args)
+
+    monkeypatch.setattr(constants, "lxx_general", counted)
+    value = solve_a3(dps)
+    assert len(calls) == 53
+    assert repr(value) == f"mpf('{A3_BITS[dps]}')"
+    solve_a3(dps)
+    assert len(calls) == 106
 
 
 def test_all_reference_digits():

@@ -102,6 +102,20 @@ class TestTheoremMargin:
         with pytest.raises(ValueError, match="domain error"):
             theorem_margin(F(1, 2), F(3, 2))
 
+    def test_ints_and_floats_enter_exactly(self):
+        # the same bits as their exact Fractions, which enter through the
+        # working context's mpfs and lose nothing there
+        cases = [(fn, x, y) for fn in (theorem_margin, big_F, big_G)
+                 for x, y in ((0.3721, 0.8123), (1, 0.25), (1e-5, 1))] + [(big_G, 0, 0.5)]
+        for fn, x, y in cases:
+            assert fn(x, y, 30) == fn(F(x), F(y), 30) == fn(HP.mpf(x), HP.mpf(y), 30)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_floats_are_domain_errors(self, bad):
+        for fn in (theorem_margin, big_F, big_G):
+            with pytest.raises(ValueError, match="domain error: arguments must be finite"):
+                fn(bad, 0.5)
+
     def test_log_margin_vanishes_toward_left_edge(self):
         # F -> 0 as x -> 0 (equality holds only there)
         for y in ("0.3", "0.7", "1"):

@@ -16,6 +16,7 @@ from betabound.specials import (
     beta,
     context,
     delta,
+    exact,
     gamma,
     locate_delta_max,
     log_gamma,
@@ -455,6 +456,83 @@ class TestIntegerEnclosures:
         assert specials.Interval(F(-1, 10**5), F(1, 7 * 10**5)).digits(2) == (
             "[-0.000010, 0.0000015]")
 
+
+
+def _unreduced_ln(num, den, bits):
+    """The ln kernel without the c_j table: atanh at |t| <= 1/5 (width reference)."""
+    k = num.bit_length() - den.bit_length()
+    n, d = (num, den << k) if k >= 0 else (num << -k, den)
+    if 3 * n > 4 * d:
+        d, k = d << 1, k + 1
+    elif 3 * n < 2 * d:
+        n, k = n << 1, k - 1
+    lo, hi = specials._atanh(abs(n - d), n + d, bits)
+    lo, hi = (-hi, -lo) if n < d else (lo, hi)
+    l2 = sorted(k * v for v in specials._ln2(bits))
+    return 2 * lo + l2[0], 2 * hi + l2[1]
+
+
+def _unhalved_exp(T, bits, up):
+    """The exp kernel without the halving: the series at t itself (width reference)."""
+    last, s, P, j = int(up), 1 << bits, 1 << bits, 0
+    while P > last:
+        j += 1
+        P = -(-P * T // (j << bits)) if up else P * T // (j << bits)
+        s += P
+    return s + last
+
+
+def _width(v):
+    return v.hi - v.lo
+
+
+class TestReducedKernels:
+    """``_ln`` and ``_exp`` after argument reduction, against mpmath at dps +
+    40 digits and against the width of the unreduced kernels."""
+
+    LN_ARGUMENTS = (
+        [1 + (j + h) / F(32) for j in range(-11, 12) for h in (F(-1, 2), F(1, 2))]
+        + [F(2) ** e * (1 + (j + F(1, 2)) / F(32)) for j in (-11, 0, 10) for e in (-60, 3, 200)]
+        + [F(2, 3) + d for d in (0, F(1, 10**40), -F(1, 10**40))]
+        + [F(4, 3) + d for d in (0, F(1, 10**40), -F(1, 10**40))]
+        + [F(1, 10**300), F(10**300), F(10**300 + 1, 10**300), F(3, 7) ** 40]
+    )
+
+    @staticmethod
+    def exp_intervals():
+        ln2 = mpmath.log(2)
+        near_ln2 = [exact(k * ln2) + d for k in (-40, -3, -1, 1, 2, 5, 40)
+                    for d in (0, F(1, 10**35), -F(1, 10**35))]
+        ends = near_ln2 + [F(0), F(1, 10**40), -F(1, 10**40), F(-7, 10**9),
+                           F(-700), F(-50, 3), F(700), F(1234, 5), F(10**4) + F(1, 3)]
+        return [specials.Interval(r, r) for r in ends] + [
+            specials.Interval(-F(1, 10**30), F(1, 10**30)), specials.Interval(F(-700), F(700))]
+
+    @pytest.mark.parametrize("dps", [30, 50, 100, 200])
+    def test_ln_enclosure_holds_mpmath_and_stays_narrow(self, dps, monkeypatch):
+        assert len(self.LN_ARGUMENTS) >= 60
+        enclosures = [specials.ln_enclosure(r, dps) for r in self.LN_ARGUMENTS]
+        monkeypatch.setattr(specials, "_ln", _unreduced_ln)
+        unreduced = [specials.ln_enclosure(r, dps) for r in self.LN_ARGUMENTS]
+        for r, enc, old in zip(self.LN_ARGUMENTS, enclosures, unreduced):
+            # digits enough to hold r exactly, and dps + 40 more
+            with mpmath.workdps(dps + 40 + (r.numerator * r.denominator).bit_length() // 3):
+                reference = exact(mpmath.log(mpmath.mpf(r.numerator) / r.denominator))
+            assert enc.lo <= reference <= enc.hi, r
+            assert _width(enc) <= 2 * _width(old), r
+
+    @pytest.mark.parametrize("dps", [30, 50, 100, 200])
+    def test_exp_enclosure_holds_mpmath_and_stays_narrow(self, dps, monkeypatch):
+        with mpmath.workdps(dps + 40):
+            intervals = self.exp_intervals()
+            enclosures = [specials.exp_enclosure(v, dps) for v in intervals]
+            monkeypatch.setattr(specials, "_exp", _unhalved_exp)
+            unhalved = [specials.exp_enclosure(v, dps) for v in intervals]
+            for v, enc, old in zip(intervals, enclosures, unhalved):
+                lo, hi = (exact(mpmath.exp(mpmath.mpf(r.numerator) / r.denominator))
+                          for r in v)
+                assert enc.lo <= lo and hi <= enc.hi, v
+                assert _width(enc) <= 2 * _width(old), v
 
 @pytest.fixture(scope="module")
 def maximizer_reference():
