@@ -80,14 +80,13 @@ def solve_a3(dps: int = DEFAULT_DPS):
 
     a -> L_xx(0, a) is increasing on (1/15, oo), so the root in (1/15, 2)
     is unique and plain bisection on the sign of the difference converges.
-    The ends, 1/15 + 1e-9 in the working context and 2, are numerators over
-    2^K, K that left end's binary places plus 64: every midpoint is exact.
+    The ends and every midpoint are exact: integer numerators over one 2^K.
     """
 
     def bisect(work):
         target = psi2(1, work.dps)
         start = exact(work.mpf(1) / 15 + work.mpf("1e-9"))
-        K = start.denominator.bit_length() + 63
+        K = start.denominator.bit_length() + 63   # 64 places past start; A3_TOL needs 51
         lo, hi = start.numerator << 64, 2 << K
 
         def below(m):

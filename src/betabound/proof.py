@@ -61,10 +61,13 @@ from .specials import (
     DEFAULT_DPS,
     GUARD_DIGITS,
     Interval,
+    _bits,
+    _interval,
+    _ln,
+    _stirling,
     context,
     exact,
     exp_enclosure,
-    ln_enclosure,
     psi,   # unused; perfbench/selftest.py checks that proof.psi is specials.psi
     stirling_enclosure,
     to_mpf,
@@ -131,23 +134,32 @@ def dGdx_rational(x, y):
 EDGE_OFFSET = Fraction(9, 25)   # the upper trapezoid subregion is y >= x + 9/25
 
 
+def _units(t: Fraction, order: int, bits: int) -> Interval:
+    """log Gamma (order -1) or psi (order 0) at t, ``specials``' enclosure on
+    integers: an Interval of two ints, in units of 2^-bits."""
+    return Interval(*_stirling(t.numerator, t.denominator, order, bits)[:2])
+
+
 def _enclosed_F(x: Fraction, y: Fraction, dps: int) -> Interval:
-    """F(x, y) at rationals, on the enclosures of ``specials``."""
-    lg = lambda t: stirling_enclosure(t, -1, dps)
-    ln = lambda arg: ln_enclosure(arg, dps)
-    return lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
+    """F(x, y) at rationals: its terms' enclosures summed in units of 2^-bits,
+    then scaled once (as in G and B)."""
+    bits = _bits(dps)
+    lg = lambda t: _units(t, -1, bits)
+    ln = lambda arg: Interval(*_ln(arg.numerator, arg.denominator, bits))
+    return _interval(*(lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)), bits)
 
 
 def _enclosed_G(x: Fraction, y: Fraction, dps: int) -> Interval:
     """G(x, y) = psi(x+1) - psi(y+1) + G_rational(x, y) at rationals."""
-    psi_ = lambda t: stirling_enclosure(t, 0, dps)
-    return psi_(x + 1) - psi_(y + 1) + G_rational(x, y)
+    bits = _bits(dps)
+    return _interval(*(_units(x + 1, 0, bits) - _units(y + 1, 0, bits)), bits) + G_rational(x, y)
 
 
 def _enclosed_beta(x: Fraction, y: Fraction, dps: int) -> Interval:
     """B(x, y), exp of log Gamma's enclosures, at rationals."""
-    lg = lambda t: stirling_enclosure(t, -1, dps)
-    return exp_enclosure(lg(x) + lg(y) - lg(x + y), dps)
+    bits = _bits(dps)
+    lg = lambda t: _units(t, -1, bits)
+    return exp_enclosure(_interval(*(lg(x) + lg(y) - lg(x + y)), bits), dps)
 
 
 def _enclosed_margin(x: Fraction, y: Fraction, dps: int) -> Interval:
@@ -167,9 +179,8 @@ def _guarded(value, scale, what: str):
 
 
 def _on_unit_square(value, dps: int, x, y, allow_zero: bool = False):
-    """value(x, y, work.dps) at x, y in (0, 1], or [0, 1] with `allow_zero`,
-    rounded to `dps` digits as ``evaluate`` rounds; an int or a float enters
-    exactly, any other argument as its mpf of the working context."""
+    """value(x, y, work.dps) at x, y in (0, 1], or [0, 1] with `allow_zero`, rounded
+    to `dps` digits; ints and floats enter exactly, others as working-context mpfs."""
     work = work_context(dps)
     values = [v if isinstance(v, (int, float)) else to_mpf(work, v) for v in (x, y)]
     try:

@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polys import BiPoly, Poly, RationalFn, as_fraction
-from .specials import (DEFAULT_DPS, GUARD_DIGITS, context, evaluate_rational,
-                       stirling_enclosure)
+from .specials import (DEFAULT_DPS, GUARD_DIGITS, _bits, _stirling, context,
+                       evaluate_rational)
 
 A_SMALL = Fraction(2, 5)
 A_LARGE = Fraction(4, 5)
@@ -155,8 +155,9 @@ def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
     def raw(x, small, large):
         if not x > 0:
             raise ValueError("domain error: sandwich bounds require x > 0")
-        mids = (stirling_enclosure(Fraction(x) + 1, k, dps + GUARD_DIGITS).mid for k in (1, 2))
-        p1, p2 = (Decimal(m.numerator) / m.denominator for m in mids)
+        t = Fraction(x) + 1
+        ends = (_stirling(t.numerator, t.denominator, k, _bits(dps + GUARD_DIGITS)) for k in (1, 2))
+        p1, p2 = (Decimal(lo + hi) / (2 << scale) for lo, hi, scale in ends)
         return {
             "psi1_above_lx45": p1 - yang_lx(x, large),
             "psi1_below_lx25": yang_lx(x, small) - p1,

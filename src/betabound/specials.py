@@ -78,18 +78,28 @@ def context(dps: int) -> MPContext:
     return ctx
 
 
-def to_mpf(ctx: MPContext, value):
-    """Convert ints, Fractions, Decimals, floats, strings and mpfs into ctx's
-    mpf; a Fraction or a finite Decimal p/q is rounded once, to nearest, from
-    its quotient's floor of at least ctx.prec + 2 bits and a half unit for a
-    nonzero remainder."""
-    if isinstance(value, (Fraction, decimal.Decimal)):
-        from mpmath.libmp import from_man_exp
+def _rounded_mpf(ctx: MPContext, p: int, q: int):
+    """p/q (q > 0) rounded once, to nearest with ties to even, into ctx's mpf: M,
+    |p|/q 2^s floored to prec + 1 or prec + 2 bits, keeps its top prec bits, one
+    more if the rest L passes half a unit h, or equals it with a remainder left
+    or an odd last bit.  mpmath keeps mantissas odd."""
+    if not p:
+        return ctx.zero
+    s = ctx.prec + 1 - abs(p).bit_length() + q.bit_length()
+    M, rem = divmod(abs(p) << s, q) if s >= 0 else divmod(abs(p), q << -s)
+    n = M.bit_length() - ctx.prec
+    man, L, h = M >> n, M & ((1 << n) - 1), 1 << (n - 1)
+    man += L > h or L == h and (rem > 0 or man & 1)
+    tz = (man & -man).bit_length() - 1
+    man >>= tz
+    return ctx.make_mpf((int(p < 0), man, n + tz - s, man.bit_length()))
 
-        p, q = value.as_integer_ratio()
-        s = ctx.prec + 2 - abs(p).bit_length() + q.bit_length()
-        man, rem = divmod(p << s, q) if s >= 0 else divmod(p, q << -s)
-        return ctx.make_mpf(from_man_exp(2 * man + (rem > 0), -s - 1, ctx.prec, "n"))
+
+def to_mpf(ctx: MPContext, value):
+    """Convert ints, Fractions, floats, strings and mpfs into ctx's mpf; a
+    Fraction is rounded once (``_rounded_mpf``)."""
+    if isinstance(value, Fraction):
+        return _rounded_mpf(ctx, value.numerator, value.denominator)
     return ctx.mpf(value)
 
 
@@ -146,8 +156,16 @@ def evaluate_rational(raw, dps: int, *args):
         result = raw(*(ctx.divide(v.numerator, v.denominator) for v in values))
     out = context(dps)
     if isinstance(result, dict):
-        return {k: to_mpf(out, v) for k, v in result.items()}
-    return to_mpf(out, result)
+        return {k: _decimal_mpf(out, v, ctx) for k, v in result.items()}
+    return _decimal_mpf(out, result, ctx)
+
+
+def _decimal_mpf(out: MPContext, d: decimal.Decimal, ctx: decimal.Context):
+    """d, a finite Decimal of ctx's precision or less, rounded once into out's mpf:
+    d 10^e is the integer n for e = ctx.prec - 1 - d.adjusted()."""
+    e = ctx.prec - 1 - d.adjusted()
+    n = int(d.scaleb(e, ctx))
+    return _rounded_mpf(out, n, 10**e) if e >= 0 else _rounded_mpf(out, n * 10**-e, 1)
 
 
 @lru_cache(maxsize=None)
@@ -312,12 +330,12 @@ def _atanh(p: int, q: int, bits: int) -> tuple[int, int]:
     [s, s + 2(J + 1)].
     """
     P = (p << bits) // q
-    s, j, T2 = P, 0, P * P >> bits
+    s, d, T2 = P, 1, P * P >> bits   # d = 2j + 1
     while P:
         P = P * T2 >> bits
-        j += 1
-        s += P // (2 * j + 1)
-    return s, s + 2 * (j + 1)
+        d += 2
+        s += P // d
+    return s, s + d + 1
 
 
 @lru_cache(maxsize=None)
@@ -340,6 +358,8 @@ def _ln(num: int, den: int, bits: int) -> tuple[int, int]:
     for c_j = 1 + j/32, j = round(32 (M - 1)) in [-11, 11], and ln m = 2 atanh(t),
     t = (m - 1)/(m + 1): |M - c_j| <= 1/64 and c_j >= 21/32 give |m - 1| <= 1/42
     and |t| <= 1/83.  The width adds twice ``_atanh``'s, ``_ln_table``'s and |k| ``_ln2``'s."""
+    if num <= 0:
+        raise ValueError("domain error: ln requires a positive argument")
     k = num.bit_length() - den.bit_length()
     n, d = (num, den << k) if k >= 0 else (num << -k, den)   # n/d in (1/2, 2)
     if 3 * n > 4 * d:
@@ -466,10 +486,7 @@ def _interval(lo: int, hi: int, bits: int) -> Interval:
 
 def ln_enclosure(r, dps: int = DEFAULT_DPS) -> Interval:
     """An Interval holding ln r for a positive rational r (int or Fraction)."""
-    r = Fraction(r)
-    if not r > 0:
-        raise ValueError("domain error: ln requires a positive argument")
-    bits = _bits(dps)
+    r, bits = Fraction(r), _bits(dps)
     return _interval(*_ln(r.numerator, r.denominator, bits), bits)
 
 
@@ -543,7 +560,7 @@ def _stirling(p: int, q: int, order: int, bits: int) -> tuple[int, int, int]:
         c, d = _half_log_2pi_fixed(bits)
         return lo + c - b, hi + d - a, scale
     e, top = order + 1, q ** (order + 1) << bits
-    s = sum(top // (p + k * q) ** e for k in range(n))
+    s = sum(top // v**e for v in range(p, p + n * q, q))
     shift = sorted(_SHIFT_NUMERATORS[order] * v for v in (s, s + n))
     return lo + shift[0], hi + shift[1], scale
 
@@ -573,11 +590,9 @@ def stirling_enclosure(x, order: int, dps: int = DEFAULT_DPS) -> Interval:
 def _value(ctx: MPContext, x, order: int):
     """log Gamma (order -1) or psi^(order) at the ctx mpf x: the midpoint of
     its enclosure at ctx.prec + GUARD_BITS bits, rounded to ctx."""
-    from mpmath.libmp import from_man_exp
-
     x = exact(x)
     lo, hi, scale = _stirling(x.numerator, x.denominator, order, ctx.prec + GUARD_BITS)
-    return ctx.make_mpf(from_man_exp(lo + hi, -scale - 1, ctx.prec, "n"))
+    return _rounded_mpf(ctx, lo + hi, 2 << scale)
 
 
 def _beta_raw(ctx: MPContext, x, y):
