@@ -61,10 +61,6 @@ from .specials import (
     DEFAULT_DPS,
     GUARD_DIGITS,
     Interval,
-    _bits,
-    _interval,
-    _ln,
-    _stirling,
     context,
     exact,
     exp_enclosure,
@@ -73,7 +69,7 @@ from .specials import (
     to_mpf,
     work_context,
 )
-from . import constants, signs
+from . import constants, signs, specials
 
 # ---------------------------------------------------------------------------
 # formulas, written once as plain arithmetic: floats, mpfs and Fractions give
@@ -134,32 +130,28 @@ def dGdx_rational(x, y):
 EDGE_OFFSET = Fraction(9, 25)   # the upper trapezoid subregion is y >= x + 9/25
 
 
-def _units(t: Fraction, order: int, bits: int) -> Interval:
-    """log Gamma (order -1) or psi (order 0) at t, ``specials``' enclosure on
-    integers: an Interval of two ints, in units of 2^-bits."""
-    return Interval(*_stirling(t.numerator, t.denominator, order, bits)[:2])
-
-
 def _enclosed_F(x: Fraction, y: Fraction, dps: int) -> Interval:
-    """F(x, y) at rationals: its terms' enclosures summed in units of 2^-bits,
-    then scaled once (as in G and B)."""
-    bits = _bits(dps)
-    lg = lambda t: _units(t, -1, bits)
-    ln = lambda arg: Interval(*_ln(arg.numerator, arg.denominator, bits))
-    return _interval(*(lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)), bits)
+    """F(x, y) at rationals: its terms' integer enclosures, in units of 2^-bits, are
+    summed as Intervals of ints and scaled once (so too in G and B)."""
+    bits = specials._bits(dps)
+    lg = lambda t: Interval(*specials._stirling(t.numerator, t.denominator, -1, bits)[:2])
+    ln = lambda arg: Interval(*specials._ln(arg.numerator, arg.denominator, bits))
+    F = lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
+    return specials._interval(*F, bits)
 
 
 def _enclosed_G(x: Fraction, y: Fraction, dps: int) -> Interval:
     """G(x, y) = psi(x+1) - psi(y+1) + G_rational(x, y) at rationals."""
-    bits = _bits(dps)
-    return _interval(*(_units(x + 1, 0, bits) - _units(y + 1, 0, bits)), bits) + G_rational(x, y)
+    bits = specials._bits(dps)
+    psi_ = lambda t: Interval(*specials._stirling(t.numerator, t.denominator, 0, bits)[:2])
+    return specials._interval(*(psi_(x + 1) - psi_(y + 1)), bits) + G_rational(x, y)
 
 
 def _enclosed_beta(x: Fraction, y: Fraction, dps: int) -> Interval:
     """B(x, y), exp of log Gamma's enclosures, at rationals."""
-    bits = _bits(dps)
-    lg = lambda t: _units(t, -1, bits)
-    return exp_enclosure(_interval(*(lg(x) + lg(y) - lg(x + y)), bits), dps)
+    bits = specials._bits(dps)
+    lg = lambda t: Interval(*specials._stirling(t.numerator, t.denominator, -1, bits)[:2])
+    return exp_enclosure(specials._interval(*(lg(x) + lg(y) - lg(x + y)), bits), dps)
 
 
 def _enclosed_margin(x: Fraction, y: Fraction, dps: int) -> Interval:

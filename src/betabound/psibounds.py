@@ -155,8 +155,8 @@ def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
     def raw(x, small, large):
         if not x > 0:
             raise ValueError("domain error: sandwich bounds require x > 0")
-        t = Fraction(x) + 1
-        ends = (_stirling(t.numerator, t.denominator, k, _bits(dps + GUARD_DIGITS)) for k in (1, 2))
+        t, bits = Fraction(x) + 1, _bits(dps + GUARD_DIGITS)
+        ends = (_stirling(t.numerator, t.denominator, k, bits) for k in (1, 2))
         p1, p2 = (Decimal(lo + hi) / (2 << scale) for lo, hi, scale in ends)
         return {
             "psi1_above_lx45": p1 - yang_lx(x, large),

@@ -51,7 +51,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable
 
-from .specials import DEFAULT_DPS, evaluate, work_context
+from .specials import DEFAULT_DPS, _rounded_mpf, evaluate, work_context
 
 NODE_CACHE_SIZE = 1024  # entries; the cached levels hold 327 nodes a precision
 CACHED_LEVELS = 5
@@ -85,7 +85,6 @@ def _de_sum(work, f: Callable, dps: int) -> object:
     levels pass without agreement, ValueError is raised.  The sum at level L,
     times 2^-(W+L), is converted once.
     """
-    from mpmath.libmp import from_man_exp
     from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
 
     bits = work.prec + GUARD_BITS
@@ -114,7 +113,7 @@ def _de_sum(work, f: Callable, dps: int) -> object:
         total += row(level, 1, 2)
         # |total 2^-level - previous 2^-(level-1)| against max(1, total 2^-level)
         if abs(total - 2 * previous) * scale < max(one << level, total):
-            return work.make_mpf(from_man_exp(total, -bits - level, work.prec, "n"))
+            return _rounded_mpf(work, total, 1 << bits + level)
     raise ValueError(
         f"inconclusive: quadrature did not converge in {MAX_LEVEL} levels")
 

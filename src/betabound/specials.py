@@ -79,25 +79,15 @@ def context(dps: int) -> MPContext:
 
 
 def _rounded_mpf(ctx: MPContext, p: int, q: int):
-    """p/q (q > 0) rounded once, to nearest with ties to even, into ctx's mpf: M,
-    |p|/q 2^s floored to prec + 1 or prec + 2 bits, keeps its top prec bits, one
-    more if the rest L passes half a unit h, or equals it with a remainder left
-    or an odd last bit.  mpmath keeps mantissas odd."""
-    if not p:
-        return ctx.zero
-    s = ctx.prec + 1 - abs(p).bit_length() + q.bit_length()
-    M, rem = divmod(abs(p) << s, q) if s >= 0 else divmod(abs(p), q << -s)
-    n = M.bit_length() - ctx.prec
-    man, L, h = M >> n, M & ((1 << n) - 1), 1 << (n - 1)
-    man += L > h or L == h and (rem > 0 or man & 1)
-    tz = (man & -man).bit_length() - 1
-    man >>= tz
-    return ctx.make_mpf((int(p < 0), man, n + tz - s, man.bit_length()))
+    """p/q (q > 0) rounded once, to nearest, into ctx's mpf: from p/q floored to
+    ctx.prec + 2 bits or more and a half unit for a nonzero remainder."""
+    s = ctx.prec + 2 - abs(p).bit_length() + q.bit_length()
+    man, rem = divmod(p << s, q) if s >= 0 else divmod(p, q << -s)
+    return ctx.mpf((2 * man + (rem > 0), -s - 1))
 
 
 def to_mpf(ctx: MPContext, value):
-    """Convert ints, Fractions, floats, strings and mpfs into ctx's mpf; a
-    Fraction is rounded once (``_rounded_mpf``)."""
+    """Convert ints, Fractions, floats, strings and mpfs into ctx's mpf (``_rounded_mpf``)."""
     if isinstance(value, Fraction):
         return _rounded_mpf(ctx, value.numerator, value.denominator)
     return ctx.mpf(value)
@@ -155,17 +145,11 @@ def evaluate_rational(raw, dps: int, *args):
     with decimal.localcontext(rational_context(dps)) as ctx:
         result = raw(*(ctx.divide(v.numerator, v.denominator) for v in values))
     out = context(dps)
+    e = lambda d: max(0, ctx.prec - 1 - d.adjusted())   # d, of ctx.prec digits or fewer,
+    rounded = lambda d: _rounded_mpf(out, int(d.scaleb(e(d), ctx)), 10 ** e(d))   # times 10^e
     if isinstance(result, dict):
-        return {k: _decimal_mpf(out, v, ctx) for k, v in result.items()}
-    return _decimal_mpf(out, result, ctx)
-
-
-def _decimal_mpf(out: MPContext, d: decimal.Decimal, ctx: decimal.Context):
-    """d, a finite Decimal of ctx's precision or less, rounded once into out's mpf:
-    d 10^e is the integer n for e = ctx.prec - 1 - d.adjusted()."""
-    e = ctx.prec - 1 - d.adjusted()
-    n = int(d.scaleb(e, ctx))
-    return _rounded_mpf(out, n, 10**e) if e >= 0 else _rounded_mpf(out, n * 10**-e, 1)
+        return {k: rounded(v) for k, v in result.items()}
+    return rounded(result)
 
 
 @lru_cache(maxsize=None)
@@ -388,12 +372,11 @@ def _exp(T: int, bits: int, up: bool) -> int:
     bits are floored (ceiled) too."""
     r = math.isqrt(bits)
     last, w, j = int(up), bits + r, 0   # last: the P_J that stops the sum
-    s = P = 1 << w
+    s, P = (1 << w) + last, 1 << w
     while P > last:
         j += 1
         P = -(-P * T // (j << w)) if up else P * T // (j << w)
         s += P
-    s += last
     for _ in range(r):
         s = -(-s * s >> w) if up else s * s >> w
     return -(-s >> r) if up else s >> r
@@ -404,10 +387,7 @@ def _exp_end(r: Fraction, bits: int, up: bool) -> Fraction:
     a, b = _ln2(bits)
     R, q = r.numerator << bits, r.denominator
     k = R // (q * (b if R >= 0 else a))
-    if up:
-        T = -((q * min(k * a, k * b) - R) // q)
-    else:
-        T = (R - q * max(k * a, k * b)) // q
+    T = -((q * min(k * a, k * b) - R) // q) if up else (R - q * max(k * a, k * b)) // q
     s = _exp(T, bits, up)
     return Fraction(s << k, 1 << bits) if k >= 0 else Fraction(s, 1 << (bits - k))
 

@@ -204,6 +204,20 @@ class TestCoreFunctionIdentities:
                 reference = mpmath.beta(mp(x), mp(y)) - mp(new_bound(x, y))
                 assert holds(proof._enclosed_margin(x, y, dps), reference), (x, y)
 
+    @pytest.mark.parametrize("dps", [30, 115])
+    def test_enclosures_are_the_sums_of_their_terms(self, dps):
+        # F, G and B - bound, summed in units of 2^-bits before scaling, are the
+        # Interval sums of the terms' own enclosures, exactly
+        lg = lambda t: stirling_enclosure(t, -1, dps)
+        psi_ = lambda t: stirling_enclosure(t, 0, dps)
+        ln = lambda arg: specials.ln_enclosure(arg, dps)
+        for x, y in ((F(1, 3), F(2, 7)), (F(0.3721), F(0.8123)), (F(1), F(1)), (F(1, 10**9), F(1, 2))):
+            F_ = lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
+            G = psi_(x + 1) - psi_(y + 1) + G_rational(x, y)
+            margin = specials.exp_enclosure(lg(x) + lg(y) - lg(x + y), dps) - new_bound(x, y)
+            assert proof._enclosed_F(x, y, dps) == F_ and proof._enclosed_G(x, y, dps) == G
+            assert proof._enclosed_margin(x, y, dps) == margin
+
     def test_diag_gap_domain_guard(self):
         # past x = (sqrt(3)+1)/2, 1 + 2x - 2x^2 < 0 and F's log argument with it
         with pytest.raises(ValueError, match="ln requires a positive argument"):

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from betabound import psibounds
+from betabound import psibounds, specials
 from betabound.polys import Poly, RationalFn
 from betabound.psibounds import (
     A_LARGE,
@@ -195,6 +195,19 @@ class TestDecimalRoute:
                 assert ulps(value, expected[key], dps) <= 1, (x, key)
         with pytest.raises(ValueError, match="domain error"):
             sandwich_margins(DECIMAL_XS[0], dps)
+
+    @pytest.mark.parametrize("dps", [30, 100])
+    def test_each_decimal_result_is_rounded_once(self, dps):
+        # the mpf is the Decimal result's exact value rounded to nearest, also
+        # for a zero and past 10^prec, where the Decimal is itself an integer
+        raws = [(lambda x, a: yang_lxx(x, a), (F(1, 3), solve_a3(dps))),
+                (lambda x, a: yang_lx(x, a), (0.37, A_LARGE)),
+                (lambda x: x - x, (F(1, 3),)), (lambda x: -x * x * x, (10**60 + 1,))]
+        for raw, args in raws:
+            with decimal.localcontext(specials.rational_context(dps)) as ctx:
+                d = raw(*(ctx.divide(*exact(v).as_integer_ratio()) for v in args))
+            value = specials.evaluate_rational(raw, dps, *args)
+            assert value == to_mpf(context(dps), F(d))
 
     def test_caller_decimal_context_is_untouched(self):
         calls = [

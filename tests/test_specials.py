@@ -456,6 +456,22 @@ class TestIntegerEnclosures:
         assert specials.Interval(F(-1, 10**5), F(1, 7 * 10**5)).digits(2) == (
             "[-0.000010, 0.0000015]")
 
+    def test_rounded_mpf_rounds_to_nearest_even(self):
+        # against mpmath's correctly rounded quotient, with exact ties and
+        # near-ties at each precision, negatives and zero
+        from mpmath.libmp import from_rational
+
+        rng = random.Random(11)
+        for dps in (15, 45, 115):
+            ctx = context(dps)
+            cases = [(0, 1), (1, 3), (-2, 3), (10**300, 7), (-1, 10**300)]
+            for _ in range(2000):
+                m, e = rng.getrandbits(ctx.prec + 1) | 1 << ctx.prec, rng.randrange(-400, 400)
+                p, q = (m << e, 1) if e >= 0 else (m, 1 << -e)
+                cases.append(((p + rng.choice((-1, 0, 1))) * rng.choice((1, -1)), q))
+                cases.append((rng.getrandbits(rng.randrange(1, 900)), rng.getrandbits(600) | 1))
+            for p, q in cases:
+                assert specials._rounded_mpf(ctx, p, q)._mpf_ == from_rational(p, q, ctx.prec, "n")
 
 
 def _unreduced_ln(num, den, bits):
