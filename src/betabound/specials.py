@@ -79,11 +79,12 @@ def context(dps: int) -> MPContext:
 
 
 def _rounded_mpf(ctx: MPContext, p: int, q: int):
-    """p/q (q > 0) rounded once, to nearest, into ctx's mpf: from p/q floored to
+    """p/q (q > 0) rounded once, to nearest, into ctx's mpf: from |p|/q floored to
     ctx.prec + 2 bits or more and a half unit for a nonzero remainder."""
     s = ctx.prec + 2 - abs(p).bit_length() + q.bit_length()
-    man, rem = divmod(p << s, q) if s >= 0 else divmod(p, q << -s)
-    return ctx.mpf((2 * man + (rem > 0), -s - 1))
+    man, rem = divmod(abs(p) << s, q) if s >= 0 else divmod(abs(p), q << -s)
+    man = 2 * man + (rem > 0)   # given its bit count, mpmath rounds it without a recount
+    return ctx.mpf((int(p < 0), man, -s - 1, man.bit_length()))
 
 
 def to_mpf(ctx: MPContext, value):

@@ -209,6 +209,17 @@ class TestDecimalRoute:
             value = specials.evaluate_rational(raw, dps, *args)
             assert value == to_mpf(context(dps), F(d))
 
+    @pytest.mark.parametrize("dps", [30, 100])
+    def test_a_result_just_past_a_tie_rounds_on_its_last_digit(self, dps):
+        # d, the tie between two neighbouring mpfs rounded up to the decimal
+        # context's digits, lies past the tie by less than its last digit
+        out, digits = context(dps), specials.rational_context(dps).prec
+        m = (1 << out.prec - 1) + 12345
+        tie = F(2 * m + 1, 1 << out.prec + 1)
+        up = decimal.Context(prec=digits, rounding=decimal.ROUND_CEILING, Emin=-999999)
+        d = up.divide(tie.numerator, tie.denominator)
+        assert exact(specials.evaluate_rational(lambda v: v, dps, F(d))) == F(m + 1, 1 << out.prec)
+
     def test_caller_decimal_context_is_untouched(self):
         calls = [
             lambda: lx_general(F(1, 3), A_SMALL, 50),
