@@ -113,7 +113,7 @@ def _de_sum(work, f: Callable, dps: int) -> object:
         total += row(level, 1, 2)
         # |total 2^-level - previous 2^-(level-1)| against max(1, total 2^-level)
         if abs(total - 2 * previous) * scale < max(one << level, total):
-            return _rounded_mpf(work, total, 1 << bits + level)
+            return _rounded_mpf(work, total, 1 << (bits + level))
     raise ValueError(
         f"inconclusive: quadrature did not converge in {MAX_LEVEL} levels")
 

@@ -88,7 +88,7 @@ def _rounded_mpf(ctx: MPContext, p: int, q: int):
 
 
 def to_mpf(ctx: MPContext, value):
-    """Convert ints, Fractions, floats, strings and mpfs into ctx's mpf (``_rounded_mpf``)."""
+    """Ints, Fractions, floats, strings and mpfs as ctx's mpfs; a Fraction by ``_rounded_mpf``."""
     if isinstance(value, Fraction):
         return _rounded_mpf(ctx, value.numerator, value.denominator)
     return ctx.mpf(value)
@@ -137,7 +137,8 @@ def evaluate_rational(raw, dps: int, *args):
     mpmath does an mpf operation.  Each argument enters as its exact value (an
     int or Fraction as it is) divided once; a non-finite one is a domain error.
     The context is local, so the caller's decimal context is neither used nor
-    changed.  A result, or each value of a dict result, is rounded once.
+    changed.  A result, or each value of a dict result, is rounded once: a
+    Decimal d of ctx.prec digits or fewer is the integer d 10^e(d) over 10^e(d).
     """
     try:
         values = [a if isinstance(a, (int, Fraction)) else exact(a) for a in args]
@@ -146,8 +147,8 @@ def evaluate_rational(raw, dps: int, *args):
     with decimal.localcontext(rational_context(dps)) as ctx:
         result = raw(*(ctx.divide(v.numerator, v.denominator) for v in values))
     out = context(dps)
-    e = lambda d: max(0, ctx.prec - 1 - d.adjusted())   # d, of ctx.prec digits or fewer,
-    rounded = lambda d: _rounded_mpf(out, int(d.scaleb(e(d), ctx)), 10 ** e(d))   # times 10^e
+    e = lambda d: max(0, ctx.prec - 1 - d.adjusted())
+    rounded = lambda d: _rounded_mpf(out, int(d.scaleb(e(d), ctx)), 10 ** e(d))
     if isinstance(result, dict):
         return {k: rounded(v) for k, v in result.items()}
     return rounded(result)
@@ -197,8 +198,9 @@ def _fixed_series(inv: int, bits: int, order: int) -> int:
 
 
 class Interval(NamedTuple):
-    """The closed interval [lo, hi] of two Fractions; adding or subtracting
-    an Interval, an int or a Fraction is exact."""
+    """The closed interval [lo, hi] of two Fractions (or two ints in units of 2^-bits,
+    before ``_interval`` scales them); adding or subtracting an Interval, an int or a
+    Fraction is exact."""
 
     lo: Fraction
     hi: Fraction

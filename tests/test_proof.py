@@ -211,7 +211,8 @@ class TestCoreFunctionIdentities:
         lg = lambda t: stirling_enclosure(t, -1, dps)
         psi_ = lambda t: stirling_enclosure(t, 0, dps)
         ln = lambda arg: specials.ln_enclosure(arg, dps)
-        for x, y in ((F(1, 3), F(2, 7)), (F(0.3721), F(0.8123)), (F(1), F(1)), (F(1, 10**9), F(1, 2))):
+        points = ((F(1, 3), F(2, 7)), (F(0.3721), F(0.8123)), (F(1), F(1)), (F(1, 10**9), F(1, 2)))
+        for x, y in points:
             F_ = lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
             G = psi_(x + 1) - psi_(y + 1) + G_rational(x, y)
             margin = specials.exp_enclosure(lg(x) + lg(y) - lg(x + y), dps) - new_bound(x, y)

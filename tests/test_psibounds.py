@@ -200,8 +200,7 @@ class TestDecimalRoute:
     def test_each_decimal_result_is_rounded_once(self, dps):
         # the mpf is the Decimal result's exact value rounded to nearest, also
         # for a zero and past 10^prec, where the Decimal is itself an integer
-        raws = [(lambda x, a: yang_lxx(x, a), (F(1, 3), solve_a3(dps))),
-                (lambda x, a: yang_lx(x, a), (0.37, A_LARGE)),
+        raws = [(yang_lxx, (F(1, 3), solve_a3(dps))), (yang_lx, (0.37, A_LARGE)),
                 (lambda x: x - x, (F(1, 3),)), (lambda x: -x * x * x, (10**60 + 1,))]
         for raw, args in raws:
             with decimal.localcontext(specials.rational_context(dps)) as ctx:
