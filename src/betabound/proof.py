@@ -17,8 +17,8 @@ positive (no interior extremum) and the boundary values pin the minimum.
 Each displayed step of that argument becomes a ``ProofStep``: algebraic
 identities are certified by exact cross-multiplication, polynomial sign
 claims by the one-sign-change criterion with exact evaluations, the
-seven transcendental values (three steps) by rigorous enclosures on
-integers (``specials.stirling_enclosure`` and ``ln_enclosure``) whose
+seven transcendental values (three steps) by rigorous enclosures, the
+``specials.Interval``s of ``stirling_enclosure`` and ``ln_enclosure``, whose
 lower ends must be positive, and the conclusions follow from their parent
 steps.  Each phase is a table of (id, claim, method, check, parents) rows
 that one runner, ``_Phase.run``, turns into steps.  A check returns only
@@ -32,9 +32,9 @@ terms (``psibounds.log_terms``), whose arguments the certificate denominators
 clear; ``A_SMALL``, ``A_LARGE`` and ``EDGE_OFFSET``; and F's log term
 (``log_correction``), whose argument gives the rational parts of dF/dx, dF/dy.
 
-F, G and B - bound are written once, as enclosures at rationals, which the
-replay and the sweep read; ``big_F``, ``big_G`` and ``theorem_margin`` round
-their midpoints at the working precision.
+F, G and B - bound are written once, as Interval sums of their terms'
+enclosures at rationals, which the replay and the sweep read; ``big_F``,
+``big_G`` and ``theorem_margin`` round their midpoints through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -61,15 +61,14 @@ from .specials import (
     DEFAULT_DPS,
     GUARD_DIGITS,
     Interval,
-    context,
+    evaluate,
     exact,
     exp_enclosure,
+    ln_enclosure,
     psi,   # unused; perfbench/selftest.py checks that proof.psi is specials.psi
     stirling_enclosure,
-    to_mpf,
-    work_context,
 )
-from . import constants, signs, specials
+from . import constants, signs
 
 # ---------------------------------------------------------------------------
 # formulas, written once as plain arithmetic: floats, mpfs and Fractions give
@@ -131,27 +130,22 @@ EDGE_OFFSET = Fraction(9, 25)   # the upper trapezoid subregion is y >= x + 9/25
 
 
 def _enclosed_F(x: Fraction, y: Fraction, dps: int) -> Interval:
-    """F(x, y) at rationals: its terms' integer enclosures, in units of 2^-bits, are
-    summed as Intervals of ints and scaled once (so too in G and B)."""
-    bits = specials._bits(dps)
-    lg = lambda t: Interval(*specials._stirling(t.numerator, t.denominator, -1, bits)[:2])
-    ln = lambda arg: Interval(*specials._ln(arg.numerator, arg.denominator, bits))
-    F = lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
-    return specials._interval(*F, bits)
+    """F(x, y) at rationals, the Interval sum of its terms' enclosures."""
+    lg = lambda t: stirling_enclosure(t, -1, dps)
+    ln = lambda arg: ln_enclosure(arg, dps)
+    return lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
 
 
 def _enclosed_G(x: Fraction, y: Fraction, dps: int) -> Interval:
     """G(x, y) = psi(x+1) - psi(y+1) + G_rational(x, y) at rationals."""
-    bits = specials._bits(dps)
-    psi_ = lambda t: Interval(*specials._stirling(t.numerator, t.denominator, 0, bits)[:2])
-    return specials._interval(*(psi_(x + 1) - psi_(y + 1)), bits) + G_rational(x, y)
+    psi_ = lambda t: stirling_enclosure(t, 0, dps)
+    return psi_(x + 1) - psi_(y + 1) + G_rational(x, y)
 
 
 def _enclosed_beta(x: Fraction, y: Fraction, dps: int) -> Interval:
     """B(x, y), exp of log Gamma's enclosures, at rationals."""
-    bits = specials._bits(dps)
-    lg = lambda t: Interval(*specials._stirling(t.numerator, t.denominator, -1, bits)[:2])
-    return exp_enclosure(specials._interval(*(lg(x) + lg(y) - lg(x + y)), bits), dps)
+    lg = lambda t: stirling_enclosure(t, -1, dps)
+    return exp_enclosure(lg(x) + lg(y) - lg(x + y), dps)
 
 
 def _enclosed_margin(x: Fraction, y: Fraction, dps: int) -> Interval:
@@ -171,18 +165,15 @@ def _guarded(value, scale, what: str):
 
 
 def _on_unit_square(value, dps: int, x, y, allow_zero: bool = False):
-    """value(x, y, work.dps) at x, y in (0, 1], or [0, 1] with `allow_zero`, rounded
-    to `dps` digits; ints and floats enter exactly, others as working-context mpfs."""
-    work = work_context(dps)
-    values = [v if isinstance(v, (int, float)) else to_mpf(work, v) for v in (x, y)]
-    try:
-        x, y = map(exact, values)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError("domain error: arguments must be finite") from exc
-    low_ok = (x >= 0 and y >= 0) if allow_zero else (x > 0 and y > 0)
-    if not (low_ok and x <= 1 and y <= 1):
-        raise ValueError("domain error: arguments must lie in (0, 1]")
-    return to_mpf(context(dps), value(x, y, work.dps))
+    """``evaluate`` of value(x, y, work.dps), x, y exact in (0, 1] ([0, 1] with `allow_zero`)."""
+
+    def raw(work, *args):
+        x, y = map(exact, args)
+        if not all((v >= 0 if allow_zero else v > 0) and v <= 1 for v in (x, y)):
+            raise ValueError("domain error: arguments must lie in (0, 1]")
+        return value(x, y, work.dps)
+
+    return evaluate(raw, dps, x, y)
 
 
 def theorem_margin(x, y, dps: int = DEFAULT_DPS):
@@ -347,7 +338,7 @@ def _positive(values: dict, dps: int) -> dict:
     if printed:
         evidence["printed"] = ", ".join(printed.values())
         evidence["agrees_with_printed"] = all(
-            agrees_with_printed(end, p) for k, p in printed.items() for end in values[k])
+            agrees_with_printed(end, p) for k, p in printed.items() for end in values[k].ends)
     return evidence
 
 
@@ -1068,7 +1059,7 @@ def sweep_theorem(
     xa, ya = best[1]
     hp = _enclosed_margin(Fraction(round(xa * n), n), Fraction(round(ya * n), n), dps)
     tolerance = 1e-9 * max(1.0, abs(best[0]))
-    hp_agrees = all(abs(float(end) - best[0]) <= tolerance for end in hp)
+    hp_agrees = all(abs(float(end) - best[0]) <= tolerance for end in hp.ends)
     return SweepResult(
         grid_n=n,
         rows_written=n * n,

@@ -48,10 +48,11 @@ instead of returning it.  Near the axes ``beta_integral`` does not converge.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .specials import DEFAULT_DPS, _rounded_mpf, evaluate, work_context
+from .specials import DEFAULT_DPS, evaluate, to_mpf, work_context
 
 NODE_CACHE_SIZE = 1024  # entries; the cached levels hold 327 nodes a precision
 CACHED_LEVELS = 5
@@ -113,7 +114,7 @@ def _de_sum(work, f: Callable, dps: int) -> object:
         total += row(level, 1, 2)
         # |total 2^-level - previous 2^-(level-1)| against max(1, total 2^-level)
         if abs(total - 2 * previous) * scale < max(one << level, total):
-            return _rounded_mpf(work, total, 1 << (bits + level))
+            return to_mpf(work, Fraction(total, 1 << (bits + level)))
     raise ValueError(
         f"inconclusive: quadrature did not converge in {MAX_LEVEL} levels")
 

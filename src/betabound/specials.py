@@ -1,17 +1,17 @@
 """High-precision gamma/polygamma/beta evaluation, as enclosures and as mpfs.
 
 One Stirling series with exact Bernoulli-number coefficients runs on Python
-integers alone (``_stirling``).  At a positive rational it returns two
-integers that enclose log Gamma, psi, psi' or psi'', every floor and the
-series remainder entering as a radius, derived in the docstrings below.
-``stirling_enclosure`` and ``ln_enclosure`` return such enclosures as
-``Interval``s, and ``exp_enclosure`` maps an Interval through exp the same
-way.  Both elementary kernels reduce their argument first: ``_ln`` divides
-by the nearest 1 + j/32, whose logs ``_ln_table`` keeps per bits, and ``_exp``
-sums its series at t/2^r and squares r = isqrt(bits) times.  The proof
-replay and the sweep's re-check read their transcendental values from them,
-and ``nstr`` prints an exact rational as mpmath's ``nstr`` prints an mpf, so
-those commands never import mpmath.
+integers alone (``_stirling``).  At a positive rational it encloses log
+Gamma, psi, psi' or psi'' in an ``Interval``, two integers over one power of
+two, every floor and the series remainder entering as a radius, derived in
+the docstrings below.  ``stirling_enclosure`` and ``ln_enclosure`` return
+such Intervals and ``exp_enclosure`` maps one through exp; callers sum them
+without knowing their units.  Both elementary kernels reduce their argument
+first: ``_ln`` divides by the nearest 1 + j/32, whose logs ``_ln_table``
+keeps per bits, and ``_exp`` sums its series at t/2^r and squares r =
+isqrt(bits) times.  The proof replay and the sweep's re-check read their
+transcendental values from them, and ``nstr`` prints an exact rational as
+mpmath's ``nstr`` prints an mpf, so those commands never import mpmath.
 
 The public functions return ``mpmath`` floats (``mpf``).  ``log_gamma``,
 ``psi``, ``psi1`` and ``psi2`` are the midpoints of the same enclosures
@@ -29,10 +29,9 @@ through one of two helpers, and its result is rounded to ``dps`` digits:
 
 * ``evaluate(raw, dps, *args)``: the arguments become mpfs of the working
   context (a non-finite one is a domain error), and ``raw`` checks its own
-  domain and computes.  The special functions here, ``constants`` and
-  ``quadrature`` use it; compositions call the public functions or the
-  enclosures at ``work.dps``.  ``proof``'s ``theorem_margin``, ``big_F``
-  and ``big_G`` round as it does, but take int and float arguments exactly.
+  domain and computes.  The special functions here, ``constants``,
+  ``quadrature`` and ``proof`` use it; compositions call the public
+  functions or the enclosures at ``work.dps``.
 * ``evaluate_rational(raw, dps, *args)``: for a formula of +, -, * and /
   alone, run on stdlib ``decimal`` (libmpdec, in C) in a local context of
   ``GUARD_DIGITS + 2`` extra digits, whose unit roundoff is no coarser than
@@ -198,38 +197,53 @@ def _fixed_series(inv: int, bits: int, order: int) -> int:
 
 
 class Interval(NamedTuple):
-    """The closed interval [lo, hi] of two Fractions (or two ints in units of 2^-bits,
-    before ``_interval`` scales them); adding or subtracting an Interval, an int or a
-    Fraction is exact."""
+    """[lo, hi] 2^-scale for ints lo <= hi and scale >= 0, as the kernels compute.
 
-    lo: Fraction
-    hi: Fraction
+    Intervals add and subtract exactly, the ends at the smaller scale shifted to
+    the larger.  An int or Fraction r is rounded outward at the Interval's scale:
+    floor(r 2^scale) joins lo and ceil(r 2^scale) hi, each under 1 from r 2^scale,
+    so each end holds the exact sum and lies within one unit of 2^-scale of it.
+    ``ends`` and ``mid`` are exact Fractions."""
+
+    lo: int
+    hi: int
+    scale: int = 0
 
     def __add__(self, other):
-        lo, hi = other if isinstance(other, Interval) else (other, other)
-        return Interval(self.lo + lo, self.hi + hi)
+        if not isinstance(other, Interval):
+            r = Fraction(other)
+            other = Interval(*_rounded(r.numerator, r.denominator, self.scale), self.scale)
+        a, b = (self, other) if self.scale <= other.scale else (other, self)
+        shift = b.scale - a.scale
+        return Interval((a.lo << shift) + b.lo, (a.hi << shift) + b.hi, b.scale)
 
     def __neg__(self):
-        return Interval(-self.hi, -self.lo)
+        return Interval(-self.hi, -self.lo, self.scale)
 
     def __sub__(self, other):
         return self + -other
 
     @property
+    def ends(self) -> tuple[Fraction, Fraction]:
+        return Fraction(self.lo, 1 << self.scale), Fraction(self.hi, 1 << self.scale)
+
+    @property
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo + self.hi, 2 << self.scale)
 
     def digits(self, dps: int) -> str:
         """"[lo, hi]", lo rounded down and hi up to `dps` significant digits."""
-        return f"[{_decimal(self.lo, dps, math.floor)}, {_decimal(self.hi, dps, math.ceil)}]"
+        lo, hi = self.ends
+        return f"[{_decimal(lo, dps, math.floor)}, {_decimal(hi, dps, math.ceil)}]"
 
     def rounded(self, dps: int) -> str:
         """The value rounded to the most significant digits, up to `dps`, at
         which both ends round alike (``nstr``); rounding is monotone, so every
         point between them rounds so too.  "[lo, hi]" if not even one does."""
+        lo, hi = self.ends
         for places in range(dps, 0, -1):
-            text = nstr(self.lo, places)
-            if text == nstr(self.hi, places):
+            text = nstr(lo, places)
+            if text == nstr(hi, places):
                 return text
         return self.digits(dps)
 
@@ -385,16 +399,6 @@ def _exp(T: int, bits: int, up: bool) -> int:
     return -(-s >> r) if up else s >> r
 
 
-def _exp_end(r: Fraction, bits: int, up: bool) -> Fraction:
-    """exp r rounded down, or up with `up`: see ``exp_enclosure``."""
-    a, b = _ln2(bits)
-    R, q = r.numerator << bits, r.denominator
-    k = R // (q * (b if R >= 0 else a))
-    T = -((q * min(k * a, k * b) - R) // q) if up else (R - q * max(k * a, k * b)) // q
-    s = _exp(T, bits, up)
-    return Fraction(s << k, 1 << bits) if k >= 0 else Fraction(s, 1 << (bits - k))
-
-
 def _stirling_formula(p: int, q: int, order: int, bits: int, E: int = 0) -> tuple[int, int]:
     """Stirling's formula for order -1, 0, 1 or 2 at z = p/q >= STIRLING_SHIFT,
     without log Gamma's constant ln(2 pi)/2, in units of 2^-bits (psi' and
@@ -463,19 +467,15 @@ def _bits(dps: int) -> int:
     return max(1, round((dps + GUARD_DIGITS + 1) * 3.3219280948873626)) + GUARD_BITS
 
 
-def _interval(lo: int, hi: int, bits: int) -> Interval:
-    return Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
-
-
 def ln_enclosure(r, dps: int = DEFAULT_DPS) -> Interval:
     """An Interval holding ln r for a positive rational r (int or Fraction)."""
     r, bits = Fraction(r), _bits(dps)
-    return _interval(*_ln(r.numerator, r.denominator, bits), bits)
+    return Interval(*_ln(r.numerator, r.denominator, bits), bits)
 
 
 def exp_enclosure(v: Interval, dps: int = DEFAULT_DPS) -> Interval:
     """An Interval holding exp of every point of `v`, on integers scaled by
-    2^bits, bits as on the mpf path.
+    2^bits, bits as on the mpf path (finer below 1: see the last line).
 
     exp is increasing, so the lower end bounds exp(v.lo) from below and the
     upper end exp(v.hi) from above.  An end r is reduced to t = r - k ln 2
@@ -496,13 +496,22 @@ def exp_enclosure(v: Interval, dps: int = DEFAULT_DPS) -> Interval:
     by r bits, with exp(t) < 2.02, the sum is within 5J + 10 units of exp(t)
     2^bits.  exp' < 3 on t < 1 triples T's error.  Each end thus lies within
     5J + 13 + 3 |k| (b - a) units of 2^(k - bits) of exp at that end of `v`.
+    The ends s 2^(k - bits) are shifted, exactly, to the scale bits - min(k, 0).
     """
-    bits = _bits(dps)
-    return Interval(_exp_end(v.lo, bits, False), _exp_end(v.hi, bits, True))
+    bits, q = _bits(dps), 1 << v.scale
+    (a, b), ends = _ln2(bits), []
+    for end, up in ((v.lo, False), (v.hi, True)):
+        R = end << bits
+        k = R // (q * (b if R >= 0 else a))
+        T = -((q * min(k * a, k * b) - R) // q) if up else (R - q * max(k * a, k * b)) // q
+        ends.append((_exp(T, bits, up), k))
+    (lo, k), (hi, m) = ends
+    low = min(k, 0)
+    return Interval(lo << k - low, hi << m - low, bits - low)
 
 
-def _stirling(p: int, q: int, order: int, bits: int) -> tuple[int, int, int]:
-    """(lo, hi, scale), lo 2^-scale <= f(p/q) <= hi 2^-scale, for f log Gamma
+def _stirling(p: int, q: int, order: int, bits: int) -> Interval:
+    """An Interval [lo, hi] 2^-scale holding f(p/q), for f log Gamma
     (order -1) or psi^(order) (orders 0, 1, 2), p/q > 0 and q > 0.
 
     The recurrences shift x exactly to z = x + n >= STIRLING_SHIFT: log Gamma
@@ -541,11 +550,11 @@ def _stirling(p: int, q: int, order: int, bits: int) -> tuple[int, int, int]:
     if order < 0:
         a, b = _ln(math.prod(range(p, p + n * q, q)), q**n, bits)
         c, d = _half_log_2pi_fixed(bits)
-        return lo + c - b, hi + d - a, scale
+        return Interval(lo + c - b, hi + d - a, scale)
     e, top = order + 1, q ** (order + 1) << bits
     s = sum(top // v**e for v in range(p, p + n * q, q))
     shift = sorted(_SHIFT_NUMERATORS[order] * v for v in (s, s + n))
-    return lo + shift[0], hi + shift[1], scale
+    return Interval(lo + shift[0], hi + shift[1], scale)
 
 
 def _power_ratio(num: int, den: int, e: int, bits: int) -> tuple[int, int]:
@@ -567,7 +576,7 @@ def stirling_enclosure(x, order: int, dps: int = DEFAULT_DPS) -> Interval:
     if order not in (-1, 0, 1, 2):
         raise ValueError("order must be -1, 0, 1 or 2")
     x = Fraction(x)
-    return _interval(*_stirling(x.numerator, x.denominator, order, _bits(dps)))
+    return _stirling(x.numerator, x.denominator, order, _bits(dps))
 
 
 def _value(ctx: MPContext, x, order: int):

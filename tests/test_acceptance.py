@@ -101,7 +101,7 @@ def test_criterion_4_transcendental_proof_constants():
     with Budget("4 (proof constants)", 5.0):
         # g(1/5) = psi'(6/5) - EDGE_SLOPE_QUOTIENT(1/5), enclosed as the replay does
         g = stirling_enclosure(F(6, 5), 1) - EDGE_SLOPE_QUOTIENT(F(1, 5))
-        assert all(agrees_with_printed(end, "0.001914") for end in g)
+        assert all(agrees_with_printed(end, "0.001914") for end in g.ends)
         assert agrees_with_printed(big_G(0, F(9, 25)), "0.0554")
         assert agrees_with_printed(big_G(F(1, 5), F(9, 25)), "0.04015")
 

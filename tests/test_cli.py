@@ -157,6 +157,7 @@ class TestConfig:
 REPORT_SHA256 = {
     "50": "5e6a5989773e1f27d5ff64a379ae3da71d31bbda3981a55573b4443bc868850d",
     "30": "34da7b5f66cdf51b4fb5b506a5ae6fe95e3297a3585e9f30367891ff6adfbbee",
+    "100": "f258f4261446340a24d83c037425d1517a461a66d31f849934ac2a166ba452aa",
 }
 # replays at each precision in turn in one process, writing DIR/<k>.json; the
 # last line is the number of mpmath contexts made so far
@@ -192,7 +193,8 @@ class TestReplayCommand:
         run(["replay", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("order", [("50", "30", "50"), ("30", "50", "30")])
+    @pytest.mark.parametrize("order", [("50", "30", "50"), ("30", "50", "30"),
+                                       ("100", "30", "100")])
     def test_report_bytes_with_cold_and_warm_kernel_cache(self, tmp_path, order):
         # a fresh interpreter starts with empty caches: its first replay runs
         # cold, the second at another precision shares no cache key with it,
@@ -413,7 +415,7 @@ class TestSweepCommand:
     def test_recheck_disagreement_has_its_own_message(self, tmp_path, monkeypatch, capsys):
         # every grid margin is positive; only the high-precision re-check fails
         monkeypatch.setattr(proof, "_enclosed_margin",
-                            lambda x, y, dps: Interval(Fraction(1), Fraction(1)))
+                            lambda x, y, dps: Interval(1, 1))
         code, text = run(["sweep", "--grid", "5", "--out", str(tmp_path / "s.csv"),
                           "--format", "json"])
         assert code == EXIT_VERIFY_FAILED
@@ -492,7 +494,12 @@ PRINTED_SHA256 = {
         "67eba0e81beb7ca0c9e247d33cad5024bd8075e3ee6730bce5e61c636a8d9246",
     ("constants", "--precision", "100"):
         "67eba0e81beb7ca0c9e247d33cad5024bd8075e3ee6730bce5e61c636a8d9246",
+    ("constants", "--precision", "200"):
+        "67eba0e81beb7ca0c9e247d33cad5024bd8075e3ee6730bce5e61c636a8d9246",
     ("bounds", "--x", "1/3"):
+        "3e35587c7387ca5ee895d46cee28b94aaefceb9dd77eb58bd8684878bfe08c1c",
+    # the chains print 30 digits at any precision
+    ("bounds", "--x", "1/3", "--precision", "200"):
         "3e35587c7387ca5ee895d46cee28b94aaefceb9dd77eb58bd8684878bfe08c1c",
     ("bounds", "--x", "1e-30"):
         "1b6a6d52c1ad0cf5d662640051f4c8cda99e508d3a8fc4b274cd1cad3ca8168f",

@@ -106,3 +106,69 @@ def test_records_are_immutable_and_replace_gives_a_new_one(record):
     new = old._replace(**{first: -1})
     assert type(new) is record and getattr(new, first) == -1
     assert getattr(old, first) == 0 and new[1:] == old[1:]
+
+
+PACKAGE = Path(betabound.__file__).resolve().parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def private_reads(path: Path) -> list[str]:
+    """"line: module._name" for each private name of another betabound module
+    that the module at `path` imports or reads as an attribute."""
+    tree, own = ast.parse(path.read_text()), path.stem
+    package = {"betabound"}   # local names bound to the package itself
+    aliases = {}   # local name -> the betabound module it is bound to
+    found = []
+
+    def module_of(node):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.attr if node.value.id in package and node.attr in MODULES else None
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] != "betabound" or not alias.asname:
+                    continue   # "import betabound.x" binds the package's own name
+                if len(parts) == 2:
+                    aliases[alias.asname] = parts[1]
+                else:
+                    package.add(alias.asname)
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            inside = node.level > 0 or parts[0] == "betabound"
+            target = parts[-1] if parts[-1] in MODULES else None
+            if inside and target is None:   # from . import specials
+                aliases.update({a.asname or a.name: a.name for a in node.names
+                                if a.name in MODULES})
+            elif inside and target != own:
+                found += [f"{node.lineno}: {target}.{a.name}" for a in node.names
+                          if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            target = module_of(node.value)
+            if target not in (None, own) and not node.attr.endswith("__"):
+                found.append(f"{node.lineno}: {target}.{node.attr}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_module_reads_another_modules_private_names(name):
+    assert private_reads(PACKAGE / f"{name}.py") == []
+
+
+def test_private_reads_sees_each_form(tmp_path):
+    source = ("from .specials import _bits, exact\n"
+              "from betabound.quadrature import _times\n"
+              "from . import specials as sp, polys\n"
+              "import betabound.signs as sg\n"
+              "import betabound\n"
+              "sp._stirling(1, 2, 0, 64), polys.Poly, sg._x, betabound.specials._ln\n"
+              "sp.__name__\n")
+    (tmp_path / "own.py").write_text(source)
+    assert private_reads(tmp_path / "own.py") == [
+        "1: specials._bits", "2: quadrature._times", "6: signs._x", "6: specials._ln",
+        "6: specials._stirling"]

@@ -58,8 +58,8 @@ def exact(value) -> F:
 
 def holds(enclosure, value, slack="0") -> bool:
     """lo - slack <= value <= hi + slack, for an mpf value, compared exactly."""
-    pad = F(slack)
-    return enclosure.lo - pad <= exact(value) <= enclosure.hi + pad
+    pad, (lo, hi) = F(slack), enclosure.ends
+    return lo - pad <= exact(value) <= hi + pad
 
 
 def edge_slope_enclosure(dps=50):
@@ -206,18 +206,32 @@ class TestCoreFunctionIdentities:
 
     @pytest.mark.parametrize("dps", [30, 115])
     def test_enclosures_are_the_sums_of_their_terms(self, dps):
-        # F, G and B - bound, summed in units of 2^-bits before scaling, are the
-        # Interval sums of the terms' own enclosures, exactly
+        # F and log B are the exact sums of their terms' enclosures; G and
+        # B - bound add a rational term, rounded outward by under one unit
         lg = lambda t: stirling_enclosure(t, -1, dps)
         psi_ = lambda t: stirling_enclosure(t, 0, dps)
         ln = lambda arg: specials.ln_enclosure(arg, dps)
+
+        def exact_sum(plus, minus, r=0):
+            lo = sum(v.ends[0] for v in plus) - sum(v.ends[1] for v in minus)
+            hi = sum(v.ends[1] for v in plus) - sum(v.ends[0] for v in minus)
+            return lo + r, hi + r
+
+        def outward(enclosure, lo, hi):
+            unit, (a, b) = F(1, 2**enclosure.scale), enclosure.ends
+            return lo - unit < a <= lo and hi <= b < hi + unit
+
         points = ((F(1, 3), F(2, 7)), (F(0.3721), F(0.8123)), (F(1), F(1)), (F(1, 10**9), F(1, 2)))
         for x, y in points:
-            F_ = lg(x + 1) + lg(y + 1) - lg(x + y + 1) - log_correction(x, y, ln)
-            G = psi_(x + 1) - psi_(y + 1) + G_rational(x, y)
-            margin = specials.exp_enclosure(lg(x) + lg(y) - lg(x + y), dps) - new_bound(x, y)
-            assert proof._enclosed_F(x, y, dps) == F_ and proof._enclosed_G(x, y, dps) == G
-            assert proof._enclosed_margin(x, y, dps) == margin
+            F_ = exact_sum([lg(x + 1), lg(y + 1)], [lg(x + y + 1), log_correction(x, y, ln)])
+            assert proof._enclosed_F(x, y, dps).ends == F_
+            G = exact_sum([psi_(x + 1)], [psi_(y + 1)], G_rational(x, y))
+            assert outward(proof._enclosed_G(x, y, dps), *G)
+            log_beta = lg(x) + lg(y) - lg(x + y)
+            assert log_beta.ends == exact_sum([lg(x), lg(y)], [lg(x + y)])
+            beta = specials.exp_enclosure(log_beta, dps)
+            margin = exact_sum([beta], [], -new_bound(x, y))
+            assert outward(proof._enclosed_margin(x, y, dps), *margin)
 
     def test_diag_gap_domain_guard(self):
         # past x = (sqrt(3)+1)/2, 1 + 2x - 2x^2 < 0 and F's log argument with it
@@ -260,7 +274,7 @@ class TestCoreFunctionIdentities:
         assert abs(fd - 2 * dF_dx(x, x)) < HP.mpf("1e-13")
 
     def test_edge_slope_printed_value(self):
-        assert all(agrees_with_printed(end, "0.001914") for end in edge_slope_enclosure())
+        assert all(agrees_with_printed(end, "0.001914") for end in edge_slope_enclosure().ends)
 
 
 ALZER_ALPHA = F(5, 2)

@@ -35,6 +35,13 @@ def close(a, b, tol="1e-25"):
     return abs(to_mpf(HP, a) - to_mpf(HP, b)) < HP.mpf(tol)
 
 
+def interval(lo, hi=None, scale=1000):
+    """The Interval at `scale` that holds the rationals [lo, hi] (hi = lo if
+    omitted), each end rounded outward."""
+    hi = lo if hi is None else hi
+    return specials.Interval(math.floor(lo * 2**scale), math.ceil(hi * 2**scale), scale)
+
+
 class TestClassicalValues:
     def test_log_gamma_at_one(self):
         assert close(log_gamma(1), 0, "1e-45")
@@ -386,10 +393,10 @@ class TestIntegerEnclosures:
             for fn, args, ref in cases:
                 x = args[0]
                 reference = exact(ref(mpmath.mpf(x.numerator) / x.denominator))
-                enclosure = fn(*args)
-                assert enclosure.lo <= reference <= enclosure.hi, (fn.__name__, args)
+                lo, hi = fn(*args).ends
+                assert lo <= reference <= hi, (fn.__name__, args)
                 # the series cap near 1e-53 widens them, not the requested digits
-                width = (enclosure.hi - enclosure.lo) / max(1, abs(reference))
+                width = (hi - lo) / max(1, abs(reference))
                 assert width < F(1, 10 ** (44 if dps == 30 else 51))
 
     @pytest.mark.parametrize("dps", [30, 50, 100])
@@ -416,19 +423,19 @@ class TestIntegerEnclosures:
         point = lambda: F(rng.randrange(-200 * 10**9, 200 * 10**9 + 1), 10**9)
         tiny = lambda: F(rng.randrange(-10**9, 10**9), 10**39)
         kinds = [lambda: (tiny(),), lambda: (point(),), lambda: (point(), point())]
-        cases = [specials.Interval(F(0), F(0))]
+        cases = [specials.Interval(0, 0)]
         for k in range(300):
             ends = kinds[k % 3]()
-            cases.append(specials.Interval(min(ends), max(ends)))
+            cases.append(interval(min(ends), max(ends)))
         with mpmath.workdps(dps + 40):
             for v in cases:
                 lo, hi = (exact(mpmath.exp(mpmath.mpf(r.numerator) / r.denominator))
-                          for r in v)
-                enclosure = specials.exp_enclosure(v, dps)
-                assert enclosure.lo <= lo and hi <= enclosure.hi, v
+                          for r in v.ends)
+                enc_lo, enc_hi = specials.exp_enclosure(v, dps).ends
+                assert enc_lo <= lo and hi <= enc_hi, v
                 # each end within 1e-(dps + 10) of exp there, relative
                 pad = F(1, 10 ** (dps + 10))
-                assert enclosure.lo >= lo * (1 - pad) and enclosure.hi <= hi * (1 + pad), v
+                assert enc_lo >= lo * (1 - pad) and enc_hi <= hi * (1 + pad), v
 
     @pytest.mark.parametrize("call", [
         lambda: specials.ln_enclosure(0),
@@ -440,21 +447,49 @@ class TestIntegerEnclosures:
         with pytest.raises(ValueError, match="domain error"):
             call()
 
+    @pytest.mark.parametrize("scale", [0, 170, 452])
+    def test_interval_rounds_a_rational_term_outward_by_under_one_unit(self, scale):
+        unit = F(1, 2**scale)
+        for base in (specials.Interval(0, 0, scale), specials.Interval(-5, 9, scale)):
+            lo, hi = base.ends
+            for r in (F(1, 3), F(-1, 7), F(1, 10**40), F(10**30, 7), 3, -2):
+                for total, exact_ends in ((base + r, (lo + r, hi + r)),
+                                          (base - r, (lo - r, hi - r))):
+                    (a, b), (e, f) = total.ends, exact_ends
+                    assert total.scale == scale
+                    assert e - unit < a <= e and f <= b < f + unit, (base, r)
+                    if isinstance(r, int):   # exact at any scale
+                        assert (a, b) == (e, f)
+
+    def test_intervals_at_different_scales_add_exactly(self):
+        coarse, fine = specials.Interval(7, 11, 3), specials.Interval(-1, 2, 170)
+        for total in (coarse + fine, fine + coarse):
+            assert total.scale == 170
+            assert total.ends == (F(7, 8) - F(1, 2**170), F(11, 8) + F(2, 2**170))
+        assert (coarse - fine).ends == (F(7, 8) - F(2, 2**170), F(11, 8) + F(1, 2**170))
+        assert (-fine).ends == (F(-2, 2**170), F(1, 2**170))
+        assert (coarse + fine).mid == F(9, 8) + F(1, 2**171)
+        # psi' at x >= 64 is scaled finer than at x < 64; their sum is exact
+        far, near = (specials.stirling_enclosure(x, 1, 30) for x in (100, F(1, 3)))
+        assert far.scale > near.scale
+        assert (far + near).ends == tuple(u + v for u, v in zip(far.ends, near.ends))
+
     def test_rounded_prints_the_digits_both_ends_share(self):
         fifth, eps = F(1, 5), F(1, 10**60)
-        assert specials.Interval(fifth - eps, fifth + eps).rounded(50) == "0.2"
-        third = specials.Interval(F(1, 3), F(1, 3) + F(1, 10**12))
+        assert interval(fifth - eps, fifth + eps).rounded(50) == "0.2"
+        third = interval(F(1, 3), F(1, 3) + F(1, 10**12))
         assert third.rounded(50) == "0.33333333333"
         assert (-third).rounded(5) == "-0.33333"
-        assert specials.Interval(F(1), F(2)).rounded(5) == "[1.0000, 2.0000]"
+        assert specials.Interval(1, 2).rounded(5) == "[1.0000, 2.0000]"
 
     def test_digits_round_outward(self):
-        third = specials.Interval(F(1, 3), F(2, 3))
+        third = interval(F(1, 3), F(2, 3))
         assert third.digits(3) == "[0.333, 0.667]"
         assert (-third).digits(2) == "[-0.67, -0.33]"
-        assert specials.Interval(F(0), F(12345, 100)).digits(3) == "[0, 124]"
-        assert specials.Interval(F(-1, 10**5), F(1, 7 * 10**5)).digits(2) == (
-            "[-0.000010, 0.0000015]")
+        assert interval(F(0), F(12345, 100)).digits(3) == "[0, 124]"
+        # ends on a digit stay; -10/2^20 and 3/2^20 are -9.54e-6 and 2.86e-6
+        assert specials.Interval(-1, 1, 2).digits(2) == "[-0.25, 0.25]"
+        assert specials.Interval(-10, 3, 20).digits(2) == "[-0.0000096, 0.0000029]"
 
     def test_rounded_mpf_rounds_to_nearest_even(self):
         # against mpmath's correctly rounded quotient, with exact ties and
@@ -499,7 +534,8 @@ def _unhalved_exp(T, bits, up):
 
 
 def _width(v):
-    return v.hi - v.lo
+    lo, hi = v.ends
+    return hi - lo
 
 
 class TestReducedKernels:
@@ -521,8 +557,8 @@ class TestReducedKernels:
                     for d in (0, F(1, 10**35), -F(1, 10**35))]
         ends = near_ln2 + [F(0), F(1, 10**40), -F(1, 10**40), F(-7, 10**9),
                            F(-700), F(-50, 3), F(700), F(1234, 5), F(10**4) + F(1, 3)]
-        return [specials.Interval(r, r) for r in ends] + [
-            specials.Interval(-F(1, 10**30), F(1, 10**30)), specials.Interval(F(-700), F(700))]
+        return [interval(r) for r in ends] + [
+            interval(-F(1, 10**30), F(1, 10**30)), interval(F(-700), F(700))]
 
     @pytest.mark.parametrize("dps", [30, 50, 100, 200])
     def test_ln_enclosure_holds_mpmath_and_stays_narrow(self, dps, monkeypatch):
@@ -534,7 +570,8 @@ class TestReducedKernels:
             # digits enough to hold r exactly, and dps + 40 more
             with mpmath.workdps(dps + 40 + (r.numerator * r.denominator).bit_length() // 3):
                 reference = exact(mpmath.log(mpmath.mpf(r.numerator) / r.denominator))
-            assert enc.lo <= reference <= enc.hi, r
+            lo, hi = enc.ends
+            assert lo <= reference <= hi, r
             assert _width(enc) <= 2 * _width(old), r
 
     @pytest.mark.parametrize("dps", [30, 50, 100, 200])
@@ -546,8 +583,9 @@ class TestReducedKernels:
             unhalved = [specials.exp_enclosure(v, dps) for v in intervals]
             for v, enc, old in zip(intervals, enclosures, unhalved):
                 lo, hi = (exact(mpmath.exp(mpmath.mpf(r.numerator) / r.denominator))
-                          for r in v)
-                assert enc.lo <= lo and hi <= enc.hi, v
+                          for r in v.ends)
+                enc_lo, enc_hi = enc.ends
+                assert enc_lo <= lo and hi <= enc_hi, v
                 assert _width(enc) <= 2 * _width(old), v
 
 @pytest.fixture(scope="module")
