@@ -498,12 +498,12 @@ def exp_enclosure(v: Interval, dps: int = DEFAULT_DPS) -> Interval:
     5J + 13 + 3 |k| (b - a) units of 2^(k - bits) of exp at that end of `v`.
     The ends s 2^(k - bits) are shifted, exactly, to the scale bits - min(k, 0).
     """
-    bits, q = _bits(dps), 1 << v.scale
+    bits = _bits(dps)
     (a, b), ends = _ln2(bits), []
     for end, up in ((v.lo, False), (v.hi, True)):
-        R = end << bits
-        k = R // (q * (b if R >= 0 else a))
-        T = -((q * min(k * a, k * b) - R) // q) if up else (R - q * max(k * a, k * b)) // q
+        X = end << bits >> v.scale   # floor(r 2^bits); its ceiling is -(-end << bits >> v.scale)
+        k = X // (b if X >= 0 else a)
+        T = -(-end << bits >> v.scale) - min(k * a, k * b) if up else X - max(k * a, k * b)
         ends.append((_exp(T, bits, up), k))
     (lo, k), (hi, m) = ends
     low = min(k, 0)
