@@ -19,7 +19,7 @@ log m = -2s + log M cancel nothing, and log(pi cosh u).  It serves u and -u,
 which swap the t side.  ``f(t, tc)`` gets the t pair and the 1-t pair and
 returns log(integrand times t (1-t)) on that scale, and the node adds
 exp(log(pi cosh u) + f) to an integer sum: one exponential per node, skipped
-where the exponent is below -W ln 2, as the term is 0 at that scale.  Levels
+where the exponent is below -0.6932 W < -W ln 2, whose term is 0.  Levels
 up to ``CACHED_LEVELS`` (5), at most 327 nodes a precision, are kept in an
 ``lru_cache`` of ``NODE_CACHE_SIZE`` entries keyed by the context, k and the
 level, never the integrand; every call on (1/250, 1]^2 converges by level 5
@@ -32,11 +32,13 @@ Entries are computed in ``work_context(work.dps)``, 49 or more bits above
 work.prec, and floored: below 2^17 (u <= 11), each errs by under 1 unit of
 2^-W.  x times an entry is formed from x's mantissa and exponent and floored
 once, so a node's exponent errs by under 3 + x + y units for beta and 5 + x
-for gamma.  The exponential adds under 16 units of its term (at most 9.9
-seen on 12,000 random arguments) and its floor 1 unit, under 23 units of the
-estimate over the 2 (11 2^L) + 1 nodes of step 2^-L.  Against sums >= 1
-(B >= 1 and Gamma >= 1 on (0, 1]) that is under 64 units of 2^-W, below one
-unit of work.prec.
+for gamma, as many units of its term's size.  ``specials.exp_scaled`` at W +
+g bits, g = 2 bitlen(W) + 4 (2^g > 16 W^2), falls short by under 3 + |k| (b -
+a) < 2^g/4 units of 2^-(W+g) of its size, as |k| < 1.01 W + 1 above the
+cutoff and b - a < 1.27 (W + g) + 6.  Its shift to W bits floors, under 1 unit, under 23 units
+of the estimate over the 2 (11 2^L) + 1 nodes of step 2^-L.  Against sums >=
+1 (B >= 1 and Gamma >= 1 on (0, 1]) that is under 30 units of 2^-W, below the
+64 of ``GUARD_BITS`` and one unit of work.prec.
 
 Convergence
 -----------
@@ -52,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .specials import DEFAULT_DPS, evaluate, to_mpf, work_context
+from .specials import DEFAULT_DPS, evaluate, exp_scaled, to_mpf, work_context
 
 NODE_CACHE_SIZE = 1024  # entries; the cached levels hold 327 nodes a precision
 CACHED_LEVELS = 5
@@ -86,15 +88,17 @@ def _de_sum(work, f: Callable, dps: int) -> object:
     levels pass without agreement, ValueError is raised.  The sum at level L,
     times 2^-(W+L), is converted once.
     """
-    from mpmath.libmp.libelefun import exp_fixed, ln2_fixed
-
     bits = work.prec + GUARD_BITS
-    one, scale, ln2 = 1 << bits, 10 ** (dps + 5), ln2_fixed(bits)
-    cutoff = -bits * ln2
+    one, scale = 1 << bits, 10 ** (dps + 5)
+    cutoff = -(bits << bits) * 6932 // 10000   # below -W ln 2, every term floors to 0
+    guard = 2 * bits.bit_length() + 4   # 2^guard > 16 W^2
 
     def term(log_pi_cosh, t, tc):
         exponent = log_pi_cosh + f(t, tc)
-        return exp_fixed(exponent, bits, ln2) if exponent >= cutoff else 0
+        if exponent < cutoff:
+            return 0
+        s, k = exp_scaled(exponent << guard, bits + guard)
+        return s >> guard - k if k < guard else s << k - guard
 
     def row(level: int, k: int, step: int) -> int:
         node = _unit_node if level <= CACHED_LEVELS else _unit_node.__wrapped__

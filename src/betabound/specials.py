@@ -5,13 +5,13 @@ integers alone (``_stirling``).  At a positive rational it encloses log
 Gamma, psi, psi' or psi'' in an ``Interval``, two integers over one power of
 two, every floor and the series remainder entering as a radius, derived in
 the docstrings below.  ``stirling_enclosure`` and ``ln_enclosure`` return
-such Intervals and ``exp_enclosure`` maps one through exp; callers sum them
-without knowing their units.  Both elementary kernels reduce their argument
-first: ``_ln`` divides by the nearest 1 + j/32, whose logs ``_ln_table``
-keeps per bits, and ``_exp`` sums its series at t/2^r and squares r =
-isqrt(bits) times.  The proof replay and the sweep's re-check read their
-transcendental values from them, and ``nstr`` prints an exact rational as
-mpmath's ``nstr`` prints an mpf, so those commands never import mpmath.
+such Intervals and ``exp_enclosure`` maps one through ``exp_scaled``, exp
+on integers, which ``quadrature`` reads too.  Both elementary kernels reduce
+their argument: ``_ln`` divides by the nearest 1 + j/32, whose logs
+``_ln_table`` keeps per bits, and ``_exp`` reads exp of t's top four bytes
+from tables kept per bits and sums the rest's series.  The replay and the
+sweep's re-check read their values from them, and ``nstr`` prints an exact
+rational as mpmath's ``nstr`` prints an mpf, so they never import mpmath.
 
 The public functions return ``mpmath`` floats (``mpf``).  ``log_gamma``,
 ``psi``, ``psi1`` and ``psi2`` are the midpoints of the same enclosures
@@ -42,7 +42,7 @@ No ambient global state, mpmath's or ``decimal``'s, is used or mutated.
 
 The enclosures run on integers scaled by 2^bits, bits the working precision
 plus ``GUARD_BITS`` (``_bits``; ``_value`` reads it off its context); the
-ln table is summed at bits + 8 and exp's squarings on r more bits.  The
+ln table is summed at bits + 8 and exp's products 6 + bitlen(bits) finer.  The
 fixed shift and term count (B_2 to B_42) put the first omitted term below
 1e-46 of the result (worst case psi'') and cap the accuracy near 1e-53.
 """
@@ -377,26 +377,57 @@ def _ln(num: int, den: int, bits: int) -> tuple[int, int]:
     return 2 * lo + c_lo + l2[0], 2 * hi + c_hi + l2[1]
 
 
-def _exp(T: int, bits: int, up: bool) -> int:
-    """exp(t) 2^bits for t = T 2^-bits in [0, 1), rounded down, or up with `up`,
-    as exp(u)^(2^r) for u = t/2^r = T 2^-w, r = isqrt(bits) and w = bits + r.
+@lru_cache(maxsize=None)
+def _exp_tables(bits: int) -> tuple:
+    """``_exp``'s g; 2^w/n!, n = N..0, floored and negated-floored as first and
+    rest; four levels of 256 entries with their i and shift w - 8i."""
+    g = bits.bit_length() + 6
+    w, n = bits + g, 1
+    down, up = [1 << w], [-1 << w]   # floor(floor(x/a)/b) = floor(x/(ab))
+    while down[-1] // n >= 1 << 32 * n - 1:   # else n = N + 1: 2^w/n! < 2^(32n - 1)
+        down, up, n = down + [down[-1] // n], up + [up[-1] // n], n + 1
+    horner = tuple((c[-1], tuple(c[-2::-1])) for c in (down, up))
+    return g, horner, tuple(([None] * 256, i, w - 8 * i) for i in range(1, 5))
 
-    The terms P_0 = 2^w and P_j = P_(j-1) T / (j 2^w) are floored (ceiled),
-    and T >= 0, so each is a lower (upper) bound of u^j/j! 2^w.  Down, the sum
-    stops at the first P_J = 0 and drops a positive tail.  Up, it stops at the
-    first P_J <= 1 and adds 1 for the tail past term J, which is under term J
-    times (u/(J+1)) / (1 - u/(J+1)) < 1.  The r squarings and the shift by r
-    bits are floored (ceiled) too."""
-    r = math.isqrt(bits)
-    last, w, j = int(up), bits + r, 0   # last: the P_J that stops the sum
-    s, P = (1 << w) + last, 1 << w
-    while P > last:
-        j += 1
-        P = -(-P * T // (j << w)) if up else P * T // (j << w)
+
+def _exp_entry(level: list, i: int, j: int, w: int) -> tuple[int, int]:
+    """exp(j 2^-8i) 2^w as [s, s + 2J + 2], stored in `level`: s sums P_0 = 2^w
+    and P_n = floor(P_(n-1) j / (n 2^8i)) up to the first P_J = 0."""
+    s, P, n = 1 << w, 1 << w, 0
+    while P:
+        n += 1
+        P = P * j // (n << 8 * i)
         s += P
-    for _ in range(r):
-        s = -(-s * s >> w) if up else s * s >> w
-    return -(-s >> r) if up else s >> r
+    level[j] = entry = (s, s + 2 * n + 2)
+    return entry
+
+
+def _exp(T: int, bits: int, up: bool) -> int:
+    """exp(t) 2^bits for t = T 2^-bits in [0, 1), rounded down, or up with
+    `up`, by under 3/2 units; up, the sum is negated, so each floor rounds up.
+
+    On w = bits + g bits, g = 6 + bitlen(bits), t = a_1 + ... + a_4 + p, a_i =
+    j_i 2^-8i its i-th byte and p < 2^-32 the rest.  In exp(a_i)'s entry each
+    floor loses under 1 and scales the shortfall carried in by a_i/n <= 1/2,
+    so each P_n, and the tail past P_J = 0, falls under 2 short; P_(J-1) >= 1
+    gives (J - 1)! <= 2^w, J < w/2 + 1.  Horner's sum of exp(p) to n = N loses
+    under 2 a step, scaled by p, and adds up the tail, under 1: under 5/2.
+    The product of the five factors, exp(t) 2^w < e 2^w, is floored four
+    times; an error reaches it times the factors after it, and products of two
+    errors stay far below a unit: under e (4w + 24) < 2^(g-1) units of 2^-w
+    for bits >= 18, and 3/2 units of 2^-bits after the last shift.
+    """
+    g, horner, levels = _exp_tables(bits)
+    w, U = bits + g, T << g
+    p = U & (1 << w - 32) - 1
+    s, coeffs = horner[up]
+    for c in coeffs:
+        s = c + (s * p >> w)
+    s -= up   # the tail past N, up
+    for level, i, shift in levels:
+        j = U >> shift & 255
+        s = s * (level[j] or _exp_entry(level, i, j, w))[up] >> w
+    return -(s >> g) if up else s >> g
 
 
 def _stirling_formula(p: int, q: int, order: int, bits: int, E: int = 0) -> tuple[int, int]:
@@ -473,39 +504,34 @@ def ln_enclosure(r, dps: int = DEFAULT_DPS) -> Interval:
     return Interval(*_ln(r.numerator, r.denominator, bits), bits)
 
 
+def exp_scaled(X: int, bits: int, up: bool = False) -> tuple[int, int]:
+    """(s, k): s 2^(k - bits) is exp(x), x = X 2^-bits, rounded down (up with
+    `up`) by under (3 + |k| (b - a)) exp(x) 2^-bits, [a, b] 2^-bits ``_ln2``'s
+    bracket, 4J + 4 <= 1.27 bits + 6 units wide for J <= bits/3.17 + 1/2.
+
+    t = x - k ln 2 with k = floor(X/b), or floor(X/a) below 0, is in [0, 0.7).
+    T, t 2^bits with k ln 2 at the end of its bracket that makes t smaller
+    (larger), is off by at most |k| (b - a): as many units of exp(t) (up, times
+    e^d, d = |k| (b - a) 2^-bits < 2^(-bits/2-1)).  ``_exp`` adds 3/2 more.
+    """
+    a, b = _ln2(bits)
+    k, low = divmod(X, b) if X >= 0 else divmod(X, a)
+    T = X - k * (a if X >= 0 else b) if up else low
+    return _exp(T, bits, up), k
+
+
 def exp_enclosure(v: Interval, dps: int = DEFAULT_DPS) -> Interval:
     """An Interval holding exp of every point of `v`, on integers scaled by
     2^bits, bits as on the mpf path (finer below 1: see the last line).
 
-    exp is increasing, so the lower end bounds exp(v.lo) from below and the
-    upper end exp(v.hi) from above.  An end r is reduced to t = r - k ln 2
-    with ``_ln2``'s bracket [a, b] 2^-bits: k = floor(r 2^bits / b) for r >= 0
-    and floor(r 2^bits / a) below make r 2^bits - k a and r 2^bits - k b
-    both nonnegative, so t >= 0, and t < 0.7.  T, t 2^bits floored (ceiled)
-    with k ln 2 at the end of its bracket that makes t smaller (larger), errs
-    by under 1 + |k| (b - a) units.  ``_exp`` sums the Taylor series at t/2^r
-    and squares r times; its result times 2^k is exact.
-
-    Width.  In ``_exp``'s down sum each floor loses under 1 and scales the
-    shortfall carried in by u/j < 1, so every P_j, and the tail dropped at
-    P_J = 0, falls under 2 short: the down (up) sum is d_0 <= 2J + 2 units of
-    2^-w off exp(u) 2^w, J <= w/r + 1 the terms summed.  A square of a sum d
-    off E = exp(v) 2^w is 2 exp(v) d + d^2/2^w off E^2/2^w, and d^2 < 2^w as r
-    + 2 log2(5J + 10) < bits; so d_(i+1) < 2 exp(v_i) d_i + 2, the factors
-    multiply to at most 2^r exp(t), and d_r < 2^r exp(t) (d_0 + 2).  Shifted
-    by r bits, with exp(t) < 2.02, the sum is within 5J + 10 units of exp(t)
-    2^bits.  exp' < 3 on t < 1 triples T's error.  Each end thus lies within
-    5J + 13 + 3 |k| (b - a) units of 2^(k - bits) of exp at that end of `v`.
-    The ends s 2^(k - bits) are shifted, exactly, to the scale bits - min(k, 0).
+    exp is increasing: the ends are ``exp_scaled`` of v.lo 2^bits floored,
+    rounded down, and of v.hi 2^bits ceiled, rounded up, within (4 + |k| (b -
+    a)) exp(r) 2^-bits of exp at that end r of `v`; their s 2^(k - bits) are
+    shifted, exactly, to the scale bits - min(k, 0).
     """
     bits = _bits(dps)
-    (a, b), ends = _ln2(bits), []
-    for end, up in ((v.lo, False), (v.hi, True)):
-        X = end << bits >> v.scale   # floor(r 2^bits); its ceiling is -(-end << bits >> v.scale)
-        k = X // (b if X >= 0 else a)
-        T = -(-end << bits >> v.scale) - min(k * a, k * b) if up else X - max(k * a, k * b)
-        ends.append((_exp(T, bits, up), k))
-    (lo, k), (hi, m) = ends
+    lo, k = exp_scaled(v.lo << bits >> v.scale, bits)
+    hi, m = exp_scaled(-(-v.hi << bits >> v.scale), bits, True)
     low = min(k, 0)
     return Interval(lo << k - low, hi << m - low, bits - low)
 

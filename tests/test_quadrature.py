@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from betabound import quadrature
+from betabound import quadrature, specials
 from betabound.quadrature import beta_integral, gamma_integral, tanh_sinh_unit
-from betabound.specials import context, work_context
+from betabound.specials import context, exact, work_context
 
 POINTS = [
     (F(1, 250), F(1, 250)),
@@ -163,3 +163,32 @@ def test_each_node_calls_the_integrand_once(oracle, monkeypatch):
     info = quadrature._unit_node.cache_info()
     # u = 0 is one node; every other entry serves u and -u
     assert calls == 2 * (info.hits + info.misses) - 1 > 0
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+def test_each_exponential_stays_within_the_error_bound(dps, monkeypatch):
+    # every term of one beta_integral and one gamma_integral call, taken through
+    # specials.exp_scaled, falls short of exp(exponent) 2^W by under 1 unit of
+    # 2^-W (its floor) and 1/4 unit of its size (the module's "Error bound")
+    calls = []
+
+    def recording(X, bits, up=False):
+        calls.append((X, bits, specials.exp_scaled(X, bits, up)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(quadrature, "exp_scaled", recording)
+    rng = random.Random(dps)
+    x, y = (F(rng.randrange(10**6 // 250 + 1, 10**6 + 1), 10**6) for _ in range(2))
+    beta_integral(x, y, dps)
+    gamma_integral(x, dps)
+    W = work_context(dps).prec + quadrature.GUARD_BITS
+    assert len(calls) > 200
+    with mpmath.workdps(dps + 40):
+        for X, bits, (s, k) in calls:
+            guard = bits - W
+            exponent = X >> guard
+            assert exponent << guard == X
+            term = s >> guard - k if k < guard else s << k - guard
+            size = exact(mpmath.exp(mpmath.ldexp(exponent, -W)))
+            shortfall = size * 2**W - term
+            assert 0 <= shortfall < 1 + size / 4, (exponent, bits)

@@ -588,6 +588,31 @@ class TestReducedKernels:
                 assert enc_lo <= lo and hi <= enc_hi, v
                 assert _width(enc) <= 2 * _width(old), v
 
+    # the working bits of 30, 50, 100 and 200 digits, and quadrature's at 30 and 50
+    EXP_BITS = ([(dps, specials._bits(dps)) for dps in (30, 50, 100, 200)]
+                + [(dps, work_context(dps).prec + 7) for dps in (30, 50)])
+
+    @pytest.mark.parametrize("dps, bits", EXP_BITS)
+    def test_exp_scaled_stays_within_its_bound(self, dps, bits):
+        # each end on its side of exp, by under the docstring's (3 + |k| (b - a))
+        # exp(x) 2^-bits: at 0, within 1e-35 of k ln 2 for |k| <= 40, and at
+        # seeded x in [-bits ln 2, 3] and in [0, ln 2), where k = 0
+        rng = random.Random(bits)
+        a, b = specials._ln2(bits)
+        with mpmath.workdps(dps + 40):
+            ln2 = exact(mpmath.log(2))
+            xs = [F(0)] + [k * ln2 + d for k in range(-40, 41)
+                           for d in (F(1, 10**35), -F(1, 10**35))]
+            xs += [F(rng.uniform(-bits * 0.6931, 3)) for _ in range(100)]
+            xs += [F(rng.uniform(0, 0.6931)) for _ in range(100)]
+            for x in xs:
+                X = math.floor(x * 2**bits)
+                reference = exact(mpmath.exp(mpmath.ldexp(X, -bits)))
+                for up in (False, True):
+                    s, k = specials.exp_scaled(X, bits, up)
+                    error = (F(s) * F(2) ** (k - bits) - reference) * (1 if up else -1)
+                    assert 0 <= error < (3 + abs(k) * (b - a)) * reference / 2**bits, (x, up)
+
 @pytest.fixture(scope="module")
 def maximizer_reference():
     # the root of Delta' built from mpmath's own gamma and digamma
