@@ -390,16 +390,16 @@ def _exp_tables(bits: int) -> tuple:
     return g, horner, tuple(([None] * 256, i, w - 8 * i) for i in range(1, 5))
 
 
-def _exp_entry(level: list, i: int, j: int, w: int) -> tuple[int, int]:
-    """exp(j 2^-8i) 2^w as [s, s + 2J + 2], stored in `level`: s sums P_0 = 2^w
+def _exp_entry(level: list, i: int, j: int, w: int) -> int:
+    """exp(j 2^-8i) 2^w rounded down, stored in `level`: the sum of P_0 = 2^w
     and P_n = floor(P_(n-1) j / (n 2^8i)) up to the first P_J = 0."""
     s, P, n = 1 << w, 1 << w, 0
     while P:
         n += 1
         P = P * j // (n << 8 * i)
         s += P
-    level[j] = entry = (s, s + 2 * n + 2)
-    return entry
+    level[j] = s
+    return s
 
 
 def _exp(T: int, bits: int, up: bool) -> int:
@@ -409,9 +409,9 @@ def _exp(T: int, bits: int, up: bool) -> int:
     On w = bits + g bits, g = 6 + bitlen(bits), t = a_1 + ... + a_4 + p, a_i =
     j_i 2^-8i its i-th byte and p < 2^-32 the rest.  In exp(a_i)'s entry each
     floor loses under 1 and scales the shortfall carried in by a_i/n <= 1/2,
-    so each P_n, and the tail past P_J = 0, falls under 2 short; P_(J-1) >= 1
-    gives (J - 1)! <= 2^w, J < w/2 + 1.  Horner's sum of exp(p) to n = N loses
-    under 2 a step, scaled by p, and adds up the tail, under 1: under 5/2.
+    so each P_n, and the tail past P_J = 0, falls under 2 short; up adds 2J +
+    2 < w + 4, as P_(J-1) >= 1 gives (J - 1)! <= 2^w.  Horner's sum of exp(p)
+    to n = N loses under 2 a step, scaled by p, and the tail is under 1: 5/2.
     The product of the five factors, exp(t) 2^w < e 2^w, is floored four
     times; an error reaches it times the factors after it, and products of two
     errors stay far below a unit: under e (4w + 24) < 2^(g-1) units of 2^-w
@@ -423,10 +423,10 @@ def _exp(T: int, bits: int, up: bool) -> int:
     s, coeffs = horner[up]
     for c in coeffs:
         s = c + (s * p >> w)
-    s -= up   # the tail past N, up
+    s, pad = s - up, (w + 4) * up   # up: the tail past N, and each entry's
     for level, i, shift in levels:
         j = U >> shift & 255
-        s = s * (level[j] or _exp_entry(level, i, j, w))[up] >> w
+        s = s * ((level[j] or _exp_entry(level, i, j, w)) + pad) >> w
     return -(s >> g) if up else s >> g
 
 
