@@ -32,13 +32,13 @@ Entries are computed in ``work_context(work.dps)``, 49 or more bits above
 work.prec, and floored: below 2^17 (u <= 11), each errs by under 1 unit of
 2^-W.  x times an entry is formed from x's mantissa and exponent and floored
 once, so a node's exponent errs by under 3 + x + y units for beta and 5 + x
-for gamma, as many units of its term's size.  ``specials.exp_scaled`` at W +
-g bits, g = 2 bitlen(W) + 4 (2^g > 16 W^2), falls short by under 3 + |k| (b -
-a) < 2^g/4 units of 2^-(W+g) of its size, as |k| < 1.01 W + 1 above the
-cutoff and b - a < 1.27 (W + g) + 6.  Its shift to W bits floors, under 1 unit, under 23 units
-of the estimate over the 2 (11 2^L) + 1 nodes of step 2^-L.  Against sums >=
-1 (B >= 1 and Gamma >= 1 on (0, 1]) that is under 30 units of 2^-W, below the
-64 of ``GUARD_BITS`` and one unit of work.prec.
+for gamma, as many units of its term's size.  ``specials.exp_scaled`` at
+W + g bits, g = 2 bitlen(W) + 4 (2^g > 16 W^2), falls short by under
+3 + |k| (b - a) < 2^g/4 units of 2^-(W+g) of its size, as |k| < 1.01 W + 1
+above the cutoff and b - a < 1.27 (W + g) + 6.  Its shift to W bits floors,
+under 1 unit, under 23 units of the estimate over the 2 (11 2^L) + 1 nodes
+of step 2^-L.  Against sums >= 1 (B, Gamma >= 1 on (0, 1]) that is under 30
+units of 2^-W, below the 64 of ``GUARD_BITS``, one unit of work.prec.
 
 Convergence
 -----------

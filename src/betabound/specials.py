@@ -379,14 +379,14 @@ def _ln(num: int, den: int, bits: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def _exp_tables(bits: int) -> tuple:
-    """``_exp``'s g; 2^w/n!, n = N..0, floored and negated-floored as first and
-    rest; four levels of 256 entries with their i and shift w - 8i."""
+    """``_exp``'s constants at `bits`: g; 2^w/n! for n = N..0, floored, and
+    negated and floored; four levels of 256 entries, each with i and w - 8i."""
     g = bits.bit_length() + 6
     w, n = bits + g, 1
     down, up = [1 << w], [-1 << w]   # floor(floor(x/a)/b) = floor(x/(ab))
     while down[-1] // n >= 1 << 32 * n - 1:   # else n = N + 1: 2^w/n! < 2^(32n - 1)
         down, up, n = down + [down[-1] // n], up + [up[-1] // n], n + 1
-    horner = tuple((c[-1], tuple(c[-2::-1])) for c in (down, up))
+    horner = tuple(down[::-1]), tuple(up[::-1])
     return g, horner, tuple(([None] * 256, i, w - 8 * i) for i in range(1, 5))
 
 
@@ -420,8 +420,8 @@ def _exp(T: int, bits: int, up: bool) -> int:
     g, horner, levels = _exp_tables(bits)
     w, U = bits + g, T << g
     p = U & (1 << w - 32) - 1
-    s, coeffs = horner[up]
-    for c in coeffs:
+    s = 0
+    for c in horner[up]:
         s = c + (s * p >> w)
     s, pad = s - up, (w + 4) * up   # up: the tail past N, and each entry's
     for level, i, shift in levels:
