@@ -33,8 +33,9 @@ clear; ``A_SMALL``, ``A_LARGE`` and ``EDGE_OFFSET``; and F's log term
 (``log_correction``), whose argument gives the rational parts of dF/dx, dF/dy.
 
 F, G and B - bound are written once, as Interval sums of their terms'
-enclosures at rationals, which the replay and the sweep read; ``big_F``,
-``big_G`` and ``theorem_margin`` round their midpoints through ``evaluate``.
+enclosures at rationals (log B is ``specials.log_beta_enclosure``), which
+the replay and the sweep read; ``big_F``, ``big_G`` and ``theorem_margin``
+round their midpoints through ``evaluate``, which hands them exact arguments.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ from .specials import (
     GUARD_DIGITS,
     Interval,
     evaluate,
-    exact,
     exp_enclosure,
     ln_enclosure,
+    log_beta_enclosure,
     psi,   # unused; perfbench/selftest.py checks that proof.psi is specials.psi
     stirling_enclosure,
 )
@@ -142,15 +143,9 @@ def _enclosed_G(x: Fraction, y: Fraction, dps: int) -> Interval:
     return psi_(x + 1) - psi_(y + 1) + G_rational(x, y)
 
 
-def _enclosed_beta(x: Fraction, y: Fraction, dps: int) -> Interval:
-    """B(x, y), exp of log Gamma's enclosures, at rationals."""
-    lg = lambda t: stirling_enclosure(t, -1, dps)
-    return exp_enclosure(lg(x) + lg(y) - lg(x + y), dps)
-
-
 def _enclosed_margin(x: Fraction, y: Fraction, dps: int) -> Interval:
     """B(x, y) less the bound, at rationals."""
-    return _enclosed_beta(x, y, dps) - new_bound(x, y)
+    return exp_enclosure(log_beta_enclosure(x, y, dps), dps) - new_bound(x, y)
 
 
 def _guarded(value, scale, what: str):
@@ -167,8 +162,7 @@ def _guarded(value, scale, what: str):
 def _on_unit_square(value, dps: int, x, y, allow_zero: bool = False):
     """``evaluate`` of value(x, y, work.dps), x, y exact in (0, 1] ([0, 1] with `allow_zero`)."""
 
-    def raw(work, *args):
-        x, y = map(exact, args)
+    def raw(work, x, y):
         if not all((v >= 0 if allow_zero else v > 0) and v <= 1 for v in (x, y)):
             raise ValueError("domain error: arguments must lie in (0, 1]")
         return value(x, y, work.dps)
@@ -184,7 +178,7 @@ def theorem_margin(x, y, dps: int = DEFAULT_DPS):
     """
 
     def value(x, y, work_dps):
-        beta = _enclosed_beta(x, y, work_dps).mid
+        beta = exp_enclosure(log_beta_enclosure(x, y, work_dps), work_dps).mid
         return _guarded(beta - new_bound(x, y), beta, "B(x, y) - bound")
 
     return _on_unit_square(value, dps, x, y)
@@ -201,7 +195,7 @@ def big_F(x, y, dps: int = DEFAULT_DPS):
 
 def big_G(x, y, dps: int = DEFAULT_DPS):
     """dF/dx - dF/dy = psi(x+1) - psi(y+1) - 2(x-y)/(1+x+y-2xy)."""
-    value = lambda x, y, work_dps: _enclosed_G(x, y, work_dps).mid
+    value = lambda x, y, work_dps: _enclosed_G(x, y, work_dps)
     return _on_unit_square(value, dps, x, y, allow_zero=True)
 
 

@@ -30,9 +30,9 @@ Error bound
 -----------
 Entries are computed in ``work_context(work.dps)``, 49 or more bits above
 work.prec, and floored: below 2^17 (u <= 11), each errs by under 1 unit of
-2^-W.  x times an entry is formed from x's mantissa and exponent and floored
-once, so a node's exponent errs by under 3 + x + y units for beta and 5 + x
-for gamma, as many units of its term's size.  ``specials.exp_scaled`` at
+2^-W.  x times an entry, from the exact x's numerator and denominator, is
+floored once, so a node's exponent errs by under 3 + x + y units for beta
+and 5 + x for gamma, as many units of its term's size.  ``exp_scaled`` at
 W + g bits, g = 2 bitlen(W) + 4 (2^g > 16 W^2), falls short by under
 3 + |k| (b - a) < 2^g/4 units of 2^-(W+g) of its size, as |k| < 1.01 W + 1
 above the cutoff and b - a < 1.27 (W + g) + 6.  Its shift to W bits floors,
@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .specials import DEFAULT_DPS, evaluate, exp_scaled, to_mpf, work_context
+from .specials import DEFAULT_DPS, evaluate, exp_scaled, work_context
 
 NODE_CACHE_SIZE = 1024  # entries; the cached levels hold 327 nodes a precision
 CACHED_LEVELS = 5
@@ -85,8 +85,8 @@ def _de_sum(work, f: Callable, dps: int) -> object:
     of terms falls below 10^-(dps+5) of its running total, or once u passes
     10, where tanh is saturated far beyond working precision.  Levels stop
     when two successive estimates agree to the same target; if ``MAX_LEVEL``
-    levels pass without agreement, ValueError is raised.  The sum at level L,
-    times 2^-(W+L), is converted once.
+    levels pass without agreement, ValueError is raised.  It returns the sum
+    at level L times 2^-(W+L), a Fraction, which ``evaluate`` rounds once.
     """
     bits = work.prec + GUARD_BITS
     one, scale = 1 << bits, 10 ** (dps + 5)
@@ -118,7 +118,7 @@ def _de_sum(work, f: Callable, dps: int) -> object:
         total += row(level, 1, 2)
         # |total 2^-level - previous 2^-(level-1)| against max(1, total 2^-level)
         if abs(total - 2 * previous) * scale < max(one << level, total):
-            return to_mpf(work, Fraction(total, 1 << (bits + level)))
+            return Fraction(total, 1 << (bits + level))
     raise ValueError(
         f"inconclusive: quadrature did not converge in {MAX_LEVEL} levels")
 
@@ -134,11 +134,10 @@ def tanh_sinh_unit(f: Callable, dps: int = DEFAULT_DPS) -> object:
     return evaluate(lambda work: _de_sum(work, f, dps), dps)
 
 
-def _times(x) -> Callable[[int], int]:
-    """v -> floor(x v) for integers v, from x's mpf mantissa and exponent."""
-    man, exp = x.man_exp
-    man, shift = man << max(exp, 0), max(-exp, 0)
-    return lambda v: man * v >> shift
+def _times(x: Fraction) -> Callable[[int], int]:
+    """v -> floor(x v) for integers v, by a shift where x's denominator is 2^shift."""
+    num, den, shift = x.numerator, x.denominator, x.denominator.bit_length() - 1
+    return (lambda v: num * v >> shift) if den == 1 << shift else lambda v: num * v // den
 
 
 def beta_integral(x, y, dps: int = DEFAULT_DPS) -> object:

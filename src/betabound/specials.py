@@ -13,25 +13,26 @@ from tables kept per bits and sums the rest's series.  The replay and the
 sweep's re-check read their values from them, and ``nstr`` prints an exact
 rational as mpmath's ``nstr`` prints an mpf, so they never import mpmath.
 
-The public functions return ``mpmath`` floats (``mpf``).  ``log_gamma``,
-``psi``, ``psi1`` and ``psi2`` are the midpoints of the same enclosures
-(``_value``); ``gamma``, ``beta``, ``delta`` and ``locate_delta_max`` read
-those midpoints and apply mpmath's exp.  Only this route imports mpmath, when
-it first runs (``context`` and ``_value``).  mpmath's own gamma/digamma
+The public functions return ``mpmath`` floats (``mpf``): ``log_gamma``,
+``psi``, ``psi1`` and ``psi2`` the midpoints of the same enclosures, and
+``gamma``, ``beta``, ``delta`` and ``locate_delta_max`` mpmath's exp of
+midpoints (``beta``'s of ``log_beta_enclosure``).  Only this route imports
+mpmath, when it first runs (``context``).  mpmath's own gamma/digamma
 routines are never called, so they remain an independent cross-check in the
 test suite (alongside the quadrature oracles).
 
 Precision contract
 ------------------
 ``work_context(dps)`` is the one place the ``GUARD_DIGITS`` extra digits
-are added.  Every public high-precision function of the package runs
-through one of two helpers, and its result is rounded to ``dps`` digits:
+are added, ``_argument`` reads every argument exactly, and ``to_mpf`` rounds
+every result.  Every public high-precision function of the package runs
+through one of two helpers, and its result is rounded once to ``dps`` digits:
 
-* ``evaluate(raw, dps, *args)``: the arguments become mpfs of the working
-  context (a non-finite one is a domain error), and ``raw`` checks its own
-  domain and computes.  The special functions here, ``constants``,
-  ``quadrature`` and ``proof`` use it; compositions call the public
-  functions or the enclosures at ``work.dps``.
+* ``evaluate(raw, dps, *args)``: ``raw`` gets the arguments as Fractions,
+  checks their domain and computes in the working context; its result, an
+  mpf, Fraction or Interval (by its midpoint), is rounded by ``to_mpf``.
+  ``constants``, ``quadrature``, ``proof`` and the special functions here use
+  it; compositions call the public functions or the enclosures at ``work.dps``.
 * ``evaluate_rational(raw, dps, *args)``: for a formula of +, -, * and /
   alone, run on stdlib ``decimal`` (libmpdec, in C) in a local context of
   ``GUARD_DIGITS + 2`` extra digits, whose unit roundoff is no coarser than
@@ -87,9 +88,11 @@ def _rounded_mpf(ctx: MPContext, p: int, q: int):
 
 
 def to_mpf(ctx: MPContext, value):
-    """Ints, Fractions, floats, strings and mpfs as ctx's mpfs; a Fraction by ``_rounded_mpf``."""
+    """A number as ctx's mpf; a Fraction or an Interval's midpoint by ``_rounded_mpf``."""
     if isinstance(value, Fraction):
         return _rounded_mpf(ctx, value.numerator, value.denominator)
+    if isinstance(value, Interval):
+        return _rounded_mpf(ctx, value.lo + value.hi, 2 << value.scale)
     return ctx.mpf(value)
 
 
@@ -98,22 +101,28 @@ def work_context(dps: int) -> MPContext:
     return context(dps + GUARD_DIGITS)
 
 
-def evaluate(raw, dps: int, *args):
-    """raw(work, *args) in ``work_context(dps)``, rounded to `dps` digits.
+def _argument(a, dps: int) -> Fraction:
+    """An argument's exact value: a Fraction as it is, an int or float as the Fraction
+    it equals, a string or mpf read first as a ``work_context(dps)`` mpf (far faster
+    than ``Fraction`` on "1e-100000"); anything else is a domain error."""
+    if type(a) is Fraction:
+        return a
+    try:
+        if isinstance(a, str) or hasattr(a, "_mpf_"):
+            return exact(to_mpf(work_context(dps), a))
+        return Fraction(a)
+    except (ValueError, OverflowError, TypeError) as exc:
+        raise ValueError("domain error: arguments must be finite numbers") from exc
 
-    The arguments arrive as mpfs of `work`, and a non-finite one is a domain
-    error.  A dict result has its mpfs of `work` rounded and its other values
-    passed; any other result, an mpf or a Fraction, is rounded.
-    """
-    work = work_context(dps)
-    values = [to_mpf(work, a) for a in args]
-    if not all(map(work.isfinite, values)):
-        raise ValueError("domain error: arguments must be finite")
-    result = raw(work, *values)
+
+def evaluate(raw, dps: int, *args):
+    """raw(work, *args) in ``work_context(dps)``, rounded to `dps` digits: ``raw``
+    gets the arguments' exact values (``_argument``) and checks their domain, and
+    its result, or each value of a dict result, is rounded once by ``to_mpf``."""
+    result = raw(work_context(dps), *[_argument(a, dps) for a in args])
     out = context(dps)
     if isinstance(result, dict):
-        return {k: out.mpf(v) if isinstance(v, work.mpf) else v
-                for k, v in result.items()}
+        return {k: to_mpf(out, v) for k, v in result.items()}
     return to_mpf(out, result)
 
 
@@ -133,16 +142,13 @@ def evaluate_rational(raw, dps: int, *args):
     """raw(*args) on Decimals of ``rational_context(dps)``, rounded to `dps` digits.
 
     For formulas of +, -, * and / alone: libmpdec rounds each correctly, as
-    mpmath does an mpf operation.  Each argument enters as its exact value (an
-    int or Fraction as it is) divided once; a non-finite one is a domain error.
-    The context is local, so the caller's decimal context is neither used nor
-    changed.  A result, or each value of a dict result, is rounded once: a
-    Decimal d of ctx.prec digits or fewer is the integer d 10^e(d) over 10^e(d).
+    mpmath does an mpf operation.  Each argument's exact value (``_argument``)
+    is divided once.  The context is local, so the caller's decimal context is
+    neither used nor changed.  A result, or each value of a dict result, is
+    rounded once: a Decimal d of ctx.prec digits or fewer is the integer d
+    10^e(d) over 10^e(d).
     """
-    try:
-        values = [a if isinstance(a, (int, Fraction)) else exact(a) for a in args]
-    except (ValueError, OverflowError) as exc:
-        raise ValueError("domain error: arguments must be finite numbers") from exc
+    values = [_argument(a, dps) for a in args]
     with decimal.localcontext(rational_context(dps)) as ctx:
         result = raw(*(ctx.divide(v.numerator, v.denominator) for v in values))
     out = context(dps)
@@ -605,51 +611,51 @@ def stirling_enclosure(x, order: int, dps: int = DEFAULT_DPS) -> Interval:
     return _stirling(x.numerator, x.denominator, order, _bits(dps))
 
 
-def _value(ctx: MPContext, x, order: int):
-    """log Gamma (order -1) or psi^(order) at the ctx mpf x: the midpoint of
-    its enclosure at ctx.prec + GUARD_BITS bits, rounded to ctx."""
-    x = exact(x)
-    lo, hi, scale = _stirling(x.numerator, x.denominator, order, ctx.prec + GUARD_BITS)
-    return _rounded_mpf(ctx, lo + hi, 2 << scale)
+def log_beta_enclosure(x, y, dps: int = DEFAULT_DPS) -> Interval:
+    """An Interval holding log B(x, y) = log Gamma(x) + log Gamma(y) - log Gamma(x+y)."""
+    lg = lambda t: stirling_enclosure(t, -1, dps)
+    return lg(x) + lg(y) - lg(x + y)
 
 
-def _beta_raw(ctx: MPContext, x, y):
-    return ctx.exp(_value(ctx, x, -1) + _value(ctx, y, -1) - _value(ctx, x + y, -1))
+def _value(ctx: MPContext, x: Fraction, order: int):
+    """log Gamma (order -1) or psi^(order) at x, its enclosure's midpoint rounded to ctx."""
+    return to_mpf(ctx, _stirling(x.numerator, x.denominator, order, ctx.prec + GUARD_BITS))
 
 
-def _delta_raw(ctx: MPContext, x):
+def _delta_raw(ctx: MPContext, x: Fraction):
     ratio = ctx.exp(2 * _value(ctx, x, -1) - _value(ctx, 2 * x, -1))
-    return 1 / (x * x) - ratio
+    return to_mpf(ctx, 1 / (x * x)) - ratio
 
 
 def log_gamma(x, dps: int = DEFAULT_DPS):
     """log Gamma(x) for x > 0, accurate to the documented budget."""
-    return evaluate(lambda ctx, t: _value(ctx, t, -1), dps, x)
+    return evaluate(lambda work, t: stirling_enclosure(t, -1, dps), dps, x)
 
 
 def gamma(x, dps: int = DEFAULT_DPS):
     """Gamma(x) = exp(log_gamma(x)) for x > 0."""
-    return evaluate(lambda ctx, t: ctx.exp(_value(ctx, t, -1)), dps, x)
+    return evaluate(lambda work, t: work.exp(_value(work, t, -1)), dps, x)
 
 
 def beta(x, y, dps: int = DEFAULT_DPS):
-    """Euler beta B(x, y) = exp(lgamma(x) + lgamma(y) - lgamma(x+y))."""
-    return evaluate(_beta_raw, dps, x, y)
+    """Euler beta B(x, y), exp of the midpoint of ``log_beta_enclosure``."""
+    return evaluate(lambda work, x, y: work.exp(to_mpf(work, log_beta_enclosure(x, y, dps))),
+                    dps, x, y)
 
 
 def psi(x, dps: int = DEFAULT_DPS):
     """Digamma psi(x) for x > 0."""
-    return evaluate(lambda ctx, t: _value(ctx, t, 0), dps, x)
+    return evaluate(lambda work, t: stirling_enclosure(t, 0, dps), dps, x)
 
 
 def psi1(x, dps: int = DEFAULT_DPS):
     """Trigamma psi'(x) for x > 0."""
-    return evaluate(lambda ctx, t: _value(ctx, t, 1), dps, x)
+    return evaluate(lambda work, t: stirling_enclosure(t, 1, dps), dps, x)
 
 
 def psi2(x, dps: int = DEFAULT_DPS):
     """Tetragamma psi''(x) for x > 0."""
-    return evaluate(lambda ctx, t: _value(ctx, t, 2), dps, x)
+    return evaluate(lambda work, t: stirling_enclosure(t, 2, dps), dps, x)
 
 
 def delta(x, dps: int = DEFAULT_DPS):
@@ -662,7 +668,7 @@ class DeltaMax(NamedTuple):
     value: object   # maximum of delta (mpf)
 
 
-def _delta_derivatives(ctx: MPContext, x):
+def _delta_derivatives(ctx: MPContext, x: Fraction):
     """Delta'(x) = -2/x^3 - r u and Delta''(x) = 6/x^4 - r (u^2 + u').
 
     Here r = Gamma(x)^2/Gamma(2x), u = (log r)' = 2 psi(x) - 2 psi(2x) and
@@ -671,11 +677,12 @@ def _delta_derivatives(ctx: MPContext, x):
     r = ctx.exp(2 * _value(ctx, x, -1) - _value(ctx, 2 * x, -1))
     u = 2 * _value(ctx, x, 0) - 2 * _value(ctx, 2 * x, 0)
     du = 2 * _value(ctx, x, 1) - 4 * _value(ctx, 2 * x, 1)
+    x = to_mpf(ctx, x)
     return -2 / x**3 - r * u, 6 / x**4 - r * (u * u + du)
 
 
 def _delta_max_raw(work: MPContext) -> dict:
-    grid = [1 + work.mpf(k) / 10 for k in range(0, 21)]  # 1.0, 1.1, ..., 3.0
+    grid = [Fraction(10 + k, 10) for k in range(0, 21)]  # 1.0, 1.1, ..., 3.0
     best = max(range(len(grid)), key=lambda k: _delta_raw(work, grid[k]))
     if best == 0 or best == len(grid) - 1:
         raise RuntimeError("delta maximum did not bracket inside the scan")
@@ -686,7 +693,7 @@ def _delta_max_raw(work: MPContext) -> dict:
         step = d1 / d2
         if abs(step) >= last:
             break
-        x, last = x - step, abs(step)
+        x, last = exact(to_mpf(work, x) - step), abs(step)
         if not lo < x < hi:
             raise RuntimeError("a Newton step left the bracket of the delta maximum")
     return {"x": x, "value": _delta_raw(work, x)}

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from betabound import catalogue, constants, proof, psibounds, specials
+from betabound import catalogue, constants, proof, psibounds, quadrature, specials
 from betabound.polys import BiPoly, Poly, RationalFn
 from betabound.proof import (
     G_rational,
@@ -103,10 +104,18 @@ class TestTheoremMargin:
             theorem_margin(F(1, 2), F(3, 2))
 
     def test_ints_and_floats_enter_exactly(self):
-        # the same bits as their exact Fractions, which enter through the
-        # working context's mpfs and lose nothing there
+        # the same bits as their exact Fractions: ints and floats become them
+        # directly, and mpfs through the working context, which loses nothing
         cases = [(fn, x, y) for fn in (theorem_margin, big_F, big_G)
                  for x, y in ((0.3721, 0.8123), (1, 0.25), (1e-5, 1))] + [(big_G, 0, 0.5)]
+        # every other public function of a numeric argument, whose second
+        # argument, where it has one, is y
+        cases += [(fn, 0.3721, 0.8123) for fn in (
+            specials.beta, quadrature.beta_integral, psibounds.lx_general, psibounds.lxx_general)]
+        cases += [(lambda x, _, dps, fn=fn: fn(x, dps), x, 0.5) for x in (0.3721, 1.75) for fn in (
+            specials.log_gamma, specials.gamma, specials.psi, specials.psi1, specials.psi2,
+            specials.delta, quadrature.gamma_integral, psibounds.sandwich_margins,
+            constants.full_sandwich)]
         for fn, x, y in cases:
             assert fn(x, y, 30) == fn(F(x), F(y), 30) == fn(HP.mpf(x), HP.mpf(y), 30)
 
@@ -115,6 +124,20 @@ class TestTheoremMargin:
         for fn in (theorem_margin, big_F, big_G):
             with pytest.raises(ValueError, match="domain error: arguments must be finite"):
                 fn(bad, 0.5)
+
+    @pytest.mark.parametrize("fn", [theorem_margin, big_F, big_G], ids=lambda fn: fn.__name__)
+    def test_extreme_arguments_are_fast(self, fn):
+        # a long decimal exponent is read through a working-context mpf, and
+        # nothing after it scales with the exponent
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            try:
+                assert HP.isfinite(fn("1e-100000", "0.5", 30))
+            except ValueError as exc:
+                assert str(exc).startswith("inconclusive"), exc
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.1
 
     def test_log_margin_vanishes_toward_left_edge(self):
         # F -> 0 as x -> 0 (equality holds only there)

@@ -99,31 +99,46 @@ class TestDomainErrors:
 
 
 X, Y = F(1, 3), F(3, 4)
+# every public high-precision function of a numeric argument, as x -> the list
+# of mpfs it returns at x (and at Y, where it takes a second argument)
+AT_X = {
+    "log_gamma": lambda x, d: [log_gamma(x, d)],
+    "gamma": lambda x, d: [gamma(x, d)],
+    "beta": lambda x, d: [beta(x, Y, d)],
+    "psi": lambda x, d: [psi(x, d)],
+    "psi1": lambda x, d: [psi1(x, d)],
+    "psi2": lambda x, d: [psi2(x, d)],
+    "delta": lambda x, d: [delta(x, d)],
+    "beta_integral": lambda x, d: [beta_integral(x, Y, d)],
+    "gamma_integral": lambda x, d: [gamma_integral(x, d)],
+    "lx_general": lambda x, d: [psibounds.lx_general(x, Y, d)],
+    "lxx_general": lambda x, d: [psibounds.lxx_general(x, Y, d)],
+    "sandwich_margins": lambda x, d: list(psibounds.sandwich_margins(x, d).values()),
+    "full_sandwich": lambda x, d: [v for _, v in constants.full_sandwich(x, d)],
+    "theorem_margin": lambda x, d: [proof.theorem_margin(x, Y, d)],
+    "big_F": lambda x, d: [proof.big_F(x, Y, d)],
+    "big_G": lambda x, d: [proof.big_G(x, Y, d)],
+}
 # every public high-precision function, as the list of mpfs it returns
-HIGH_PRECISION = {
-    "log_gamma": lambda d: [log_gamma(X, d)],
-    "gamma": lambda d: [gamma(X, d)],
-    "beta": lambda d: [beta(X, Y, d)],
-    "psi": lambda d: [psi(X, d)],
-    "psi1": lambda d: [psi1(X, d)],
-    "psi2": lambda d: [psi2(X, d)],
-    "delta": lambda d: [delta(X, d)],
+HIGH_PRECISION = {name: lambda d, f=f: f(X, d) for name, f in AT_X.items()} | {
     "locate_delta_max": lambda d: list(locate_delta_max(d)),
     "tanh_sinh_unit": lambda d: [tanh_sinh_unit(lambda t, tc: 2 * t[0] + tc[0], d)],
-    "beta_integral": lambda d: [beta_integral(X, Y, d)],
-    "gamma_integral": lambda d: [gamma_integral(X, d)],
-    "lx_general": lambda d: [psibounds.lx_general(X, Y, d)],
-    "lxx_general": lambda d: [psibounds.lxx_general(X, Y, d)],
-    "sandwich_margins": lambda d: list(psibounds.sandwich_margins(X, d).values()),
     "alpha": lambda d: [constants.alpha(d)],
     "a1": lambda d: [constants.a1(d)],
     "a2": lambda d: [constants.a2(d)],
     "solve_a3": lambda d: [constants.solve_a3(d)],
-    "full_sandwich": lambda d: [v for _, v in constants.full_sandwich(X, d)],
-    "theorem_margin": lambda d: [proof.theorem_margin(X, Y, d)],
-    "big_F": lambda d: [proof.big_F(X, Y, d)],
-    "big_G": lambda d: [proof.big_G(X, Y, d)],
 }
+
+
+@pytest.mark.parametrize(
+    "bad", ["x", "inf", math.inf, math.nan, context(30).mpf("nan")],
+    ids=["x", "inf-string", "inf", "nan", "mpf-nan"])
+@pytest.mark.parametrize("name", sorted(AT_X))
+def test_non_numbers_are_one_domain_error(name, bad):
+    # both argument routes, evaluate's and evaluate_rational's, read the
+    # arguments alike, so every public function raises the same error
+    with pytest.raises(ValueError, match="domain error: arguments must be finite numbers"):
+        AT_X[name](bad, 30)
 
 
 @pytest.mark.parametrize("dps", [30, 50])
@@ -304,12 +319,25 @@ class TestStirlingKernel:
         xs += [F(rng.randrange(10**29, 4 * 10**31), 10**30) for _ in range(10)]
         for x in xs + [F(1, 3), F(79, 2), F(1, 10**6), F(10**40, 3)]:
             x = to_mpf(ctx, x)
-            value = specials._value(ctx, x, order)
+            value = specials._value(ctx, specials.exact(x), order)
             with mpmath.workdps(120):
                 exact = mpmath.psi(order, mpmath.mpf(x._mpf_))
                 scale = abs(exact) if order else max(1, abs(exact))
                 units = abs(mpmath.mpf(value._mpf_) - exact) / scale * 2**ctx.prec
             assert units < 8, (x, units)
+
+    @pytest.mark.parametrize("dps", [30, 50, 100])
+    @pytest.mark.parametrize("order", [-1, 0, 1, 2])
+    def test_values_are_enclosure_midpoints_rounded_once(self, order, dps):
+        # an argument enters exactly and the midpoint is rounded once to dps
+        # digits, with no stop at the working precision on the way
+        fn, out = (log_gamma, psi, psi1, psi2)[order + 1], context(dps)
+        rng = random.Random(100 * dps + order)
+        xs = [F(rng.randrange(1, 10**12), rng.randrange(1, 10**9)) for _ in range(40)]
+        xs += [rng.uniform(1e-6, 100) for _ in range(40)]
+        for x in xs:
+            value = fn(x, dps)
+            assert value._mpf_ == to_mpf(out, specials.stirling_enclosure(x, order, dps))._mpf_, x
 
     @pytest.mark.parametrize("x", ["1e-300", "1e300", "1e100000", "1e-100000"])
     @pytest.mark.parametrize("order", [-1, 0, 1, 2])
@@ -626,7 +654,7 @@ class TestDeltaMaximizer:
     @pytest.mark.parametrize("x", ["1.5", "2.3", "2.9"])
     def test_derivatives_match_central_differences(self, x):
         work = work_context(60)
-        d1, d2 = specials._delta_derivatives(work, to_mpf(work, x))
+        d1, d2 = specials._delta_derivatives(work, specials.exact(to_mpf(work, x)))
         xm, h = HP.mpf(x), HP.mpf("1e-12")
         up, mid, down = delta(xm + h, 60), delta(xm, 60), delta(xm - h, 60)
         assert abs(d1 - (up - down) / (2 * h)) < HP.mpf("1e-20")
