@@ -146,9 +146,10 @@ def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
     """The four sandwich margins at x > 0 (all positive when the bounds hold).
 
     Keys: lower/upper margins of L_x(., 4/5) < psi'(x+1) < L_x(., 2/5) and
-    of L_xx(., 2/5) < psi''(x+1) < L_xx(., 4/5).  psi'(x+1) and psi''(x+1)
-    are the midpoints of their enclosures at the bits of dps + GUARD_DIGITS
-    digits (220 at 30 digits, 170 for ``psi1``), each divided once into a Decimal.
+    of L_xx(., 2/5) < psi''(x+1) < L_xx(., 4/5).  psi'(x+1) and psi''(x+1),
+    at the Decimal sum x + 1, are the midpoints of their enclosures at the
+    bits of dps + GUARD_DIGITS digits (220 bits at 30 digits, against 170
+    for ``psi1``), each divided once into a Decimal.
     """
 
     def raw(x, small, large):
