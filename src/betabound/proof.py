@@ -195,8 +195,7 @@ def big_F(x, y, dps: int = DEFAULT_DPS):
 
 def big_G(x, y, dps: int = DEFAULT_DPS):
     """dF/dx - dF/dy = psi(x+1) - psi(y+1) - 2(x-y)/(1+x+y-2xy)."""
-    value = lambda x, y, work_dps: _enclosed_G(x, y, work_dps)
-    return _on_unit_square(value, dps, x, y, allow_zero=True)
+    return _on_unit_square(_enclosed_G, dps, x, y, allow_zero=True)
 
 
 # ---------------------------------------------------------------------------

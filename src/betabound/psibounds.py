@@ -147,15 +147,16 @@ def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
 
     Keys: lower/upper margins of L_x(., 4/5) < psi'(x+1) < L_x(., 2/5) and
     of L_xx(., 2/5) < psi''(x+1) < L_xx(., 4/5).  psi'(x+1) and psi''(x+1),
-    at the Decimal sum x + 1, are the midpoints of their enclosures at the
-    bits of dps + GUARD_DIGITS digits (220 bits at 30 digits, against 170
-    for ``psi1``), each divided once into a Decimal.
+    at the exact sum of the Decimal x and 1, are the midpoints of their
+    enclosures at the bits of dps + GUARD_DIGITS digits (220 bits at 30
+    digits, against 170 for ``psi1``), each divided once into a Decimal.
     """
 
     def raw(x, small, large):
         if not x > 0:
             raise ValueError("domain error: sandwich bounds require x > 0")
-        ends = (stirling_enclosure(x + 1, k, dps + GUARD_DIGITS) for k in (1, 2))
+        t = Fraction(x) + 1
+        ends = (stirling_enclosure(t, k, dps + GUARD_DIGITS) for k in (1, 2))
         p1, p2 = (Decimal(lo + hi) / (2 << scale) for lo, hi, scale in ends)
         return {
             "psi1_above_lx45": p1 - yang_lx(x, large),

@@ -135,9 +135,9 @@ def tanh_sinh_unit(f: Callable, dps: int = DEFAULT_DPS) -> object:
 
 
 def _times(x: Fraction) -> Callable[[int], int]:
-    """v -> floor(x v) for integers v, by a shift where x's denominator is 2^shift."""
-    num, den, shift = x.numerator, x.denominator, x.denominator.bit_length() - 1
-    return (lambda v: num * v >> shift) if den == 1 << shift else lambda v: num * v // den
+    """v -> floor(x v) for integers v."""
+    num, den = x.numerator, x.denominator
+    return lambda v: num * v // den
 
 
 def beta_integral(x, y, dps: int = DEFAULT_DPS) -> object:

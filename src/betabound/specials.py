@@ -634,7 +634,7 @@ def log_gamma(x, dps: int = DEFAULT_DPS):
 
 def gamma(x, dps: int = DEFAULT_DPS):
     """Gamma(x) = exp(log_gamma(x)) for x > 0."""
-    return evaluate(lambda work, t: work.exp(_value(work, t, -1)), dps, x)
+    return evaluate(lambda work, t: work.exp(to_mpf(work, stirling_enclosure(t, -1, dps))), dps, x)
 
 
 def beta(x, y, dps: int = DEFAULT_DPS):

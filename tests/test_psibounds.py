@@ -196,6 +196,21 @@ class TestDecimalRoute:
         with pytest.raises(ValueError, match="domain error"):
             sandwich_margins(DECIMAL_XS[0], dps)
 
+    @pytest.mark.parametrize("dps", [30, 50])
+    def test_sandwich_reads_psi_at_the_exact_sum(self, dps, monkeypatch):
+        # x below 1 with every digit of the decimal context filled, and a
+        # carry past its last nine: in both the Decimal sum x + 1 would round
+        seen = []
+        spy = lambda t, order, work_dps: seen.append(t) or stirling_enclosure(t, order, work_dps)
+        monkeypatch.setattr(psibounds, "stirling_enclosure", spy)
+        ctx = specials.rational_context(dps)
+        for x in (F(1, 3), F(2, 7), F(10**ctx.prec - 1, 10**(ctx.prec - 1))):
+            seen.clear()
+            sandwich_margins(x, dps)
+            d = ctx.divide(x.numerator, x.denominator)
+            assert F(d) + 1 != F(ctx.add(d, 1))
+            assert seen == [F(d) + 1] * 2
+
     @pytest.mark.parametrize("dps", [30, 100])
     def test_each_decimal_result_is_rounded_once(self, dps):
         # the mpf is the Decimal result's exact value rounded to nearest, also
