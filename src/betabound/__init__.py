@@ -5,10 +5,10 @@ Layers, bottom up:
 
 * ``polys``      exact rational/polynomial algebra (identity certificates)
 * ``signs``      one-sign-change criterion and bisection root enclosures
-* ``specials``   50-digit gamma/polygamma/beta evaluation (Stirling series)
-                 on mpmath floats, which alone import mpmath, and the same
-                 series, ln and exp as integer enclosures for the replay and
-                 the sweep's re-check; mpmath's nstr on exact rationals
+* ``specials``   gamma/polygamma/beta as integer enclosures (Stirling
+                 series, ln and exp) for the replay and the sweep's
+                 re-check, and as 50-digit mpfs, their midpoints rounded
+                 (only these import mpmath); mpmath's nstr on rationals
 * ``quadrature`` independent tanh-sinh integral oracles
 * ``psibounds``  rational sandwich bounds for psi' and psi''
 * ``constants``  the named constants and their reference digits

@@ -11,9 +11,10 @@ material are kept below as ``PRINTED_LX`` and ``PRINTED_LXX``, and
 ``closed_form_mismatches`` compares them with the derivation.
 
 ``yang_lx`` and ``yang_lxx`` are plain arithmetic over any number type.
-``lx_general``, ``lxx_general`` and ``sandwich_margins`` evaluate them on
-Decimals (``specials.evaluate_rational``), with no mpf arithmetic, and
-round each result once to a ``dps``-digit mpf.
+``lx_general``, ``lxx_general`` and ``sandwich_margins`` evaluate them
+through ``specials.evaluate`` on Decimals of its decimal context, each exact
+value divided once (``_to_decimal``), with no mpf arithmetic, and ``evaluate``
+rounds each result once to a ``dps``-digit mpf.
 
 Also here: Alzer's lower bound for psi(x+1) - psi(x+s) at truncation order n,
 as the rational function ``alzer_bracket_rf(n)`` that the replay reads.
@@ -21,12 +22,12 @@ as the rational function ``alzer_bracket_rf(n)`` that the replay reads.
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, getcontext
 from fractions import Fraction
 from functools import lru_cache
 
 from .polys import BiPoly, Poly, RationalFn, as_fraction
-from .specials import DEFAULT_DPS, GUARD_DIGITS, context, evaluate_rational, stirling_enclosure
+from .specials import DEFAULT_DPS, GUARD_DIGITS, evaluate, stirling_enclosure
 
 A_SMALL = Fraction(2, 5)
 A_LARGE = Fraction(4, 5)
@@ -122,14 +123,21 @@ def _nonnegative(x):
     return x
 
 
+def _to_decimal(v: Fraction) -> Decimal:
+    """The exact value v divided once into a Decimal of the active decimal context."""
+    return getcontext().divide(v.numerator, v.denominator)
+
+
 def lx_general(x, a, dps: int = DEFAULT_DPS):
     """L_x(x, a) for x >= 0 and any a > 1/15 (high precision)."""
-    return evaluate_rational(lambda x, a: yang_lx(_nonnegative(x), a), dps, x, a)
+    return evaluate(lambda work, x, a: yang_lx(_nonnegative(_to_decimal(x)), _to_decimal(a)),
+                    dps, x, a)
 
 
 def lxx_general(x, a, dps: int = DEFAULT_DPS):
     """L_xx(x, a) for x >= 0 and any a > 1/15 (high precision)."""
-    return evaluate_rational(lambda x, a: yang_lxx(_nonnegative(x), a), dps, x, a)
+    return evaluate(lambda work, x, a: yang_lxx(_nonnegative(_to_decimal(x)), _to_decimal(a)),
+                    dps, x, a)
 
 
 def error_budget(dps: int):
@@ -139,7 +147,7 @@ def error_budget(dps: int):
     caller asks for fewer digits so that arithmetic noise stays far below
     the certification line.
     """
-    return context(dps).mpf(10) ** (-min(30, dps - 2))
+    return evaluate(lambda work: Fraction(10) ** -min(30, dps - 2), dps)
 
 
 def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
@@ -152,12 +160,12 @@ def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
     digits, against 170 for ``psi1``), each divided once into a Decimal.
     """
 
-    def raw(x, small, large):
+    def raw(work, x, small, large):
+        x, small, large = map(_to_decimal, (x, small, large))
         if not x > 0:
             raise ValueError("domain error: sandwich bounds require x > 0")
         t = Fraction(x) + 1
-        ends = (stirling_enclosure(t, k, dps + GUARD_DIGITS) for k in (1, 2))
-        p1, p2 = (Decimal(lo + hi) / (2 << scale) for lo, hi, scale in ends)
+        p1, p2 = (_to_decimal(stirling_enclosure(t, k, dps + GUARD_DIGITS).mid) for k in (1, 2))
         return {
             "psi1_above_lx45": p1 - yang_lx(x, large),
             "psi1_below_lx25": yang_lx(x, small) - p1,
@@ -165,7 +173,7 @@ def sandwich_margins(x, dps: int = DEFAULT_DPS) -> dict:
             "psi2_below_lxx45": yang_lxx(x, large) - p2,
         }
 
-    return evaluate_rational(raw, dps, x, A_SMALL, A_LARGE)
+    return evaluate(raw, dps, x, A_SMALL, A_LARGE)
 
 
 def _alzer_sum(x, s, n: int):

@@ -26,20 +26,17 @@ Precision contract
 ``work_context(dps)`` is the one place the ``GUARD_DIGITS`` extra digits
 are added, ``_argument`` reads every argument exactly, and ``to_mpf`` rounds
 every result.  Every public high-precision function of the package runs
-through one of two helpers, and its result is rounded once to ``dps`` digits:
+through one door, ``evaluate(raw, dps, *args)``, and its result is rounded
+once to ``dps`` digits.  ``raw`` gets the working context and the arguments
+as Fractions, checks their domain and computes; its result, an mpf, a
+Fraction, an Interval (by its midpoint) or a Decimal, is rounded by
+``to_mpf``.  ``raw`` runs in a local copy of ``rational_context(dps)``, a
+stdlib ``decimal`` context whose unit roundoff is no coarser than the
+working context's: ``psibounds`` runs Yang's L, a formula of +, -, * and /
+alone, on its Decimals (libmpdec, in C).  Compositions call the public
+functions or the enclosures at ``work.dps``.
 
-* ``evaluate(raw, dps, *args)``: ``raw`` gets the arguments as Fractions,
-  checks their domain and computes in the working context; its result, an
-  mpf, Fraction or Interval (by its midpoint), is rounded by ``to_mpf``.
-  ``constants``, ``quadrature``, ``proof`` and the special functions here use
-  it; compositions call the public functions or the enclosures at ``work.dps``.
-* ``evaluate_rational(raw, dps, *args)``: for a formula of +, -, * and /
-  alone, run on stdlib ``decimal`` (libmpdec, in C) in a local context of
-  ``GUARD_DIGITS + 2`` extra digits, whose unit roundoff is no coarser than
-  the working context's.  ``psibounds``' Yang's L (``lx_general``,
-  ``lxx_general``, ``sandwich_margins``) uses it.
-
-No ambient global state, mpmath's or ``decimal``'s, is used or mutated.
+No caller state, mpmath's or ``decimal``'s, is used or changed.
 
 The enclosures run on integers scaled by 2^bits, bits the working precision
 plus ``GUARD_BITS`` (``_bits``; ``_value`` reads it off its context); the
@@ -88,11 +85,16 @@ def _rounded_mpf(ctx: MPContext, p: int, q: int):
 
 
 def to_mpf(ctx: MPContext, value):
-    """A number as ctx's mpf; a Fraction or an Interval's midpoint by ``_rounded_mpf``."""
+    """A number as ctx's mpf, rounded once by ``_rounded_mpf``: a Fraction; an
+    Interval by its midpoint; a Decimal d of the active decimal context's digits
+    or fewer as the integer d 10^e over 10^e, e = max(0, prec - 1 - d.adjusted())."""
     if isinstance(value, Fraction):
         return _rounded_mpf(ctx, value.numerator, value.denominator)
     if isinstance(value, Interval):
         return _rounded_mpf(ctx, value.lo + value.hi, 2 << value.scale)
+    if isinstance(value, decimal.Decimal):
+        e = max(0, decimal.getcontext().prec - 1 - value.adjusted())
+        return _rounded_mpf(ctx, int(value.scaleb(e)), 10**e)
     return ctx.mpf(value)
 
 
@@ -103,11 +105,16 @@ def work_context(dps: int) -> MPContext:
 
 def _argument(a, dps: int) -> Fraction:
     """An argument's exact value: a Fraction as it is, an int or float as the Fraction
-    it equals, a string or mpf read first as a ``work_context(dps)`` mpf (far faster
-    than ``Fraction`` on "1e-100000"); anything else is a domain error."""
+    it equals, a string, a Decimal's text or an mpf read first as a ``work_context(dps)``
+    mpf (far faster than ``Fraction`` on "1e-100000"; digits past that context's are
+    rounded, a Decimal's as its string's); anything else is a domain error."""
     if type(a) is Fraction:
         return a
     try:
+        if type(a) is int or type(a) is float:
+            return Fraction(a)
+        if isinstance(a, decimal.Decimal):
+            a = str(a)
         if isinstance(a, str) or hasattr(a, "_mpf_"):
             return exact(to_mpf(work_context(dps), a))
         return Fraction(a)
@@ -115,20 +122,9 @@ def _argument(a, dps: int) -> Fraction:
         raise ValueError("domain error: arguments must be finite numbers") from exc
 
 
-def evaluate(raw, dps: int, *args):
-    """raw(work, *args) in ``work_context(dps)``, rounded to `dps` digits: ``raw``
-    gets the arguments' exact values (``_argument``) and checks their domain, and
-    its result, or each value of a dict result, is rounded once by ``to_mpf``."""
-    result = raw(work_context(dps), *[_argument(a, dps) for a in args])
-    out = context(dps)
-    if isinstance(result, dict):
-        return {k: to_mpf(out, v) for k, v in result.items()}
-    return to_mpf(out, result)
-
-
 @lru_cache(maxsize=None)
 def rational_context(dps: int) -> decimal.Context:
-    """``evaluate_rational``'s decimal context, which it runs on a copy of:
+    """The decimal context that ``evaluate`` runs ``raw`` in, on a copy:
     dps + GUARD_DIGITS + 2 digits, rounding half even, every field set here and
     none read from ``decimal.DefaultContext``.  Its unit roundoff 10^-(dps+16)/2
     is below the 2^-prec of ``work_context(dps)``, prec = round((dps+16) log2 10)."""
@@ -138,25 +134,18 @@ def rational_context(dps: int) -> decimal.Context:
         traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow])
 
 
-def evaluate_rational(raw, dps: int, *args):
-    """raw(*args) on Decimals of ``rational_context(dps)``, rounded to `dps` digits.
-
-    For formulas of +, -, * and / alone: libmpdec rounds each correctly, as
-    mpmath does an mpf operation.  Each argument's exact value (``_argument``)
-    is divided once.  The context is local, so the caller's decimal context is
-    neither used nor changed.  A result, or each value of a dict result, is
-    rounded once: a Decimal d of ctx.prec digits or fewer is the integer d
-    10^e(d) over 10^e(d).
-    """
-    values = [_argument(a, dps) for a in args]
-    with decimal.localcontext(rational_context(dps)) as ctx:
-        result = raw(*(ctx.divide(v.numerator, v.denominator) for v in values))
+def evaluate(raw, dps: int, *args):
+    """raw(work, *args), work ``work_context(dps)``, rounded to `dps` digits: ``raw``
+    gets the arguments' exact values (``_argument``) and checks their domain, and
+    its result, or each value of a dict result, is rounded once by ``to_mpf``.
+    Both run in a local copy of ``rational_context(dps)``, so the caller's decimal
+    context is neither used nor changed."""
     out = context(dps)
-    e = lambda d: max(0, ctx.prec - 1 - d.adjusted())
-    rounded = lambda d: _rounded_mpf(out, int(d.scaleb(e(d), ctx)), 10 ** e(d))
-    if isinstance(result, dict):
-        return {k: rounded(v) for k, v in result.items()}
-    return rounded(result)
+    with decimal.localcontext(rational_context(dps)):
+        result = raw(work_context(dps), *[_argument(a, dps) for a in args])
+        if isinstance(result, dict):
+            return {k: to_mpf(out, v) for k, v in result.items()}
+        return to_mpf(out, result)
 
 
 @lru_cache(maxsize=None)

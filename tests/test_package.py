@@ -172,3 +172,41 @@ def test_private_reads_sees_each_form(tmp_path):
     assert private_reads(tmp_path / "own.py") == [
         "1: specials._bits", "2: quadrature._times", "6: signs._x", "6: specials._ln",
         "6: specials._stirling"]
+
+
+def door_names(path: Path) -> list[str]:
+    """"line: name" for each ``localcontext`` that the module at `path` imports or
+    names, and each ``context`` that it imports from or reads off ``specials``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if "localcontext" in names:
+                found.append(f"{node.lineno}: localcontext")
+            if (node.module or "").split(".")[-1] == "specials" and "context" in names:
+                found.append(f"{node.lineno}: context")
+        elif "localcontext" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append(f"{node.lineno}: localcontext")
+        elif (isinstance(node, ast.Attribute) and node.attr == "context"
+              and ast.unparse(node.value).split(".")[-1] == "specials"):
+            found.append(f"{node.lineno}: context")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", sorted(MODULES - {"specials"}))
+def test_only_specials_opens_a_decimal_or_an_mpf_context(name):
+    # every library mpf comes through specials.evaluate, which alone opens a
+    # decimal context; cli imports context for its --x reader alone
+    names = [found.split(": ")[1] for found in door_names(PACKAGE / f"{name}.py")]
+    assert names == (["context"] if name == "cli" else [])
+
+
+def test_door_names_sees_each_form(tmp_path):
+    source = ("import decimal\n"
+              "from decimal import localcontext\n"
+              "from .specials import context, evaluate\n"
+              "from betabound import specials\n"
+              "decimal.localcontext(), specials.context(30), value.context, localcontext\n")
+    (tmp_path / "own.py").write_text(source)
+    assert door_names(tmp_path / "own.py") == [
+        "2: localcontext", "3: context", "5: context", "5: localcontext", "5: localcontext"]

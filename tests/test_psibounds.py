@@ -29,7 +29,9 @@ from betabound.psibounds import (
     yang_lxx,
 )
 from betabound.constants import solve_a3
-from betabound.specials import GUARD_DIGITS, context, exact, psi, psi1, stirling_enclosure, to_mpf
+from betabound.quadrature import beta_integral
+from betabound.specials import (GUARD_DIGITS, context, exact, log_gamma, psi, psi1,
+                                stirling_enclosure, to_mpf)
 
 HP = context(60)
 mpmath.mp.dps = 60
@@ -220,7 +222,7 @@ class TestDecimalRoute:
         for raw, args in raws:
             with decimal.localcontext(specials.rational_context(dps)) as ctx:
                 d = raw(*(ctx.divide(*exact(v).as_integer_ratio()) for v in args))
-            value = specials.evaluate_rational(raw, dps, *args)
+            value = specials.evaluate(lambda work: d, dps)
             assert value == to_mpf(context(dps), F(d))
 
     @pytest.mark.parametrize("dps", [30, 100])
@@ -232,20 +234,32 @@ class TestDecimalRoute:
         tie = F(2 * m + 1, 1 << out.prec + 1)
         up = decimal.Context(prec=digits, rounding=decimal.ROUND_CEILING, Emin=-999999)
         d = up.divide(tie.numerator, tie.denominator)
-        assert exact(specials.evaluate_rational(lambda v: v, dps, F(d))) == F(m + 1, 1 << out.prec)
+        assert exact(specials.evaluate(lambda work: d, dps)) == F(m + 1, 1 << out.prec)
 
     def test_caller_decimal_context_is_untouched(self):
+        # every evaluate call runs in a decimal context of its own, also one
+        # that is not Yang's L and one that raises
+        def outcome(call):
+            try:
+                return call()
+            except ValueError as exc:
+                return str(exc)
+
         calls = [
             lambda: lx_general(F(1, 3), A_SMALL, 50),
             lambda: lxx_general(0.37, F(1, 2), 50),
             lambda: list(sandwich_margins(F(1, 3), 50).values()),
+            lambda: log_gamma(F(1, 3), 50),
+            lambda: beta_integral(F(1, 3), F(1, 2), 30),
+            lambda: lx_general(-1, A_SMALL, 50),
         ]
-        expected = [call() for call in calls]
+        expected = [outcome(call) for call in calls]
+        assert expected[-1] == "domain error: L requires x >= 0"
         caller = decimal.Context(prec=5, rounding=decimal.ROUND_DOWN,
                                  traps=[decimal.Inexact, decimal.Rounded], flags=[])
         with decimal.localcontext(caller) as ctx:
             for call, value in zip(calls, expected):
-                assert call() == value
+                assert outcome(call) == value
                 assert decimal.getcontext() is ctx
                 assert (ctx.prec, ctx.rounding) == (5, decimal.ROUND_DOWN)
                 assert {s for s, on in ctx.traps.items() if on} == {decimal.Inexact,

@@ -135,8 +135,8 @@ HIGH_PRECISION = {name: lambda d, f=f: f(X, d) for name, f in AT_X.items()} | {
     ids=["x", "inf-string", "inf", "nan", "mpf-nan"])
 @pytest.mark.parametrize("name", sorted(AT_X))
 def test_non_numbers_are_one_domain_error(name, bad):
-    # both argument routes, evaluate's and evaluate_rational's, read the
-    # arguments alike, so every public function raises the same error
+    # every public function reads its arguments through evaluate's one
+    # reader, so each raises the same error
     with pytest.raises(ValueError, match="domain error: arguments must be finite numbers"):
         AT_X[name](bad, 30)
 
@@ -149,8 +149,8 @@ def test_public_functions_round_to_the_requested_precision(name, dps):
 
 
 def test_rational_context_is_no_coarser_than_the_working_context():
-    # evaluate_rational rounds each operation half even to prec digits, a
-    # relative error of at most 10^(1 - prec)/2
+    # evaluate's decimal context rounds each operation half even to prec
+    # digits, a relative error of at most 10^(1 - prec)/2
     for dps in range(30, 301):
         ctx = specials.rational_context(dps)
         assert ctx.rounding == decimal.ROUND_HALF_EVEN
@@ -339,7 +339,9 @@ class TestStirlingKernel:
             value = fn(x, dps)
             assert value._mpf_ == to_mpf(out, specials.stirling_enclosure(x, order, dps))._mpf_, x
 
-    @pytest.mark.parametrize("x", ["1e-300", "1e300", "1e100000", "1e-100000"])
+    @pytest.mark.parametrize("x", ["1e-300", "1e300", "1e100000", "1e-100000",
+                                   decimal.Decimal("1e-100000"), decimal.Decimal("1e100000")],
+                             ids=str)
     @pytest.mark.parametrize("order", [-1, 0, 1, 2])
     def test_extreme_arguments_are_finite_and_fast(self, order, x):
         # nothing may scale with the exponent of x: an argument with a long
