@@ -12,9 +12,8 @@ material are kept below as ``PRINTED_LX`` and ``PRINTED_LXX``, and
 
 ``yang_lx`` and ``yang_lxx`` are plain arithmetic over any number type.
 ``lx_general``, ``lxx_general`` and ``sandwich_margins`` evaluate them
-through ``specials.evaluate`` on Decimals of its decimal context, each exact
-value divided once (``_to_decimal``), with no mpf arithmetic, and ``evaluate``
-rounds each result once to a ``dps``-digit mpf.
+through ``specials.evaluate``, with no mpf arithmetic, on Decimals of its
+decimal context, each exact value divided once (``_to_decimal``).
 
 Also here: Alzer's lower bound for psi(x+1) - psi(x+s) at truncation order n,
 as the rational function ``alzer_bracket_rf(n)`` that the replay reads.
@@ -141,12 +140,8 @@ def lxx_general(x, a, dps: int = DEFAULT_DPS):
 
 
 def error_budget(dps: int):
-    """Certification threshold for high-precision inequality margins.
-
-    1e-30 at the library's standard 50-digit precision; widened when the
-    caller asks for fewer digits so that arithmetic noise stays far below
-    the certification line.
-    """
+    """The certification threshold for high-precision margins: 1e-30 at 50 digits,
+    widened below 32 digits so that arithmetic noise stays far below it."""
     return evaluate(lambda work: Fraction(10) ** -min(30, dps - 2), dps)
 
 

@@ -84,17 +84,26 @@ def _rounded_mpf(ctx: MPContext, p: int, q: int):
     return ctx.mpf((int(p < 0), man, -s - 1, man.bit_length()))
 
 
+# scales a Decimal by a power of ten without rounding, and traps a fraction left
+_SCALE = decimal.Context(prec=decimal.MAX_PREC, Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact])
+
+
 def to_mpf(ctx: MPContext, value):
     """A number as ctx's mpf, rounded once by ``_rounded_mpf``: a Fraction; an
-    Interval by its midpoint; a Decimal d of the active decimal context's digits
-    or fewer as the integer d 10^e over 10^e, e = max(0, prec - 1 - d.adjusted())."""
+    Interval by its midpoint; a finite Decimal d exactly, as the integer d 10^e
+    over 10^e, e = max(0, prec - 1 - d.adjusted()) for the active decimal context's
+    prec, or, past prec digits, by the slower ``d.as_integer_ratio()``."""
     if isinstance(value, Fraction):
         return _rounded_mpf(ctx, value.numerator, value.denominator)
     if isinstance(value, Interval):
         return _rounded_mpf(ctx, value.lo + value.hi, 2 << value.scale)
-    if isinstance(value, decimal.Decimal):
+    if isinstance(value, decimal.Decimal) and value.is_finite():
         e = max(0, decimal.getcontext().prec - 1 - value.adjusted())
-        return _rounded_mpf(ctx, int(value.scaleb(e)), 10**e)
+        try:
+            return _rounded_mpf(ctx, int(_SCALE.to_integral_exact(value.scaleb(e, _SCALE))), 10**e)
+        except decimal.Inexact:
+            return _rounded_mpf(ctx, *value.as_integer_ratio())
     return ctx.mpf(value)
 
 
@@ -111,8 +120,6 @@ def _argument(a, dps: int) -> Fraction:
     if type(a) is Fraction:
         return a
     try:
-        if type(a) is int or type(a) is float:
-            return Fraction(a)
         if isinstance(a, decimal.Decimal):
             a = str(a)
         if isinstance(a, str) or hasattr(a, "_mpf_"):
@@ -137,9 +144,8 @@ def rational_context(dps: int) -> decimal.Context:
 def evaluate(raw, dps: int, *args):
     """raw(work, *args), work ``work_context(dps)``, rounded to `dps` digits: ``raw``
     gets the arguments' exact values (``_argument``) and checks their domain, and
-    its result, or each value of a dict result, is rounded once by ``to_mpf``.
-    Both run in a local copy of ``rational_context(dps)``, so the caller's decimal
-    context is neither used nor changed."""
+    its result, or each value of a dict result, is rounded once by ``to_mpf``, both
+    in a local copy of ``rational_context(dps)``, not the caller's decimal context."""
     out = context(dps)
     with decimal.localcontext(rational_context(dps)):
         result = raw(work_context(dps), *[_argument(a, dps) for a in args])

@@ -215,15 +215,23 @@ class TestDecimalRoute:
 
     @pytest.mark.parametrize("dps", [30, 100])
     def test_each_decimal_result_is_rounded_once(self, dps):
-        # the mpf is the Decimal result's exact value rounded to nearest, also
-        # for a zero and past 10^prec, where the Decimal is itself an integer
+        # each argument is read exactly and divided once, to nearest, into a
+        # Decimal, and the mpf is the Decimal result's exact value rounded to
+        # nearest, also for a zero and past 10^prec, where the Decimal is itself
+        # an integer
         raws = [(yang_lxx, (F(1, 3), solve_a3(dps))), (yang_lx, (0.37, A_LARGE)),
-                (lambda x: x - x, (F(1, 3),)), (lambda x: -x * x * x, (10**60 + 1,))]
+                (lambda x: x - x, (F(2, 3),)), (lambda x: -x * x * x, (10**60 + 1,))]
         for raw, args in raws:
             with decimal.localcontext(specials.rational_context(dps)) as ctx:
-                d = raw(*(ctx.divide(*exact(v).as_integer_ratio()) for v in args))
-            value = specials.evaluate(lambda work: d, dps)
-            assert value == to_mpf(context(dps), F(d))
+                divided = [ctx.divide(*exact(v).as_integer_ratio()) for v in args]
+                d = raw(*divided)
+
+            def door(work, *values):
+                decimals = list(map(psibounds._to_decimal, values))
+                assert decimals == divided
+                return raw(*decimals)
+
+            assert specials.evaluate(door, dps, *args) == to_mpf(context(dps), F(d))
 
     @pytest.mark.parametrize("dps", [30, 100])
     def test_a_result_just_past_a_tie_rounds_on_its_last_digit(self, dps):

@@ -157,6 +157,22 @@ def test_rational_context_is_no_coarser_than_the_working_context():
         assert F(10) ** (1 - ctx.prec) / 2 <= F(1, 2**work_context(dps).prec)
 
 
+def test_to_mpf_rounds_a_decimal_once_in_any_decimal_context():
+    # a Decimal enters exactly and is rounded once, as its string is by
+    # mpmath, also one of more digits than the active decimal context, 28
+    # here; an infinity or a NaN is no mpf
+    out = context(50)
+    cases = ["0." + "1234567890" * 4, "-" + "9" * 40 + "e-400", str(10**40 + 1), "2.5e-1000",
+             "0.1", "-3.75e-400", str(10**27 + 1), "1" + "0" * 40]
+    with decimal.localcontext(decimal.Context(prec=28)):
+        for text in cases:
+            d = decimal.Decimal(text)
+            assert to_mpf(out, d) == to_mpf(out, F(d)) == out.mpf(text), text
+        for text in ("-Infinity", "NaN"):
+            with pytest.raises(TypeError, match="cannot create mpf"):
+                to_mpf(out, decimal.Decimal(text))
+
+
 class TestQuadratureOracles:
     def test_unit_integral_linear(self):
         # f returns log(t t (1-t)), the integrand t times the weight t (1-t),
